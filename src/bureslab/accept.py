@@ -507,15 +507,13 @@ def _determinism():
 # driver
 # ---------------------------------------------------------------------------
 
-def acceptance_suite(only=None, workers=None) -> list:
+def acceptance_suite(only=None) -> list:
     """Run the numbered criteria and return a CriterionResult for each.
 
     ``only`` restricts to the given criterion numbers (raising on
-    unknown ones).  ``workers`` exists for interface parity with the
-    harness; the criteria are serial by design, and the determinism
+    unknown ones).  The criteria are serial by design; the determinism
     criterion exercises the worker pool itself.
     """
-    del workers
     known = {number for number, _, _ in CRITERIA}
     if only is not None:
         extra = set(only) - known

@@ -178,7 +178,7 @@ def cmd_accept(args) -> int:
     only = None
     if args.only:
         only = sorted(int(x) for x in args.only.split(","))
-    results = accept.acceptance_suite(only=only, workers=args.workers)
+    results = accept.acceptance_suite(only=only)
     failures = 0
     report = []
     for res in results:
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--only", help="comma list of criterion numbers")
     p.add_argument("--out", help="JSON report path")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_accept)
 
     return parser

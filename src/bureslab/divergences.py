@@ -14,6 +14,13 @@ sigma = sum_j q_j |v_j><v_j|, set w_ij = |<u_i|v_j>|^2 and
 Every Renyi divergence of (rho, sigma) equals the classical one of (P, Q),
 which keeps the zero conventions identical in both worlds and avoids
 matrix logarithms entirely.
+
+Every quantum divergence that reads a spectrum (all but the trace
+distance, which works on rho - sigma) takes each state either as a
+density matrix or as its ``linalg.SpectralDecomposition``; for
+``bures_chi2`` that holds for the reference argument.  Callers that
+evaluate several divergences of one pair, like :func:`quantum_chain`,
+diagonalize each state once and pass the decompositions on.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ __all__ = [
     "max_log_ratio_q",
     "bures_chi2",
     "bures_chi2_in_basis",
-    "bures_chi2_hat",
     "bures_chi2_tail",
     "quantum_mutual_information",
     "quantum_chain",
@@ -170,20 +176,21 @@ def classical_chain(p, q) -> dict:
 # quantum, via the eigenbasis-overlap pair
 # ---------------------------------------------------------------------------
 
-def overlap_pair(rho: np.ndarray, sigma: np.ndarray):
+def overlap_pair(rho, sigma):
     """The (P, Q) matrices defined in the module docstring, as 2-D arrays.
 
-    Eigenvalues below SPECTRAL_CUTOFF and squared overlaps below its
-    square are rounded to exact zeros: both are eigensolver noise, and
-    leaving them positive turns support comparisons (finite vs infinite
-    divergence) into coin flips.
+    Each state is a density matrix or its spectral decomposition.
+    Eigenvalues are cut at SPECTRAL_CUTOFF by ``linalg.spectral_cutoff``
+    and squared overlaps below the cutoff's square are rounded to exact
+    zeros: both are eigensolver noise, and leaving them positive turns
+    support comparisons (finite vs infinite divergence) into coin flips.
     """
-    dp = linalg.eig_hermitian(rho)
-    dq = linalg.eig_hermitian(sigma)
+    dp = linalg.decompose(rho)
+    dq = linalg.decompose(sigma)
     w = np.abs(dp.vectors.conj().T @ dq.vectors) ** 2
     w = np.where(w <= config.SPECTRAL_CUTOFF ** 2, 0.0, w)
-    p = np.where(dp.values <= config.SPECTRAL_CUTOFF, 0.0, dp.values)
-    q = np.where(dq.values <= config.SPECTRAL_CUTOFF, 0.0, dq.values)
+    p = linalg.spectral_cutoff(dp.values)
+    q = linalg.spectral_cutoff(dq.values)
     return w * p[:, None], w * q[None, :]
 
 
@@ -191,43 +198,43 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * linalg.trace_norm(np.asarray(rho) - np.asarray(sigma))
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def fidelity(rho, sigma) -> float:
     """|| sqrt(rho) sqrt(sigma) ||_1  (square-root convention)."""
     a = linalg.psd_sqrt(rho) @ linalg.psd_sqrt(sigma)
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def infidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def infidelity(rho, sigma) -> float:
     return 1.0 - fidelity(rho, sigma)
 
 
-def bures_sq(rho: np.ndarray, sigma: np.ndarray) -> float:
+def bures_sq(rho, sigma) -> float:
     """Squared Bures distance 2 (1 - fidelity)."""
     return 2.0 * (1.0 - fidelity(rho, sigma))
 
 
-def hellinger_affinity(rho: np.ndarray, sigma: np.ndarray) -> float:
+def hellinger_affinity(rho, sigma) -> float:
     """tr( sqrt(rho) sqrt(sigma) )."""
     return float(np.trace(linalg.psd_sqrt(rho) @ linalg.psd_sqrt(sigma)).real)
 
 
-def hellinger_sq_q(rho: np.ndarray, sigma: np.ndarray) -> float:
+def hellinger_sq_q(rho, sigma) -> float:
     """2 (1 - affinity) = || sqrt(rho) - sqrt(sigma) ||_F^2."""
     return 2.0 * (1.0 - hellinger_affinity(rho, sigma))
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Quantum relative entropy, computed classically on the overlap pair."""
     pp, qq = overlap_pair(rho, sigma)
     return kl_divergence(pp, qq)
 
 
-def renyi_divergence_q(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
+def renyi_divergence_q(rho, sigma, alpha: float) -> float:
     pp, qq = overlap_pair(rho, sigma)
     return renyi_divergence(pp, qq, alpha)
 
 
-def max_log_ratio_q(rho: np.ndarray, sigma: np.ndarray) -> float:
+def max_log_ratio_q(rho, sigma) -> float:
     """Order-infinity Renyi divergence; at most ln ||sigma^{-1}||."""
     pp, qq = overlap_pair(rho, sigma)
     return max_log_ratio(pp, qq)
@@ -245,8 +252,7 @@ def bures_chi2_in_basis(rho_t: np.ndarray, q) -> float:
     what makes the formula extend to rank-deficient references.
     """
     rho_t = np.asarray(rho_t, dtype=complex)
-    q = _weights(q)
-    q = np.where(q <= config.SPECTRAL_CUTOFF, 0.0, q)
+    q = linalg.spectral_cutoff(_weights(q))
     tau = rho_t - np.diag(q)
     num = 2.0 * np.abs(tau) ** 2
     den = q[:, None] + q[None, :]
@@ -257,27 +263,25 @@ def bures_chi2_in_basis(rho_t: np.ndarray, q) -> float:
     return float(np.sum(num[ok] / den[ok]))
 
 
-def bures_chi2(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Bures chi-square divergence of rho from sigma.
+def bures_chi2(rho: np.ndarray, sigma) -> float:
+    """Bures chi-square divergence of the density matrix rho from sigma.
 
-    Diagonalizes sigma and applies :func:`bures_chi2_in_basis`; unitary
-    invariance makes the choice of eigenbasis immaterial.
+    Rotates rho into sigma's eigenbasis (sigma may be given as its
+    spectral decomposition) and applies :func:`bures_chi2_in_basis`;
+    unitary invariance makes the choice of eigenbasis immaterial.
     """
-    dec = linalg.eig_hermitian(sigma)
+    dec = linalg.decompose(sigma)
     rho_t = dec.vectors.conj().T @ np.asarray(rho, dtype=complex) @ dec.vectors
     return bures_chi2_in_basis(rho_t, dec.values)
-
-
-def bures_chi2_hat(rho_t: np.ndarray, q) -> float:
-    """Upper bound using 1/q_max(i,j) weights; needs q nondecreasing."""
-    return bures_chi2_tail(rho_t, q, 0)
 
 
 def bures_chi2_tail(rho_t: np.ndarray, q, ell: int) -> float:
     """The hat-weighted sum restricted to entries with max(i,j) >= ell.
 
-    With L the prefix {0, .., ell-1}, this is the part of the hat bound
-    that survives outside the L-block; the full divergence is at most
+    The hat bound weights entry (i, j) by 1/q_max(i,j) and dominates the
+    full divergence; ``ell = 0`` gives the whole hat bound.  With L the
+    prefix {0, .., ell-1}, this is the part of the hat bound that
+    survives outside the L-block; the full divergence is at most
     (L-block divergence) + (this tail).  ``q`` must be nondecreasing.
     """
     rho_t = np.asarray(rho_t, dtype=complex)
@@ -287,7 +291,7 @@ def bures_chi2_tail(rho_t: np.ndarray, q, ell: int) -> float:
         raise ValueError(f"ell must be in [0, {d}]")
     if np.any(np.diff(q) < -config.SPECTRAL_CUTOFF):
         raise ValueError("reference eigenvalues must be nondecreasing")
-    q = np.where(q <= config.SPECTRAL_CUTOFF, 0.0, q)
+    q = linalg.spectral_cutoff(q)
     tau = rho_t - np.diag(q)
     i = np.arange(d)
     qmax = q[np.maximum(i[:, None], i[None, :])]
@@ -308,32 +312,35 @@ def quantum_mutual_information(rho: np.ndarray, d_a: int, d_b: int) -> float:
 
 
 def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:
-    """All quantities in the quantum divergence chain.
+    """All quantities in the quantum divergence chain, for two matrices.
 
     The chain: H^2/2 <= D_tr <= D_B <= sqrt(KL) <= sqrt(chi2), plus the
     reverse bound KL <= (2 + max_log_ratio) * H^2 and the sandwich
-    D_B^2 <= H^2 <= 2 D_B^2.
+    D_B^2 <= H^2 <= 2 D_B^2.  Each state is diagonalized once and every
+    entry equals the matching public function on the two matrices.
     """
-    h2 = hellinger_sq_q(rho, sigma)
+    dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
+    h2 = hellinger_sq_q(dr, ds)
     out = {
         "trace_distance": trace_distance(rho, sigma),
-        "bures_sq": bures_sq(rho, sigma),
+        "bures_sq": bures_sq(dr, ds),
         "hellinger_sq": h2,
-        "kl": relative_entropy(rho, sigma),
-        "bures_chi2": bures_chi2(rho, sigma),
-        "max_log_ratio": max_log_ratio_q(rho, sigma),
+        "kl": relative_entropy(dr, ds),
+        "bures_chi2": bures_chi2(rho, ds),
+        "max_log_ratio": max_log_ratio_q(dr, ds),
     }
     out["reverse_bound"] = (2.0 + out["max_log_ratio"]) * h2 \
         if np.isfinite(out["max_log_ratio"]) else float("inf")
     return out
 
 
-def reverse_pinsker_bound(rho: np.ndarray, sigma: np.ndarray) -> float:
+def reverse_pinsker_bound(rho, sigma) -> float:
     """(2 + max_log_ratio) * H^2, an upper bound on the relative entropy."""
-    m = max_log_ratio_q(rho, sigma)
+    dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
+    m = max_log_ratio_q(dr, ds)
     if not np.isfinite(m):
         return float("inf")
-    return (2.0 + m) * hellinger_sq_q(rho, sigma)
+    return (2.0 + m) * hellinger_sq_q(dr, ds)
 
 
 def kl_from_infidelity_bound(d: int, eps: float) -> float:

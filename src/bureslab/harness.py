@@ -191,7 +191,9 @@ def _staged(s: Scenario, rho, eps, rng):
     params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), eps,
                             variant=s.variant)
     out = pl.staged_learn(rho, spec, params, rng)
-    assert out.consumed == params.total  # the relearn pass drains the budget
+    if out.consumed != params.total:  # the relearn pass drains the budget
+        raise RuntimeError(f"staged run consumed {out.consumed} of "
+                           f"{params.total} planned copies")
     return params, out
 
 
@@ -206,7 +208,9 @@ def _run_trial(s: Scenario, point_index: int, trial: int) -> TrialRecord:
         spec = fb.parse_estimator(s.estimator, s.r)
         budget = ms.CopyBudget(total=n)
         est = spec.run(rho, budget, rng)
-        assert budget.consumed == n
+        if budget.consumed != n:
+            raise RuntimeError(f"estimator {s.estimator!r} consumed "
+                               f"{budget.consumed} of {n} planned copies")
         loss = linalg.frob_sq(est - rho)
         promise = spec.rate(s.d, s.r) / n
         losses = {"frob_sq": float(loss)}

@@ -1,8 +1,11 @@
 """Hermitian linear algebra and state constructors.
 
 Everything downstream works with plain complex ndarrays; the only wrapper
-here is :class:`SpectralDecomposition`, which fixes the eigenvalue order
-convention (ascending) once so the staged algorithm can rely on it.
+here is :class:`SpectralDecomposition`, the one (values, vectors) type of
+the package.  It fixes the eigenvalue order (ascending) once, for the
+staged algorithm's estimated bases and for the eigensystems the quantum
+divergences read alike.  :func:`spectral_cutoff` is the one place that
+rounds eigenvalues at or below SPECTRAL_CUTOFF to exact zeros.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ __all__ = [
     "require_hermitian",
     "require_density",
     "eig_hermitian",
+    "decompose",
+    "spectral_cutoff",
     "psd_sqrt",
     "frob_sq",
     "trace_norm",
@@ -70,18 +75,28 @@ def require_density(rho: np.ndarray, tol: float = config.PSD_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues ascending.
+    """Eigensystem of a Hermitian matrix, or an estimated one; ascending.
 
-    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Values are
-    the raw eigenvalues; callers that need a genuine spectrum should clip
-    at zero themselves.
+    ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Values
+    are raw: they may dip below zero when produced from a noisy matrix
+    estimate, which is exactly what keeps the diagonalization error
+    identity of ``pipeline.diagonalize_estimate`` exact.  Use
+    :meth:`clipped` when a genuine spectrum is needed.
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
+    def __post_init__(self):
+        if np.any(np.diff(self.values) < 0):
+            raise ValueError("values must be ascending")
+
     def matrix(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
+
+    def clipped(self) -> "SpectralDecomposition":
+        return SpectralDecomposition(np.clip(self.values, 0.0, None),
+                                     self.vectors)
 
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
@@ -90,20 +105,39 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(values=w, vectors=v)
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
+def decompose(state) -> SpectralDecomposition:
+    """A state's eigensystem: passed through if given, else computed.
+
+    Lets a function that reads a spectrum take either a Hermitian matrix
+    or a :class:`SpectralDecomposition`, so a caller evaluating several
+    divergences of one pair diagonalizes each state once.
+    """
+    if isinstance(state, SpectralDecomposition):
+        return state
+    return eig_hermitian(state)
+
+
+def spectral_cutoff(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues at or below SPECTRAL_CUTOFF rounded to exact zeros.
+
+    Such values are eigensolver noise; left positive they turn support
+    comparisons (finite vs infinite divergence) into coin flips, and a
+    square root amplifies 1e-16 of noise into 1e-8.
+    """
+    return np.where(values <= config.SPECTRAL_CUTOFF, 0.0, values)
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Principal square root of a PSD Hermitian matrix or decomposition.
 
     Eigenvalues in ``(-PSD_TOL, 0)`` are treated as float noise and
-    clipped; anything more negative raises.  Positive values at or
-    below SPECTRAL_CUTOFF are rounded to zero too: the square root
-    turns 1e-16 of solver noise into 1e-8, which is exactly the
-    amplification the cutoff convention exists to stop.
+    zeroed; anything more negative raises.  Positive values are cut at
+    SPECTRAL_CUTOFF by :func:`spectral_cutoff`.
     """
-    dec = eig_hermitian(a)
+    dec = decompose(a)
     if dec.values[0] < -config.PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {dec.values[0]}")
-    w = np.where(dec.values <= config.SPECTRAL_CUTOFF, 0.0,
-                 np.sqrt(np.clip(dec.values, 0.0, None)))
+    w = np.sqrt(spectral_cutoff(dec.values))
     return (dec.vectors * w) @ dec.vectors.conj().T
 
 

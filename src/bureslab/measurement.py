@@ -35,8 +35,8 @@ class BudgetExhausted(RuntimeError):
 class CopyBudget:
     """Mutable counter of measurement copies.
 
-    ``take`` spends copies; ``carve`` transfers copies into a child budget
-    so a subroutine can be audited separately.  Totals are int64-safe.
+    ``take`` spends copies, raising once the total would be exceeded.
+    Totals are int64-safe.
     """
 
     total: int
@@ -54,10 +54,6 @@ class CopyBudget:
                 f"requested {k} copies with only {self.remaining} remaining")
         self.consumed += k
         return k
-
-    def carve(self, k: int) -> "CopyBudget":
-        self.take(k)
-        return CopyBudget(total=k)
 
 
 @dataclass(frozen=True)

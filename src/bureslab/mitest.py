@@ -462,9 +462,14 @@ def quantum_mi_test(rho_joint, d_a: int, d_b: int, eps: float,
     stats = dict(plan)
     stats["learning"] = record
     stats["joint_copies"] = record["joint_copies"]
-    stats["hellinger_sq"] = dv.hellinger_sq_q(rho_joint, product)
-    stats["bures_chi2_product"] = dv.bures_chi2(rho_joint, product)
-    stats["mi"] = dv.quantum_mutual_information(rho_joint, d_a, d_b)
+    # one decomposition per state; the joint's also serves the MI, its
+    # relative entropy to the product of its own marginals
+    joint, learned = linalg.decompose(rho_joint), linalg.decompose(product)
+    marginals = np.kron(linalg.partial_trace(rho_joint, d_a, d_b, "A"),
+                        linalg.partial_trace(rho_joint, d_a, d_b, "B"))
+    stats["hellinger_sq"] = dv.hellinger_sq_q(joint, learned)
+    stats["bures_chi2_product"] = dv.bures_chi2(rho_joint, learned)
+    stats["mi"] = dv.relative_entropy(joint, marginals)
     return TesterVerdict(accept=bool(verdict(rho_joint, product,
                                              plan["eps_t"], rng)),
                          stats=stats)

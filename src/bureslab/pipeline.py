@@ -2,17 +2,20 @@
 
 The ladder, bottom to top:
 
-1. hermitianize: symmetrize a raw estimate (never increases Frobenius
-   error against Hermitian targets);
-2. diagonalize_estimate: trade the matrix estimate for an estimated
-   eigenbasis plus raw eigenvalues, with an exact error identity;
-3. make_state_diagonal: spend half the copies on the basis, half on an
+1. diagonalize_estimate: symmetrize a raw estimate with
+   ``linalg.hermitian_part`` (never increases Frobenius error against
+   Hermitian targets) and trade it for an estimated eigenbasis plus raw
+   eigenvalues, with an exact error identity;
+2. make_state_diagonal: spend half the copies on the basis, half on an
    empirical diagonal in that basis, ending with a genuine distribution;
-4. subnormalized_estimate / final_upgrade: the same machinery run behind
-   a subset filter, so only the interesting block pays for copies;
-5. staged_learn: iterate final_upgrade, peeling off large eigenvalues
+3. final_upgrade: the same machinery run behind a subset filter, so
+   only the interesting block pays for copies;
+4. staged_learn: iterate final_upgrade, peeling off large eigenvalues
    into a retained suffix and re-estimating the shrinking prefix, then
    relearn the diagonal with the second half of the budget.
+
+Estimated bases with their values are ``linalg.SpectralDecomposition``
+objects, the same type the divergences read.
 
 Post-processors convert the staged output into estimates with
 infidelity, Bures chi-square, or relative-entropy guarantees.
@@ -35,11 +38,8 @@ from .frobenius import EstimatorSpec
 
 __all__ = [
     "ParameterError",
-    "hermitianize",
-    "DiagonalEstimate",
     "diagonalize_estimate",
     "make_state_diagonal",
-    "subnormalized_estimate",
     "FinalUpgradeResult",
     "final_upgrade",
     "CentralParams",
@@ -64,56 +64,19 @@ class ParameterError(ValueError):
 # upgrade ladder
 # ---------------------------------------------------------------------------
 
-def hermitianize(est: np.ndarray) -> np.ndarray:
-    """(est + est^dagger)/2.
-
-    Projection onto the Hermitian subspace: for any Hermitian target the
-    Frobenius distance can only shrink, and the map is idempotent.
-    """
-    return linalg.hermitian_part(est)
-
-
-@dataclass(frozen=True)
-class DiagonalEstimate:
-    """An estimated eigenbasis with values, ascending.
-
-    ``basis[:, k]`` pairs with ``values[k]``.  Values are raw: they may
-    dip below zero when produced from a noisy matrix estimate, which is
-    exactly what keeps the diagonalization error identity exact.  Use
-    :meth:`clipped` when a genuine spectrum is needed.
-    """
-
-    basis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("values must be ascending")
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-    def matrix(self) -> np.ndarray:
-        return (self.basis * self.values) @ self.basis.conj().T
-
-    def clipped(self) -> "DiagonalEstimate":
-        return DiagonalEstimate(self.basis, np.clip(self.values, 0.0, None))
-
-
-def diagonalize_estimate(est: np.ndarray) -> DiagonalEstimate:
+def diagonalize_estimate(est: np.ndarray) -> linalg.SpectralDecomposition:
     """Hermitianize and diagonalize a raw matrix estimate.
 
     The exchange is free: with U the estimated basis and q the raw
     eigenvalues, || U^dagger rho U - diag(q) ||_F equals the Frobenius
     error of the hermitianized estimate, for every rho.
     """
-    dec = linalg.eig_hermitian(hermitianize(est))
-    return DiagonalEstimate(basis=dec.vectors, values=dec.values)
+    return linalg.eig_hermitian(linalg.hermitian_part(est))
 
 
 def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
-                        rng: np.random.Generator) -> DiagonalEstimate:
+                        rng: np.random.Generator
+                        ) -> linalg.SpectralDecomposition:
     """Basis from half the copies, empirical diagonal from the rest.
 
     Returns an estimate whose values are a genuine probability vector
@@ -127,31 +90,11 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
     base = spec.run(rho, ms.CopyBudget(total=m1), rng)
     dig = diagonalize_estimate(base)
     m2 = m - m1
-    counts = ms.sample_povm(ms.Povm.from_basis(dig.basis), rho, m2, rng)
+    counts = ms.sample_povm(ms.Povm.from_basis(dig.vectors), rho, m2, rng)
     q = counts / m2
     order = np.argsort(q, kind="stable")
-    return DiagonalEstimate(basis=dig.basis[:, order], values=q[order])
-
-
-def subnormalized_estimate(spec: EstimatorSpec, rho: np.ndarray, subset,
-                           m: int, rng: np.random.Generator):
-    """Estimate the block rho[S] through a subset filter.
-
-    Spends m copies on the filter; the survivors (binomial, mean
-    m tr rho[S]) are re-measured by the base estimator on the conditional
-    state.  Returns (block_estimate, kept): the |S| x |S| estimate of
-    rho[S] scaled by the observed pass rate, and the survivor count.
-    A dry filter returns the zero block.
-    """
-    idx = np.asarray(subset, dtype=int)
-    kept, cond = ms.filter_subset(rho, idx, m, rng)
-    if kept == 0 or cond is None:
-        return np.zeros((idx.size, idx.size), dtype=complex), kept
-    if kept == 1:
-        # a single survivor cannot be split into phases; call it mass only
-        return (kept / m) * np.eye(idx.size, dtype=complex) / idx.size, kept
-    est = spec.run(cond, ms.CopyBudget(total=kept), rng)
-    return (kept / m) * est, kept
+    return linalg.SpectralDecomposition(values=q[order],
+                                        vectors=dig.vectors[:, order])
 
 
 @dataclass(frozen=True)
@@ -199,7 +142,7 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
         values = np.full(idx.size, scale / idx.size)
     else:
         dig = make_state_diagonal(spec, cond, kept2, rng)
-        basis = dig.basis
+        basis = dig.vectors
         values = dig.values * scale
     theta = max(tau_hat / (100.0 * r),
                 classical.mass_floor(m_phase, delta / d))

@@ -12,6 +12,16 @@ def random_pair(d, rng, ranks=(None, None)):
     return linalg.random_density(d, ra, rng), linalg.random_density(d, rb, rng)
 
 
+def chain_pairs(rng):
+    """Full rank, odd-d rank deficiency, d=2 pure vs dephased, pure vs rank 2."""
+    for _ in range(5):
+        yield random_pair(8, rng)
+        yield random_pair(7, rng, ranks=(3, 5))
+        pure = linalg.random_pure(2, rng)
+        yield pure, np.diag(np.diag(pure))
+        yield linalg.random_pure(5, rng), linalg.random_density(5, 2, rng)
+
+
 class TestClassical:
     def test_disjoint_supports(self):
         p, q = [1.0, 0.0], [0.0, 1.0]
@@ -139,6 +149,43 @@ class TestQuantum:
             assert c["kl"] <= c["bures_chi2"] + 1e-9
             assert c["kl"] <= c["reverse_bound"] + 1e-9
 
+    def test_quantum_chain_diagonalizes_each_state_once(self, monkeypatch):
+        rho, sigma = random_pair(8, np.random.default_rng(71))
+        calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _kernel=getattr(np.linalg, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        dv.quantum_chain(rho, sigma)
+        assert calls == {"eigh": 2, "eigvalsh": 1, "svd": 1}
+
+    def test_quantum_chain_equals_public_functions(self):
+        public = {
+            "trace_distance": dv.trace_distance, "bures_sq": dv.bures_sq,
+            "hellinger_sq": dv.hellinger_sq_q, "kl": dv.relative_entropy,
+            "bures_chi2": dv.bures_chi2, "max_log_ratio": dv.max_log_ratio_q,
+            "reverse_bound": dv.reverse_pinsker_bound,
+        }
+        either_form = (dv.fidelity, dv.hellinger_affinity, dv.hellinger_sq_q,
+                       dv.relative_entropy, dv.max_log_ratio_q,
+                       dv.reverse_pinsker_bound,
+                       lambda a, b: dv.renyi_divergence_q(a, b, 0.5),
+                       lambda a, b: dv.renyi_divergence_q(a, b, 2.0))
+        for rho, sigma in chain_pairs(np.random.default_rng(73)):
+            chain = dv.quantum_chain(rho, sigma)
+            assert chain.keys() == public.keys()
+            for key, fn in public.items():
+                assert chain[key] == fn(rho, sigma), key
+            dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
+            for fn in either_form:
+                assert fn(dr, ds) == fn(rho, sigma)
+            assert dv.bures_chi2(rho, ds) == dv.bures_chi2(rho, sigma)
+            for got, want in zip(dv.overlap_pair(dr, ds),
+                                 dv.overlap_pair(rho, sigma)):
+                assert np.array_equal(got, want)
+
     def test_max_log_ratio_bounded_by_reference_spectrum(self):
         rng = np.random.default_rng(49)
         rho, sigma = random_pair(5, rng)
@@ -233,7 +280,7 @@ class TestBuresChi2:
             q = np.sort(rng.dirichlet(np.ones(5)))
             rho = linalg.random_density(5, 5, rng)
             full = dv.bures_chi2_in_basis(rho, q)
-            hat = dv.bures_chi2_hat(rho, q)
+            hat = dv.bures_chi2_tail(rho, q, 0)
             assert hat >= full - 1e-12
             for ell in (0, 2, 5):
                 tail = dv.bures_chi2_tail(rho, q, ell)

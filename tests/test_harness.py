@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from bureslab import frobenius as fb
 from bureslab import harness as hz
 from bureslab import linalg
+from bureslab import pipeline as pl
 
 
 def small(target="frobenius", **kw):
@@ -114,6 +116,36 @@ class TestRunScenario:
                   eps_grid=(0.5,), trials=2)
         for rec in hz.run_scenario(s):
             assert not rec.flags["accept"] and rec.flags["correct"]
+
+
+class TestBudgetDrain:
+    """A trial that leaves planned copies unspent raises, also under -O."""
+
+    def test_estimator_leaving_copies(self, monkeypatch):
+        def lazy(rho, budget, rng):
+            budget.take(budget.total - 1)
+            return rho
+        spec = fb.EstimatorSpec(name="lazy", kind="oracle",
+                                rate=lambda d, r: 1.0, run=lazy)
+        monkeypatch.setattr(hz.fb, "parse_estimator", lambda name, r: spec)
+        with pytest.raises(RuntimeError, match="consumed 199 of 200 planned"):
+            hz.run_scenario(small(n_grid=(200,), trials=1), workers=1)
+
+    def test_staged_run_leaving_copies(self, monkeypatch):
+        s = small(target="chi2", d=3, r=1, family="pure", trials=1)
+        spec = fb.parse_estimator(s.estimator, s.r)
+        total = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r),
+                               s.eps_grid[0]).total
+        real = pl.staged_learn
+
+        def short(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.consumed -= 1
+            return out
+        monkeypatch.setattr(hz.pl, "staged_learn", short)
+        with pytest.raises(RuntimeError,
+                           match=f"consumed {total - 1} of {total} planned"):
+            hz.run_scenario(s, workers=1)
 
 
 class TestFit:

@@ -329,6 +329,7 @@ class TestQuantumMITest:
             v = mt.quantum_mi_test(joint, 3, 3, 0.5, rng)
             assert not v.accept
             assert v.stats["hellinger_sq"] >= 2 * v.stats["eps_t"]
+            assert v.stats["mi"] == dv.quantum_mutual_information(joint, 3, 3)
 
     def test_verdict_slot_is_pluggable(self):
         rng = np.random.default_rng(63)

@@ -15,23 +15,23 @@ def test_hermitianize_and_diagonalize_identity():
     rho = linalg.random_density(5, 5, rng)
     raw = rho + 0.1 * (rng.standard_normal((5, 5))
                        + 1j * rng.standard_normal((5, 5)))
-    herm = pl.hermitianize(raw)
+    herm = linalg.hermitian_part(raw)
     dig = pl.diagonalize_estimate(raw)
-    lhs = linalg.frob_sq(dig.basis.conj().T @ rho @ dig.basis
+    lhs = linalg.frob_sq(dig.vectors.conj().T @ rho @ dig.vectors
                          - np.diag(dig.values))
     rhs = linalg.frob_sq(rho - herm)
     assert lhs == pytest.approx(rhs, rel=1e-10)
     # clipping negative values can only help against a true state
     clip = dig.clipped()
-    lhs_clip = linalg.frob_sq(clip.basis.conj().T @ rho @ clip.basis
+    lhs_clip = linalg.frob_sq(clip.vectors.conj().T @ rho @ clip.vectors
                               - np.diag(clip.values))
     assert lhs_clip <= lhs + 1e-12
 
 
 def test_diagonal_estimate_invariants():
     with pytest.raises(ValueError):
-        pl.DiagonalEstimate(np.eye(2), np.array([0.7, 0.3]))
-    de = pl.DiagonalEstimate(np.eye(2), np.array([-0.1, 1.1]))
+        linalg.SpectralDecomposition(np.array([0.7, 0.3]), np.eye(2))
+    de = linalg.SpectralDecomposition(np.array([-0.1, 1.1]), np.eye(2))
     assert np.allclose(de.matrix(), np.diag([-0.1, 1.1]))
     assert np.allclose(de.clipped().values, [0.0, 1.1])
 
@@ -43,7 +43,7 @@ def test_make_state_diagonal_output_shape():
     assert dig.values.sum() == pytest.approx(1.0)
     assert np.all(dig.values >= 0)
     assert np.all(np.diff(dig.values) >= 0)
-    u = dig.basis
+    u = dig.vectors
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
     with pytest.raises(pl.ParameterError):
         pl.make_state_diagonal(ORACLE, rho, 1, rng)
@@ -57,33 +57,11 @@ def test_make_state_diagonal_error_rate():
     errs = np.empty(trials)
     for t in range(trials):
         dig = pl.make_state_diagonal(ORACLE, rho, m, rng)
-        errs[t] = linalg.frob_sq(dig.basis.conj().T @ rho @ dig.basis
+        errs[t] = linalg.frob_sq(dig.vectors.conj().T @ rho @ dig.vectors
                                  - np.diag(dig.values))
     bound = 2 * f / m + 2 / m
     se = errs.std() / np.sqrt(trials)
     assert errs.mean() <= bound + 4 * se
-
-
-def test_subnormalized_estimate_targets_block():
-    rng = np.random.default_rng(211)
-    rho = linalg.random_density(5, 5, rng)
-    subset = [0, 1, 2]
-    blk = linalg.submatrix(rho, subset)
-    acc = np.zeros((3, 3), dtype=complex)
-    trials = 400
-    for _ in range(trials):
-        est, kept = pl.subnormalized_estimate(ORACLE, rho, subset, 4000, rng)
-        assert est.shape == (3, 3)
-        acc += est
-    assert np.max(np.abs(acc / trials - blk)) < 0.02
-
-
-def test_subnormalized_estimate_dry_filter():
-    rng = np.random.default_rng(213)
-    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    est, kept = pl.subnormalized_estimate(ORACLE, rho, [1, 2], 100, rng)
-    assert kept == 0
-    assert np.all(est == 0)
 
 
 def test_final_upgrade_accounting():
