@@ -78,8 +78,7 @@ def matching_rate() -> None:
     print("total is (2d-1)/shots for even d and (2d+1)/shots for odd, so")
     print("the copy-normalized constant is that times povms / d^2:")
     for d in (4, 5, 6):
-        rounds = len(ms.matching_povms(d))
-        povms = 2 * rounds + 1
+        povms = 2 * ms.matching_round_count(d) + 1
         per_shot = 2 * d - 1 if d % 2 == 0 else 2 * d + 1
         exact = per_shot * povms / d ** 2
         rng = np.random.default_rng(103 + d)

@@ -4,8 +4,9 @@ Everything downstream is parameterized by an :class:`EstimatorSpec`: a
 named estimator together with its copy-rate f(d, r), promising expected
 squared Frobenius error at most f/m from m copies.  Two families ship:
 
-* ``simple``: a measured estimator built from pair-interference POVMs,
-  rate ~ 4.5 d^2 (no rank adaptivity, single-copy measurements only);
+* ``simple``: a measured estimator built from pair-interference rounds
+  whose outcome probabilities are read in closed form from rho, rate
+  ~ 4.5 d^2 (no rank adaptivity, single-copy measurements only);
 * ``oracle:f=...``: a noise oracle that fabricates the estimate by adding
   Gaussian Hermitian noise calibrated to hit the requested rate exactly.
   Useful for exploring how downstream guarantees scale with f without
@@ -57,17 +58,15 @@ def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
     """
     d = rho.shape[0]
     est = np.zeros((d, d), dtype=complex)
-    for pairs, real_povm, imag_povm in ms.matching_povms(d):
-        cr = ms.sample_povm(real_povm, rho, shots, rng, budget) / shots
-        ci = ms.sample_povm(imag_povm, rho, shots, rng, budget) / shots
-        by_label = {lab: k for k, lab in enumerate(real_povm.labels)}
-        for (i, j) in pairs:
-            if j is None:
-                continue
-            re = (cr[by_label[(i, j, 1)]] - cr[by_label[(i, j, -1)]]) / 2.0
-            im = (ci[by_label[(i, j, 1)]] - ci[by_label[(i, j, -1)]]) / 2.0
-            est[i, j] = re + 1j * im
-            est[j, i] = re - 1j * im
+    for _, real_round, imag_round in ms.matching_povms(d):
+        cr = ms.sample_povm(real_round, rho, shots, rng, budget) / shots
+        ci = ms.sample_povm(imag_round, rho, shots, rng, budget) / shots
+        i, j = real_round.rows, real_round.cols
+        plus, minus = real_round.plus, real_round.minus
+        re = (cr[plus] - cr[minus]) / 2.0
+        im = (ci[plus] - ci[minus]) / 2.0
+        est[i, j] = re + 1j * im
+        est[j, i] = re - 1j * im
     diag = ms.sample_basis(rho, shots, rng, budget) / shots
     est[np.diag_indices(d)] = diag
     return est
@@ -75,8 +74,7 @@ def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
 
 def _simple_runner(rho, budget, rng):
     d = rho.shape[0]
-    rounds = len(ms.matching_povms(d))
-    povms_total = 2 * rounds + 1
+    povms_total = 2 * ms.matching_round_count(d) + 1
     shots = budget.remaining // povms_total
     if shots < 1:
         raise ms.BudgetExhausted(

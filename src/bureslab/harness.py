@@ -12,10 +12,11 @@ that reason.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +220,7 @@ def _run_trial(s: Scenario, point_index: int, trial: int) -> TrialRecord:
 
     elif s.target == "chi2":
         params, out = _staged(s, rho, float(point), rng)
-        est = pl.to_chi2(out)
+        est = linalg.decompose(pl.to_chi2(out))
         losses = {"bures_chi2": float(dv.bures_chi2(rho, est)),
                   "hellinger_sq": float(dv.hellinger_sq_q(rho, est)),
                   "eps_prime": float(out.eps_prime)}
@@ -239,9 +240,10 @@ def _run_trial(s: Scenario, point_index: int, trial: int) -> TrialRecord:
     elif s.target == "kl":
         params, out = _staged(s, rho, float(point), rng)
         est = pl.to_infidelity(out)
-        infid = float(dv.infidelity(rho, est))
+        rho_dec = linalg.decompose(rho)
+        infid = float(dv.infidelity(rho_dec, est))
         smoothed, bound = pl.to_kl(est, params.eps)
-        kl = float(dv.relative_entropy(rho, smoothed))
+        kl = float(dv.relative_entropy(rho_dec, smoothed))
         losses = {"infidelity": infid, "kl": kl, "kl_bound": float(bound)}
         flags = {"within_eps": bool(infid <= params.eps),
                  "kl_within_bound": bool(kl <= bound),
@@ -289,6 +291,8 @@ def run_scenario(s: Scenario, workers: int | None = None) -> list:
         workers = int(os.environ.get("BURESLAB_WORKERS", "1"))
     if workers <= 1 or len(tasks) <= 1:
         return [_trial_entry(task) for task in tasks]
+    # imported here: the pool machinery costs ~2 MB that serial runs skip
+    from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_entry, tasks, chunksize=chunk))
@@ -400,22 +404,28 @@ def csv_rows(records) -> list:
 
     Columns: scenario, trial, point, n_used, then loss:* and flag:*
     sorted by name.  Wall time is excluded so identical reruns emit
-    identical bytes.
+    identical bytes.  Rows are tuples.  Callers may keep the rows of
+    many calls, so the header is built once per column set and shared,
+    and the cells that repeat across calls (scenario, point, n_used) are
+    interned.
     """
-    loss_keys = sorted({k for r in records for k in r.losses})
-    flag_keys = sorted({k for r in records for k in r.flags})
-    header = ["scenario", "trial", "point", "n_used"] \
-        + [f"loss:{k}" for k in loss_keys] + [f"flag:{k}" for k in flag_keys]
-    rows = [header]
-    for rec in records:
-        row = [rec.scenario, str(rec.trial), repr(float(rec.point)),
-               str(int(rec.n_used))]
-        row += [repr(float(rec.losses[k])) if k in rec.losses else ""
-                for k in loss_keys]
-        row += [str(int(rec.flags[k])) if k in rec.flags else ""
-                for k in flag_keys]
-        rows.append(row)
-    return rows
+    loss_keys = tuple(sorted({k for r in records for k in r.losses}))
+    flag_keys = tuple(sorted({k for r in records for k in r.flags}))
+    return [_csv_header(loss_keys, flag_keys)] + [
+        (sys.intern(rec.scenario), str(rec.trial),
+         sys.intern(repr(float(rec.point))), sys.intern(str(int(rec.n_used))),
+         *(repr(float(rec.losses[k])) if k in rec.losses else ""
+           for k in loss_keys),
+         *(str(int(rec.flags[k])) if k in rec.flags else ""
+           for k in flag_keys))
+        for rec in records]
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_header(loss_keys: tuple, flag_keys: tuple) -> tuple:
+    return ("scenario", "trial", "point", "n_used",
+            *(f"loss:{k}" for k in loss_keys),
+            *(f"flag:{k}" for k in flag_keys))
 
 
 def write_csv(records, path: str) -> None:

@@ -4,10 +4,30 @@ Copies are an accounting fiction here: sampling k outcomes of a POVM is
 one multinomial draw (O(d) work however large k is), so astronomically
 large budgets cost nothing.  The :class:`CopyBudget` type exists to make
 every algorithm's copy consumption explicit and auditable.
+
+Two measurement types exist, and each reads its outcome probabilities
+from rho without building or eigen-checking a matrix per outcome:
+
+* :class:`Povm`, a measurement in an orthonormal basis.  The basis is
+  validated once (unitary, projectors summing to the identity); each
+  projector is an outer product, Hermitian and PSD by construction.
+* :class:`PairRound`, one matching of pair-interference outcomes, whose
+  probabilities come in closed form from rho's diagonal and the matched
+  off-diagonal entries (see :func:`matching_povms`).
+
+Both hand ``sample_povm`` a vector of Born probabilities; a vector that
+dips below zero past round-off means the input was not a state, and the
+sampler raises instead of clipping it away.  Round-off is judged at the
+scale of the state the caller was given: inside :func:`conditioned`,
+conditional states normalized by a small pass probability are allowed
+their amplified round-off.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +38,13 @@ __all__ = [
     "BudgetExhausted",
     "CopyBudget",
     "Povm",
+    "PairRound",
     "born_probabilities",
+    "conditioned",
     "sample_povm",
     "sample_basis",
     "filter_subset",
+    "matching_round_count",
     "matching_povms",
     "pauli_bases",
 ]
@@ -58,28 +81,31 @@ class CopyBudget:
 
 @dataclass(frozen=True)
 class Povm:
-    """A POVM as a stacked array of PSD elements summing to the identity."""
+    """Rank-one projective measurement onto the columns of a unitary.
 
-    elements: np.ndarray
-    labels: tuple = field(default=None)
+    The basis is checked once: it must be unitary, and the projectors
+    u_k u_k^dagger must sum to the identity.  Each projector is formed
+    as the outer product u_ik conj(u_jk), which is exactly Hermitian and
+    rank-one PSD, so no element needs a check of its own.  Outcome k is
+    labelled k.
+    """
+
+    basis: np.ndarray
+    elements: np.ndarray = field(init=False, repr=False)
+    labels: tuple = field(init=False)
 
     def __post_init__(self):
-        el = np.asarray(self.elements, dtype=complex)
-        if el.ndim != 3 or el.shape[1] != el.shape[2]:
-            raise ValueError("elements must be a (k, d, d) array")
-        for e in el:
-            linalg.require_hermitian(e, tol=config.PSD_TOL)
-            w = np.linalg.eigvalsh(e)
-            if w[0] < -config.PSD_TOL:
-                raise ValueError(f"POVM element has eigenvalue {w[0]}")
-        total = el.sum(axis=0)
-        if np.max(np.abs(total - np.eye(el.shape[1]))) > config.UNITARY_TOL:
+        u = np.asarray(self.basis, dtype=complex)
+        if u.ndim != 2:
+            raise ValueError(f"basis must be a matrix, got shape {u.shape}")
+        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > config.UNITARY_TOL:
+            raise ValueError("basis matrix is not unitary")
+        el = np.einsum("ik,jk->kij", u, u.conj())
+        if np.max(np.abs(el.sum(axis=0) - np.eye(u.shape[0]))) > config.UNITARY_TOL:
             raise ValueError("POVM elements do not sum to the identity")
+        object.__setattr__(self, "basis", u)
         object.__setattr__(self, "elements", el)
-        if self.labels is None:
-            object.__setattr__(self, "labels", tuple(range(el.shape[0])))
-        elif len(self.labels) != el.shape[0]:
-            raise ValueError("one label per element required")
+        object.__setattr__(self, "labels", tuple(range(u.shape[1])))
 
     @property
     def n_outcomes(self) -> int:
@@ -92,35 +118,138 @@ class Povm:
     @classmethod
     def from_basis(cls, u: np.ndarray) -> "Povm":
         """Rank-one POVM of projectors onto the columns of a unitary."""
-        u = np.asarray(u, dtype=complex)
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > config.UNITARY_TOL:
-            raise ValueError("basis matrix is not unitary")
-        el = np.einsum("ik,jk->kij", u, u.conj())
-        return cls(elements=el)
+        return cls(basis=u)
 
     @classmethod
     def computational(cls, d: int) -> "Povm":
         return cls.from_basis(np.eye(d))
 
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """tr(E_k rho) for each projector, as real numbers."""
+        rho = np.asarray(rho, dtype=complex)
+        return np.einsum("kij,ji->k", self.elements, rho).real
 
-def born_probabilities(povm: Povm, rho: np.ndarray) -> np.ndarray:
-    """tr(E_k rho) for each element, as real numbers."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.einsum("kij,ji->k", povm.elements, rho).real
+
+class PairRound:
+    """One matching's pair-interference measurement, in closed form.
+
+    ``pairs`` is the matching as (i, j) with i < j, plus at most one bye
+    (i, None).  A pair contributes the outcomes (i, j, +1) and (i, j, -1)
+    with probabilities avg(rho_ii, rho_jj) +- Re rho_ij, or +- Im rho_ij
+    when ``imaginary``; the bye contributes (i, None, 0) with probability
+    rho_ii.  ``rows``, ``cols``, ``plus`` and ``minus`` index the proper
+    pairs and the positions of their two outcomes in ``labels``; they are
+    read-only, because rounds are cached and shared.
+    """
+
+    def __init__(self, dim: int, pairs, imaginary: bool):
+        self.dim, self.pairs, self.imaginary = dim, tuple(pairs), imaginary
+        labels = self.labels
+        self.n_outcomes = len(labels)
+        self.bye = next(((i, k) for k, (i, j, _) in enumerate(labels)
+                         if j is None), ())
+        at = [k for k, label in enumerate(labels) if label[2] == 1]
+        self.rows = np.array([labels[k][0] for k in at], dtype=int)
+        self.cols = np.array([labels[k][1] for k in at], dtype=int)
+        self.plus = np.array(at, dtype=int)
+        self.minus = self.plus + 1
+        # flat positions of rho_ii, rho_jj, rho_ij, rho_ji: one gather
+        r, c = self.rows, self.cols
+        self._gather = np.concatenate([r * (dim + 1), c * (dim + 1),
+                                       r * dim + c, c * dim + r])
+        for a in (self.rows, self.cols, self.plus, self.minus, self._gather):
+            a.setflags(write=False)
+
+    @property
+    def labels(self) -> tuple:
+        """(i, j, +1) and (i, j, -1) per pair, (i, None, 0) for the bye."""
+        return tuple(label for i, j in self.pairs for label in
+                     ([(i, None, 0)] if j is None else [(i, j, 1), (i, j, -1)]))
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """Born probabilities of the outcomes, in ``labels`` order.
+
+        Outcome (i, j, s) has the element (|i><i| + |j><j|)/2 plus s/2
+        times |i><j| + |j><i| (real round) or i|i><j| - i|j><i|
+        (imaginary round).  Its Born sum tr(E rho) is taken row by row,
+        row i then row j, with rho_ji read where row i meets it.  That is
+        the order in which numpy's einsum sums a dense (d, d) element, so
+        the values equal the dense Born rule bit for bit, also when rho
+        is Hermitian only to round-off.
+        """
+        rho = np.asarray(rho)
+        if rho.shape != (self.dim, self.dim):
+            raise ValueError(f"expected a {self.dim} x {self.dim} state, "
+                             f"got shape {rho.shape}")
+        ii, jj, ij, ji = rho.reshape(-1)[self._gather].reshape(4, -1)
+        half_ii = 0.5 * ii.real
+        half_jj = 0.5 * jj.real
+        if self.imaginary:
+            x_ij = 0.5 * ij.imag
+            x_ji = -0.5 * ji.imag
+        else:
+            x_ij = 0.5 * ij.real
+            x_ji = 0.5 * ji.real
+        p = np.empty(self.n_outcomes)
+        p[self.plus] = (half_ii + x_ji) + (x_ij + half_jj)
+        p[self.minus] = (half_ii - x_ji) + (-x_ij + half_jj)
+        if self.bye:
+            b, at = self.bye
+            p[at] = rho[b, b].real
+        return p
+
+
+def born_probabilities(povm, rho: np.ndarray) -> np.ndarray:
+    """tr(E_k rho) for each outcome of a :class:`Povm` or :class:`PairRound`."""
+    return povm.probabilities(rho)
+
+
+#: pass probability of the conditioning the current block measures under
+_MASS = contextvars.ContextVar("conditioning_mass", default=1.0)
+
+
+@contextlib.contextmanager
+def conditioned(mass: float):
+    """Measure conditional states of pass probability ``mass`` in this block.
+
+    A conditional state rho_S / tr rho_S carries the round-off of rho
+    amplified by 1 / mass.  Inside the block the sampler scales a
+    negative Born probability back by ``mass`` before comparing it with
+    PSD_TOL, so it is judged at the scale at which rho itself is a state.
+    """
+    token = _MASS.set(_MASS.get() * mass)
+    try:
+        yield
+    finally:
+        _MASS.reset(token)
 
 
 def _sampling_probs(raw: np.ndarray) -> np.ndarray:
-    p = np.clip(raw, 0.0, None)
+    """Born probabilities made exact for sampling.
+
+    Round-off within PSD_TOL below zero (at the scale set by
+    :func:`conditioned`) is clipped and the vector is renormalized;
+    anything more negative means the measured matrix was not a state,
+    and raises.
+    """
+    low = raw.min()
+    if low * _MASS.get() < -config.PSD_TOL:
+        raise ValueError(f"outcome probability {low:.3g} is negative: "
+                         "the measured matrix is not a state")
+    p = np.maximum(raw, 0.0)
     s = p.sum()
     if s <= 0.0:
         raise ValueError("all outcome probabilities vanish")
     return p / s
 
 
-def sample_povm(povm: Povm, rho: np.ndarray, k: int,
+def sample_povm(povm, rho: np.ndarray, k: int,
                 rng: np.random.Generator,
                 budget: CopyBudget | None = None) -> np.ndarray:
-    """Outcome counts from measuring k copies; one multinomial draw."""
+    """Outcome counts from measuring k copies; one multinomial draw.
+
+    ``povm`` is a :class:`Povm` or a :class:`PairRound`.
+    """
     if budget is not None:
         budget.take(k)
     p = _sampling_probs(born_probabilities(povm, rho))
@@ -170,59 +299,48 @@ def _round_robin(n: int):
     return rounds
 
 
+def matching_round_count(d: int) -> int:
+    """Number of matchings :func:`matching_povms` returns: d-1 even, d odd."""
+    if d < 2:
+        raise ValueError("need dimension at least 2")
+    return d - 1 if d % 2 == 0 else d
+
+
 def matching_povms(d: int):
-    """Pair-interference POVMs covering every off-diagonal entry once.
+    """Pair-interference measurements covering every off-diagonal entry once.
 
     The complete graph on basis indices is split into matchings; each
-    matching M yields two POVMs.  For a pair {i, j} in M the "real" POVM
-    has elements
+    matching M yields two measurements.  For a pair {i, j} in M the
+    "real" one has the outcomes
 
         X+-_ij = (|i><i| + |j><j|)/2 +- (|i><j| + |j><i|)/2
 
-    with outcome probabilities avg(rho_ii, rho_jj) +- Re rho_ij; the
-    "imag" POVM carries a factor 1j on the off-diagonal part and sees
-    +- Im rho_ij.  Odd d is handled by a phantom vertex: the unmatched
-    index contributes its bare projector as a single outcome.
+    with probabilities avg(rho_ii, rho_jj) +- Re rho_ij; the "imag" one
+    carries a factor 1j on the off-diagonal part and sees +- Im rho_ij.
+    Odd d is handled by a phantom vertex: the unmatched index
+    contributes its bare projector as a single outcome.  The outcomes
+    are never built as matrices: each :class:`PairRound` computes its
+    probabilities from those entries of rho directly.
 
-    Returns a list of (pairs, real_povm, imag_povm) triples, where pairs
-    is the matching as a list of (i, j) with i < j; a pair (i, None)
-    marks the bye outcome.  Labels on the POVMs are (i, j, +1/-1) and
-    (i, None, 0) accordingly.
+    Returns a list of (pairs, real_round, imag_round) triples, where
+    pairs is the matching as a list of (i, j) with i < j; a pair
+    (i, None) marks the bye outcome.  Labels on the rounds are
+    (i, j, +1/-1) and (i, None, 0) accordingly.
     """
-    if d < 2:
-        raise ValueError("need dimension at least 2")
-    n = d if d % 2 == 0 else d + 1
-    phantom = n - 1 if d % 2 == 1 else None
-    out = []
+    return [(list(pairs), real, imag)
+            for pairs, real, imag in _matching_rounds(d)]
+
+
+@functools.lru_cache(maxsize=None)
+def _matching_rounds(d: int) -> tuple:
+    """The rounds of :func:`matching_povms`, built once per dimension."""
+    n = matching_round_count(d) + 1
+    rounds = []
     for matching in _round_robin(n):
-        pairs = []
-        real_el, imag_el, labels = [], [], []
-        for (i, j) in matching:
-            if phantom is not None and j == phantom:
-                pairs.append((i, None))
-                proj = np.zeros((d, d), dtype=complex)
-                proj[i, i] = 1.0
-                real_el.append(proj)
-                imag_el.append(proj)
-                labels.append((i, None, 0))
-                continue
-            pairs.append((i, j))
-            base = np.zeros((d, d), dtype=complex)
-            base[i, i] = base[j, j] = 0.5
-            cross = np.zeros((d, d), dtype=complex)
-            cross[i, j] = cross[j, i] = 0.5
-            # orientation chosen so the + outcome sees avg + Im rho_ij
-            ycross = np.zeros((d, d), dtype=complex)
-            ycross[i, j] = 0.5j
-            ycross[j, i] = -0.5j
-            for sign in (+1, -1):
-                real_el.append(base + sign * cross)
-                imag_el.append(base + sign * ycross)
-                labels.append((i, j, sign))
-        out.append((pairs,
-                    Povm(elements=np.stack(real_el), labels=tuple(labels)),
-                    Povm(elements=np.stack(imag_el), labels=tuple(labels))))
-    return out
+        pairs = tuple((i, None) if j == d else (i, j) for (i, j) in matching)
+        rounds.append((pairs, PairRound(d, pairs, imaginary=False),
+                       PairRound(d, pairs, imaginary=True)))
+    return tuple(rounds)
 
 
 def pauli_bases():

@@ -141,7 +141,9 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
         basis = np.eye(idx.size, dtype=complex)
         values = np.full(idx.size, scale / idx.size)
     else:
-        dig = make_state_diagonal(spec, cond, kept2, rng)
+        # cond is rho[S] / tr rho[S]: measured at the scale of rho
+        with ms.conditioned(linalg.mass_on(rho, idx)):
+            dig = make_state_diagonal(spec, cond, kept2, rng)
         basis = dig.vectors
         values = dig.values * scale
     theta = max(tau_hat / (100.0 * r),

@@ -80,5 +80,11 @@ def test_simple_runner_needs_minimum_budget():
     rng = np.random.default_rng(97)
     rho = linalg.random_density(4, 2, rng)
     spec = fb.parse_estimator("simple")
-    with pytest.raises(ms.BudgetExhausted):
-        spec.run(rho, ms.CopyBudget(total=3), rng)
+    with pytest.raises(ms.BudgetExhausted,
+                       match="need at least 7 copies at dimension 4"):
+        spec.run(rho, ms.CopyBudget(total=6), rng)
+    odd = linalg.random_density(5, 2, rng)
+    with pytest.raises(ms.BudgetExhausted,
+                       match="need at least 11 copies at dimension 5"):
+        spec.run(odd, ms.CopyBudget(total=10), rng)
+    assert spec.run(odd, ms.CopyBudget(total=11), rng).shape == (5, 5)

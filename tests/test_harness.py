@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bureslab import divergences as dv
 from bureslab import frobenius as fb
 from bureslab import harness as hz
 from bureslab import linalg
@@ -148,6 +149,56 @@ class TestBudgetDrain:
             hz.run_scenario(s, workers=1)
 
 
+class TestLossKernels:
+    """Each trial decomposes each state once when it scores its losses."""
+
+    def _scored(self, monkeypatch, target, last_step):
+        """Run one trial; count eigh calls after ``last_step`` returns."""
+        seen, calls = {}, []
+        make, step, eigh = hz.make_state, getattr(hz.pl, last_step), \
+            np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        def made(s, rng):
+            seen["rho"] = make(s, rng)
+            return seen["rho"]
+
+        def stepped(*args, **kwargs):
+            seen["est"] = step(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            return seen["est"]
+
+        monkeypatch.setattr(hz, "make_state", made)
+        monkeypatch.setattr(hz.pl, last_step, stepped)
+        s = small(target=target, d=4, r=2, family="rank_r_random",
+                  trials=1)
+        rec = hz._run_trial(s, 0, 0)
+        monkeypatch.undo()
+        return rec, seen["rho"], seen["est"], len(calls)
+
+    def test_chi2_branch(self, monkeypatch):
+        rec, rho, est, calls = self._scored(monkeypatch, "chi2", "to_chi2")
+        assert calls == 2
+        assert rec.losses["bures_chi2"] == dv.bures_chi2(rho, est)
+        assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho, est)
+
+    def test_kl_branch(self, monkeypatch):
+        rec, rho, est, calls = self._scored(monkeypatch, "kl",
+                                            "to_infidelity")
+        assert calls == 3
+        s = small(target="kl", d=4, r=2)
+        spec = fb.parse_estimator(s.estimator, s.r)
+        eps = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r),
+                             s.eps_grid[0]).eps
+        smoothed, bound = pl.to_kl(est, eps)
+        assert rec.losses["kl_bound"] == bound
+        assert rec.losses["infidelity"] == dv.infidelity(rho, est)
+        assert rec.losses["kl"] == dv.relative_entropy(rho, smoothed)
+
+
 class TestFit:
     def _records(self, pairs, key="frob_sq"):
         return [hz.TrialRecord(scenario="s", trial=i, point=float(n),
@@ -183,7 +234,7 @@ class TestEmission:
     def test_csv_excludes_wall_time(self):
         recs = hz.run_scenario(small(trials=2))
         rows = hz.csv_rows(recs)
-        assert rows[0][:4] == ["scenario", "trial", "point", "n_used"]
+        assert rows[0][:4] == ("scenario", "trial", "point", "n_used")
         assert not any("wall" in col for col in rows[0])
         assert len(rows) == 1 + len(recs)
 

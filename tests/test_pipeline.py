@@ -92,6 +92,33 @@ def test_final_upgrade_starved_filter():
     assert res.values.sum() == pytest.approx(res.kept_second / 50, abs=1e-12)
 
 
+def test_final_upgrade_measures_tiny_mass_blocks():
+    """A prefix of mass 1e-11 in a rotated frame conditions to a matrix
+    whose Born probabilities dip ~1e-6 below zero: round-off of the
+    parent state amplified by 1/mass.  The sampler refuses that matrix on
+    its own, and accepts it when final_upgrade measures it as a
+    conditional state."""
+    rng = np.random.default_rng(223)
+    d, tau = 16, 1e-11
+    q = linalg.haar_unitary(d, rng)
+    v, u = q[:, :1], q[:, 1:2]
+    rho = (1 - tau) * (v @ v.conj().T) + tau * (u @ u.conj().T)
+    w = np.roll(q, -1, axis=1)  # the dominant direction goes last
+    rho_cur = w.conj().T @ rho @ w
+    prefix = np.arange(d - 1)
+    cond = linalg.restrict(rho_cur, prefix)
+    with pytest.raises(ValueError, match="not a state"):
+        for _, real_round, imag_round in ms.matching_povms(d - 1):
+            ms.sample_povm(real_round, cond, 10, rng)
+            ms.sample_povm(imag_round, cond, 10, rng)
+    simple = fb.parse_estimator("simple")
+    res = pl.final_upgrade(simple, rho_cur, prefix, r=1, delta=0.1,
+                           m_phase=10 ** 13, rng=rng)
+    assert res.kept_second >= 2 * (2 * (d - 1) + 1)  # the measured branch
+    assert res.values.sum() == pytest.approx(res.kept_second / 10 ** 13,
+                                              abs=1e-12)
+
+
 class TestCentralParams:
     def test_derivations(self):
         d, r, f, m = 8, 2, 64.0, 10 ** 12
