@@ -466,8 +466,8 @@ def _quantum_tester():
             sig, tau, _ = mt.learn_product_quantum(
                 joint, d, d, plan["eps_learn"], rng)
             product = linalg.bipartite_product(sig, tau)
-            accept = mt.hellinger_gap_verdict(joint, product,
-                                              plan["eps_t"])
+            accept = mt.hellinger_gap_verdict(
+                dv.hellinger_sq_q(joint, product), plan["eps_t"])
             ma = linalg.partial_trace(joint, d, d, "A")
             mb = linalg.partial_trace(joint, d, d, "B")
             suffer = dv.bures_chi2(np.kron(ma, mb), product)

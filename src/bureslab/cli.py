@@ -23,13 +23,9 @@ from . import linalg
 
 SLACK = 1e-9
 
-
-def _state(family: str, d: int, r: int, lam: float,
-           rng: np.random.Generator) -> np.ndarray:
-    scenario = hz.Scenario(
-        sid="cli", d=d, r=r, family=family, lam=lam,
-        target="mi" if family.startswith("bipartite:") else "chi2")
-    return hz.make_state(scenario, rng)
+#: families the inline --family flags offer; bipartite ones need a config
+_SINGLE_FAMILIES = [name for name, family in hz.FAMILIES.items()
+                   if not family.bipartite]
 
 
 def _chain_verdicts(chain: dict, quantum: bool) -> list:
@@ -57,8 +53,8 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
 
 def cmd_divergence(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rho = _state(args.family, args.d, args.r, args.lam, rng)
-    sigma = _state(args.family2, args.d, args.r, args.lam, rng)
+    rho = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
+    sigma = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
     chain = dv.quantum_chain(rho, sigma)
     for key in sorted(chain):
         print(f"{key:>16s}  {chain[key]:.9g}")
@@ -83,37 +79,35 @@ def _emit(records, loss: str, out: str | None, sid: str) -> None:
     print(f"wrote {out}, {base}.summary.csv, {base}.plot.py")
 
 
-def _scenario_from_args(args) -> hz.Scenario:
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        if args.seed is not None:
-            data["master_seed"] = args.seed
-        return hz.scenario_from_dict(data, source=args.config)
-    fields = {
-        "sid": args.id, "target": args.target, "d": args.d, "r": args.r,
-        "family": args.family, "estimator": args.estimator,
-        "trials": args.trials, "variant": args.variant, "lam": args.lam,
-    }
-    if args.eps:
-        fields["eps_grid"] = tuple(float(x) for x in args.eps.split(","))
-    if args.n:
-        fields["n_grid"] = tuple(int(float(x)) for x in args.n.split(","))
+def _scenario(args, data: dict, source: str = "command line"):
+    """The validated scenario (``--seed`` wins), or None if rejected."""
     if args.seed is not None:
-        fields["master_seed"] = args.seed
-    s = hz.Scenario(**fields)
-    hz.validate_scenario(s)
-    return s
+        data["master_seed"] = args.seed
+    try:
+        return hz.scenario_from_dict(data, source=source)
+    except hz.ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_tomography(args) -> int:
-    try:
-        s = _scenario_from_args(args)
-    except hz.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.config:
+        with open(args.config) as fh:
+            s = _scenario(args, json.load(fh), source=args.config)
+    else:
+        data = {"id": args.id, "target": args.target, "d": args.d,
+                "r": args.r, "family": args.family,
+                "estimator": args.estimator, "trials": args.trials,
+                "variant": args.variant, "lam": args.lam}
+        if args.eps:
+            data["eps_grid"] = [float(x) for x in args.eps.split(",")]
+        if args.n:
+            data["n_grid"] = [float(x) for x in args.n.split(",")]
+        s = _scenario(args, data)
+    if s is None:
         return 2
     records = hz.run_scenario(s, workers=args.workers)
-    loss = hz._primary_loss(s.target)
+    loss = hz.TARGETS[s.target].loss
     for row in hz.summarize(records, loss):
         rates = " ".join(f"{k}={v:.2f}" for k, v in row["flag_rates"].items())
         print(f"point {row['point']:g}: n_mean {row['n_mean']:.3g}  "
@@ -151,15 +145,15 @@ def cmd_mi_test(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    s = hz.Scenario(
-        sid=args.id, target="frobenius", d=args.d, r=args.r,
-        family=args.family, estimator=args.estimator,
-        n_grid=tuple(int(float(x)) for x in args.n.split(",")),
-        trials=args.trials,
-        master_seed=args.seed if args.seed is not None else 20260816)
-    hz.validate_scenario(s)
+    s = _scenario(args, {"id": args.id, "target": "frobenius", "d": args.d,
+                         "r": args.r, "family": args.family,
+                         "estimator": args.estimator, "trials": args.trials,
+                         "n_grid": [float(x) for x in args.n.split(",")]})
+    if s is None:
+        return 2
     records = hz.run_scenario(s, workers=args.workers)
-    slope, intercept, r2 = hz.fit_scaling(records, x="n", y="frob_sq")
+    loss = hz.TARGETS[s.target].loss
+    slope, intercept, r2 = hz.fit_scaling(records, x="n", y=loss)
     print(f"slope {slope:.4f}  level {math.exp(intercept):.4g}  r2 {r2:.4f}")
     failures = 0
     slope_ok = abs(slope + 1.0) <= 0.15
@@ -169,7 +163,7 @@ def cmd_bench(args) -> int:
         failures += not passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: "
               f"mean {measured:.4g} vs promised {threshold:.4g}")
-    _emit(records, "frob_sq", args.out, s.sid)
+    _emit(records, loss, args.out, s.sid)
     return 1 if failures else 0
 
 
@@ -215,13 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     t = tsub.add_parser("run")
     t.add_argument("--config", help="scenario JSON file")
     t.add_argument("--id", default="tomography")
-    t.add_argument("--target", default="chi2",
-                   choices=[x for x in hz.TARGETS if x != "mi"])
+    t.add_argument("--target", default="chi2", choices=[
+        name for name, target in hz.TARGETS.items() if not target.bipartite])
     t.add_argument("--d", type=int, default=4)
     t.add_argument("--r", type=int, default=1)
     t.add_argument("--family", default="rank_r_random",
-                   choices=[f for f in hz.FAMILIES
-                            if not f.startswith("bipartite:")])
+                   choices=_SINGLE_FAMILIES)
     t.add_argument("--estimator", default="oracle:f=d")
     t.add_argument("--eps", help="comma list of accuracy targets")
     t.add_argument("--n", help="comma list of copy budgets")
@@ -230,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lam", type=float, default=0.5)
     t.add_argument("--seed", type=int)
     t.add_argument("--out", help="CSV path, or a directory for <id>.csv")
-    t.add_argument("--workers", type=int)
+    t.add_argument("--workers", type=int, default=1)
     t.set_defaults(func=cmd_tomography)
 
     p = sub.add_parser("mi-test", help="run one product-tester arm")
@@ -251,14 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--family", default="rank_r_random",
-                   choices=[f for f in hz.FAMILIES
-                            if not f.startswith("bipartite:")])
+                   choices=_SINGLE_FAMILIES)
     p.add_argument("--estimator", default="simple")
     p.add_argument("--n", default="1000,10000,100000")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="CSV path, or a directory for <id>.csv")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("accept", help="run the acceptance suite")

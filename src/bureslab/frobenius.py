@@ -74,6 +74,9 @@ def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
 
 def _simple_runner(rho, budget, rng):
     d = rho.shape[0]
+    if d == 1:  # a 1x1 state is [[1]] and needs no copies
+        budget.take(budget.remaining)
+        return np.ones((1, 1), dtype=complex)
     povms_total = 2 * ms.matching_round_count(d) + 1
     shots = budget.remaining // povms_total
     if shots < 1:

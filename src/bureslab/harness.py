@@ -1,8 +1,8 @@
 """Scenario orchestration: seeded trials, CSV emission, scaling fits.
 
 A Scenario names a state family, an estimator, a target quantity, and a
-grid (copy budgets for Frobenius runs, accuracy targets for everything
-else).  Each (grid point, trial) pair gets its own counter-derived RNG
+grid; the FAMILIES and TARGETS tables hold what differs per family and
+per target.  Each (grid point, trial) pair gets its own counter-derived RNG
 stream, so reruns under the same master seed reproduce every draw and
 the emitted CSV byte for byte, regardless of worker count.  Wall time
 is kept on the in-memory records but never written to CSV for exactly
@@ -17,7 +17,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +33,9 @@ __all__ = [
     "ScenarioError",
     "Scenario",
     "TrialRecord",
+    "Family",
     "FAMILIES",
+    "Target",
     "TARGETS",
     "scenario_from_dict",
     "make_state",
@@ -46,10 +49,6 @@ __all__ = [
     "write_summary_csv",
     "write_plot_stub",
 ]
-
-FAMILIES = ("pure", "rank_r_random", "maximally_mixed", "geometric_spectrum",
-            "bipartite:product", "bipartite:correlated")
-TARGETS = ("frobenius", "infidelity", "chi2", "kl", "mi")
 
 #: Markov-style logging threshold: a single trial is flagged when its
 #: loss exceeds this multiple of the in-expectation guarantee
@@ -70,8 +69,8 @@ class Scenario:
     r: int = 1
     family: str = "rank_r_random"
     estimator: str = "oracle:f=d"
-    eps_grid: tuple = (0.2,)
-    n_grid: tuple = (10_000,)
+    eps_grid: tuple[float, ...] = (0.2,)
+    n_grid: tuple[int, ...] = (10_000,)
     trials: int = 20
     master_seed: int = 20260816
     variant: int = 1
@@ -96,11 +95,12 @@ def validate_scenario(s: Scenario) -> None:
     if not s.sid:
         raise ScenarioError("field 'id': must be a nonempty string")
     if s.target not in TARGETS:
-        raise ScenarioError(f"field 'target': {s.target!r} not in {TARGETS}")
+        raise ScenarioError(
+            f"field 'target': {s.target!r} not in {tuple(TARGETS)}")
     if s.family not in FAMILIES:
-        raise ScenarioError(f"field 'family': {s.family!r} not in {FAMILIES}")
-    bipartite = s.family.startswith("bipartite:")
-    if (s.target == "mi") != bipartite:
+        raise ScenarioError(
+            f"field 'family': {s.family!r} not in {tuple(FAMILIES)}")
+    if TARGETS[s.target].bipartite != FAMILIES[s.family].bipartite:
         raise ScenarioError("field 'family': target 'mi' pairs with the "
                             "bipartite families and only with them")
     if s.d < 2:
@@ -129,173 +129,213 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError(f"field 'estimator': {exc}") from exc
 
 
-_CONFIG_KEYS = {
-    "id": ("sid", str), "sid": ("sid", str), "target": ("target", str),
-    "d": ("d", int), "r": ("r", int), "family": ("family", str),
-    "estimator": ("estimator", str), "trials": ("trials", int),
-    "master_seed": ("master_seed", int), "variant": ("variant", int),
-    "lam": ("lam", float), "delta": ("delta", float),
-    "eps_grid": ("eps_grid", lambda v: tuple(float(x) for x in v)),
-    "n_grid": ("n_grid", lambda v: tuple(int(x) for x in v)),
-}
+#: config keys are the Scenario fields, with "id" standing for "sid"
+_FIELD_TYPES = typing.get_type_hints(Scenario)
 
 
 def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
     """Build and validate a Scenario from flat JSON-style keys."""
     kwargs = {}
     for key, value in data.items():
-        if key not in _CONFIG_KEYS:
+        name = "sid" if key == "id" else key
+        if name not in _FIELD_TYPES:
             raise ScenarioError(f"{source}: unknown field {key!r}")
-        name, cast = _CONFIG_KEYS[key]
-        try:
-            kwargs[name] = cast(value)
+        kind = _FIELD_TYPES[name]
+        try:  # a grid casts each entry to its item type
+            kwargs[name] = tuple(map(typing.get_args(kind)[0], value)) \
+                if typing.get_origin(kind) is tuple else kind(value)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{source}: field {key!r}: {exc}") from exc
-    if "sid" not in kwargs:
-        raise ScenarioError(f"{source}: field 'id' is required")
-    if "target" not in kwargs:
-        raise ScenarioError(f"{source}: field 'target' is required")
-    if "d" not in kwargs:
-        raise ScenarioError(f"{source}: field 'd' is required")
+    for f in fields(Scenario):
+        if f.default is MISSING and f.name not in kwargs:
+            key = "id" if f.name == "sid" else f.name
+            raise ScenarioError(f"{source}: field {key!r} is required")
     s = Scenario(**kwargs)
     validate_scenario(s)
     return s
 
 
+# ---------------------------------------------------------------------------
+# state families and loss targets
+# ---------------------------------------------------------------------------
+
+class Family(typing.NamedTuple):
+    """A state family; ``make(d, r, lam, rng)`` builds its state."""
+
+    make: typing.Callable
+    bipartite: bool = False   # on two d-dimensional systems
+    product: bool = False     # a product tester should accept it
+
+
+FAMILIES = {
+    "pure": Family(lambda d, r, lam, rng: linalg.random_pure(d, rng)),
+    "rank_r_random": Family(
+        lambda d, r, lam, rng: linalg.random_density(d, r, rng)),
+    "maximally_mixed": Family(
+        lambda d, r, lam, rng: linalg.maximally_mixed(d)),
+    "geometric_spectrum": Family(
+        lambda d, r, lam, rng: linalg.geometric_spectrum_state(d, rng)),
+    "bipartite:product": Family(
+        lambda d, r, lam, rng: linalg.correlated_pair_state(d, 0.0),
+        bipartite=True, product=True),
+    "bipartite:correlated": Family(
+        lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
+        bipartite=True),
+}
+
+
 def make_state(s: Scenario, rng: np.random.Generator) -> np.ndarray:
     """Draw (or construct) this trial's true state."""
-    if s.family == "pure":
-        return linalg.random_pure(s.d, rng)
-    if s.family == "rank_r_random":
-        return linalg.random_density(s.d, s.r, rng)
-    if s.family == "maximally_mixed":
-        return linalg.maximally_mixed(s.d)
-    if s.family == "geometric_spectrum":
-        return linalg.geometric_spectrum_state(s.d, rng)
-    if s.family == "bipartite:product":
-        return linalg.correlated_pair_state(s.d, 0.0)
-    if s.family == "bipartite:correlated":
-        return linalg.correlated_pair_state(s.d, s.lam)
-    raise ScenarioError(f"field 'family': {s.family!r}")
+    return FAMILIES[s.family].make(s.d, s.r, s.lam, rng)
+
+
+def _frobenius_trial(s: Scenario, rho, point, rng):
+    n = int(point)
+    spec = fb.parse_estimator(s.estimator, s.r)
+    budget = ms.CopyBudget(total=n)
+    est = spec.run(rho, budget, rng)
+    if budget.consumed != n:
+        raise RuntimeError(f"estimator {s.estimator!r} consumed "
+                           f"{budget.consumed} of {n} planned copies")
+    loss = linalg.frob_sq(est - rho)
+    promise = spec.rate(s.d, s.r) / n
+    return n, {"frob_sq": float(loss)}, \
+        {"within_rate": bool(loss <= FLAG_SLACK * promise)}
+
+
+def _frobenius_verdict(s: Scenario, row: dict):
+    promise = fb.parse_estimator(s.estimator, s.r).rate(s.d, s.r) \
+        / row["point"]
+    slack = 2.0 * row["ci95"] / 1.96
+    return row["mean"] <= promise + slack, row["mean"], promise
+
+
+def _staged(score):
+    """Trial body of a staged target: plan, learn, check the drain, then
+    ``score(rho, out, point, eps)`` with eps the planned accuracy."""
+    def trial(s: Scenario, rho, point, rng):
+        spec = fb.parse_estimator(s.estimator, s.r)
+        params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), float(point),
+                                variant=s.variant)
+        out = pl.staged_learn(rho, spec, params, rng)
+        if out.consumed != params.total:  # the relearn pass drains it
+            raise RuntimeError(f"staged run consumed {out.consumed} of "
+                               f"{params.total} planned copies")
+        losses, flags = score(rho, out, float(point), params.eps)
+        return out.consumed, losses, {**flags,
+                                      "converged": not out.forced_stop}
+    return trial
+
+
+def _chi2_score(rho, out, point, eps):
+    est = linalg.decompose(pl.to_chi2(out))
+    chi2 = float(dv.bures_chi2(rho, est))
+    return ({"bures_chi2": chi2,
+             "hellinger_sq": float(dv.hellinger_sq_q(rho, est)),
+             "eps_prime": float(out.eps_prime)},
+            {"within_eps": chi2 <= point})
+
+
+def _infidelity_score(rho, out, point, eps):
+    infid = float(dv.infidelity(rho, pl.to_infidelity(out)))
+    return ({"infidelity": infid, "eps_prime": float(out.eps_prime)},
+            {"within_eps": infid <= eps})
+
+
+def _kl_score(rho, out, point, eps):
+    est = pl.to_infidelity(out)
+    rho_dec = linalg.decompose(rho)
+    infid = float(dv.infidelity(rho_dec, est))
+    smoothed, bound = pl.to_kl(est, eps)
+    kl, bound = float(dv.relative_entropy(rho_dec, smoothed)), float(bound)
+    return ({"infidelity": infid, "kl": kl, "kl_bound": bound},
+            {"within_eps": infid <= eps, "kl_within_bound": kl <= bound})
+
+
+def _kl_verdict(s: Scenario, row: dict):
+    held = row["flag_rates"].get("kl_within_bound", 0.0)
+    return held == 1.0 and _pass_rate("within_eps")(s, row)[0], held, 1.0
+
+
+def _mi_trial(s: Scenario, rho, point, rng):
+    v = mt.quantum_mi_test(rho, s.d, s.d, float(point), rng, r=s.r,
+                           spec=fb.parse_estimator(s.estimator, s.r))
+    losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
+              "bures_chi2": float(v.stats["bures_chi2_product"]),
+              "mi": float(v.stats["mi"])}
+    flags = {"accept": v.accept,
+             "correct": v.accept == FAMILIES[s.family].product,
+             "floor_ok": bool(v.stats["learning"]["floor_ok"])}
+    return int(v.stats["joint_copies"]), losses, flags
+
+
+def _pass_rate(flag: str):
+    """Bar of a probabilistic guarantee: 90% of a point's trials hold."""
+    def verdict(s: Scenario, row: dict):
+        rate = row["flag_rates"].get(flag, 0.0)
+        return rate >= 0.9, rate, 0.9
+    return verdict
+
+
+class Target(typing.NamedTuple):
+    """Everything the harness decides per loss target."""
+
+    grid: str                 # the Scenario field holding its grid
+    loss: str                 # what summaries average and verdicts judge
+    bipartite: bool           # runs on the bipartite families, only there
+    trial: typing.Callable    # (s, rho, point, rng) -> n_used, losses, flags
+    verdict: typing.Callable  # (s, summarize row) -> passed, measured, bar
+
+
+#: the ladder of losses, from Frobenius error up to the MI test
+TARGETS = {
+    "frobenius": Target("n_grid", "frob_sq", False,
+                        _frobenius_trial, _frobenius_verdict),
+    "infidelity": Target("eps_grid", "infidelity", False,
+                         _staged(_infidelity_score), _pass_rate("within_eps")),
+    "chi2": Target("eps_grid", "bures_chi2", False,
+                   _staged(_chi2_score), _pass_rate("within_eps")),
+    "kl": Target("eps_grid", "kl", False, _staged(_kl_score), _kl_verdict),
+    "mi": Target("eps_grid", "hellinger_sq", True,
+                 _mi_trial, _pass_rate("correct")),
+}
 
 
 def grid_for(s: Scenario) -> tuple:
-    return s.n_grid if s.target == "frobenius" else s.eps_grid
+    return getattr(s, TARGETS[s.target].grid)
 
 
 # ---------------------------------------------------------------------------
 # trial execution
 # ---------------------------------------------------------------------------
 
-def _staged(s: Scenario, rho, eps, rng):
-    spec = fb.parse_estimator(s.estimator, s.r)
-    params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), eps,
-                            variant=s.variant)
-    out = pl.staged_learn(rho, spec, params, rng)
-    if out.consumed != params.total:  # the relearn pass drains the budget
-        raise RuntimeError(f"staged run consumed {out.consumed} of "
-                           f"{params.total} planned copies")
-    return params, out
-
-
 def _run_trial(s: Scenario, point_index: int, trial: int) -> TrialRecord:
     point = grid_for(s)[point_index]
     rng = np.random.default_rng([s.master_seed, point_index, trial])
     started = time.perf_counter()
     rho = make_state(s, rng)
-
-    if s.target == "frobenius":
-        n = int(point)
-        spec = fb.parse_estimator(s.estimator, s.r)
-        budget = ms.CopyBudget(total=n)
-        est = spec.run(rho, budget, rng)
-        if budget.consumed != n:
-            raise RuntimeError(f"estimator {s.estimator!r} consumed "
-                               f"{budget.consumed} of {n} planned copies")
-        loss = linalg.frob_sq(est - rho)
-        promise = spec.rate(s.d, s.r) / n
-        losses = {"frob_sq": float(loss)}
-        flags = {"within_rate": bool(loss <= FLAG_SLACK * promise)}
-        n_used = n
-
-    elif s.target == "chi2":
-        params, out = _staged(s, rho, float(point), rng)
-        est = linalg.decompose(pl.to_chi2(out))
-        losses = {"bures_chi2": float(dv.bures_chi2(rho, est)),
-                  "hellinger_sq": float(dv.hellinger_sq_q(rho, est)),
-                  "eps_prime": float(out.eps_prime)}
-        flags = {"within_eps": bool(losses["bures_chi2"] <= point),
-                 "converged": not out.forced_stop}
-        n_used = out.consumed
-
-    elif s.target == "infidelity":
-        params, out = _staged(s, rho, float(point), rng)
-        est = pl.to_infidelity(out)
-        losses = {"infidelity": float(dv.infidelity(rho, est)),
-                  "eps_prime": float(out.eps_prime)}
-        flags = {"within_eps": bool(losses["infidelity"] <= params.eps),
-                 "converged": not out.forced_stop}
-        n_used = out.consumed
-
-    elif s.target == "kl":
-        params, out = _staged(s, rho, float(point), rng)
-        est = pl.to_infidelity(out)
-        rho_dec = linalg.decompose(rho)
-        infid = float(dv.infidelity(rho_dec, est))
-        smoothed, bound = pl.to_kl(est, params.eps)
-        kl = float(dv.relative_entropy(rho_dec, smoothed))
-        losses = {"infidelity": infid, "kl": kl, "kl_bound": float(bound)}
-        flags = {"within_eps": bool(infid <= params.eps),
-                 "kl_within_bound": bool(kl <= bound),
-                 "converged": not out.forced_stop}
-        n_used = out.consumed
-
-    elif s.target == "mi":
-        spec = fb.parse_estimator(s.estimator, s.r)
-        v = mt.quantum_mi_test(rho, s.d, s.d, float(point), rng,
-                               r=s.r, spec=spec)
-        should_accept = s.family == "bipartite:product"
-        losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
-                  "bures_chi2": float(v.stats["bures_chi2_product"]),
-                  "mi": float(v.stats["mi"])}
-        flags = {"accept": v.accept,
-                 "correct": bool(v.accept == should_accept),
-                 "floor_ok": bool(v.stats["learning"]["floor_ok"])}
-        n_used = int(v.stats["joint_copies"])
-
-    else:
-        raise ScenarioError(f"field 'target': {s.target!r}")
-
+    n_used, losses, flags = TARGETS[s.target].trial(s, rho, point, rng)
     return TrialRecord(scenario=s.sid, trial=trial, point=float(point),
                        n_used=n_used, losses=losses, flags=flags,
                        wall_time=time.perf_counter() - started)
 
 
-def _trial_entry(args):
-    s, point_index, trial = args
-    return _run_trial(s, point_index, trial)
-
-
-def run_scenario(s: Scenario, workers: int | None = None) -> list:
+def run_scenario(s: Scenario, workers: int = 1) -> list:
     """Run every (grid point, trial) pair; deterministic under the seed.
 
-    Worker count comes from the argument, else the BURESLAB_WORKERS
-    environment variable, else 1.  Parallel runs return records in the
-    same order as serial ones because each trial's stream depends only
-    on its own indices.
+    Parallel runs return records in the same order as serial ones
+    because each trial's stream depends only on its own indices.
     """
     validate_scenario(s)
     tasks = [(s, pi, t) for pi in range(len(grid_for(s)))
              for t in range(s.trials)]
-    if workers is None:
-        workers = int(os.environ.get("BURESLAB_WORKERS", "1"))
     if workers <= 1 or len(tasks) <= 1:
-        return [_trial_entry(task) for task in tasks]
+        return [_run_trial(*task) for task in tasks]
     # imported here: the pool machinery costs ~2 MB that serial runs skip
     from concurrent.futures import ProcessPoolExecutor
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_entry, tasks, chunksize=chunk))
+        return list(pool.map(_run_trial, *zip(*tasks), chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -358,41 +398,11 @@ def summarize(records, y: str) -> list:
 
 
 def evaluate_guarantees(s: Scenario, records) -> list:
-    """Per-point verdicts on the scenario's advertised guarantee.
-
-    Returns a list of (name, passed, measured, threshold) tuples.  In
-    probabilistic targets the bar is a 90% per-point pass rate; in
-    in-expectation targets it is the mean against the promised rate.
-    """
-    results = []
-    spec = fb.parse_estimator(s.estimator, s.r)
-    for row in summarize(records, _primary_loss(s.target)):
-        point = row["point"]
-        name = f"{s.sid}@{point:g}"
-        if s.target == "frobenius":
-            promise = spec.rate(s.d, s.r) / point
-            slack = 2.0 * row["ci95"] / 1.96
-            results.append((name, row["mean"] <= promise + slack,
-                            row["mean"], promise))
-        elif s.target in ("chi2", "infidelity"):
-            rate = row["flag_rates"].get("within_eps", 0.0)
-            results.append((name, rate >= 0.9, rate, 0.9))
-        elif s.target == "kl":
-            ok = row["flag_rates"].get("kl_within_bound", 0.0) == 1.0 \
-                and row["flag_rates"].get("within_eps", 0.0) >= 0.9
-            results.append((name, ok,
-                            row["flag_rates"].get("kl_within_bound", 0.0),
-                            1.0))
-        elif s.target == "mi":
-            rate = row["flag_rates"].get("correct", 0.0)
-            results.append((name, rate >= 0.9, rate, 0.9))
-    return results
-
-
-def _primary_loss(target: str) -> str:
-    return {"frobenius": "frob_sq", "chi2": "bures_chi2",
-            "infidelity": "infidelity", "kl": "kl",
-            "mi": "hellinger_sq"}[target]
+    """Per-point (name, passed, measured, threshold) verdicts on the
+    scenario's advertised guarantee, judged by its target's bar."""
+    target = TARGETS[s.target]
+    return [(f"{s.sid}@{row['point']:g}", *target.verdict(s, row))
+            for row in summarize(records, target.loss)]
 
 
 # ---------------------------------------------------------------------------

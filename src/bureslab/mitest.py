@@ -433,26 +433,22 @@ def product_chi2_controls(xi, rho, sigma_hat, tau_hat) -> dict:
 # quantum tester
 # ---------------------------------------------------------------------------
 
-def hellinger_gap_verdict(joint, product, eps_t: float, rng=None) -> bool:
-    """Reference verdict: exact squared Hellinger against the 2 eps_t line.
-
-    The lab knows the joint, so the closeness decision is evaluated
-    directly; any sample-based tester with this signature can stand in.
-    """
-    return bool(dv.hellinger_sq_q(joint, product) < 2.0 * eps_t)
+def hellinger_gap_verdict(hellinger_sq: float, eps_t: float) -> bool:
+    """Accept when the exact squared Hellinger distance between the joint
+    and the learned product, which the lab knows, sits below 2 eps_t."""
+    return bool(hellinger_sq < 2.0 * eps_t)
 
 
 def quantum_mi_test(rho_joint, d_a: int, d_b: int, eps: float,
                     rng: np.random.Generator, r: int | None = None,
-                    spec: fb.EstimatorSpec | None = None,
-                    verdict=hellinger_gap_verdict) -> TesterVerdict:
+                    spec: fb.EstimatorSpec | None = None) -> TesterVerdict:
     """One round of the quantum MI test on a known bipartite state.
 
     Learns floored marginal estimates at 0.49 eps_t in Bures chi-square
-    and asks the verdict function whether the joint sits within 2 eps_t
-    of their product in squared Hellinger.  Accepting certifies MI
-    below eps with high probability; states with MI at least eps reject
-    with high probability.
+    and accepts when the joint sits within 2 eps_t of their product in
+    squared Hellinger (:func:`hellinger_gap_verdict`).  Accepting
+    certifies MI below eps with high probability; states with MI at
+    least eps reject with high probability.
     """
     rho_joint = np.asarray(rho_joint, dtype=complex)
     plan = quantum_mi_plan(max(d_a, d_b), eps)
@@ -470,6 +466,6 @@ def quantum_mi_test(rho_joint, d_a: int, d_b: int, eps: float,
     stats["hellinger_sq"] = dv.hellinger_sq_q(joint, learned)
     stats["bures_chi2_product"] = dv.bures_chi2(rho_joint, learned)
     stats["mi"] = dv.relative_entropy(joint, marginals)
-    return TesterVerdict(accept=bool(verdict(rho_joint, product,
-                                             plan["eps_t"], rng)),
-                         stats=stats)
+    return TesterVerdict(
+        accept=hellinger_gap_verdict(stats["hellinger_sq"], plan["eps_t"]),
+        stats=stats)

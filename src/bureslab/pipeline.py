@@ -173,6 +173,13 @@ class CentralParams:
     variant: int        # 1 = rank-floor tail rule, 2 = top-k tail rule
 
 
+def _confidence(d: int, r: int, f: float, m: int, variant: int) -> float:
+    """Per-event failure parameter delta for a stage budget of m copies."""
+    if variant != 1:
+        return config.DELTA_FLOOR / (d + 1)
+    return config.DELTA_FLOOR / max(math.log2(max(m / (r * f), 1.0)), 1.0)
+
+
 def central_params(d: int, r: int, f: float, m: int,
                    variant: int = 1) -> CentralParams:
     """Validate and derive the staged algorithm's parameter set.
@@ -188,13 +195,7 @@ def central_params(d: int, r: int, f: float, m: int,
     m -= m % 2  # phases split the stage budget in half
     if m < r:
         raise ParameterError("need at least r copies per stage")
-    ratio = m / (r * f)
-    if variant == 1:
-        log_ratio = math.log2(ratio) if ratio > 0 else 0.0
-        delta = config.DELTA_FLOOR / log_ratio if log_ratio > 1.0 \
-            else config.DELTA_FLOOR
-    else:
-        delta = config.DELTA_FLOOR / (d + 1)
+    delta = _confidence(d, r, f, m, variant)
     m_delta = classical.effective_samples(m, delta)
     eps_tilde = config.C_STAGE * r * f / m_delta
     if eps_tilde >= 1.0:
@@ -231,13 +232,7 @@ def budget_for_scale(d: int, r: int, f: float, eps_tilde_target: float,
     m = max(int(config.C_STAGE * r * f * config.CONF_SCALE
                 * math.log(1.0 / delta) / eps_tilde_target), 2 * int(r))
     for _ in range(60):
-        ratio = m / (r * f)
-        log_ratio = math.log2(ratio) if ratio > 1.0 else 1.0
-        if variant == 1:
-            delta = config.DELTA_FLOOR / log_ratio if log_ratio > 1.0 \
-                else config.DELTA_FLOOR
-        else:
-            delta = config.DELTA_FLOOR / (d + 1)
+        delta = _confidence(d, r, f, m, variant)
         m_new = int(math.ceil(config.C_STAGE * r * f * config.CONF_SCALE
                               * math.log(1.0 / delta) / eps_tilde_target))
         if m_new == m:

@@ -92,6 +92,37 @@ def test_tomography_bad_config_exits_two(tmp_path, capsys):
     assert "wobble" in err
 
 
+def test_bench_bad_inline_scenario_exits_two(capsys):
+    code = cli.main(["bench", "--d", "1", "--r", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: field 'd'" in err
+
+
+@pytest.mark.parametrize("target", ["chi2", "infidelity", "kl"])
+def test_simple_estimator_on_one_index_prefix(target, capsys):
+    """The staged prefix shrinks to one index; its 1x1 state is [[1]]."""
+    code = cli.main(["tomography", "run", "--target", target, "--d", "5",
+                     "--r", "2", "--family", "geometric_spectrum",
+                     "--estimator", "simple", "--eps", "0.3,0.2",
+                     "--trials", "3", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS" in out and "FAIL" not in out
+
+
+def test_simple_estimator_mi_rank_one(tmp_path, capsys):
+    cfg = tmp_path / "mi.json"
+    cfg.write_text(json.dumps({
+        "id": "mi-simple", "target": "mi", "d": 2, "r": 1,
+        "family": "bipartite:product", "estimator": "simple",
+        "eps_grid": [0.5], "trials": 2, "master_seed": 5}))
+    code = cli.main(["tomography", "run", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "PASS" in out and "FAIL" not in out
+
+
 def test_mi_test_classical_product_arm(capsys):
     code = cli.main(["mi-test", "--kind", "classical", "--arm", "product",
                      "--d", "4", "--eps", "0.5", "--trials", "3",

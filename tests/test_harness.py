@@ -1,5 +1,9 @@
 """Scenario plumbing: validation, determinism, fits, emission."""
 
+import csv
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -261,3 +265,40 @@ class TestEmission:
         for name, passed, measured, threshold in verdicts:
             assert passed
             assert measured <= threshold + 2 * rows[0]["ci95"]
+
+
+#: sha256 of the CSV bytes of one small fixed-seed scenario per target;
+#: a change to any trial's random stream or loss arithmetic moves one
+GOLDEN = [
+    (dict(sid="g-frob", target="frobenius", d=3, r=2, n_grid=(200, 2000),
+          trials=3, master_seed=11),
+     "b7189299434432683683589d742743bb67c644d1442252c61ab6d9ce03994f49"),
+    (dict(sid="g-infid", target="infidelity", d=3, r=2,
+          family="geometric_spectrum", trials=2, master_seed=12),
+     "3861355346e75abfefe4444b1923b3890d70408524d4c2e530d68ed293634252"),
+    (dict(sid="g-chi2", target="chi2", d=4, r=2, trials=2, master_seed=13),
+     "78e60e41364c9e6880563facd0207c2a35cd9169bf3654a757e7d94aa9eaf9d3"),
+    (dict(sid="g-kl", target="kl", d=3, r=3, family="geometric_spectrum",
+          trials=2, master_seed=14),
+     "32f7ce21bc7049ed86e2de5a8a12cae285319b60128ec8b76362906eb2e5b301"),
+    (dict(sid="g-mi-prod", target="mi", d=2, family="bipartite:product",
+          eps_grid=(0.5,), trials=2, master_seed=15),
+     "826ab89d581d5eeaa700a99841e3b91e4d24abdc57e78fdfab7ff11c4c3e25dc"),
+    (dict(sid="g-mi-corr", target="mi", d=2, family="bipartite:correlated",
+          lam=0.6, eps_grid=(0.5,), trials=2, master_seed=16),
+     "1e2ae19e361febca066711158fe494a81be19f7d3773b328f2b3224e6e60f76b"),
+    (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
+          trials=2, master_seed=17),
+     "d5a82350c673402af278bfa077dec0accc60c26d9cc99d84d8a7eee5b66c1c77"),
+]
+
+
+@pytest.mark.parametrize("fields, digest", GOLDEN,
+                         ids=[f["sid"] for f, _ in GOLDEN])
+def test_golden_csv_digest(fields, digest):
+    base = dict(family="rank_r_random", estimator="oracle:f=d",
+                eps_grid=(0.25,))
+    s = hz.Scenario(**{**base, **fields})
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(hz.csv_rows(hz.run_scenario(s, workers=1)))
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

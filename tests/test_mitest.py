@@ -331,12 +331,27 @@ class TestQuantumMITest:
             assert v.stats["hellinger_sq"] >= 2 * v.stats["eps_t"]
             assert v.stats["mi"] == dv.quantum_mutual_information(joint, 3, 3)
 
-    def test_verdict_slot_is_pluggable(self):
+    def test_verdict_reads_the_stats(self, monkeypatch):
+        """After learning: one eigh each for the joint, the learned
+        product and the product of the joint's marginals."""
+        calls, eigh, learn = [], np.linalg.eigh, mt.learn_product_quantum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        def learned(*args, **kwargs):
+            out = learn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, "eigh", counted)
+            return out
+        monkeypatch.setattr(mt, "learn_product_quantum", learned)
         rng = np.random.default_rng(63)
-        joint = linalg.correlated_pair_state(2, 0.0)
-        v = mt.quantum_mi_test(joint, 2, 2, 0.5, rng,
-                               verdict=lambda *a: False)
-        assert not v.accept
+        v = mt.quantum_mi_test(linalg.correlated_pair_state(3, 0.5), 3, 3,
+                               0.5, rng)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert v.accept == mt.hellinger_gap_verdict(v.stats["hellinger_sq"],
+                                                    v.stats["eps_t"])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(64)
