@@ -157,8 +157,8 @@ def tester_budgets() -> None:
           f"each marginal within eps_dd/3 except with odds 1/200)")
     print(f"  test  {plan['n_test']} samples "
           f"(= C_TEST_BUDGET * d / eps_t)")
-    print("  threshold = simulated null 99th percentile "
-          "+ PEARSON_MARGIN * n * eps_t")
+    print("  threshold = closed-form null 99th percentile (moment-matched "
+          "Wilson-Hilferty) + PEARSON_MARGIN * n * eps_t")
     qplan = mt.quantum_mi_plan(4, eps)
     print(f"quantum plan at d=4, eps={eps}: marginal accuracy "
           f"{qplan['eps_learn']:.4g}, gap {qplan['eps_t']:.4g}")

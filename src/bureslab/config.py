@@ -83,10 +83,9 @@ C_TEST_BUDGET = 16.0
 #: Markov failure odds of each chi-square-eps_dd/3 learn stay under 0.005
 C_LEARN_CLASSICAL = 1200.0
 
-#: Pearson-statistic rejection margin added to the Monte Carlo null
-#: quantile, as a fraction of n * eps_t
+#: Pearson-statistic rejection margin added to the closed-form null
+#: quantile (mitest.pearson_null_quantile), as a fraction of n * eps_t
 PEARSON_MARGIN = 0.75
 
-#: Monte Carlo simulations used to place the Pearson null quantile
-PEARSON_NULL_SIMS = 10_000
+#: level of the Pearson null quantile
 PEARSON_NULL_LEVEL = 0.99

@@ -36,13 +36,15 @@ class EstimatorSpec:
 
     ``run(rho, budget, rng)`` returns a Hermitian estimate after drawing
     from ``budget``; ``rate(d, r)`` is the f in the error promise f/m.
-    ``kind`` is "measured" or "oracle".
+    ``kind`` is "measured" or "oracle".  ``min_copies(d)`` is the
+    fewest copies ``run`` accepts at dimension d.
     """
 
     name: str
     kind: str
     rate: Callable[[int, int], float]
     run: Callable[[np.ndarray, ms.CopyBudget, np.random.Generator], np.ndarray]
+    min_copies: Callable[[int], int] = lambda d: 1
 
 
 def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
@@ -72,12 +74,17 @@ def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
     return est
 
 
+def _simple_min_copies(d: int) -> int:
+    """One shot for each of the 2 rounds + 1 POVMs; none at d = 1."""
+    return 0 if d == 1 else 2 * ms.matching_round_count(d) + 1
+
+
 def _simple_runner(rho, budget, rng):
     d = rho.shape[0]
     if d == 1:  # a 1x1 state is [[1]] and needs no copies
         budget.take(budget.remaining)
         return np.ones((1, 1), dtype=complex)
-    povms_total = 2 * ms.matching_round_count(d) + 1
+    povms_total = _simple_min_copies(d)
     shots = budget.remaining // povms_total
     if shots < 1:
         raise ms.BudgetExhausted(
@@ -127,7 +134,7 @@ def parse_estimator(text: str, r: int = None) -> EstimatorSpec:
         return EstimatorSpec(
             name="simple", kind="measured",
             rate=lambda d, r: config.K_ACC * d * d,
-            run=_simple_runner)
+            run=_simple_runner, min_copies=_simple_min_copies)
     if text.startswith("oracle:f="):
         key = text[len("oracle:f="):]
         if key not in _ORACLE_RATES:

@@ -75,7 +75,6 @@ class Scenario:
     master_seed: int = 20260816
     variant: int = 1
     lam: float = 0.5      # correlation weight for bipartite:correlated
-    delta: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,6 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'variant': must be 1 or 2")
     if not 0.0 <= s.lam <= 1.0:
         raise ScenarioError("field 'lam': must lie in [0, 1]")
-    if not 0.0 < s.delta < 1.0:
-        raise ScenarioError("field 'delta': must lie in (0, 1)")
     try:
         fb.parse_estimator(s.estimator, s.r)
     except ValueError as exc:

@@ -9,8 +9,8 @@ Two measurement types exist, and each reads its outcome probabilities
 from rho without building or eigen-checking a matrix per outcome:
 
 * :class:`Povm`, a measurement in an orthonormal basis.  The basis is
-  validated once (unitary, projectors summing to the identity); each
-  projector is an outer product, Hermitian and PSD by construction.
+  validated once (square and unitary), and the probabilities are the
+  diagonal of U^dagger rho U; no projector is ever formed.
 * :class:`PairRound`, one matching of pair-interference outcomes, whose
   probabilities come in closed form from rho's diagonal and the matched
   off-diagonal entries (see :func:`matching_povms`).
@@ -83,37 +83,35 @@ class CopyBudget:
 class Povm:
     """Rank-one projective measurement onto the columns of a unitary.
 
-    The basis is checked once: it must be unitary, and the projectors
-    u_k u_k^dagger must sum to the identity.  Each projector is formed
-    as the outer product u_ik conj(u_jk), which is exactly Hermitian and
-    rank-one PSD, so no element needs a check of its own.  Outcome k is
-    labelled k.
+    The basis must be square and unitary; it is checked once.  Outcome
+    k has probability <u_k|rho|u_k>, the k-th diagonal entry of
+    U^dagger rho U, read without forming the projectors u_k u_k^dagger.
+    For a square unitary the projectors sum to the identity, so that
+    needs no check of its own.  Outcome k is labelled k.
     """
 
     basis: np.ndarray
-    elements: np.ndarray = field(init=False, repr=False)
     labels: tuple = field(init=False)
 
     def __post_init__(self):
         u = np.asarray(self.basis, dtype=complex)
         if u.ndim != 2:
             raise ValueError(f"basis must be a matrix, got shape {u.shape}")
+        if u.shape[0] != u.shape[1]:
+            raise ValueError(f"a {u.shape[0]} x {u.shape[1]} basis does not "
+                             "resolve the identity: it must be square")
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > config.UNITARY_TOL:
             raise ValueError("basis matrix is not unitary")
-        el = np.einsum("ik,jk->kij", u, u.conj())
-        if np.max(np.abs(el.sum(axis=0) - np.eye(u.shape[0]))) > config.UNITARY_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
         object.__setattr__(self, "basis", u)
-        object.__setattr__(self, "elements", el)
         object.__setattr__(self, "labels", tuple(range(u.shape[1])))
 
     @property
     def n_outcomes(self) -> int:
-        return self.elements.shape[0]
+        return self.basis.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        return self.basis.shape[0]
 
     @classmethod
     def from_basis(cls, u: np.ndarray) -> "Povm":
@@ -125,9 +123,9 @@ class Povm:
         return cls.from_basis(np.eye(d))
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """tr(E_k rho) for each projector, as real numbers."""
-        rho = np.asarray(rho, dtype=complex)
-        return np.einsum("kij,ji->k", self.elements, rho).real
+        """<u_k|rho|u_k> = Re sum_i conj(u_ik) (rho u)_ik for each column k."""
+        u = self.basis
+        return np.einsum("ik,ik->k", u.conj(), np.asarray(rho) @ u).real
 
 
 class PairRound:

@@ -17,6 +17,7 @@ entropies and divergences are in nats.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "uniform_product_joint",
     "correlated_joint",
     "learn_marginals",
+    "pearson_null_variance",
+    "pearson_null_quantile",
     "pearson_identity_test",
     "classical_mi_plan",
     "classical_mi_test",
@@ -171,22 +174,64 @@ def learn_marginals(counts: np.ndarray, n: int):
     return qa, qb
 
 
+def pearson_null_variance(q, n: int) -> float:
+    """Exact variance of the Pearson statistic under the multinomial null.
+
+    With k bins of probability q and n samples the statistic has mean
+    k - 1 and variance 2 (k - 1) + (sum 1/q_i - k^2 - 2k + 2) / n.
+    """
+    q = np.asarray(q, dtype=float)
+    k = q.size
+    return 2.0 * (k - 1) + (float(np.sum(1.0 / q)) - k * k - 2 * k + 2) / n
+
+
+def pearson_null_quantile(q, n: int) -> float:
+    """Closed-form PEARSON_NULL_LEVEL quantile of the Pearson null.
+
+    A scaled chi-square c chi2_nu is matched to the null's mean k - 1
+    and variance V (:func:`pearson_null_variance`): c = V / (2 (k - 1))
+    and nu = 2 (k - 1)^2 / V.  Its quantile comes from the Wilson-Hilferty
+    cube-root normal approximation (Wilson & Hilferty 1931),
+
+        (k - 1) (1 - a + z sqrt(a))^3,  a = 2 / (9 nu) = V / (9 (k - 1)^2),
+
+    with z the standard normal quantile at that level and the cube's base
+    clamped at zero.  Matching V, not just the mean, keeps the quantile
+    close to the simulated one when some expected counts n q_i are far
+    below one, where plain chi2(k - 1) sits too low.  O(k) work and no
+    random draws.
+    """
+    mean = np.asarray(q).size - 1.0
+    if mean < 1.0:  # one bin: the statistic is identically zero
+        return 0.0
+    a = pearson_null_variance(q, n) / (9.0 * mean * mean)
+    z = statistics.NormalDist().inv_cdf(config.PEARSON_NULL_LEVEL)
+    return mean * max(1.0 - a + z * math.sqrt(a), 0.0) ** 3
+
+
 def pearson_identity_test(q, counts, n: int, eps_t: float,
                           rng: np.random.Generator,
-                          sims: int = config.PEARSON_NULL_SIMS) -> TesterVerdict:
+                          sims: int = 0) -> TesterVerdict:
     """Chi-square identity test of observed counts against a reference.
 
     The statistic is sum (c - n q)^2 / (n q) over the support of q; the
-    acceptance threshold is a Monte Carlo null quantile plus a
-    separation margin proportional to n eps_t, so distributions with
-    chi-square divergence at least eps_t from q land above it.  Any
-    observed count outside the support rejects outright.  eps_t above
-    1/2 is outside the tester's domain.
+    acceptance threshold is the null's 0.99 quantile plus a separation
+    margin proportional to n eps_t, so distributions with chi-square
+    divergence at least eps_t from q land above it.  With ``sims`` = 0
+    the quantile is the closed form of :func:`pearson_null_quantile`
+    and no random draws are made; ``sims`` > 0 places it from that many
+    simulated null multinomials drawn from ``rng`` instead, the
+    reference the closed form is checked against.  The stats carry the
+    null quantile and variance either route used.  Any observed count
+    outside the support rejects outright.  eps_t above 1/2 is outside
+    the tester's domain.
     """
     if not 0.0 < eps_t <= 0.5:
         raise pl.ParameterError("eps_t must lie in (0, 1/2]")
     if n < 1:
         raise ValueError("need at least one test sample")
+    if sims < 0:
+        raise ValueError("sims must be nonnegative")
     q = np.asarray(q, dtype=float).ravel()
     counts = np.asarray(counts).ravel()
     if q.shape != counts.shape:
@@ -197,18 +242,23 @@ def pearson_identity_test(q, counts, n: int, eps_t: float,
              "escaped": escaped}
     if escaped > 0:
         stats.update(statistic=math.inf, threshold=math.nan,
-                     null_quantile=math.nan)
+                     null_quantile=math.nan, null_variance=math.nan)
         return TesterVerdict(accept=False, stats=stats)
     qs = q[support]
     qs = qs / qs.sum()
     expected = n * qs
     statistic = float(np.sum((counts[support] - expected) ** 2 / expected))
-    null = rng.multinomial(n, qs, size=sims)
-    null_stats = np.sum((null - expected) ** 2 / expected, axis=1)
-    quantile = float(np.quantile(null_stats, config.PEARSON_NULL_LEVEL))
+    if sims > 0:
+        null = rng.multinomial(n, qs, size=sims)
+        null_stats = np.sum((null - expected) ** 2 / expected, axis=1)
+        quantile = float(np.quantile(null_stats, config.PEARSON_NULL_LEVEL))
+        variance = float(null_stats.var())
+    else:
+        quantile = pearson_null_quantile(qs, n)
+        variance = pearson_null_variance(qs, n)
     threshold = quantile + config.PEARSON_MARGIN * n * eps_t
     stats.update(statistic=statistic, threshold=threshold,
-                 null_quantile=quantile)
+                 null_quantile=quantile, null_variance=variance)
     return TesterVerdict(accept=bool(statistic <= threshold), stats=stats)
 
 

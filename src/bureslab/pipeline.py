@@ -124,8 +124,10 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
     Phase one measures the pass rate tau_hat alone; phase two filters
     again and hands the survivors to :func:`make_state_diagonal` on the
     conditional state, rescaling its values by the observed pass rate.
-    The same code path serves both the high-mass and low-mass regimes;
-    only the analysis distinguishes them.
+    When too few copies survive for the base estimator (its
+    ``min_copies`` on the block), the observed mass is spread uniformly
+    instead.  The same code path serves both the high-mass and low-mass
+    regimes; only the analysis distinguishes them.
     """
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
@@ -135,9 +137,11 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
     tau_hat = kept1 / m_phase
     kept2, cond = ms.filter_subset(rho, idx, m_phase, rng)
     scale = kept2 / m_phase
-    if kept2 < 2 or cond is None:
-        # too few survivors to estimate structure; spread the observed
-        # mass uniformly so the trace identity stays exact
+    if (kept2 < 2 or cond is None
+            or kept2 // 2 < spec.min_copies(idx.size)):
+        # too few survivors to estimate structure (the base estimator
+        # gets kept2 // 2 of them); spread the observed mass uniformly
+        # so the trace identity stays exact
         basis = np.eye(idx.size, dtype=complex)
         values = np.full(idx.size, scale / idx.size)
     else:

@@ -1,0 +1,37 @@
+"""The library surface that the benchmark in ``perfbench/`` relies on.
+
+The benchmark's tracer patches the library from outside: it reads the
+default of ``pearson_identity_test``'s ``sims`` argument (its sixth) to
+count null draws, and rebinds ``Povm.from_basis`` as a classmethod.  A
+traced run of each workload must count exactly and fail no op.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from bureslab import measurement as ms
+from bureslab import mitest as mt
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("tomo-measured", "tomo-oracle", "divergence-chain",
+             "mi-testers")
+
+
+def test_patched_names_keep_their_shape():
+    params = inspect.signature(mt.pearson_identity_test).parameters
+    assert list(params).index("sims") == 5
+    assert params["sims"].default == 0
+    assert isinstance(ms.Povm.__dict__["from_basis"], classmethod)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_run_counts_exactly(name):
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import run
+    out = run.run_traced(name, 3, 0.0, write_spans=False)
+    assert out["mismatched"] == [] and out["failures"] == []
+    assert out["metrics"]["mitest.pearson_null_draws"]["value"] == 0.0

@@ -111,6 +111,17 @@ def test_simple_estimator_on_one_index_prefix(target, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_simple_estimator_starved_basis_phase(capsys):
+    """A pure state at d=3: a stage's second filter phase keeps fewer
+    copies than the simple estimator needs, and the run goes on."""
+    code = cli.main(["tomography", "run", "--target", "chi2", "--d", "3",
+                     "--r", "1", "--family", "pure", "--estimator", "simple",
+                     "--eps", "0.3,0.2", "--trials", "3", "--seed", "10"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("PASS") == 2 and "FAIL" not in out
+
+
 def test_simple_estimator_mi_rank_one(tmp_path, capsys):
     cfg = tmp_path / "mi.json"
     cfg.write_text(json.dumps({

@@ -88,3 +88,18 @@ def test_simple_runner_needs_minimum_budget():
                        match="need at least 11 copies at dimension 5"):
         spec.run(odd, ms.CopyBudget(total=10), rng)
     assert spec.run(odd, ms.CopyBudget(total=11), rng).shape == (5, 5)
+
+
+def test_min_copies_is_the_runners_floor():
+    rng = np.random.default_rng(101)
+    simple = fb.parse_estimator("simple")
+    assert simple.min_copies(1) == 0
+    for d in (2, 3, 4, 5):
+        need = simple.min_copies(d)
+        assert need == 2 * ms.matching_round_count(d) + 1
+        rho = linalg.random_density(d, 1, rng)
+        assert simple.run(rho, ms.CopyBudget(total=need), rng).shape == (d, d)
+        with pytest.raises(ms.BudgetExhausted):
+            simple.run(rho, ms.CopyBudget(total=need - 1), rng)
+    oracle = fb.parse_estimator("oracle:f=d")
+    assert oracle.min_copies(64) == 1

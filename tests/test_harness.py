@@ -36,6 +36,12 @@ class TestScenarioConfig:
             hz.scenario_from_dict({"id": "x", "target": "chi2", "d": 4,
                                    "banana": 1})
 
+    def test_delta_is_not_a_field(self):
+        # staged runs take their failure parameter from the planner
+        with pytest.raises(hz.ScenarioError, match="delta"):
+            hz.scenario_from_dict({"id": "x", "target": "chi2", "d": 4,
+                                   "delta": 0.05})
+
     def test_required_fields(self):
         with pytest.raises(hz.ScenarioError, match="'id'"):
             hz.scenario_from_dict({"target": "chi2", "d": 4})

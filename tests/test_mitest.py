@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bureslab import accept, config
 from bureslab import divergences as dv
 from bureslab import linalg
 from bureslab import mitest as mt
@@ -111,8 +112,8 @@ class TestPearson:
         accepts = 0
         for _ in range(20):
             counts = rng.multinomial(n, q)
-            accepts += mt.pearson_identity_test(q, counts, n, eps_t, rng,
-                                                sims=2000).accept
+            accepts += mt.pearson_identity_test(q, counts, n, eps_t,
+                                                rng).accept
         assert accepts >= 18
 
     def test_far_alternative_rejects(self):
@@ -126,7 +127,7 @@ class TestPearson:
         assert dv.chi_sq_divergence(p, q) == pytest.approx(4.0 * eps_t)
         for _ in range(20):
             counts = rng.multinomial(n, p)
-            v = mt.pearson_identity_test(q, counts, n, eps_t, rng, sims=2000)
+            v = mt.pearson_identity_test(q, counts, n, eps_t, rng)
             assert not v.accept
 
     def test_out_of_support_rejects(self):
@@ -138,6 +139,67 @@ class TestPearson:
         assert v.stats["escaped"] == 10
         assert math.isinf(v.stats["statistic"])
 
+    def test_closed_form_draws_nothing(self):
+        rng = np.random.default_rng(25)
+        q = np.full(16, 1 / 16)
+        counts = rng.multinomial(1000, q)
+        state = rng.bit_generator.state
+        v = mt.pearson_identity_test(q, counts, 1000, 0.1, rng)
+        assert rng.bit_generator.state == state
+        assert v.stats["null_quantile"] == mt.pearson_null_quantile(q, 1000)
+        assert v.stats["null_variance"] == mt.pearson_null_variance(q, 1000)
+        # one bin: the statistic is identically zero, and so is the quantile
+        assert mt.pearson_null_quantile(np.ones(1), 10) == 0.0
+
+    @pytest.mark.parametrize("dof", [1, 3, 7, 15, 63, 255])
+    def test_uniform_quantile_matches_chi2(self, dof):
+        stats = pytest.importorskip("scipy.stats")
+        q = np.full(dof + 1, 1.0 / (dof + 1))
+        got = mt.pearson_null_quantile(q, 10_000)
+        want = stats.chi2.ppf(config.PEARSON_NULL_LEVEL, dof)
+        assert abs(got / want - 1.0) < 0.01
+
+    def test_matches_monte_carlo_on_criterion_12_inputs(self):
+        """The moment-matched quantile and the exact variance against a
+        20,000-draw Monte Carlo null, on the learned products that
+        criterion 12's product arm tests against.  Some of their bins
+        expect well under one count, where plain chi2(k - 1) is too low."""
+        stats = pytest.importorskip("scipy.stats")
+        plain_ratio = []
+        for t in range(20):
+            q, n, eps_t, _ = _criterion_12_product_input(t)
+            counts = np.random.default_rng(t).multinomial(n, q)
+            closed = mt.pearson_identity_test(q, counts, n, eps_t, None)
+            mc = mt.pearson_identity_test(q, counts, n, eps_t,
+                                          np.random.default_rng(t),
+                                          sims=20_000)
+            for key in ("null_quantile", "null_variance"):
+                assert abs(closed.stats[key] / mc.stats[key] - 1.0) < 0.05, \
+                    (t, key)
+            plain_ratio.append(stats.chi2.ppf(config.PEARSON_NULL_LEVEL,
+                                              q.size - 1)
+                               / mc.stats["null_quantile"])
+        # the check has power: plain chi2(k - 1) misses it on some input
+        assert min(plain_ratio) < 0.95
+
+    def test_sparsest_criterion_12_input_keeps_its_level(self):
+        """Trial 166 expects 0.0067 counts in its emptiest bin.  There the
+        closed-form quantile sits well below the Monte Carlo one, and
+        the margin must keep false rejections of the true product (the
+        joint the counts come from) below the nominal level."""
+        q, n, eps_t, joint = _criterion_12_product_input(166)
+        assert (n * q).min() < 0.01
+        rng = np.random.default_rng(166)
+        closed = mt.pearson_identity_test(q, rng.multinomial(n, joint), n,
+                                          eps_t, rng)
+        mc = mt.pearson_identity_test(q, rng.multinomial(n, joint), n,
+                                      eps_t, rng, sims=20_000)
+        assert closed.stats["null_quantile"] < mc.stats["null_quantile"]
+        draws = rng.multinomial(n, joint, size=20_000)
+        statistic = np.sum((draws - n * q) ** 2 / (n * q), axis=1)
+        false_rejections = np.mean(statistic > closed.stats["threshold"])
+        assert false_rejections <= 1.0 - config.PEARSON_NULL_LEVEL
+
     def test_domain(self):
         rng = np.random.default_rng(24)
         with pytest.raises(pl.ParameterError):
@@ -146,6 +208,23 @@ class TestPearson:
         with pytest.raises(ValueError):
             mt.pearson_identity_test(np.full(4, 0.25), np.zeros(5), 10, 0.1,
                                      rng)
+        with pytest.raises(ValueError, match="sims"):
+            mt.pearson_identity_test(np.full(4, 0.25), np.zeros(4), 10, 0.1,
+                                     rng, sims=-1)
+
+
+def _criterion_12_product_input(t):
+    """Trial t of criterion 12's product arm, up to the identity test:
+    the learned product q, the test size n, the gap eps_t and the true
+    joint, drawn exactly as classical_mi_test draws them."""
+    d, eps = 8, 0.5
+    rng = np.random.default_rng([accept._SEED, 12, 0, t])
+    joint = np.outer(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))
+    plan = mt.classical_mi_plan(d, eps)
+    counts = rng.multinomial(plan["n_learn"], joint.ravel())
+    qa, qb = mt.learn_marginals(counts.reshape(d, d), plan["n_learn"])
+    return (np.outer(qa, qb).ravel(), plan["n_test"], plan["eps_t"],
+            joint.ravel())
 
 
 class TestClassicalMITest:

@@ -92,6 +92,22 @@ def test_final_upgrade_starved_filter():
     assert res.values.sum() == pytest.approx(res.kept_second / 50, abs=1e-12)
 
 
+def test_final_upgrade_starved_base_estimator():
+    """Phase two keeps a few survivors, fewer than twice what the simple
+    estimator needs on the block: the uniform spread takes over instead
+    of the estimator refusing its budget."""
+    rng = np.random.default_rng(221)
+    rho = linalg.random_density(6, 6, rng)
+    prefix = np.arange(4)
+    simple = fb.parse_estimator("simple")
+    res = pl.final_upgrade(simple, rho, prefix, r=2, delta=0.1,
+                           m_phase=12, rng=rng)
+    assert 2 <= res.kept_second < 2 * simple.min_copies(prefix.size)
+    assert np.array_equal(res.basis, np.eye(prefix.size))
+    assert np.all(res.values == res.values[0])
+    assert res.values.sum() == pytest.approx(res.kept_second / 12, abs=1e-12)
+
+
 def test_final_upgrade_measures_tiny_mass_blocks():
     """A prefix of mass 1e-11 in a rotated frame conditions to a matrix
     whose Born probabilities dip ~1e-6 below zero: round-off of the
