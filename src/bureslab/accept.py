@@ -102,7 +102,6 @@ def _chains():
             (0.5 * qc["hellinger_sq"], qc["trace_distance"]),
             (qc["trace_distance"] ** 2, qc["bures_sq"]),
             (qc["bures_sq"], qc["kl"]),
-            (qc["kl"], qc["bures_chi2"]),
             (qc["kl"], qc["reverse_bound"]),
             (qc["bures_sq"], qc["hellinger_sq"]),
             (qc["hellinger_sq"], 2.0 * qc["bures_sq"]),

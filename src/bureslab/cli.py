@@ -37,7 +37,6 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
             ("trace_distance <= bures", chain["trace_distance"],
              math.sqrt(chain["bures_sq"])),
             ("bures_sq <= kl", chain["bures_sq"], chain["kl"]),
-            ("kl <= bures_chi2", chain["kl"], chain["bures_chi2"]),
             ("kl <= reverse_bound", chain["kl"], chain["reverse_bound"]),
             ("bures_sq <= hellinger_sq", chain["bures_sq"], h2),
             ("hellinger_sq <= 2 bures_sq", h2, 2.0 * chain["bures_sq"]),

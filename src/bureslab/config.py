@@ -10,8 +10,15 @@ the derivations are documented next to each routine.
 # tolerances (exact linear-algebra identities vs float noise)
 # ---------------------------------------------------------------------------
 
-#: eigenvalues below this are treated as zero when inverting or restricting
+#: eigenvalues at or below this are treated as zero when inverting
 SPECTRAL_CUTOFF = 1e-12
+
+#: smallest pass probability tr rho[S] the lab conditions on.  The
+#: conditional state rho[S] / tr rho[S] carries rho's round-off amplified
+#: by 1 / tr rho[S]: at this floor that is ~1e-12, inside PSD_TOL; below
+#: it the block is mostly noise and is left unresolved (linalg.restrict).
+#: The staged learner's eps_tilde must lie above it (central_params).
+PASS_MASS_FLOOR = 1e-6
 
 #: max allowed |A - A^dagger| entry for inputs declared Hermitian
 HERMITIAN_TOL = 1e-12

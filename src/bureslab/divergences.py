@@ -314,10 +314,15 @@ def quantum_mutual_information(rho: np.ndarray, d_a: int, d_b: int) -> float:
 def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:
     """All quantities in the quantum divergence chain, for two matrices.
 
-    The chain: H^2/2 <= D_tr <= D_B <= sqrt(KL) <= sqrt(chi2), plus the
-    reverse bound KL <= (2 + max_log_ratio) * H^2 and the sandwich
-    D_B^2 <= H^2 <= 2 D_B^2.  Each state is diagonalized once and every
-    entry equals the matching public function on the two matrices.
+    The chain: H^2/2 <= D_tr <= D_B <= sqrt(KL), plus the reverse bound
+    KL <= (2 + max_log_ratio) * H^2 and the sandwich D_B^2 <= H^2 <= 2 D_B^2.
+    ``bures_chi2`` is reported but is no link: KL <= chi2 holds for the
+    Petz chi2, tr(rho^2 sigma^-1) - 1, not for the Bures chi2, the
+    smallest quantum chi2.  The pure state with amplitudes
+    (sqrt p, sqrt(1-p)) against its dephasing diag(p, 1-p) has
+    KL = H(p) = 0.0560 > Bures chi2 = 4p(1-p) = 0.0396 at p = 0.01.
+    Each state is diagonalized once and every entry equals the matching
+    public function on the two matrices.
     """
     dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
     h2 = hellinger_sq_q(dr, ds)

@@ -254,10 +254,15 @@ def mass_on(rho: np.ndarray, subset) -> float:
 
 
 def restrict(rho: np.ndarray, subset) -> np.ndarray | None:
-    """Conditional state rho[S] / tr rho[S], or None when the mass is ~0."""
+    """Conditional state rho[S] / tr rho[S], or None at or below the floor.
+
+    This is the one place the package forms a conditional state.  At a
+    pass mass tau <= PASS_MASS_FLOOR the block is left unresolved: its
+    normalized form would be round-off of rho amplified by 1 / tau.
+    """
     blk = submatrix(rho, subset)
     tau = np.trace(blk).real
-    if tau <= config.SPECTRAL_CUTOFF:
+    if tau <= config.PASS_MASS_FLOOR:
         return None
     return blk / tau
 

@@ -17,16 +17,14 @@ from rho without building or eigen-checking a matrix per outcome:
 
 Both hand ``sample_povm`` a vector of Born probabilities; a vector that
 dips below zero past round-off means the input was not a state, and the
-sampler raises instead of clipping it away.  Round-off is judged at the
-scale of the state the caller was given: inside :func:`conditioned`,
-conditional states normalized by a small pass probability are allowed
-their amplified round-off.
+sampler raises instead of clipping it away.  Every vector is judged at
+unit scale against PSD_TOL.  Conditional states are formed only above
+``config.PASS_MASS_FLOOR`` (:func:`filter_subset`), where round-off
+amplified by the pass probability stays far inside that tolerance.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 from dataclasses import dataclass, field
 
@@ -40,7 +38,6 @@ __all__ = [
     "Povm",
     "PairRound",
     "born_probabilities",
-    "conditioned",
     "sample_povm",
     "sample_basis",
     "filter_subset",
@@ -202,36 +199,15 @@ def born_probabilities(povm, rho: np.ndarray) -> np.ndarray:
     return povm.probabilities(rho)
 
 
-#: pass probability of the conditioning the current block measures under
-_MASS = contextvars.ContextVar("conditioning_mass", default=1.0)
-
-
-@contextlib.contextmanager
-def conditioned(mass: float):
-    """Measure conditional states of pass probability ``mass`` in this block.
-
-    A conditional state rho_S / tr rho_S carries the round-off of rho
-    amplified by 1 / mass.  Inside the block the sampler scales a
-    negative Born probability back by ``mass`` before comparing it with
-    PSD_TOL, so it is judged at the scale at which rho itself is a state.
-    """
-    token = _MASS.set(_MASS.get() * mass)
-    try:
-        yield
-    finally:
-        _MASS.reset(token)
-
-
 def _sampling_probs(raw: np.ndarray) -> np.ndarray:
     """Born probabilities made exact for sampling.
 
-    Round-off within PSD_TOL below zero (at the scale set by
-    :func:`conditioned`) is clipped and the vector is renormalized;
-    anything more negative means the measured matrix was not a state,
-    and raises.
+    Round-off within PSD_TOL below zero is clipped and the vector is
+    renormalized; anything more negative means the measured matrix was
+    not a state, and raises.
     """
     low = raw.min()
-    if low * _MASS.get() < -config.PSD_TOL:
+    if low < -config.PSD_TOL:
         raise ValueError(f"outcome probability {low:.3g} is negative: "
                          "the measured matrix is not a state")
     p = np.maximum(raw, 0.0)
@@ -270,7 +246,8 @@ def filter_subset(rho: np.ndarray, subset, k: int,
 
     Simulates the two-outcome measurement {P_S, Id - P_S}: returns the
     number of copies that landed inside S (binomial with mean k tr rho[S])
-    and the conditional state on success, or None when tr rho[S] is ~0.
+    and the conditional state on success, or None when tr rho[S] is at or
+    below ``config.PASS_MASS_FLOOR`` (see ``linalg.restrict``).
     """
     if budget is not None:
         budget.take(k)

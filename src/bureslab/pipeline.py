@@ -125,9 +125,11 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
     again and hands the survivors to :func:`make_state_diagonal` on the
     conditional state, rescaling its values by the observed pass rate.
     When too few copies survive for the base estimator (its
-    ``min_copies`` on the block), the observed mass is spread uniformly
-    instead.  The same code path serves both the high-mass and low-mass
-    regimes; only the analysis distinguishes them.
+    ``min_copies`` on the block), or the block's true mass is at or below
+    ``config.PASS_MASS_FLOOR`` (``filter_subset`` then returns no
+    conditional state), the observed mass is spread uniformly instead.
+    The same code path serves both the high-mass and low-mass regimes;
+    only the analysis distinguishes them.
     """
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
@@ -145,9 +147,7 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
         basis = np.eye(idx.size, dtype=complex)
         values = np.full(idx.size, scale / idx.size)
     else:
-        # cond is rho[S] / tr rho[S]: measured at the scale of rho
-        with ms.conditioned(linalg.mass_on(rho, idx)):
-            dig = make_state_diagonal(spec, cond, kept2, rng)
+        dig = make_state_diagonal(spec, cond, kept2, rng)
         basis = dig.vectors
         values = dig.values * scale
     theta = max(tau_hat / (100.0 * r),
@@ -189,7 +189,9 @@ def central_params(d: int, r: int, f: float, m: int,
     """Validate and derive the staged algorithm's parameter set.
 
     Raises ParameterError when the budget is too small for the accuracy
-    bookkeeping to close (eps_tilde >= 1 or eps above the ceiling).
+    bookkeeping to close (eps_tilde >= 1 or eps above the ceiling), or so
+    large that eps_tilde falls to PASS_MASS_FLOOR, below which the lab
+    resolves no block mass.
     """
     if not 1 <= r <= d:
         raise ParameterError(f"rank must be in [1, {d}]")
@@ -205,6 +207,10 @@ def central_params(d: int, r: int, f: float, m: int,
     if eps_tilde >= 1.0:
         raise ParameterError(
             f"stage budget {m} gives eps_tilde {eps_tilde:.3g} >= 1")
+    if eps_tilde <= config.PASS_MASS_FLOOR:
+        raise ParameterError(
+            f"stage budget {m} gives eps_tilde {eps_tilde:.3g} at or below "
+            f"the pass-mass floor {config.PASS_MASS_FLOOR:g}")
     if variant == 1:
         l_max = math.ceil(math.log2(1.0 / eps_tilde))
         eps = eps_tilde * l_max

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from bureslab import accept, cli
+from bureslab import accept, cli, divergences as dv
 
 
 def test_parser_accepts_every_verb():
@@ -31,6 +32,19 @@ def test_divergence_prints_chain_and_passes(capsys):
     assert "bures_chi2" in out
     assert "PASS  kl <= reverse_bound" in out
     assert "FAIL" not in out
+
+
+def test_chain_verdicts_hold_where_kl_exceeds_bures_chi2():
+    """Every quantum link the CLI checks holds on the pair where KL >
+    Bures chi2; that comparison is not among them."""
+    p = 0.01
+    psi = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
+    chain = dv.quantum_chain(np.outer(psi, psi.conj()),
+                             np.diag([p, 1 - p]).astype(complex))
+    assert chain["kl"] > chain["bures_chi2"]
+    verdicts = cli._chain_verdicts(chain, quantum=True)
+    assert all("bures_chi2" not in name for name, _, _ in verdicts)
+    assert all(lhs <= rhs + cli.SLACK for _, lhs, rhs in verdicts)
 
 
 def test_tomography_inline_scenario(capsys):

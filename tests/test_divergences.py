@@ -146,8 +146,25 @@ class TestQuantum:
             assert 0.5 * c["hellinger_sq"] <= c["trace_distance"] + 1e-9
             assert c["trace_distance"] <= np.sqrt(c["bures_sq"]) + 1e-9
             assert c["bures_sq"] <= c["kl"] + 1e-9
-            assert c["kl"] <= c["bures_chi2"] + 1e-9
             assert c["kl"] <= c["reverse_bound"] + 1e-9
+
+    def test_kl_can_exceed_bures_chi2(self):
+        """The pure state (sqrt p, sqrt(1-p)) against its dephasing: KL is
+        the binary entropy H(p), Bures chi2 is 4p(1-p), and at p = 0.01
+        the first is larger.  The Petz chi2 tr(rho^2 sigma^-1) - 1 = 1
+        still bounds KL."""
+        p = 0.01
+        psi = np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex)
+        rho = np.outer(psi, psi.conj())
+        sigma = np.diag([p, 1 - p]).astype(complex)
+        c = dv.quantum_chain(rho, sigma)
+        entropy = -p * np.log(p) - (1 - p) * np.log(1 - p)
+        assert c["kl"] == pytest.approx(entropy, rel=1e-9)
+        assert c["bures_chi2"] == pytest.approx(4 * p * (1 - p), rel=1e-9)
+        assert round(c["kl"], 4) == 0.0560
+        assert round(c["bures_chi2"], 4) == 0.0396
+        petz = np.trace(rho @ rho @ np.linalg.inv(sigma)).real - 1.0
+        assert c["kl"] <= petz
 
     def test_quantum_chain_diagonalizes_each_state_once(self, monkeypatch):
         rho, sigma = random_pair(8, np.random.default_rng(71))

@@ -283,7 +283,7 @@ GOLDEN = [
           family="geometric_spectrum", trials=2, master_seed=12),
      "3861355346e75abfefe4444b1923b3890d70408524d4c2e530d68ed293634252"),
     (dict(sid="g-chi2", target="chi2", d=4, r=2, trials=2, master_seed=13),
-     "78e60e41364c9e6880563facd0207c2a35cd9169bf3654a757e7d94aa9eaf9d3"),
+     "ff8e54da95c1dd1a07d635adf9faf0333452f2538a64bbd8fc89f4cf9d8b762d"),
     (dict(sid="g-kl", target="kl", d=3, r=3, family="geometric_spectrum",
           trials=2, master_seed=14),
      "32f7ce21bc7049ed86e2de5a8a12cae285319b60128ec8b76362906eb2e5b301"),
@@ -295,7 +295,7 @@ GOLDEN = [
      "1e2ae19e361febca066711158fe494a81be19f7d3773b328f2b3224e6e60f76b"),
     (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
           trials=2, master_seed=17),
-     "d5a82350c673402af278bfa077dec0accc60c26d9cc99d84d8a7eee5b66c1c77"),
+     "402f3123053b1d66839533a479d3b46466d6d0844b9af62bb126836590ab8ccb"),
 ]
 
 

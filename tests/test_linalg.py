@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bureslab import linalg
+from bureslab import config, linalg
 
 
 def test_eig_hermitian_ascending_and_reconstructs():
@@ -101,6 +101,14 @@ def test_mass_and_restrict():
     assert abs(np.trace(cond).real - 1.0) < 1e-14
     assert abs(cond[0, 0].real - 5 / 7) < 1e-12
     assert linalg.restrict(np.diag([1.0, 0.0, 0.0]).astype(complex), [1, 2]) is None
+    # at or below the pass-mass floor the block is left unresolved
+    floor = config.PASS_MASS_FLOOR
+    for tau in (floor * (1 - 1e-6), floor, floor * (1 + 1e-6)):
+        cond = linalg.restrict(np.diag([1.0 - tau, tau]).astype(complex), [1])
+        if tau > floor:
+            assert cond.shape == (1, 1) and abs(cond[0, 0] - 1.0) < 1e-9
+        else:
+            assert cond is None
 
 
 def test_partial_trace_of_product():

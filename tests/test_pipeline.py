@@ -108,12 +108,12 @@ def test_final_upgrade_starved_base_estimator():
     assert res.values.sum() == pytest.approx(res.kept_second / 12, abs=1e-12)
 
 
-def test_final_upgrade_measures_tiny_mass_blocks():
-    """A prefix of mass 1e-11 in a rotated frame conditions to a matrix
-    whose Born probabilities dip ~1e-6 below zero: round-off of the
-    parent state amplified by 1/mass.  The sampler refuses that matrix on
-    its own, and accepts it when final_upgrade measures it as a
-    conditional state."""
+def test_final_upgrade_spreads_sub_floor_mass_uniformly():
+    """A prefix of mass 1e-11 in a rotated frame, below PASS_MASS_FLOOR.
+    Normalized by hand, the block's Born probabilities dip ~1e-6 below
+    zero: round-off of the parent state amplified by 1/mass, which the
+    sampler refuses.  final_upgrade never forms that matrix: with plenty
+    of survivors it still takes the uniform branch."""
     rng = np.random.default_rng(223)
     d, tau = 16, 1e-11
     q = linalg.haar_unitary(d, rng)
@@ -122,16 +122,22 @@ def test_final_upgrade_measures_tiny_mass_blocks():
     w = np.roll(q, -1, axis=1)  # the dominant direction goes last
     rho_cur = w.conj().T @ rho @ w
     prefix = np.arange(d - 1)
-    cond = linalg.restrict(rho_cur, prefix)
+    blk = linalg.submatrix(rho_cur, prefix)
+    cond = blk / np.trace(blk).real
     with pytest.raises(ValueError, match="not a state"):
         for _, real_round, imag_round in ms.matching_povms(d - 1):
             ms.sample_povm(real_round, cond, 10, rng)
             ms.sample_povm(imag_round, cond, 10, rng)
+    assert linalg.restrict(rho_cur, prefix) is None
     simple = fb.parse_estimator("simple")
+    m_phase = 10 ** 13
     res = pl.final_upgrade(simple, rho_cur, prefix, r=1, delta=0.1,
-                           m_phase=10 ** 13, rng=rng)
-    assert res.kept_second >= 2 * (2 * (d - 1) + 1)  # the measured branch
-    assert res.values.sum() == pytest.approx(res.kept_second / 10 ** 13,
+                           m_phase=m_phase, rng=rng)
+    # enough survivors for the base estimator: the floor chose the branch
+    assert res.kept_second // 2 >= simple.min_copies(prefix.size)
+    assert np.array_equal(res.basis, np.eye(prefix.size))
+    assert np.all(res.values == res.values[0])
+    assert res.values.sum() == pytest.approx(res.kept_second / m_phase,
                                               abs=1e-12)
 
 
@@ -151,6 +157,13 @@ class TestCentralParams:
     def test_rejects_small_budget(self):
         with pytest.raises(pl.ParameterError):
             pl.central_params(4, 2, 16.0, 10_000)
+
+    def test_rejects_eps_tilde_at_pass_mass_floor(self):
+        d, r, f = 4, 1, 4.0
+        assert pl.central_params(d, r, f, 10 ** 14).eps_tilde \
+            > config.PASS_MASS_FLOOR
+        with pytest.raises(pl.ParameterError, match="pass-mass floor"):
+            pl.central_params(d, r, f, 10 ** 15)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(pl.ParameterError):
