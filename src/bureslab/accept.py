@@ -292,10 +292,10 @@ def _staged_accuracy():
 def _indexed_tail(rho_t: np.ndarray, q: np.ndarray, ell: int) -> float:
     """Tail error over pairs whose larger coordinate leaves the prefix.
 
-    Each pair is weighted by 2/q at that coordinate.  Unlike
-    dv.bures_chi2_tail this takes q as-is: the relearning pass can
-    leave small orderings inversions between the prefix and the
-    retained block, which the index-based weights do not care about.
+    Each pair is weighted by 2/q at that coordinate.  q is taken as-is,
+    not required to ascend: the relearning pass can leave small ordering
+    inversions between the prefix and the retained block, which the
+    index-based weights do not care about.
     """
     d = q.size
     tau = rho_t - np.diag(q)
@@ -464,7 +464,7 @@ def _quantum_tester():
                 joint = linalg.correlated_pair_state(d, lam)
             sig, tau, _ = mt.learn_product_quantum(
                 joint, d, d, plan["eps_learn"], rng)
-            product = linalg.bipartite_product(sig, tau)
+            product = np.kron(sig, tau)
             accept = mt.hellinger_gap_verdict(
                 dv.hellinger_sq_q(joint, product), plan["eps_t"])
             ma = linalg.partial_trace(joint, d, d, "A")

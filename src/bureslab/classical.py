@@ -1,9 +1,9 @@
 """Estimators for discrete distributions from iid counts.
 
-The quantum pipeline reduces everything to three classical primitives:
-the plain empirical estimator (squared-l2 control), an add-one smoothed
-estimator (chi-square control on a chosen subset), and a median-of-batches
-two-outcome estimator (high-probability chi-square control).
+The quantum pipeline reduces everything to two classical primitives:
+an add-one smoothed estimator (chi-square control on a chosen subset)
+and a median-of-batches two-outcome estimator (high-probability
+chi-square control).
 
 High-probability statements are phrased through the effective sample
 count m_delta = m / (CONF_SCALE * ln(1/delta)): with m samples, events
@@ -21,11 +21,7 @@ from . import config
 __all__ = [
     "effective_samples",
     "mass_floor",
-    "empirical",
     "add_one_hybrid",
-    "add_one_chi2_bound",
-    "add_one_expected_chi2",
-    "chi2_of_product",
     "two_outcome_median",
 ]
 
@@ -44,65 +40,19 @@ def mass_floor(m: int, delta: float) -> float:
     return 1.0 / effective_samples(m, delta)
 
 
-def empirical(counts, m: int) -> np.ndarray:
-    """counts / m.  Expected squared-l2 error on any subset S is at most
-    (mass of S) / m, by the binomial variance of each coordinate."""
-    counts = np.asarray(counts, dtype=float)
-    if m <= 0:
-        raise ValueError("m must be positive")
-    return counts / m
-
-
 def add_one_hybrid(counts, m: int, subset) -> np.ndarray:
     """Add-one smoothing on a subset: q_i = (counts_i + [i in S]) / (m + |S|).
 
     Defined for every coordinate; only the S-block carries the guarantee
-    E[chi2(p[S] || q[S])] <= 2|S|/m (see add_one_chi2_bound for the sharp
-    form).  Smoothing keeps q positive on S, so the chi-square against the
-    true restriction is finite no matter how the counts fall.
+    E[chi2(p[S] || q[S])] <= 2|S|/m.  Smoothing keeps q positive on S, so
+    the chi-square against the true restriction is finite no matter how
+    the counts fall.
     """
     counts = np.asarray(counts, dtype=float)
     s_mask = np.zeros(counts.size, dtype=float)
     s_mask[np.asarray(subset, dtype=int)] = 1.0
     s = int(s_mask.sum())
     return (counts + s_mask) / (m + s)
-
-
-def add_one_chi2_bound(mass: float, m: int, s: int) -> float:
-    """First-moment bound on E[chi2(p[S] || q[S])] for the add-one estimator.
-
-        s/(m+s) + ( (s-1)^2 / ((m+1)(m+s)) - 1/(m+s) ) * mass
-
-    where mass = ||p[S]||_1.  At full support and mass 1 this collapses to
-    (s-1)/(m+1); it is always at most 2s/m.
-    """
-    if s <= 0 or m <= 0:
-        raise ValueError("m and s must be positive")
-    return s / (m + s) + ((s - 1) ** 2 / ((m + 1) * (m + s)) - 1 / (m + s)) * mass
-
-
-def add_one_expected_chi2(p, m: int, subset) -> float:
-    """Exact E[chi2(p[S] || q[S])] for add-one counts from Multinomial(m, p).
-
-    Sharpens the first-moment bound by the term that accounts for the
-    event of a coordinate receiving zero counts:
-
-        sum_{i in S}  1/(m+s)
-                    + ( (s-1)^2/((m+1)(m+s)) - 1/(m+s)
-                        - ((m+s)/(m+1)) (1-p_i)^{m+1} ) * p_i
-    """
-    p = np.asarray(p, dtype=float)
-    idx = np.asarray(subset, dtype=int)
-    s = idx.size
-    pi = p[idx]
-    lin = (s - 1) ** 2 / ((m + 1) * (m + s)) - 1 / (m + s)
-    miss = ((m + s) / (m + 1)) * (1.0 - pi) ** (m + 1)
-    return float(np.sum(1.0 / (m + s) + (lin - miss) * pi))
-
-
-def chi2_of_product(e1: float, e2: float) -> float:
-    """chi2 of a product pair from the factors': (1+e1)(1+e2) - 1, exactly."""
-    return (1.0 + e1) * (1.0 + e2) - 1.0
 
 
 def two_outcome_median(draw, eps: float, delta: float):

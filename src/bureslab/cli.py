@@ -4,7 +4,9 @@ Verbs: `divergence` prints the divergence chain between two lab states
 and checks its orderings; `tomography run` executes one scenario;
 `mi-test` exercises a product tester arm; `bench` sweeps a copy-budget
 grid and fits the scaling law; `accept` runs the acceptance suite.
-Every verb exits 0 only if all guarantees it executed passed.
+Every verb exits 0 only if all guarantees it executed passed, 1 if one
+failed, and 2 with one ``error:`` line on standard error if its
+parameters were rejected.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import numpy as np
 from . import divergences as dv
 from . import harness as hz
 from . import linalg
+from . import measurement as ms
+from . import pipeline as pl
 
 SLACK = 1e-9
 
@@ -152,7 +156,7 @@ def cmd_bench(args) -> int:
         return 2
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
-    slope, intercept, r2 = hz.fit_scaling(records, x="n", y=loss)
+    slope, intercept, r2 = hz.fit_scaling(records, y=loss)
     print(f"slope {slope:.4f}  level {math.exp(intercept):.4g}  r2 {r2:.4f}")
     failures = 0
     slope_ok = abs(slope + 1.0) <= 0.15
@@ -171,6 +175,11 @@ def cmd_accept(args) -> int:
     only = None
     if args.only:
         only = sorted(int(x) for x in args.only.split(","))
+        unknown = set(only) - {number for number, _, _ in accept.CRITERIA}
+        if unknown:
+            print(f"error: unknown criterion numbers: {sorted(unknown)}",
+                  file=sys.stderr)
+            return 2
     results = accept.acceptance_suite(only=only)
     failures = 0
     report = []
@@ -262,7 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (pl.ParameterError, ms.BudgetExhausted) as exc:
+        # a parameter set outside the guaranteed regime, found only once
+        # the run plans its budget or hands an estimator too few copies
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

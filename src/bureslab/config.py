@@ -28,10 +28,6 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
-#: tolerance for algebraic identities verified end to end (reconstruction,
-#: projector overlap vs fidelity, basis-change invariance)
-RECON_TOL = 1e-9
-
 # ---------------------------------------------------------------------------
 # confidence schedule
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from . import config, linalg
 
 __all__ = [
     "total_variation",
-    "bhattacharyya",
     "hellinger_sq",
     "kl_divergence",
     "chi_sq_divergence",
@@ -51,10 +50,8 @@ __all__ = [
     "max_log_ratio_q",
     "bures_chi2",
     "bures_chi2_in_basis",
-    "bures_chi2_tail",
     "quantum_mutual_information",
     "quantum_chain",
-    "reverse_pinsker_bound",
     "kl_from_infidelity_bound",
 ]
 
@@ -77,12 +74,6 @@ def _weights(p) -> np.ndarray:
 def total_variation(p, q) -> float:
     p, q = _weights(p), _weights(q)
     return float(0.5 * np.sum(np.abs(p - q)))
-
-
-def bhattacharyya(p, q) -> float:
-    """Overlap coefficient sum_i sqrt(p_i q_i)."""
-    p, q = _weights(p), _weights(q)
-    return float(np.sum(np.sqrt(p * q)))
 
 
 def hellinger_sq(p, q) -> float:
@@ -275,35 +266,6 @@ def bures_chi2(rho: np.ndarray, sigma) -> float:
     return bures_chi2_in_basis(rho_t, dec.values)
 
 
-def bures_chi2_tail(rho_t: np.ndarray, q, ell: int) -> float:
-    """The hat-weighted sum restricted to entries with max(i,j) >= ell.
-
-    The hat bound weights entry (i, j) by 1/q_max(i,j) and dominates the
-    full divergence; ``ell = 0`` gives the whole hat bound.  With L the
-    prefix {0, .., ell-1}, this is the part of the hat bound that
-    survives outside the L-block; the full divergence is at most
-    (L-block divergence) + (this tail).  ``q`` must be nondecreasing.
-    """
-    rho_t = np.asarray(rho_t, dtype=complex)
-    q = _weights(q)
-    d = q.size
-    if not 0 <= ell <= d:
-        raise ValueError(f"ell must be in [0, {d}]")
-    if np.any(np.diff(q) < -config.SPECTRAL_CUTOFF):
-        raise ValueError("reference eigenvalues must be nondecreasing")
-    q = linalg.spectral_cutoff(q)
-    tau = rho_t - np.diag(q)
-    i = np.arange(d)
-    qmax = q[np.maximum(i[:, None], i[None, :])]
-    sel = np.maximum(i[:, None], i[None, :]) >= ell
-    num = 2.0 * np.abs(tau) ** 2
-    bad = sel & (qmax == 0.0) & (np.abs(tau) > _ZERO_NUM)
-    if np.any(bad):
-        return float("inf")
-    ok = sel & (qmax > 0.0)
-    return float(np.sum(num[ok] / qmax[ok]))
-
-
 def quantum_mutual_information(rho: np.ndarray, d_a: int, d_b: int) -> float:
     """Relative entropy of a bipartite state from the product of marginals."""
     ra = linalg.partial_trace(rho, d_a, d_b, "A")
@@ -337,15 +299,6 @@ def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:
     out["reverse_bound"] = (2.0 + out["max_log_ratio"]) * h2 \
         if np.isfinite(out["max_log_ratio"]) else float("inf")
     return out
-
-
-def reverse_pinsker_bound(rho, sigma) -> float:
-    """(2 + max_log_ratio) * H^2, an upper bound on the relative entropy."""
-    dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
-    m = max_log_ratio_q(dr, ds)
-    if not np.isfinite(m):
-        return float("inf")
-    return (2.0 + m) * hellinger_sq_q(dr, ds)
 
 
 def kl_from_infidelity_bound(d: int, eps: float) -> float:

@@ -36,19 +36,18 @@ class EstimatorSpec:
 
     ``run(rho, budget, rng)`` returns a Hermitian estimate after drawing
     from ``budget``; ``rate(d, r)`` is the f in the error promise f/m.
-    ``kind`` is "measured" or "oracle".  ``min_copies(d)`` is the
-    fewest copies ``run`` accepts at dimension d.
+    ``min_copies(d)`` is the fewest copies ``run`` accepts at
+    dimension d.
     """
 
     name: str
-    kind: str
     rate: Callable[[int, int], float]
     run: Callable[[np.ndarray, ms.CopyBudget, np.random.Generator], np.ndarray]
     min_copies: Callable[[int], int] = lambda d: 1
 
 
-def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
-                     budget: ms.CopyBudget | None = None) -> np.ndarray:
+def simple_frobenius(rho: np.ndarray, shots: int,
+                     rng: np.random.Generator) -> np.ndarray:
     """Measured estimate of every matrix entry, ``shots`` per POVM.
 
     Each matching round contributes two POVMs (real and imaginary
@@ -61,15 +60,15 @@ def simple_frobenius(rho: np.ndarray, shots: int, rng: np.random.Generator,
     d = rho.shape[0]
     est = np.zeros((d, d), dtype=complex)
     for _, real_round, imag_round in ms.matching_povms(d):
-        cr = ms.sample_povm(real_round, rho, shots, rng, budget) / shots
-        ci = ms.sample_povm(imag_round, rho, shots, rng, budget) / shots
+        cr = ms.sample_povm(real_round, rho, shots, rng) / shots
+        ci = ms.sample_povm(imag_round, rho, shots, rng) / shots
         i, j = real_round.rows, real_round.cols
         plus, minus = real_round.plus, real_round.minus
         re = (cr[plus] - cr[minus]) / 2.0
         im = (ci[plus] - ci[minus]) / 2.0
         est[i, j] = re + 1j * im
         est[j, i] = re - 1j * im
-    diag = ms.sample_basis(rho, shots, rng, budget) / shots
+    diag = ms.sample_basis(rho, shots, rng) / shots
     est[np.diag_indices(d)] = diag
     return est
 
@@ -132,7 +131,7 @@ def parse_estimator(text: str, r: int = None) -> EstimatorSpec:
     """
     if text == "simple":
         return EstimatorSpec(
-            name="simple", kind="measured",
+            name="simple",
             rate=lambda d, r: config.K_ACC * d * d,
             run=_simple_runner, min_copies=_simple_min_copies)
     if text.startswith("oracle:f="):
@@ -149,5 +148,5 @@ def parse_estimator(text: str, r: int = None) -> EstimatorSpec:
             budget.take(m)
             return est
 
-        return EstimatorSpec(name=text, kind="oracle", rate=rate, run=runner)
+        return EstimatorSpec(name=text, rate=rate, run=runner)
     raise ValueError(f"unknown estimator {text!r}")

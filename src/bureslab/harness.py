@@ -118,6 +118,9 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'master_seed': must fit in 64 bits")
     if s.variant not in (1, 2):
         raise ScenarioError("field 'variant': must be 1 or 2")
+    if s.target == "mi" and s.variant != 1:
+        raise ScenarioError("field 'variant': the mi target learns its "
+                            "marginals with variant 1 only")
     if not 0.0 <= s.lam <= 1.0:
         raise ScenarioError("field 'lam': must lie in [0, 1]")
     try:
@@ -339,24 +342,16 @@ def run_scenario(s: Scenario, workers: int = 1) -> list:
 # analysis
 # ---------------------------------------------------------------------------
 
-def _x_value(record: TrialRecord, x: str) -> float:
-    if x == "n":
-        return float(record.n_used)
-    if x == "eps":
-        return float(record.point)
-    raise ValueError("x must be 'n' or 'eps'")
-
-
-def fit_scaling(records, x: str = "n", y: str = "frob_sq"):
+def fit_scaling(records, y: str = "frob_sq"):
     """Least squares on log-log means: returns (slope, intercept, r2).
 
-    Records are grouped by the x value (copies used or the accuracy
-    point), the chosen loss is averaged within each group, and the fit
-    runs on the log of both.  Constant data fits slope 0 with r2 = 1.
+    Records are grouped by copies used, the chosen loss is averaged
+    within each group, and the fit runs on the log of both.  Constant
+    data fits slope 0 with r2 = 1.
     """
     groups: dict = {}
     for rec in records:
-        groups.setdefault(_x_value(rec, x), []).append(rec.losses[y])
+        groups.setdefault(float(rec.n_used), []).append(rec.losses[y])
     if len(groups) < 2:
         raise ValueError("need at least two distinct x values to fit")
     xs = np.array(sorted(groups))

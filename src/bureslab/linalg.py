@@ -26,14 +26,12 @@ __all__ = [
     "psd_sqrt",
     "frob_sq",
     "trace_norm",
-    "conjugate",
     "hermitian_part",
     "haar_unitary",
     "random_pure",
     "random_density",
     "maximally_mixed",
     "geometric_spectrum_state",
-    "bipartite_product",
     "correlated_pair_state",
     "submatrix",
     "embed",
@@ -80,8 +78,7 @@ class SpectralDecomposition:
     ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Values
     are raw: they may dip below zero when produced from a noisy matrix
     estimate, which is exactly what keeps the diagonalization error
-    identity of ``pipeline.diagonalize_estimate`` exact.  Use
-    :meth:`clipped` when a genuine spectrum is needed.
+    identity of ``pipeline.diagonalize_estimate`` exact.
     """
 
     values: np.ndarray
@@ -93,10 +90,6 @@ class SpectralDecomposition:
 
     def matrix(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
-
-    def clipped(self) -> "SpectralDecomposition":
-        return SpectralDecomposition(np.clip(self.values, 0.0, None),
-                                     self.vectors)
 
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
@@ -154,11 +147,6 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def conjugate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """u a u^dagger."""
-    return u @ a @ u.conj().T
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(a + a^dagger)/2, the closest Hermitian matrix in Frobenius norm."""
     a = np.asarray(a, dtype=complex)
@@ -208,10 +196,6 @@ def geometric_spectrum_state(d: int, rng: np.random.Generator,
     w /= w.sum()
     u = haar_unitary(d, rng)
     return (u * w) @ u.conj().T
-
-
-def bipartite_product(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    return np.kron(rho_a, rho_b)
 
 
 def correlated_pair_state(d: int, lam: float) -> np.ndarray:

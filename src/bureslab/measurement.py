@@ -37,7 +37,6 @@ __all__ = [
     "CopyBudget",
     "Povm",
     "PairRound",
-    "born_probabilities",
     "sample_povm",
     "sample_basis",
     "filter_subset",
@@ -115,10 +114,6 @@ class Povm:
         """Rank-one POVM of projectors onto the columns of a unitary."""
         return cls(basis=u)
 
-    @classmethod
-    def computational(cls, d: int) -> "Povm":
-        return cls.from_basis(np.eye(d))
-
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """<u_k|rho|u_k> = Re sum_i conj(u_ik) (rho u)_ik for each column k."""
         u = self.basis
@@ -194,11 +189,6 @@ class PairRound:
         return p
 
 
-def born_probabilities(povm, rho: np.ndarray) -> np.ndarray:
-    """tr(E_k rho) for each outcome of a :class:`Povm` or :class:`PairRound`."""
-    return povm.probabilities(rho)
-
-
 def _sampling_probs(raw: np.ndarray) -> np.ndarray:
     """Born probabilities made exact for sampling.
 
@@ -226,22 +216,19 @@ def sample_povm(povm, rho: np.ndarray, k: int,
     """
     if budget is not None:
         budget.take(k)
-    p = _sampling_probs(born_probabilities(povm, rho))
+    p = _sampling_probs(povm.probabilities(rho))
     return rng.multinomial(k, p)
 
 
-def sample_basis(rho: np.ndarray, k: int, rng: np.random.Generator,
-                 budget: CopyBudget | None = None) -> np.ndarray:
+def sample_basis(rho: np.ndarray, k: int,
+                 rng: np.random.Generator) -> np.ndarray:
     """Computational-basis counts; probabilities are just diag(rho)."""
-    if budget is not None:
-        budget.take(k)
     p = _sampling_probs(np.diag(np.asarray(rho)).real)
     return rng.multinomial(k, p)
 
 
 def filter_subset(rho: np.ndarray, subset, k: int,
-                  rng: np.random.Generator,
-                  budget: CopyBudget | None = None):
+                  rng: np.random.Generator):
     """Project k copies onto the span of basis subset S.
 
     Simulates the two-outcome measurement {P_S, Id - P_S}: returns the
@@ -249,8 +236,6 @@ def filter_subset(rho: np.ndarray, subset, k: int,
     and the conditional state on success, or None when tr rho[S] is at or
     below ``config.PASS_MASS_FLOOR`` (see ``linalg.restrict``).
     """
-    if budget is not None:
-        budget.take(k)
     tau = min(max(linalg.mass_on(rho, subset), 0.0), 1.0)
     kept = int(rng.binomial(k, tau)) if k > 0 else 0
     cond = linalg.restrict(rho, subset)

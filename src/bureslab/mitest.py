@@ -34,7 +34,6 @@ __all__ = [
     "depol_hellinger_shift",
     "mi_continuity_bound",
     "hellinger_mi_bound",
-    "uniform_product_joint",
     "correlated_joint",
     "learn_marginals",
     "pearson_null_variance",
@@ -46,8 +45,6 @@ __all__ = [
     "marginal_scale",
     "learn_marginal_floored",
     "learn_product_quantum",
-    "product_chi2_decomposition",
-    "product_chi2_controls",
     "hellinger_gap_verdict",
     "quantum_mi_test",
 ]
@@ -123,11 +120,6 @@ def hellinger_mi_bound(eta: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 # classical joint families
 # ---------------------------------------------------------------------------
-
-def uniform_product_joint(d: int) -> np.ndarray:
-    """The d x d uniform product table, MI exactly zero."""
-    return np.full((d, d), 1.0 / (d * d))
-
 
 def correlated_joint(d: int, lam: float) -> np.ndarray:
     """Uniform product blended with a perfectly correlated diagonal.
@@ -262,8 +254,8 @@ def pearson_identity_test(q, counts, n: int, eps_t: float,
     return TesterVerdict(accept=bool(statistic <= threshold), stats=stats)
 
 
-def classical_mi_test(joint, eps: float, rng: np.random.Generator,
-                      tester=pearson_identity_test) -> TesterVerdict:
+def classical_mi_test(joint, eps: float,
+                      rng: np.random.Generator) -> TesterVerdict:
     """One round of the classical MI test on a known joint table.
 
     Draws its own samples: a learning batch fixes add-one marginal
@@ -285,8 +277,8 @@ def classical_mi_test(joint, eps: float, rng: np.random.Generator,
     qa, qb = learn_marginals(counts_learn, plan["n_learn"])
     product = np.outer(qa, qb)
     counts_test = rng.multinomial(plan["n_test"], flat)
-    inner = tester(product.ravel(), counts_test, plan["n_test"],
-                   plan["eps_t"], rng)
+    inner = pearson_identity_test(product.ravel(), counts_test,
+                                  plan["n_test"], plan["eps_t"], rng)
     stats = dict(inner.stats)
     stats.update(plan)
     stats["n_total"] = plan["n_learn"] + plan["n_test"]
@@ -321,8 +313,7 @@ def marginal_scale(d: int, r: int, eps_learn: float) -> float:
 
 def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
                            rng: np.random.Generator, r: int | None = None,
-                           spec: fb.EstimatorSpec | None = None,
-                           variant: int = 1):
+                           spec: fb.EstimatorSpec | None = None):
     """Learn one marginal with the staged pipeline and blend in a floor.
 
     Returns (estimate, record).  The estimate carries eps_learn of
@@ -340,8 +331,7 @@ def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
     if not 0.0 < eps_learn < 0.5:
         raise pl.ParameterError("eps_learn must lie in (0, 1/2)")
     target = marginal_scale(d, r, eps_learn)
-    params = pl.budget_for_scale(d, r, spec.rate(d, r), target,
-                                 variant=variant)
+    params = pl.budget_for_scale(d, r, spec.rate(d, r), target)
     out = pl.staged_learn(rho, spec, params, rng)
     est = pl.to_chi2(out, eta=eps_learn)
     floor = float(np.linalg.eigvalsh(est)[0])
@@ -359,8 +349,7 @@ def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
 def learn_product_quantum(rho_joint: np.ndarray, d_a: int, d_b: int,
                           eps_learn: float, rng: np.random.Generator,
                           r: int | None = None,
-                          spec: fb.EstimatorSpec | None = None,
-                          variant: int = 1):
+                          spec: fb.EstimatorSpec | None = None):
     """Learn both marginals of a bipartite state as floored estimates.
 
     Local algorithms on disjoint subsystems can share copies, so every
@@ -374,109 +363,13 @@ def learn_product_quantum(rho_joint: np.ndarray, d_a: int, d_b: int,
     rho_a = linalg.partial_trace(rho_joint, d_a, d_b, keep="A")
     rho_b = linalg.partial_trace(rho_joint, d_a, d_b, keep="B")
     sigma_hat, rec_a = learn_marginal_floored(rho_a, eps_learn, rng,
-                                              r=r, spec=spec, variant=variant)
+                                              r=r, spec=spec)
     tau_hat, rec_b = learn_marginal_floored(rho_b, eps_learn, rng,
-                                            r=r, spec=spec, variant=variant)
+                                            r=r, spec=spec)
     record = {"a": rec_a, "b": rec_b,
               "joint_copies": max(rec_a["consumed"], rec_b["consumed"]),
               "floor_ok": rec_a["floor_ok"] and rec_b["floor_ok"]}
     return sigma_hat, tau_hat, record
-
-
-# ---------------------------------------------------------------------------
-# product decomposition of the Bures chi-square
-# ---------------------------------------------------------------------------
-
-def _aligned(xi, rho, sigma_hat, tau_hat):
-    """Rotate each factor into its reference's eigenbasis."""
-    dec_s = linalg.eig_hermitian(np.asarray(sigma_hat, dtype=complex))
-    dec_t = linalg.eig_hermitian(np.asarray(tau_hat, dtype=complex))
-    s, t = dec_s.values, dec_t.values
-    if s[0] <= 0.0 or t[0] <= 0.0:
-        raise pl.ParameterError("references must have positive spectrum")
-    xi_t = linalg.conjugate(dec_s.vectors.conj().T,
-                            np.asarray(xi, dtype=complex))
-    rho_t = linalg.conjugate(dec_t.vectors.conj().T,
-                             np.asarray(rho, dtype=complex))
-    return xi_t, rho_t, s, t
-
-
-def _off_diag_sum(a: np.ndarray, w: np.ndarray) -> float:
-    """Off-diagonal Bures chi-square block: sum 2|a_ij|^2 / (w_i + w_j)."""
-    val = 2.0 * np.abs(a) ** 2 / (w[:, None] + w[None, :])
-    np.fill_diagonal(val, 0.0)
-    return float(val.sum())
-
-
-def product_chi2_decomposition(xi, rho, sigma_hat, tau_hat) -> dict:
-    """Exact block split of D(xi x rho || sigma_hat x tau_hat).
-
-    Works in the product eigenbasis of the references and sums the
-    Bures chi-square terms by index class: both coordinate pairs
-    diagonal (on_on), exactly one diagonal (on_off), neither (off_off).
-    The sums are direct, with the 4-index class materialized as a
-    tensor, so keep the marginal dimensions modest.  All reference
-    eigenvalues must be positive, which the floored learner guarantees.
-    """
-    xi_t, rho_t, s, t = _aligned(xi, rho, sigma_hat, tau_hat)
-    x = np.real(np.diag(xi_t))
-    y = np.real(np.diag(rho_t))
-    ds, dt = s.size, t.size
-    eye_a = np.eye(ds, dtype=bool)
-    eye_b = np.eye(dt, dtype=bool)
-    a2 = np.abs(xi_t) ** 2
-    b2 = np.abs(rho_t) ** 2
-
-    st = np.outer(s, t)
-    on_on = float(np.sum((np.outer(x, y) - st) ** 2 / st))
-
-    # a = b, i != j: entries xi_aa rho_ij over s_a (t_i + t_j)
-    val_row = 2.0 * (x ** 2)[:, None, None] * b2[None, :, :] \
-        / (s[:, None, None] * (t[:, None] + t[None, :])[None, :, :])
-    val_row[:, eye_b] = 0.0
-    # i = j, a != b: entries xi_ab rho_ii over (s_a + s_b) t_i
-    val_col = 2.0 * a2[:, :, None] * (y ** 2)[None, None, :] \
-        / ((s[:, None] + s[None, :])[:, :, None] * t[None, None, :])
-    val_col[eye_a, :] = 0.0
-    on_off = float(val_row.sum() + val_col.sum())
-
-    num = 2.0 * a2[:, :, None, None] * b2[None, None, :, :]
-    den = st[:, None, :, None] + st[None, :, None, :]
-    mask = eye_a[:, :, None, None] | eye_b[None, None, :, :]
-    ratio = num / den
-    ratio[mask] = 0.0
-    off_off = float(ratio.sum())
-
-    return {"on_on": on_on, "on_off": on_off, "off_off": off_off,
-            "total": on_on + on_off + off_off}
-
-
-def product_chi2_controls(xi, rho, sigma_hat, tau_hat) -> dict:
-    """Closed forms controlling each block of the product decomposition.
-
-    on_on multiplies through the diagonal chi-squares exactly, on_off
-    factorizes exactly into one-sided off-diagonal sums, and off_off is
-    bounded by their product scaled through the spectrum floor: when
-    every reference eigenvalue is at least floor_eps / d, the cross
-    denominators cost at most a d / floor_eps blow-up.
-    """
-    xi_t, rho_t, s, t = _aligned(xi, rho, sigma_hat, tau_hat)
-    x = np.real(np.diag(xi_t))
-    y = np.real(np.diag(rho_t))
-    chi_x = dv.chi_sq_divergence(x, s)
-    chi_y = dv.chi_sq_divergence(y, t)
-    off_xi = _off_diag_sum(xi_t, s)
-    off_rho = _off_diag_sum(rho_t, t)
-    d = max(s.size, t.size)
-    floor_eps = d * float(min(s[0], t[0]))
-    return {
-        "chi_x": chi_x, "chi_y": chi_y,
-        "off_xi": off_xi, "off_rho": off_rho,
-        "on_on": (1.0 + chi_x) * (1.0 + chi_y) - 1.0,
-        "on_off": (1.0 + chi_x) * off_rho + (1.0 + chi_y) * off_xi,
-        "off_off_bound": (d / floor_eps) * off_xi * off_rho,
-        "floor_eps": floor_eps,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +397,7 @@ def quantum_mi_test(rho_joint, d_a: int, d_b: int, eps: float,
     plan = quantum_mi_plan(max(d_a, d_b), eps)
     sigma_hat, tau_hat, record = learn_product_quantum(
         rho_joint, d_a, d_b, plan["eps_learn"], rng, r=r, spec=spec)
-    product = linalg.bipartite_product(sigma_hat, tau_hat)
+    product = np.kron(sigma_hat, tau_hat)
     stats = dict(plan)
     stats["learning"] = record
     stats["joint_copies"] = record["joint_copies"]

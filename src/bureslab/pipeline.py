@@ -355,8 +355,7 @@ def _tail_rule_topk(values: np.ndarray, r: int) -> int:
 
 
 def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
-                 rng: np.random.Generator,
-                 budget: ms.CopyBudget | None = None) -> CentralOutput:
+                 rng: np.random.Generator) -> CentralOutput:
     """Peel large eigenvalues off a shrinking prefix, then relearn.
 
     Each stage spends params.m copies on a filtered two-phase estimate of
@@ -369,8 +368,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     retained suffix.
     """
     d, r, m = params.d, params.r, params.m
-    if budget is None:
-        budget = ms.CopyBudget(total=params.total)
+    budget = ms.CopyBudget(total=params.total)
     v_acc = np.eye(d, dtype=complex)
     rho_cur = np.asarray(rho, dtype=complex)
     out = CentralOutput(params=params, frame=v_acc, prefix=d,
@@ -508,8 +506,7 @@ def to_kl(rho_hat: np.ndarray, eps: float):
 # ---------------------------------------------------------------------------
 
 def qubit_learn(rho: np.ndarray, eps: float, delta: float,
-                rng: np.random.Generator,
-                budget: ms.CopyBudget | None = None):
+                rng: np.random.Generator):
     """Single-qubit estimate with Bures chi-square eps at confidence delta.
 
     Copy count n = ceil(QUBIT_SCALE ln(1/delta) / eps), no log(1/eps)
@@ -526,8 +523,6 @@ def qubit_learn(rho: np.ndarray, eps: float, delta: float,
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     n = math.ceil(config.QUBIT_SCALE * math.log(1.0 / delta) / eps)
-    if budget is not None:
-        budget.take(n)
     quarter = n // 4
     if quarter < 1:
         raise ParameterError("budget rounds to zero per axis")

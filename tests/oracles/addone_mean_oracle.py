@@ -3,7 +3,7 @@
 Computes E[chi2(p[S] || q[S])] by direct summation over the binomial
 marginal of each coordinate's count (q_i depends on coordinate i's count
 only, so no multinomial enumeration is needed).  This shares no code with
-bureslab.classical.add_one_expected_chi2.
+the closed form analysis.add_one_expected_chi2.
 
 Run:  python tests/oracles/addone_mean_oracle.py
 """

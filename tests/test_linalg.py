@@ -115,7 +115,7 @@ def test_partial_trace_of_product():
     rng = np.random.default_rng(37)
     a = linalg.random_density(3, 3, rng)
     b = linalg.random_density(4, 2, rng)
-    joint = linalg.bipartite_product(a, b)
+    joint = np.kron(a, b)
     assert np.max(np.abs(linalg.partial_trace(joint, 3, 4, "A") - a)) < 1e-12
     assert np.max(np.abs(linalg.partial_trace(joint, 3, 4, "B") - b)) < 1e-12
 

@@ -19,7 +19,7 @@ def test_copy_budget_accounting():
 
 
 def test_povm_validation():
-    good = ms.Povm.computational(3)
+    good = ms.Povm.from_basis(np.eye(3))
     assert good.n_outcomes == 3 and good.dim == 3
     assert good.labels == (0, 1, 2)
     with pytest.raises(ValueError, match="not unitary"):
@@ -49,7 +49,7 @@ def test_born_probabilities_sum_to_one():
     rho = linalg.random_density(4, 4, rng)
     u = linalg.haar_unitary(4, rng)
     povm = ms.Povm.from_basis(u)
-    p = ms.born_probabilities(povm, rho)
+    p = povm.probabilities(rho)
     assert p.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(p >= -1e-12)
     # basis probabilities are the rotated diagonal
@@ -60,7 +60,7 @@ def test_born_probabilities_sum_to_one():
 def test_sample_povm_counts_and_budget():
     rng = np.random.default_rng(11)
     rho = linalg.random_density(3, 3, rng)
-    povm = ms.Povm.computational(3)
+    povm = ms.Povm.from_basis(np.eye(3))
     budget = ms.CopyBudget(total=500)
     counts = ms.sample_povm(povm, rho, 200, rng, budget)
     assert counts.sum() == 200
@@ -113,8 +113,8 @@ def test_matching_povm_outcome_probabilities():
     d = 5
     rho = linalg.random_density(d, d, rng)
     for pairs, real_povm, imag_povm in ms.matching_povms(d):
-        pr = ms.born_probabilities(real_povm, rho)
-        pi = ms.born_probabilities(imag_povm, rho)
+        pr = real_povm.probabilities(rho)
+        pi = imag_povm.probabilities(rho)
         assert real_povm.labels == imag_povm.labels
         assert pr.sum() == pytest.approx(1.0, abs=1e-12)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -174,7 +174,7 @@ def test_closed_form_matches_dense_reference(d):
         u = linalg.haar_unitary(d, rng)
         # diag(U^dagger rho U) sums in another order than tr(E_k rho)
         assert np.max(np.abs(
-            ms.born_probabilities(ms.Povm.from_basis(u), rho)
+            ms.Povm.from_basis(u).probabilities(rho)
             - dense.DensePovm.from_basis(u).probabilities(rho))) <= 1e-14
         for shots in (1_000, 10 ** 12):
             seed = int(rng.integers(2 ** 32))
@@ -233,7 +233,7 @@ def test_sampler_rejects_non_states():
     with pytest.raises(ValueError, match="not a state"):
         ms.sample_basis(not_psd, 10, rng)
     with pytest.raises(ValueError, match="not a state"):
-        ms.sample_povm(ms.Povm.computational(2), not_psd, 10, rng)
+        ms.sample_povm(ms.Povm.from_basis(np.eye(2)), not_psd, 10, rng)
     # unit trace and a positive diagonal, but |rho_01| > avg(rho_00, rho_11)
     off = np.array([[0.5, 0.8], [0.8, 0.5]], dtype=complex)
     _, real_round, imag_round = ms.matching_povms(2)[0]
@@ -269,9 +269,9 @@ def test_pauli_bases_bloch_vector():
     x, y, z = v
     rho = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
     bases = ms.pauli_bases()
-    px = ms.born_probabilities(bases["X"], rho)
-    py = ms.born_probabilities(bases["Y"], rho)
-    pz = ms.born_probabilities(bases["Z"], rho)
+    px = bases["X"].probabilities(rho)
+    py = bases["Y"].probabilities(rho)
+    pz = bases["Z"].probabilities(rho)
     assert px[0] - px[1] == pytest.approx(x, abs=1e-12)
     assert py[0] - py[1] == pytest.approx(y, abs=1e-12)
     assert pz[0] - pz[1] == pytest.approx(z, abs=1e-12)

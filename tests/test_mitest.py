@@ -10,6 +10,7 @@ from bureslab import divergences as dv
 from bureslab import linalg
 from bureslab import mitest as mt
 from bureslab import pipeline as pl
+from oracles import analysis
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ class TestBounds:
             for _ in range(10):
                 rho = linalg.random_density(d * d, d * d, rng)
                 mi = dv.quantum_mutual_information(rho, d, d)
-                prod = linalg.bipartite_product(
+                prod = np.kron(
                     linalg.partial_trace(rho, d, d, "A"),
                     linalg.partial_trace(rho, d, d, "B"))
                 eta = math.sqrt(dv.hellinger_sq_q(rho, prod))
@@ -92,7 +93,7 @@ class TestClassicalFamilies:
 
     def test_endpoints_and_monotone_mi(self):
         np.testing.assert_allclose(mt.correlated_joint(4, 0.0),
-                                   mt.uniform_product_joint(4), atol=1e-15)
+                                   np.full((4, 4), 1 / 16), atol=1e-15)
         mis = [dv.classical_mutual_information(mt.correlated_joint(4, lam))
                for lam in np.linspace(0.0, 1.0, 9)]
         assert mis[0] == pytest.approx(0.0, abs=1e-12)
@@ -246,7 +247,7 @@ class TestClassicalMITest:
 
     def test_product_arm_accepts(self):
         rng = np.random.default_rng(31)
-        accepts = sum(mt.classical_mi_test(mt.uniform_product_joint(8), 0.5,
+        accepts = sum(mt.classical_mi_test(np.full((8, 8), 1 / 64), 0.5,
                                            rng).accept for _ in range(10))
         assert accepts >= 9
 
@@ -291,7 +292,7 @@ class TestProductDecomposition:
         rng = np.random.default_rng(41)
         for da, db in [(2, 2), (3, 3), (4, 2), (2, 5)]:
             xi, rho, sg, tu = self._random_case(rng, da, db)
-            dec = mt.product_chi2_decomposition(xi, rho, sg, tu)
+            dec = analysis.product_chi2_decomposition(xi, rho, sg, tu)
             direct = dv.bures_chi2(np.kron(xi, rho), np.kron(sg, tu))
             assert dec["total"] == pytest.approx(direct, rel=1e-10)
             assert dec["total"] == pytest.approx(
@@ -301,8 +302,8 @@ class TestProductDecomposition:
         rng = np.random.default_rng(42)
         for da, db in [(3, 3), (4, 4), (2, 4)]:
             xi, rho, sg, tu = self._random_case(rng, da, db)
-            dec = mt.product_chi2_decomposition(xi, rho, sg, tu)
-            ctl = mt.product_chi2_controls(xi, rho, sg, tu)
+            dec = analysis.product_chi2_decomposition(xi, rho, sg, tu)
+            ctl = analysis.product_chi2_controls(xi, rho, sg, tu)
             assert dec["on_on"] == pytest.approx(ctl["on_on"], rel=1e-10)
             assert dec["on_off"] == pytest.approx(ctl["on_off"], rel=1e-10)
             assert dec["off_off"] <= ctl["off_off_bound"] * (1 + 1e-12)
@@ -315,10 +316,8 @@ class TestProductDecomposition:
         q = rng.dirichlet(np.ones(4)) * 0.5 + 0.125
         s = rng.dirichlet(np.ones(4)) * 0.5 + 0.125
         t = rng.dirichlet(np.ones(4)) * 0.5 + 0.125
-        dec = mt.product_chi2_decomposition(np.diag(p).astype(complex),
-                                            np.diag(q).astype(complex),
-                                            np.diag(s).astype(complex),
-                                            np.diag(t).astype(complex))
+        dec = analysis.product_chi2_decomposition(
+            *(np.diag(v).astype(complex) for v in (p, q, s, t)))
         expect = (1 + dv.chi_sq_divergence(p, s)) \
             * (1 + dv.chi_sq_divergence(q, t)) - 1
         assert dec["on_off"] == pytest.approx(0.0, abs=1e-12)
@@ -332,7 +331,7 @@ class TestProductDecomposition:
         sg = linalg.random_density(3, 1, rng)  # zero eigenvalues
         tu = linalg.maximally_mixed(3)
         with pytest.raises(pl.ParameterError):
-            mt.product_chi2_decomposition(xi, rho, sg, tu)
+            analysis.product_chi2_decomposition(xi, rho, sg, tu)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,6 @@ def test_hermitianize_and_diagonalize_identity():
                          - np.diag(dig.values))
     rhs = linalg.frob_sq(rho - herm)
     assert lhs == pytest.approx(rhs, rel=1e-10)
-    # clipping negative values can only help against a true state
-    clip = dig.clipped()
-    lhs_clip = linalg.frob_sq(clip.vectors.conj().T @ rho @ clip.vectors
-                              - np.diag(clip.values))
-    assert lhs_clip <= lhs + 1e-12
 
 
 def test_diagonal_estimate_invariants():
@@ -33,7 +28,6 @@ def test_diagonal_estimate_invariants():
         linalg.SpectralDecomposition(np.array([0.7, 0.3]), np.eye(2))
     de = linalg.SpectralDecomposition(np.array([-0.1, 1.1]), np.eye(2))
     assert np.allclose(de.matrix(), np.diag([-0.1, 1.1]))
-    assert np.allclose(de.clipped().values, [0.0, 1.1])
 
 
 def test_make_state_diagonal_output_shape():
@@ -298,10 +292,8 @@ class TestQubitLearn:
     def test_consumption_and_validity(self):
         rng = np.random.default_rng(269)
         rho = linalg.random_density(2, 2, rng)
-        budget = ms.CopyBudget(total=10 ** 9)
-        est, n = pl.qubit_learn(rho, 0.2, 0.1, rng, budget=budget)
+        est, n = pl.qubit_learn(rho, 0.2, 0.1, rng)
         assert n == math.ceil(config.QUBIT_SCALE * math.log(10.0) / 0.2)
-        assert budget.consumed == n
         linalg.require_density(est)
 
     def test_failure_rate(self):
