@@ -58,6 +58,10 @@ def cmd_divergence(args) -> int:
     rng = np.random.default_rng(args.seed)
     rho = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
     sigma = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
+    if rho.shape != sigma.shape:
+        raise hz.ScenarioError(
+            f"--family {args.family} gives dimension {len(rho)} but "
+            f"--family2 {args.family2} gives {len(sigma)}")
     chain = dv.quantum_chain(rho, sigma)
     for key in sorted(chain):
         print(f"{key:>16s}  {chain[key]:.9g}")
@@ -83,32 +87,37 @@ def _emit(records, loss: str, out: str | None, sid: str) -> None:
 
 
 def _scenario(args, data: dict, source: str = "command line"):
-    """The validated scenario (``--seed`` wins), or None if rejected."""
+    """The validated scenario; ``--seed`` wins over the data's seed."""
     if args.seed is not None:
         data["master_seed"] = args.seed
+    return hz.scenario_from_dict(data, source=source)
+
+
+def _load_config(path: str) -> dict:
+    """The object of scenario fields in a JSON file."""
     try:
-        return hz.scenario_from_dict(data, source=source)
-    except hz.ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise hz.ScenarioError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise hz.ScenarioError(f"{path}: expected an object of fields, "
+                               f"got {type(data).__name__}")
+    return data
 
 
 def cmd_tomography(args) -> int:
     if args.config:
-        with open(args.config) as fh:
-            s = _scenario(args, json.load(fh), source=args.config)
+        s = _scenario(args, _load_config(args.config), source=args.config)
     else:
         data = {"id": args.id, "target": args.target, "d": args.d,
                 "r": args.r, "family": args.family,
-                "estimator": args.estimator, "trials": args.trials,
-                "variant": args.variant, "lam": args.lam}
+                "estimator": args.estimator, "trials": args.trials}
         if args.eps:
             data["eps_grid"] = [float(x) for x in args.eps.split(",")]
         if args.n:
             data["n_grid"] = [float(x) for x in args.n.split(",")]
         s = _scenario(args, data)
-    if s is None:
-        return 2
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     for row in hz.summarize(records, loss):
@@ -152,8 +161,6 @@ def cmd_bench(args) -> int:
                          "r": args.r, "family": args.family,
                          "estimator": args.estimator, "trials": args.trials,
                          "n_grid": [float(x) for x in args.n.split(",")]})
-    if s is None:
-        return 2
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     slope, intercept, r2 = hz.fit_scaling(records, y=loss)
@@ -174,12 +181,14 @@ def cmd_accept(args) -> int:
     from . import accept
     only = None
     if args.only:
-        only = sorted(int(x) for x in args.only.split(","))
-        unknown = set(only) - {number for number, _, _ in accept.CRITERIA}
+        known = {str(number): number for number, _, _ in accept.CRITERIA}
+        asked = [x.strip() for x in args.only.split(",")]
+        unknown = [x for x in asked if x not in known]
         if unknown:
-            print(f"error: unknown criterion numbers: {sorted(unknown)}",
+            print(f"error: unknown criterion numbers: [{', '.join(unknown)}]",
                   file=sys.stderr)
             return 2
+        only = sorted(known[x] for x in asked)
     results = accept.acceptance_suite(only=only)
     failures = 0
     report = []
@@ -227,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--eps", help="comma list of accuracy targets")
     t.add_argument("--n", help="comma list of copy budgets")
     t.add_argument("--trials", type=int, default=20)
-    t.add_argument("--variant", type=int, default=1, choices=(1, 2))
-    t.add_argument("--lam", type=float, default=0.5)
     t.add_argument("--seed", type=int)
     t.add_argument("--out", help="CSV path, or a directory for <id>.csv")
     t.add_argument("--workers", type=int, default=1)
@@ -273,9 +280,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (pl.ParameterError, ms.BudgetExhausted) as exc:
-        # a parameter set outside the guaranteed regime, found only once
-        # the run plans its budget or hands an estimator too few copies
+    except (hz.ScenarioError, pl.ParameterError, ms.BudgetExhausted) as exc:
+        # a rejected scenario, or a parameter set outside the guaranteed
+        # regime, found only once the run plans its budget or hands an
+        # estimator too few copies
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

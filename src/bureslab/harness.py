@@ -73,7 +73,6 @@ class Scenario:
     n_grid: tuple[int, ...] = (10_000,)
     trials: int = 20
     master_seed: int = 20260816
-    variant: int = 1
     lam: float = 0.5      # correlation weight for bipartite:correlated
 
 
@@ -116,11 +115,6 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'trials': must be nonnegative")
     if not 0 <= s.master_seed < 2 ** 64:
         raise ScenarioError("field 'master_seed': must fit in 64 bits")
-    if s.variant not in (1, 2):
-        raise ScenarioError("field 'variant': must be 1 or 2")
-    if s.target == "mi" and s.variant != 1:
-        raise ScenarioError("field 'variant': the mi target learns its "
-                            "marginals with variant 1 only")
     if not 0.0 <= s.lam <= 1.0:
         raise ScenarioError("field 'lam': must lie in [0, 1]")
     try:
@@ -215,8 +209,7 @@ def _staged(score):
     ``score(rho, out, point, eps)`` with eps the planned accuracy."""
     def trial(s: Scenario, rho, point, rng):
         spec = fb.parse_estimator(s.estimator, s.r)
-        params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), float(point),
-                                variant=s.variant)
+        params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), float(point))
         out = pl.staged_learn(rho, spec, params, rng)
         if out.consumed != params.total:  # the relearn pass drains it
             raise RuntimeError(f"staged run consumed {out.consumed} of "

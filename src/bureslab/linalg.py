@@ -46,23 +46,23 @@ __all__ = [
 # checks
 # ---------------------------------------------------------------------------
 
-def require_hermitian(a: np.ndarray, tol: float = config.HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex array, raising if it is not Hermitian."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > tol:
+    if np.max(np.abs(a - a.conj().T)) > config.HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
 
-def require_density(rho: np.ndarray, tol: float = config.PSD_TOL) -> np.ndarray:
+def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
     rho = require_hermitian(rho)
     if abs(np.trace(rho).real - 1.0) > config.TRACE_TOL:
         raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -tol:
+    if w[0] < -config.PSD_TOL:
         raise ValueError(f"negative eigenvalue {w[0]}")
     return rho
 
@@ -187,12 +187,9 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-def geometric_spectrum_state(d: int, rng: np.random.Generator,
-                             ratio: float = 0.5) -> np.ndarray:
-    """Full-rank state with spectrum proportional to ratio^k, Haar basis."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    w = ratio ** np.arange(d)
+def geometric_spectrum_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank state with spectrum proportional to 2^-k, Haar basis."""
+    w = 0.5 ** np.arange(d)
     w /= w.sum()
     u = haar_unitary(d, rng)
     return (u * w) @ u.conj().T

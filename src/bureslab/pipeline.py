@@ -172,20 +172,16 @@ class CentralParams:
     delta: float        # per-event failure parameter
     eps_tilde: float    # per-stage accuracy scale
     l_max: int          # stage allowance
-    eps: float          # end-to-end accuracy scale, eps_tilde * factor
+    eps: float          # end-to-end accuracy scale, eps_tilde * l_max
     total: int          # full budget M = 2 m l_max
-    variant: int        # 1 = rank-floor tail rule, 2 = top-k tail rule
 
 
-def _confidence(d: int, r: int, f: float, m: int, variant: int) -> float:
+def _confidence(r: int, f: float, m: int) -> float:
     """Per-event failure parameter delta for a stage budget of m copies."""
-    if variant != 1:
-        return config.DELTA_FLOOR / (d + 1)
     return config.DELTA_FLOOR / max(math.log2(max(m / (r * f), 1.0)), 1.0)
 
 
-def central_params(d: int, r: int, f: float, m: int,
-                   variant: int = 1) -> CentralParams:
+def central_params(d: int, r: int, f: float, m: int) -> CentralParams:
     """Validate and derive the staged algorithm's parameter set.
 
     Raises ParameterError when the budget is too small for the accuracy
@@ -195,13 +191,11 @@ def central_params(d: int, r: int, f: float, m: int,
     """
     if not 1 <= r <= d:
         raise ParameterError(f"rank must be in [1, {d}]")
-    if variant not in (1, 2):
-        raise ParameterError("variant must be 1 or 2")
     m = int(m)
     m -= m % 2  # phases split the stage budget in half
     if m < r:
         raise ParameterError("need at least r copies per stage")
-    delta = _confidence(d, r, f, m, variant)
+    delta = _confidence(r, f, m)
     m_delta = classical.effective_samples(m, delta)
     eps_tilde = config.C_STAGE * r * f / m_delta
     if eps_tilde >= 1.0:
@@ -211,12 +205,8 @@ def central_params(d: int, r: int, f: float, m: int,
         raise ParameterError(
             f"stage budget {m} gives eps_tilde {eps_tilde:.3g} at or below "
             f"the pass-mass floor {config.PASS_MASS_FLOOR:g}")
-    if variant == 1:
-        l_max = math.ceil(math.log2(1.0 / eps_tilde))
-        eps = eps_tilde * l_max
-    else:
-        l_max = d + 1
-        eps = eps_tilde * d * math.log(max(r, 2)) / r
+    l_max = math.ceil(math.log2(1.0 / eps_tilde))
+    eps = eps_tilde * l_max
     if eps > config.EPS_CEILING:
         raise ParameterError(
             f"eps {eps:.3g} exceeds ceiling {config.EPS_CEILING}")
@@ -225,11 +215,11 @@ def central_params(d: int, r: int, f: float, m: int,
         raise ParameterError("mass floor exceeds eps_tilde/(4r)")
     return CentralParams(d=d, r=r, f=float(f), m=m, delta=delta,
                          eps_tilde=eps_tilde, l_max=l_max, eps=eps,
-                         total=2 * m * l_max, variant=variant)
+                         total=2 * m * l_max)
 
 
-def budget_for_scale(d: int, r: int, f: float, eps_tilde_target: float,
-                     variant: int = 1) -> CentralParams:
+def budget_for_scale(d: int, r: int, f: float,
+                     eps_tilde_target: float) -> CentralParams:
     """Smallest stage budget whose per-stage scale meets the target.
 
     Solves the fixed point between m and delta(m) for
@@ -242,23 +232,22 @@ def budget_for_scale(d: int, r: int, f: float, eps_tilde_target: float,
     m = max(int(config.C_STAGE * r * f * config.CONF_SCALE
                 * math.log(1.0 / delta) / eps_tilde_target), 2 * int(r))
     for _ in range(60):
-        delta = _confidence(d, r, f, m, variant)
+        delta = _confidence(r, f, m)
         m_new = int(math.ceil(config.C_STAGE * r * f * config.CONF_SCALE
                               * math.log(1.0 / delta) / eps_tilde_target))
         if m_new == m:
             break
         m = m_new
     m += m % 2
-    params = central_params(d, r, f, m, variant=variant)
+    params = central_params(d, r, f, m)
     while params.eps_tilde > eps_tilde_target:
         m += max(2, m // 20)
         m -= m % 2
-        params = central_params(d, r, f, m, variant=variant)
+        params = central_params(d, r, f, m)
     return params
 
 
-def plan_budget(d: int, r: int, f: float, eps_final: float,
-                variant: int = 1) -> CentralParams:
+def plan_budget(d: int, r: int, f: float, eps_final: float) -> CentralParams:
     """Smallest stage budget whose end-to-end eps lands under eps_final.
 
     Targets eps_tilde = eps_final * sqrt(r/d) / K_PLAN; the resulting
@@ -268,7 +257,7 @@ def plan_budget(d: int, r: int, f: float, eps_final: float,
     if not 0.0 < eps_final <= 1.0:
         raise ParameterError("eps_final must lie in (0, 1]")
     target = eps_final * math.sqrt(r / d) / config.K_PLAN
-    params = budget_for_scale(d, r, f, target, variant=variant)
+    params = budget_for_scale(d, r, f, target)
     if params.eps > eps_final:
         raise ParameterError(
             f"planned eps {params.eps:.3g} exceeds requested {eps_final}")
@@ -318,7 +307,7 @@ class CentralOutput:
 
 
 def _tail_rule_floor(values: np.ndarray, r: int) -> int:
-    """Variant 1: retain the maximal suffix above the mass floor.
+    """Retain the maximal suffix above the mass floor.
 
     Returns the number of suffix entries whose value exceeds
     (1.1)^2 * (sum of values) / (100 r); entries are ascending.
@@ -332,26 +321,6 @@ def _tail_rule_floor(values: np.ndarray, r: int) -> int:
             break
         k += 1
     return k
-
-
-def _tail_rule_topk(values: np.ndarray, r: int) -> int:
-    """Variant 2: retain the largest top-k with a harmonic-mean floor.
-
-    Among the top min(r, len) values x_1 >= x_2 >= ... with sum s, picks
-    the largest k such that x_k >= s / (4 k ln(max(r, 2))); such a k
-    always exists because the harmonic series grows slower than the
-    floor shrinks.
-    """
-    top = values[::-1][:min(r, values.size)]
-    s = float(np.sum(top))
-    if s <= 0.0:
-        return 1
-    lr = math.log(max(r, 2))
-    best = 1
-    for k in range(1, top.size + 1):
-        if top[k - 1] >= s / (4.0 * k * lr):
-            best = k
-    return best
 
 
 def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
@@ -373,7 +342,6 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     rho_cur = np.asarray(rho, dtype=complex)
     out = CentralOutput(params=params, frame=v_acc, prefix=d,
                         q=np.zeros(d), eps_prime=0.0)
-    tail_rule = _tail_rule_floor if params.variant == 1 else _tail_rule_topk
 
     d_t = d
     stage = 0
@@ -394,7 +362,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
         rho_cur = w.conj().T @ rho_cur @ w
         v_acc = v_acc @ w
 
-        retained = tail_rule(res.values, r)
+        retained = _tail_rule_floor(res.values, r)
         out.stages.append(StageRecord(
             stage=stage, prefix=d_t, tau_hat=res.tau_hat,
             theta_hat=res.theta_hat, retained=retained, values=res.values))

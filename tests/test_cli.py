@@ -23,6 +23,9 @@ def test_parser_rejects_unknown_verb_and_family():
         parser.parse_args(["frobnicate"])
     with pytest.raises(SystemExit):
         parser.parse_args(["divergence", "--family", "no_such_family"])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["tomography", "run", "--variant", "2"])
+    assert exc.value.code == 2
 
 
 def test_divergence_prints_chain_and_passes(capsys):
@@ -98,12 +101,22 @@ def test_tomography_out_directory_names_files_by_id(tmp_path, capsys):
 
 def test_tomography_bad_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"id": "x", "target": "chi2", "d": 4,
-                               "wobble": 3}))
-    code = cli.main(["tomography", "run", "--config", str(cfg)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "wobble" in err
+    for text, message in [
+            (json.dumps({"id": "x", "target": "chi2", "d": 4, "wobble": 3}),
+             "wobble"),
+            ("{bad", "Expecting property name"),
+            ("[1, 2]", "expected an object of fields, got list"),
+            (None, "No such file")]:
+        if text is None:
+            cfg.unlink()
+        else:
+            cfg.write_text(text)
+        code = cli.main(["tomography", "run", "--config", str(cfg),
+                         "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 def test_bench_bad_inline_scenario_exits_two(capsys):
@@ -122,7 +135,11 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["mi-test", "--d", "1"], "marginal dimension"),
     (["mi-test", "--kind", "classical", "--eps", "0.9"], "MI gap eps"),
     (["accept", "--only", "99"], "unknown criterion numbers: [99]"),
-], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99"])
+    (["accept", "--only", "abc"], "unknown criterion numbers: [abc]"),
+    (["divergence", "--family", "bipartite:product", "--d", "3"],
+     "gives dimension 9 but --family2 maximally_mixed gives 3"),
+], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
+        "accept-abc", "divergence-dims"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)

@@ -37,10 +37,13 @@ class TestScenarioConfig:
                                    "banana": 1})
 
     def test_delta_is_not_a_field(self):
-        # staged runs take their failure parameter from the planner
-        with pytest.raises(hz.ScenarioError, match="delta"):
-            hz.scenario_from_dict({"id": "x", "target": "chi2", "d": 4,
-                                   "delta": 0.05})
+        # staged runs take their failure parameter from the planner, and
+        # there is one staged learner
+        for key, value in (("delta", 0.05), ("variant", 2)):
+            with pytest.raises(hz.ScenarioError,
+                               match=f"unknown field '{key}'"):
+                hz.scenario_from_dict({"id": "x", "target": "chi2", "d": 4,
+                                       key: value})
 
     def test_required_fields(self):
         with pytest.raises(hz.ScenarioError, match="'id'"):
@@ -53,15 +56,6 @@ class TestScenarioConfig:
             hz.validate_scenario(small(target="mi"))
         with pytest.raises(hz.ScenarioError, match="family"):
             hz.validate_scenario(small(family="bipartite:product"))
-
-    def test_mi_runs_variant_one_only(self):
-        # the mi trial learns its marginals with variant 1 whatever the
-        # scenario says, so a scenario asking for variant 2 is refused
-        mi = dict(target="mi", family="bipartite:product")
-        hz.validate_scenario(small(**mi))
-        with pytest.raises(hz.ScenarioError, match="variant"):
-            hz.validate_scenario(small(variant=2, **mi))
-        hz.validate_scenario(small(target="chi2", variant=2))
 
     def test_bounds(self):
         with pytest.raises(hz.ScenarioError, match="master_seed"):

@@ -64,7 +64,7 @@ def test_random_pure_is_projector():
 
 def test_geometric_spectrum_state():
     rng = np.random.default_rng(23)
-    rho = linalg.geometric_spectrum_state(5, rng, ratio=0.5)
+    rho = linalg.geometric_spectrum_state(5, rng)
     w = np.sort(np.linalg.eigvalsh(rho))[::-1]
     assert np.allclose(w[1:] / w[:-1], 0.5, atol=1e-10)
     linalg.require_density(rho)

@@ -163,13 +163,6 @@ class TestCentralParams:
         with pytest.raises(pl.ParameterError):
             pl.central_params(4, 5, 16.0, 10 ** 12)
 
-    def test_variant2_derivations(self):
-        d, r = 6, 3
-        p = pl.central_params(d, r, 36.0, 10 ** 13, variant=2)
-        assert p.delta == pytest.approx(config.DELTA_FLOOR / (d + 1))
-        assert p.l_max == d + 1
-        assert p.eps == pytest.approx(p.eps_tilde * d * math.log(r) / r)
-
 
 def test_plan_budget_meets_target_and_halving():
     for (d, r) in [(8, 1), (8, 8), (4, 2)]:
@@ -184,19 +177,15 @@ def test_tail_rules():
     vals = np.array([0.001, 0.002, 0.05, 0.3, 0.5])
     # floor rule: beta = 1.21 * 0.853 / 100 ~ 0.0103: suffix above it has 3
     assert pl._tail_rule_floor(vals, r=1) == 3
-    # top-k rule with r=2: x = [0.5, 0.3], s = 0.8, floor s/(4k ln2)
-    # k=1: 0.5 >= 0.289 yes; k=2: 0.3 >= 0.144 yes -> 2
-    assert pl._tail_rule_topk(vals, r=2) == 2
-    assert pl._tail_rule_topk(np.zeros(3), r=2) == 1
 
 
-def run_staged(d, r, rng, eps_final=0.2, variant=1, family="rank"):
+def run_staged(d, r, rng, eps_final=0.2, family="rank"):
     if family == "rank":
         rho = linalg.random_density(d, r, rng)
     else:
         rho = linalg.geometric_spectrum_state(d, rng)
     spec = fb.parse_estimator("oracle:f=d2")
-    params = pl.plan_budget(d, r, spec.rate(d, r), eps_final, variant=variant)
+    params = pl.plan_budget(d, r, spec.rate(d, r), eps_final)
     out = pl.staged_learn(rho, spec, params, rng)
     return rho, out
 
@@ -234,13 +223,6 @@ class TestStagedLearn:
             linalg.require_density(est)
             worst = max(worst, dv.bures_chi2(rho, est))
         assert worst <= 0.2
-
-    def test_variant2(self):
-        rng = np.random.default_rng(233)
-        rho, out = run_staged(4, 2, rng, variant=2)
-        assert out.q.sum() == pytest.approx(1.0)
-        for rec in out.stages:
-            assert rec.retained >= 1
 
     def test_full_rank_state(self):
         rng = np.random.default_rng(239)

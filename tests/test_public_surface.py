@@ -7,6 +7,10 @@ A reference is a name or an attribute in the code; docstrings and the
 ``__all__`` lists do not count.  The benchmark patches functions by
 name, so its string constants count as references too.  Closed forms
 that only tests use live in ``tests/oracles``.
+
+Likewise every defaulted parameter of a public function or method must
+be passed, by keyword or by position, at some call in ``src/bureslab``
+or ``perfbench/*.py``; an option that no caller sets is a constant.
 """
 
 import ast
@@ -75,15 +79,18 @@ def _exports(tree) -> set:
     return names
 
 
+def _parse(directory) -> dict:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.glob("*.py"))}
+
+
 def unreferenced() -> list:
-    modules = {path.stem: ast.parse(path.read_text(), str(path))
-               for path in sorted(PACKAGE.glob("*.py"))}
+    modules = _parse(PACKAGE)
     refs = {stem: _references(tree, strings=False)
             for stem, tree in modules.items()}
     outside = set()
-    for path in sorted(BENCHMARK.glob("*.py")):
-        outside |= {name for _, name in _references(
-            ast.parse(path.read_text(), str(path)), strings=True)}
+    for tree in _parse(BENCHMARK).values():
+        outside |= {name for _, name in _references(tree, strings=True)}
     missing = []
     for stem, tree in modules.items():
         for name in sorted(_exports(tree)):
@@ -96,9 +103,81 @@ def unreferenced() -> list:
     return missing
 
 
+#: defaulted parameters no caller sets, each kept for its reason
+ALLOWED_OPTIONS = {
+    # tests drive the command line through it
+    ("cli", "main", "argv"),
+    # the Monte Carlo null is the tests' reference; the benchmark reads
+    # the default
+    ("mitest", "pearson_identity_test", "sims"),
+    # goes with its function, which is allowed above
+    ("pipeline", "chi2_error_terms", "eta"),
+}
+
+
+def _options(tree):
+    """(function name, parameter, positional index or None) per default.
+
+    Methods count their positions after ``self`` or ``cls``.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(node, False) for node in tree.body
+            if isinstance(node, functions)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            defs += [(node, True) for node in cls.body
+                     if isinstance(node, functions)]
+    for node, method in defs:
+        if node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = (args.posonlyargs + args.args)[int(method):]
+        for k, arg in enumerate(positional):
+            if k >= len(positional) - len(args.defaults):
+                yield node.name, arg.arg, k
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _passed(trees) -> set:
+    """(called name, parameter name or positional index) at every call;
+    a starred argument passes every position, ``**`` every keyword."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                passed.add((name, "*"))
+            passed.update((name, k) for k in range(len(node.args)))
+            passed.update((name, kw.arg or "**") for kw in node.keywords)
+    return passed
+
+
+def unset_options() -> list:
+    modules = _parse(PACKAGE)
+    passed = _passed([*modules.values(), *_parse(BENCHMARK).values()])
+    return [(stem, name, param)
+            for stem, tree in modules.items()
+            for name, param, k in _options(tree)
+            if not passed & {(name, param), (name, "**"), (name, "*"),
+                             (name, k)}]
+
+
 def test_every_export_has_a_caller():
     assert len(list(PACKAGE.glob("*.py"))) > 10 and BENCHMARK.is_dir()
     missing = set(unreferenced())
     assert sorted(missing - ALLOWED) == []
     # an allowed name that gains a caller leaves the allowlist
     assert sorted(ALLOWED - missing) == []
+
+
+def test_every_option_has_a_setter():
+    unset = set(unset_options())
+    assert sorted(unset - ALLOWED_OPTIONS) == []
+    # an allowed option that gains a setter leaves the allowlist
+    assert sorted(ALLOWED_OPTIONS - unset) == []
