@@ -1,7 +1,7 @@
 """Runnable acceptance checks behind the library's advertised guarantees.
 
 Each criterion is a self-contained seeded experiment: inequality chains
-on random ensembles, calibrated risk levels for the estimators,
+on random ensembles, risk levels for the estimators,
 accuracy and structure guarantees for the staged pipeline, the
 mutual-information bound machinery, and byte-stable harness reruns.
 ``acceptance_suite`` runs them in numeric order and returns one

@@ -55,6 +55,8 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
 
 
 def cmd_divergence(args) -> int:
+    if not 1 <= args.r <= args.d:
+        raise hz.ScenarioError(f"--r {args.r} must lie in [1, --d {args.d}]")
     rng = np.random.default_rng(args.seed)
     rho = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
     sigma = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
@@ -114,9 +116,9 @@ def cmd_tomography(args) -> int:
                 "r": args.r, "family": args.family,
                 "estimator": args.estimator, "trials": args.trials}
         if args.eps:
-            data["eps_grid"] = [float(x) for x in args.eps.split(",")]
+            data["eps_grid"] = args.eps
         if args.n:
-            data["n_grid"] = [float(x) for x in args.n.split(",")]
+            data["n_grid"] = args.n
         s = _scenario(args, data)
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
@@ -160,7 +162,9 @@ def cmd_bench(args) -> int:
     s = _scenario(args, {"id": args.id, "target": "frobenius", "d": args.d,
                          "r": args.r, "family": args.family,
                          "estimator": args.estimator, "trials": args.trials,
-                         "n_grid": [float(x) for x in args.n.split(",")]})
+                         "n_grid": args.n})
+    if len(set(s.n_grid)) < 2 or s.trials < 1:
+        raise hz.ScenarioError("a fit needs two distinct --n and --trials >= 1")
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     slope, intercept, r2 = hz.fit_scaling(records, y=loss)
@@ -185,9 +189,8 @@ def cmd_accept(args) -> int:
         asked = [x.strip() for x in args.only.split(",")]
         unknown = [x for x in asked if x not in known]
         if unknown:
-            print(f"error: unknown criterion numbers: [{', '.join(unknown)}]",
-                  file=sys.stderr)
-            return 2
+            raise hz.ScenarioError(
+                f"unknown criterion numbers: [{', '.join(unknown)}]")
         only = sorted(known[x] for x in asked)
     results = accept.acceptance_suite(only=only)
     failures = 0
@@ -203,6 +206,14 @@ def cmd_accept(args) -> int:
         print(f"wrote {args.out}")
     print(f"{len(results) - failures}/{len(results)} criteria passed")
     return 1 if failures else 0
+
+
+def _numbers(text: str) -> list:
+    try:  # an argparse type: a malformed list exits 2 like any bad flag
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--family", default="rank_r_random",
                    choices=_SINGLE_FAMILIES)
     t.add_argument("--estimator", default="oracle:f=d")
-    t.add_argument("--eps", help="comma list of accuracy targets")
-    t.add_argument("--n", help="comma list of copy budgets")
+    t.add_argument("--eps", type=_numbers, help="comma list of accuracies")
+    t.add_argument("--n", type=_numbers, help="comma list of copy budgets")
     t.add_argument("--trials", type=int, default=20)
     t.add_argument("--seed", type=int)
     t.add_argument("--out", help="CSV path, or a directory for <id>.csv")
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="rank_r_random",
                    choices=_SINGLE_FAMILIES)
     p.add_argument("--estimator", default="simple")
-    p.add_argument("--n", default="1000,10000,100000")
+    p.add_argument("--n", type=_numbers, default="1000,10000,100000")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="CSV path, or a directory for <id>.csv")

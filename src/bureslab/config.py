@@ -1,9 +1,7 @@
 """Numerical tolerances and frozen algorithm constants.
 
-Constants marked "calibrated" were computed once by the routines in
-``bureslab.calibrate`` and frozen here so that budgets and guarantees are
-reproducible.  Rerun ``python -m bureslab.calibrate`` to recompute them;
-the derivations are documented next to each routine.
+Each frozen algorithm constant carries its derivation and names the test
+or acceptance criterion ("criterion N" of ``bureslab accept``) checking it.
 """
 
 # ---------------------------------------------------------------------------
@@ -32,9 +30,9 @@ UNITARY_TOL = 1e-10
 # confidence schedule
 # ---------------------------------------------------------------------------
 
-#: m_delta = m / (CONF_SCALE * ln(1/delta)).  Calibrated: the binding
-#: requirement is the 1.01-factor two-sided mass estimate, Chernoff gives
-#: c >= 4/eta^2 with eta = 1 - 1/1.01, rounded up.  (calibrate.conf_scale)
+#: m_delta = m / (CONF_SCALE * ln(1/delta)): any mass >= 1/m_delta is then
+#: estimated within a 1.01 factor (Chernoff: c >= 4/eta^2, eta = 1 - 1/1.01,
+#: rounded up).  Checked by test_classical::test_conf_scale_covers_the_floor.
 CONF_SCALE = 41000.0
 
 # ---------------------------------------------------------------------------
@@ -51,8 +49,9 @@ EPS_CEILING = 0.25
 #: smallest admissible failure parameter when the stage-count log is <= 1
 DELTA_FLOOR = 1e-4
 
-#: planner head-room between the requested final accuracy and the
-#: per-stage eps_tilde target (calibrate.plan_scale, frozen at d=8, r=2)
+#: planner head-room: the blended estimate pays about sqrt(d/r) * eps_tilde
+#: * ln(1/eps_tilde) end to end, so the planner asks for a stage scale
+#: eps_tilde = eps_final * sqrt(r/d) / K_PLAN.  Checked by criterion 7.
 K_PLAN = 24.0
 
 # ---------------------------------------------------------------------------
@@ -60,20 +59,26 @@ K_PLAN = 24.0
 # ---------------------------------------------------------------------------
 
 #: expected Frobenius-squared error of the matching-POVM estimator is
-#: <= K_ACC * d^2 / n at copy count n (calibrate.matching_rate, d=8, r=2)
+#: <= K_ACC * d^2 / n at n copies; the worst case, (d - 1/d)/shots at
+#: n = (2 rounds + 1) shots, fits any K_ACC >= 2.12 at any d.  Checked by
+#: criterion 5, test_frobenius::test_simple_frobenius_error_rate and
+#: ::test_simple_frobenius_odd_dimension.
 K_ACC = 4.5
 
 #: two-outcome median-of-batches estimator: batch size 4/eps via Markov,
-#: 8*ln(1/delta) batches via Chernoff on the median (calibrate.bit_scale)
+#: 8*ln(1/delta) batches via Chernoff on the median.  Checked by
+#: test_classical::test_two_outcome_median_consumption_and_accuracy.
 BIT_BATCHES_SCALE = 8.0
 BIT_BATCH_EPS_SCALE = 4.0
 
-#: single-qubit learner copy count n = QUBIT_SCALE * ln(1/delta) / eps
-#: (calibrate.qubit_scale, verified at eps=0.1, delta=0.05)
+#: single-qubit learner copy count n = QUBIT_SCALE * ln(1/delta) / eps:
+#: three quarter-budget Pauli passes, the rest to the median estimator at
+#: eps/2.  Checked by criterion 6 and TestQubitLearn::test_failure_rate.
 QUBIT_SCALE = 512.0
 
 # ---------------------------------------------------------------------------
-# mutual-information testers
+# mutual-information testers, checked by criteria 12 and 13 and test_mitest's
+# test_plan_frozen and test_sparsest_criterion_12_input_keeps_its_level
 # ---------------------------------------------------------------------------
 
 #: learning-accuracy scale: eps_prime = C_INEQ * eps / ln(d/eps)

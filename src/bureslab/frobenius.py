@@ -8,7 +8,7 @@ squared Frobenius error at most f/m from m copies.  Two families ship:
   whose outcome probabilities are read in closed form from rho, rate
   ~ 4.5 d^2 (no rank adaptivity, single-copy measurements only);
 * ``oracle:f=...``: a noise oracle that fabricates the estimate by adding
-  Gaussian Hermitian noise calibrated to hit the requested rate exactly.
+  Gaussian Hermitian noise scaled to hit the requested rate exactly.
   Useful for exploring how downstream guarantees scale with f without
   paying the d^2 of a real single-copy scheme.
 
@@ -54,8 +54,9 @@ def simple_frobenius(rho: np.ndarray, shots: int,
     interference); outcome frequencies give r_hat = (f+ - f-)/2 per pair
     with variance at most avg(rho_ii, rho_jj)/shots.  One more round of
     computational-basis shots fills in the diagonal.  Total copies:
-    (2 rounds + 1) * shots; expected squared Frobenius error is
-    (2d - 1)/shots for even d and (2d + 1)/shots for odd.
+    (2 rounds + 1) * shots.  Each pair adds at most (rho_ii + rho_jj)/shots
+    to the expected squared Frobenius error and the diagonal pass at most
+    (1 - 1/d)/shots: at most (d - 1/d)/shots, reached at rho = I/d.
     """
     d = rho.shape[0]
     est = np.zeros((d, d), dtype=complex)

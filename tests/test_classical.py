@@ -19,6 +19,19 @@ def test_effective_samples_formula():
         classical.effective_samples(10, 1.5)
 
 
+def test_conf_scale_covers_the_floor():
+    """A mass exactly at mass_floor(m, delta) is estimated within a 1.01
+    factor except with probability delta: the requirement CONF_SCALE is
+    sized for.  A CONF_SCALE ten times too small reads about 0.3 here."""
+    delta = 0.1
+    m = 20 * math.ceil(config.CONF_SCALE * math.log(1 / delta))
+    p = classical.mass_floor(m, delta)
+    rng = np.random.default_rng(101)
+    draws = rng.binomial(m, p, size=4_000) / m
+    off = np.mean((draws < p / 1.01) | (draws > 1.01 * p))
+    assert off <= delta
+
+
 def test_empirical_moments():
     # mean is exact, mean squared-l2 error matches the binomial identity
     rng = np.random.default_rng(101)

@@ -13,11 +13,13 @@ def test_parser_accepts_every_verb():
     parser.parse_args(["divergence", "--d", "4"])
     parser.parse_args(["tomography", "run", "--target", "chi2"])
     parser.parse_args(["mi-test", "--kind", "classical"])
-    parser.parse_args(["bench", "--n", "100,1000"])
+    assert parser.parse_args(["bench", "--n", "100,1000"]).n == [100, 1000]
+    assert parser.parse_args(["bench"]).n == [1e3, 1e4, 1e5]
+    assert parser.parse_args(["tomography", "run", "--n", "1e5"]).n == [1e5]
     parser.parse_args(["accept", "--only", "3"])
 
 
-def test_parser_rejects_unknown_verb_and_family():
+def test_parser_rejects_unknown_verb_and_family(capsys):
     parser = cli.build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["frobnicate"])
@@ -26,6 +28,13 @@ def test_parser_rejects_unknown_verb_and_family():
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["tomography", "run", "--variant", "2"])
     assert exc.value.code == 2
+    for argv in (["tomography", "run", "--eps", "abc"],
+                 ["tomography", "run", "--n", "1e5,abc"],
+                 ["bench", "--n", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert "expected a comma list of numbers" in capsys.readouterr().err
 
 
 def test_divergence_prints_chain_and_passes(capsys):
@@ -138,8 +147,13 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["accept", "--only", "abc"], "unknown criterion numbers: [abc]"),
     (["divergence", "--family", "bipartite:product", "--d", "3"],
      "gives dimension 9 but --family2 maximally_mixed gives 3"),
+    (["divergence", "--d", "2", "--r", "5"], "--r 5 must lie in [1, --d 2]"),
+    (["divergence", "--d", "1"], "--r 2 must lie in [1, --d 1]"),
+    (["bench", "--n", "100"], "a fit needs two distinct --n and --trials"),
+    (["bench", "--trials", "0"], "a fit needs two distinct --n and --trials"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
-        "accept-abc", "divergence-dims"])
+        "accept-abc", "divergence-dims", "divergence-r-above-d",
+        "divergence-d1", "bench-one-budget", "bench-no-trials"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)

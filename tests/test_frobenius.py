@@ -17,17 +17,36 @@ def test_simple_frobenius_unbiased_and_hermitian():
     assert np.max(np.abs(acc / trials - rho)) < 0.01
 
 
+def _simple_errors(rho, shots, trials, rng):
+    """Squared Frobenius errors of ``trials`` simple estimates, and the
+    standard error of their mean."""
+    errs = np.array([linalg.frob_sq(fb.simple_frobenius(rho, shots, rng) - rho)
+                     for _ in range(trials)])
+    return errs, errs.std() / np.sqrt(trials)
+
+
+def _check_worst_case(d, seed):
+    """At the maximally mixed state the error is exactly (d - 1/d)/shots,
+    inside the K_ACC rate promise at odd d too."""
+    rng = np.random.default_rng(seed)
+    shots, trials = 2000, 1000
+    errs, se = _simple_errors(linalg.maximally_mixed(d), shots, trials, rng)
+    assert abs(errs.mean() - (d - 1 / d) / shots) <= 4 * se
+    m_total = (2 * ms.matching_round_count(d) + 1) * shots
+    assert errs.mean() <= config.K_ACC * d ** 2 / m_total + 4 * se
+
+
 def test_simple_frobenius_error_rate():
     rng = np.random.default_rng(73)
     d, shots, trials = 4, 2000, 300
     rho = linalg.random_density(d, d, rng)
-    errs = np.array([linalg.frob_sq(fb.simple_frobenius(rho, shots, rng) - rho)
-                     for _ in range(trials)])
-    se = errs.std() / np.sqrt(trials)
-    # per-shot theory: (2d - 1)/shots for even d, and the d^2-rate claim
+    errs, se = _simple_errors(rho, shots, trials, rng)
+    # a loose per-shot bound (the worst case is (d - 1/d)/shots), and the
+    # d^2-rate claim
     assert errs.mean() <= (2 * d - 1) / shots + 4 * se
     m_total = (2 * (d - 1) + 1) * shots
     assert errs.mean() <= config.K_ACC * d ** 2 / m_total + 4 * se
+    _check_worst_case(4, 74)
 
 
 def test_simple_frobenius_odd_dimension():
@@ -37,6 +56,7 @@ def test_simple_frobenius_odd_dimension():
     errs = [linalg.frob_sq(fb.simple_frobenius(rho, 2000, rng) - rho)
             for _ in range(200)]
     assert np.mean(errs) <= (2 * d + 1) / 2000 * 1.3
+    _check_worst_case(5, 80)
 
 
 def test_oracle_estimate_rate_is_exact():

@@ -11,6 +11,10 @@ that only tests use live in ``tests/oracles``.
 Likewise every defaulted parameter of a public function or method must
 be passed, by keyword or by position, at some call in ``src/bureslab``
 or ``perfbench/*.py``; an option that no caller sets is a constant.
+
+And every module of the package but ``__init__`` must be imported by
+another package module or named in ``perfbench/*.py``, its string
+constants included; a module nothing imports is code no run executes.
 """
 
 import ast
@@ -103,6 +107,33 @@ def unreferenced() -> list:
     return missing
 
 
+def _imports(tree) -> set:
+    """Stems of the package modules a module imports, in any form."""
+    stems = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            stems.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("bureslab."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("bureslab")):
+            parts = (node.module or "").split(".")
+            if parts[-1] in ("", "bureslab"):  # from . / bureslab import x
+                stems.update(alias.name for alias in node.names)
+            else:                              # from .x / bureslab.x import y
+                stems.add(parts[-1])
+    return stems
+
+
+def unimported() -> list:
+    modules = _parse(PACKAGE)
+    imported = set()
+    for stem, tree in modules.items():
+        imported |= _imports(tree) - {stem}
+    for tree in _parse(BENCHMARK).values():
+        imported |= {name for _, name in _references(tree, strings=True)}
+    return sorted(set(modules) - imported - {"__init__"})
+
+
 #: defaulted parameters no caller sets, each kept for its reason
 ALLOWED_OPTIONS = {
     # tests drive the command line through it
@@ -181,3 +212,7 @@ def test_every_option_has_a_setter():
     assert sorted(unset - ALLOWED_OPTIONS) == []
     # an allowed option that gains a setter leaves the allowlist
     assert sorted(ALLOWED_OPTIONS - unset) == []
+
+
+def test_every_module_is_imported():
+    assert unimported() == []
