@@ -137,6 +137,8 @@ def cmd_tomography(args) -> int:
 
 def cmd_mi_test(args) -> int:
     from . import mitest as mt
+    if args.trials < 1:
+        raise hz.ScenarioError(f"--trials {args.trials} must be at least 1")
     rng = np.random.default_rng(args.seed)
     lam = args.lam if args.arm == "correlated" else 0.0
     should_accept = args.arm == "product"
@@ -153,7 +155,7 @@ def cmd_mi_test(args) -> int:
         correct += good
         print(f"trial {trial}: {'accept' if verdict.accept else 'reject'}"
               f" ({'ok' if good else 'WRONG'})")
-    rate = correct / args.trials if args.trials else 1.0
+    rate = correct / args.trials
     print(f"{args.kind} {args.arm} arm: {correct}/{args.trials} correct")
     return 0 if rate >= 0.9 else 1
 
@@ -163,8 +165,8 @@ def cmd_bench(args) -> int:
                          "r": args.r, "family": args.family,
                          "estimator": args.estimator, "trials": args.trials,
                          "n_grid": args.n})
-    if len(set(s.n_grid)) < 2 or s.trials < 1:
-        raise hz.ScenarioError("a fit needs two distinct --n and --trials >= 1")
+    if len(set(s.n_grid)) < 2:
+        raise hz.ScenarioError("a fit needs two distinct --n")
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     slope, intercept, r2 = hz.fit_scaling(records, y=loss)

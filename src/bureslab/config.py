@@ -65,17 +65,6 @@ K_PLAN = 24.0
 #: ::test_simple_frobenius_odd_dimension.
 K_ACC = 4.5
 
-#: two-outcome median-of-batches estimator: batch size 4/eps via Markov,
-#: 8*ln(1/delta) batches via Chernoff on the median.  Checked by
-#: test_classical::test_two_outcome_median_consumption_and_accuracy.
-BIT_BATCHES_SCALE = 8.0
-BIT_BATCH_EPS_SCALE = 4.0
-
-#: single-qubit learner copy count n = QUBIT_SCALE * ln(1/delta) / eps:
-#: three quarter-budget Pauli passes, the rest to the median estimator at
-#: eps/2.  Checked by criterion 6 and TestQubitLearn::test_failure_rate.
-QUBIT_SCALE = 512.0
-
 # ---------------------------------------------------------------------------
 # mutual-information testers, checked by criteria 12 and 13 and test_mitest's
 # test_plan_frozen and test_sparsest_criterion_12_input_keeps_its_level

@@ -111,8 +111,8 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'eps_grid': entries must lie in (0, 1]")
     if any(int(n) < 1 for n in s.n_grid):
         raise ScenarioError("field 'n_grid': entries must be positive")
-    if s.trials < 0:
-        raise ScenarioError("field 'trials': must be nonnegative")
+    if s.trials < 1:
+        raise ScenarioError("field 'trials': need at least one trial")
     if not 0 <= s.master_seed < 2 ** 64:
         raise ScenarioError("field 'master_seed': must fit in 64 bits")
     if not 0.0 <= s.lam <= 1.0:

@@ -34,7 +34,6 @@ __all__ = [
     "geometric_spectrum_state",
     "correlated_pair_state",
     "submatrix",
-    "embed",
     "mass_on",
     "restrict",
     "partial_trace",
@@ -218,14 +217,6 @@ def submatrix(a: np.ndarray, subset) -> np.ndarray:
     """Principal submatrix on the index subset, order preserved."""
     idx = np.asarray(subset, dtype=int)
     return np.asarray(a)[np.ix_(idx, idx)]
-
-
-def embed(block: np.ndarray, subset, d: int) -> np.ndarray:
-    """Zero-extend a principal block back to a d x d matrix."""
-    idx = np.asarray(subset, dtype=int)
-    out = np.zeros((d, d), dtype=complex)
-    out[np.ix_(idx, idx)] = block
-    return out
 
 
 def mass_on(rho: np.ndarray, subset) -> float:

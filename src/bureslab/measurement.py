@@ -42,7 +42,6 @@ __all__ = [
     "filter_subset",
     "matching_round_count",
     "matching_povms",
-    "pauli_bases",
 ]
 
 
@@ -302,12 +301,3 @@ def _matching_rounds(d: int) -> tuple:
                        PairRound(d, pairs, imaginary=True)))
     return tuple(rounds)
 
-
-def pauli_bases():
-    """The three single-qubit measurement bases as POVMs, keyed X/Y/Z."""
-    rt = 1.0 / np.sqrt(2.0)
-    x = np.array([[rt, rt], [rt, -rt]], dtype=complex)
-    y = np.array([[rt, rt], [1j * rt, -1j * rt]], dtype=complex)
-    z = np.eye(2, dtype=complex)
-    return {"X": Povm.from_basis(x), "Y": Povm.from_basis(y),
-            "Z": Povm.from_basis(z)}

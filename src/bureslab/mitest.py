@@ -3,11 +3,13 @@
 Mutual information is bounded by closeness to product: a joint state
 within squared Hellinger eta^2 of some product state obeys an explicit
 MI ceiling, so a tester that certifies closeness-to-product doubles as
-a correlation detector.  This module carries the bound functions, the
-classical tester (add-one marginal learning plus a chi-square identity
-test against the learned product), and the quantum tester (marginals
-learned by the staged pipeline with a spectrum floor, compared against
-the joint in squared Hellinger).
+a correlation detector.  No run evaluates that ceiling, so its closed
+forms live with the tests' analysis references
+(``tests/oracles/analysis.py``).  This module carries the classical
+tester (add-one marginal learning plus a chi-square identity test
+against the learned product) and the quantum tester (marginals learned
+by the staged pipeline with a spectrum floor, compared against the
+joint in squared Hellinger).
 
 Everywhere below d means the marginal dimension: classical joints are
 d x d tables, quantum joints live on a d^2-dimensional space.  All
@@ -29,11 +31,7 @@ from . import linalg
 from . import pipeline as pl
 
 __all__ = [
-    "DEPOL_HELLINGER_COEFF",
     "TesterVerdict",
-    "depol_hellinger_shift",
-    "mi_continuity_bound",
-    "hellinger_mi_bound",
     "correlated_joint",
     "learn_marginals",
     "pearson_null_variance",
@@ -48,9 +46,6 @@ __all__ = [
     "hellinger_gap_verdict",
     "quantum_mi_test",
 ]
-
-#: root-Hellinger growth coefficient for depolarizing both arguments
-DEPOL_HELLINGER_COEFF = 4.0 + 4.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -67,54 +62,6 @@ def _check_gap(d: int, eps: float) -> None:
         raise pl.ParameterError("marginal dimension must be at least 2")
     if not 0.0 < eps <= 0.5:
         raise pl.ParameterError("MI gap eps must lie in (0, 1/2]")
-
-
-# ---------------------------------------------------------------------------
-# bound functions
-# ---------------------------------------------------------------------------
-
-def depol_hellinger_shift(eps: float) -> float:
-    """Root-Hellinger cost of blending eps of uniform noise into a pair."""
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    return DEPOL_HELLINGER_COEFF * math.sqrt(eps)
-
-
-def mi_continuity_bound(eps: float, d: int) -> float:
-    """Largest MI shift between joints at trace distance eps.
-
-    Two bipartite states with marginal dimension d and trace distance at
-    most eps have mutual informations within 2 eps ln(4 d / eps) of each
-    other.
-    """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        return 0.0
-    return 2.0 * eps * math.log(4.0 * d / eps)
-
-
-def hellinger_mi_bound(eta: float, d: int) -> float:
-    """MI ceiling for a joint near a product in squared Hellinger.
-
-    If some product state sits within squared Hellinger eta^2 of the
-    joint, its mutual information is at most this value.  The argument
-    eta is the root divergence.  Internally both states are smoothed at
-    level eps = min(eta^2, 1): the smoothing costs a root-Hellinger
-    shift, the smoothed pair converts divergence to MI through the
-    spectrum floor, and continuity carries the MI back to the original
-    joint.  Exactly zero at eta = 0.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    if d < 2:
-        raise ValueError("marginal dimension must be at least 2")
-    if eta == 0.0:
-        return 0.0
-    eps = min(eta * eta, 1.0)
-    conversion = 2.0 + math.log(d * d / eps ** 2)
-    core = conversion * (depol_hellinger_shift(eps) + eta)
-    return core + mi_continuity_bound(eps, d)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "to_chi2",
     "chi2_error_terms",
     "to_kl",
-    "qubit_learn",
 ]
 
 
@@ -468,51 +467,3 @@ def to_kl(rho_hat: np.ndarray, eps: float):
     bound = kl_from_infidelity_bound(d, eps)
     return linalg.depolarize(rho_hat, 2.0 * eps), bound
 
-
-# ---------------------------------------------------------------------------
-# the qubit special case
-# ---------------------------------------------------------------------------
-
-def qubit_learn(rho: np.ndarray, eps: float, delta: float,
-                rng: np.random.Generator):
-    """Single-qubit estimate with Bures chi-square eps at confidence delta.
-
-    Copy count n = ceil(QUBIT_SCALE ln(1/delta) / eps), no log(1/eps)
-    factors.  A quarter of the budget per Pauli axis estimates the Bloch
-    vector (clamped into the ball, which never hurts); its eigenbasis
-    becomes the measurement basis for the remaining quarter, which feeds
-    the median-of-batches two-outcome estimator.  Output is diagonal in
-    the learned basis.  Returns (estimate, consumed).
-    """
-    if rho.shape != (2, 2):
-        raise ValueError("qubit_learn needs a 2 x 2 state")
-    if not 0.0 < eps <= 1.0:
-        raise ParameterError("eps must lie in (0, 1]")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
-    n = math.ceil(config.QUBIT_SCALE * math.log(1.0 / delta) / eps)
-    quarter = n // 4
-    if quarter < 1:
-        raise ParameterError("budget rounds to zero per axis")
-    bases = ms.pauli_bases()
-    bloch = np.zeros(3)
-    for k, ax in enumerate("XYZ"):
-        counts = ms.sample_povm(bases[ax], rho, quarter, rng)
-        bloch[k] = (counts[0] - counts[1]) / quarter
-    norm = np.linalg.norm(bloch)
-    if norm > 1.0:
-        bloch /= norm
-    x, y, z = bloch
-    rough = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
-    dec = linalg.eig_hermitian(rough)
-    basis_povm = ms.Povm.from_basis(dec.vectors)
-
-    rest = n - 3 * quarter
-    est, used = classical.two_outcome_median(
-        lambda k: ms.sample_povm(basis_povm, rho, k, rng),
-        eps / 2.0, delta / 2.0)
-    if used > rest:
-        raise ParameterError(
-            f"median estimator needs {used} copies, phase has {rest}")
-    rho_hat = (dec.vectors * est) @ dec.vectors.conj().T
-    return rho_hat, n

@@ -14,10 +14,15 @@ tests use them as references for what the library computes:
   ``divergences.quantum_chain``;
 * the block split of D(xi x rho || sigma x tau) in the product
   eigenbasis of the references, and the closed forms that control each
-  block through a spectrum floor.
+  block through a spectrum floor;
+* the mutual-information ceiling for a joint near a product in squared
+  Hellinger, with its two ingredients: the root-Hellinger cost of
+  depolarizing and MI continuity in trace distance.
 
 Import from a test as ``from oracles import analysis``.
 """
+
+import math
 
 import numpy as np
 
@@ -197,3 +202,55 @@ def product_chi2_controls(xi, rho, sigma_hat, tau_hat) -> dict:
         "off_off_bound": (d / floor_eps) * off_xi * off_rho,
         "floor_eps": floor_eps,
     }
+
+
+# ---------------------------------------------------------------------------
+# mutual-information bounds
+# ---------------------------------------------------------------------------
+
+#: root-Hellinger growth coefficient for depolarizing both arguments
+DEPOL_HELLINGER_COEFF = 4.0 + 4.0 * math.sqrt(2.0)
+
+
+def depol_hellinger_shift(eps: float) -> float:
+    """Root-Hellinger cost of blending eps of uniform noise into a pair."""
+    if eps < 0.0:
+        raise ValueError("eps must be nonnegative")
+    return DEPOL_HELLINGER_COEFF * math.sqrt(eps)
+
+
+def mi_continuity_bound(eps: float, d: int) -> float:
+    """Largest MI shift between joints at trace distance eps.
+
+    Two bipartite states with marginal dimension d and trace distance at
+    most eps have mutual informations within 2 eps ln(4 d / eps) of each
+    other.
+    """
+    if eps < 0.0:
+        raise ValueError("eps must be nonnegative")
+    if eps == 0.0:
+        return 0.0
+    return 2.0 * eps * math.log(4.0 * d / eps)
+
+
+def hellinger_mi_bound(eta: float, d: int) -> float:
+    """MI ceiling for a joint near a product in squared Hellinger.
+
+    If some product state sits within squared Hellinger eta^2 of the
+    joint, its mutual information is at most this value.  The argument
+    eta is the root divergence.  Internally both states are smoothed at
+    level eps = min(eta^2, 1): the smoothing costs a root-Hellinger
+    shift, the smoothed pair converts divergence to MI through the
+    spectrum floor, and continuity carries the MI back to the original
+    joint.  Exactly zero at eta = 0.
+    """
+    if eta < 0.0:
+        raise ValueError("eta must be nonnegative")
+    if d < 2:
+        raise ValueError("marginal dimension must be at least 2")
+    if eta == 0.0:
+        return 0.0
+    eps = min(eta * eta, 1.0)
+    conversion = 2.0 + math.log(d * d / eps ** 2)
+    core = conversion * (depol_hellinger_shift(eps) + eta)
+    return core + mi_continuity_bound(eps, d)

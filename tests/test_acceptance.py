@@ -32,7 +32,8 @@ def test_criterion(number, suite):
 
 
 def test_all_fourteen_present(suite):
-    assert NUMBERS == list(range(1, 15))
+    # numbers run to 14; 6 and 11 are retired, the rest keep theirs
+    assert NUMBERS == [1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14]
     assert set(suite) == set(NUMBERS)
 
 
@@ -44,9 +45,6 @@ def test_measured_tolerances(suite):
     assert m[3]["max_gap"] <= 0.0
     assert m[4]["mean_chi2"] <= m[4]["bound"] + 3.0 * m[4]["se"]
     assert abs(m[5]["slope"] + 1.0) <= 0.15 and m[5]["level_ok"]
-    assert m[6]["fail_rate_eps0.1"] <= 0.05
-    assert m[6]["fail_rate_eps0.03"] <= 0.05
-    assert abs(m[6]["slope"] + 1.0) <= 0.15
     for r in (1, 2, 8):
         assert m[7][f"rate_r{r}_eps0.2"] >= 0.9
         assert m[7][f"rate_r{r}_eps0.1"] >= 0.9
@@ -54,7 +52,6 @@ def test_measured_tolerances(suite):
     assert m[8]["fail_rate"] <= 0.10
     assert m[9]["violations"] == 0 and m[9]["certified"] > 0
     assert m[10]["max_abs_err"] <= 1e-9
-    assert sum(v for k, v in m[11].items() if k.endswith("violations")) == 0
     assert m[12]["accept_rate"] >= 0.9 and m[12]["reject_rate"] >= 0.9
     assert m[12]["correlated_mi"] >= 0.5
     assert m[13]["accept_rate"] >= 0.9 and m[13]["reject_rate"] >= 0.9

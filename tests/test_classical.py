@@ -123,31 +123,3 @@ def test_chi2_of_product_identity():
     e2 = chi_sq_divergence(p2, q2)
     direct = chi_sq_divergence(np.outer(p1, p2).ravel(), np.outer(q1, q2).ravel())
     assert (1.0 + e1) * (1.0 + e2) - 1.0 == pytest.approx(direct, rel=1e-12)
-
-
-def test_two_outcome_median_consumption_and_accuracy():
-    p = np.array([0.7, 0.3])
-    eps, delta = 0.1, 0.05
-    rng = np.random.default_rng(104)
-
-    est, used = classical.two_outcome_median(lambda k: rng.multinomial(k, p), eps, delta)
-    n_batches = math.ceil(config.BIT_BATCHES_SCALE * math.log(1 / delta))
-    batch = math.ceil(config.BIT_BATCH_EPS_SCALE / eps)
-    assert used == n_batches * batch
-    assert est.sum() == pytest.approx(1.0)
-
-    fails = 0
-    trials = 400
-    for _ in range(trials):
-        est, _ = classical.two_outcome_median(lambda k: rng.multinomial(k, p), eps, delta)
-        if chi_sq_divergence(p, est) > eps:
-            fails += 1
-    assert fails / trials <= delta + 4 * math.sqrt(delta / trials)
-
-
-def test_two_outcome_median_validates():
-    rng = np.random.default_rng(105)
-    with pytest.raises(ValueError):
-        classical.two_outcome_median(lambda k: rng.multinomial(k, [1, 0]), -1.0, 0.1)
-    with pytest.raises(ValueError):
-        classical.two_outcome_median(lambda k: np.zeros(3), 0.1, 0.1)

@@ -149,11 +149,15 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
      "gives dimension 9 but --family2 maximally_mixed gives 3"),
     (["divergence", "--d", "2", "--r", "5"], "--r 5 must lie in [1, --d 2]"),
     (["divergence", "--d", "1"], "--r 2 must lie in [1, --d 1]"),
-    (["bench", "--n", "100"], "a fit needs two distinct --n and --trials"),
-    (["bench", "--trials", "0"], "a fit needs two distinct --n and --trials"),
+    (["bench", "--n", "100"], "a fit needs two distinct --n"),
+    (["bench", "--trials", "0"], "field 'trials'"),
+    (["tomography", "run", "--trials", "0"], "field 'trials'"),
+    (["mi-test", "--trials", "0"], "--trials 0 must be at least 1"),
+    (["accept", "--only", "6"], "unknown criterion numbers: [6]"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
         "accept-abc", "divergence-dims", "divergence-r-above-d",
-        "divergence-d1", "bench-one-budget", "bench-no-trials"])
+        "divergence-d1", "bench-one-budget", "bench-no-trials",
+        "tomography-no-trials", "mi-no-trials", "accept-retired-6"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)

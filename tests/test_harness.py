@@ -80,7 +80,9 @@ class TestScenarioConfig:
 
 class TestRunScenario:
     def test_zero_trials_empty(self):
-        assert hz.run_scenario(small(trials=0)) == []
+        # a run of no trials would pass every guarantee vacuously
+        with pytest.raises(hz.ScenarioError, match="'trials'"):
+            hz.run_scenario(small(trials=0))
 
     def test_same_seed_identical_bytes(self):
         a = hz.csv_rows(hz.run_scenario(small()))

@@ -260,18 +260,3 @@ def test_matching_round_count():
         assert ms.matching_round_count(d) == len(ms.matching_povms(d))
     with pytest.raises(ValueError):
         ms.matching_round_count(1)
-
-
-def test_pauli_bases_bloch_vector():
-    rng = np.random.default_rng(29)
-    v = rng.standard_normal(3)
-    v *= 0.9 / np.linalg.norm(v)
-    x, y, z = v
-    rho = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
-    bases = ms.pauli_bases()
-    px = bases["X"].probabilities(rho)
-    py = bases["Y"].probabilities(rho)
-    pz = bases["Z"].probabilities(rho)
-    assert px[0] - px[1] == pytest.approx(x, abs=1e-12)
-    assert py[0] - py[1] == pytest.approx(y, abs=1e-12)
-    assert pz[0] - pz[1] == pytest.approx(z, abs=1e-12)

@@ -19,25 +19,26 @@ from oracles import analysis
 
 class TestBounds:
     def test_frozen_values(self):
-        assert mt.depol_hellinger_shift(0.04) == pytest.approx(
+        assert analysis.depol_hellinger_shift(0.04) == pytest.approx(
             1.931370849898476, abs=1e-14)
-        assert mt.mi_continuity_bound(0.01, 8) == pytest.approx(
+        assert analysis.mi_continuity_bound(0.01, 8) == pytest.approx(
             0.16141812177575637, abs=1e-14)
-        assert mt.hellinger_mi_bound(0.1, 4) == pytest.approx(
+        assert analysis.hellinger_mi_bound(0.1, 4) == pytest.approx(
             15.04895891196916, abs=1e-12)
 
     def test_zero_and_domain(self):
-        assert mt.hellinger_mi_bound(0.0, 5) == 0.0
-        assert mt.mi_continuity_bound(0.0, 5) == 0.0
+        assert analysis.hellinger_mi_bound(0.0, 5) == 0.0
+        assert analysis.mi_continuity_bound(0.0, 5) == 0.0
         with pytest.raises(ValueError):
-            mt.hellinger_mi_bound(-0.1, 4)
+            analysis.hellinger_mi_bound(-0.1, 4)
         with pytest.raises(ValueError):
-            mt.mi_continuity_bound(-0.1, 4)
+            analysis.mi_continuity_bound(-0.1, 4)
         with pytest.raises(ValueError):
-            mt.depol_hellinger_shift(-1.0)
+            analysis.depol_hellinger_shift(-1.0)
 
     def test_mi_bound_monotone_in_eta(self):
-        grid = [mt.hellinger_mi_bound(e, 6) for e in np.linspace(0.01, 1.5, 40)]
+        grid = [analysis.hellinger_mi_bound(e, 6)
+                for e in np.linspace(0.01, 1.5, 40)]
         assert all(b2 > b1 for b1, b2 in zip(grid, grid[1:]))
 
     def test_mi_bound_dominates_random_quantum_joints(self):
@@ -50,7 +51,7 @@ class TestBounds:
                     linalg.partial_trace(rho, d, d, "A"),
                     linalg.partial_trace(rho, d, d, "B"))
                 eta = math.sqrt(dv.hellinger_sq_q(rho, prod))
-                assert mi <= mt.hellinger_mi_bound(eta, d)
+                assert mi <= analysis.hellinger_mi_bound(eta, d)
 
     def test_mi_bound_dominates_classical_joints(self):
         # classical tables embed as commuting states, same bound applies
@@ -61,7 +62,7 @@ class TestBounds:
             mi = dv.classical_mutual_information(p)
             prod = np.outer(p.sum(axis=1), p.sum(axis=0))
             eta = math.sqrt(dv.hellinger_sq(p.ravel(), prod.ravel()))
-            assert mi <= mt.hellinger_mi_bound(eta, d)
+            assert mi <= analysis.hellinger_mi_bound(eta, d)
 
     def test_continuity_holds_on_mixtures(self):
         # q = (1-eps) p + eps r has TV(p, q) <= eps
@@ -74,7 +75,43 @@ class TestBounds:
                 q = (1.0 - eps) * p + eps * r
                 gap = abs(dv.classical_mutual_information(p)
                           - dv.classical_mutual_information(q))
-                assert gap <= mt.mi_continuity_bound(eps, d)
+                assert gap <= analysis.mi_continuity_bound(eps, d)
+
+    def test_bounds_hold_on_depolarized_joints(self):
+        # 1,000 random joints at d = 2 and 3, each smoothed over an eps
+        # grid: continuity, the depolarizing shift, the bound assembled
+        # at each eps, and the optimized bound itself
+        rng = np.random.default_rng([accept._SEED, 11])
+        eps_grid = np.geomspace(1e-3, 0.5, 7)
+        v_cont = v_shift = v_assembled = v_direct = 0
+        for k in range(1_000):
+            d = 2 + (k % 2)
+            rho = linalg.random_density(d * d, d * d, rng)
+            ra = linalg.partial_trace(rho, d, d, "A")
+            rb = linalg.partial_trace(rho, d, d, "B")
+            eta = dv.hellinger_sq_q(rho, np.kron(ra, rb))
+            mi = dv.quantum_mutual_information(rho, d, d)
+            v_direct += mi > analysis.hellinger_mi_bound(eta, d)
+            for eps in map(float, eps_grid):
+                sig = linalg.depolarize(rho, eps)
+                sa = linalg.partial_trace(sig, d, d, "A")
+                sb = linalg.partial_trace(sig, d, d, "B")
+                mi_s = dv.quantum_mutual_information(sig, d, d)
+                eps_tr = dv.trace_distance(rho, sig)
+                v_cont += (abs(mi - mi_s)
+                           > analysis.mi_continuity_bound(eps_tr, d))
+                h_s = dv.hellinger_sq_q(sig, np.kron(sa, sb))
+                v_shift += h_s > analysis.depol_hellinger_shift(eps) + eta
+                # the pre-optimization form: smooth by eps, pay
+                # continuity, bound the max log-ratio through the floor
+                assembled = ((2.0 + math.log(d * d / eps ** 2))
+                             * (analysis.depol_hellinger_shift(eps) + eta)
+                             + analysis.mi_continuity_bound(eps, d))
+                v_assembled += mi > assembled
+        assert v_cont == 0
+        assert v_shift == 0
+        assert v_assembled == 0
+        assert v_direct == 0
 
 
 # ---------------------------------------------------------------------------

@@ -268,28 +268,3 @@ def test_to_chi2_rejects_bad_eta():
     if out.prefix:
         with pytest.raises(pl.ParameterError):
             pl.to_chi2(out, eta=0.7)
-
-
-class TestQubitLearn:
-    def test_consumption_and_validity(self):
-        rng = np.random.default_rng(269)
-        rho = linalg.random_density(2, 2, rng)
-        est, n = pl.qubit_learn(rho, 0.2, 0.1, rng)
-        assert n == math.ceil(config.QUBIT_SCALE * math.log(10.0) / 0.2)
-        linalg.require_density(est)
-
-    def test_failure_rate(self):
-        rng = np.random.default_rng(271)
-        eps, delta, trials = 0.2, 0.1, 300
-        fails = 0
-        for _ in range(trials):
-            rho = linalg.random_density(2, 2, rng)
-            est, _ = pl.qubit_learn(rho, eps, delta, rng)
-            if dv.bures_chi2(rho, est) > eps:
-                fails += 1
-        assert fails / trials <= delta
-
-    def test_rejects_wrong_shape(self):
-        rng = np.random.default_rng(277)
-        with pytest.raises(ValueError):
-            pl.qubit_learn(np.eye(3) / 3, 0.1, 0.1, rng)

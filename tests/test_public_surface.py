@@ -1,12 +1,17 @@
-"""The library exports only what the library or the benchmark calls.
+"""The library exports only what a run reaches.
 
 Every top-level undecorated function or class of ``bureslab``, and every
-name in a module's ``__all__``, must be referenced by code in
-``src/bureslab`` outside its own definition, or by ``perfbench/*.py``.
-A reference is a name or an attribute in the code; docstrings and the
-``__all__`` lists do not count.  The benchmark patches functions by
-name, so its string constants count as references too.  Closed forms
-that only tests use live in ``tests/oracles``.
+name in a module's ``__all__``, must be reached from ``perfbench/*.py``
+or from the package's module-level code, which holds the command-line
+entry point.  A reference is a name or an attribute the code loads;
+docstrings, the ``__all__`` lists and assignment targets do not count.
+The benchmark patches functions by name, so its string constants count
+as references too.  A reference inside a top-level definition counts
+once that definition is itself reached, and the reached set grows to a
+fixed point.  References from ``accept`` reach only the names ``accept``
+defines: code that only the acceptance suite calls, to check that same
+code, is not library code.  Closed forms that only tests use live in
+``tests/oracles``.
 
 Likewise every defaulted parameter of a public function or method must
 be passed, by keyword or by position, at some call in ``src/bureslab``
@@ -31,6 +36,11 @@ ALLOWED = {
     ("linalg", "require_density"),
     # per-trial traces are to log the predicted error terms
     ("pipeline", "chi2_error_terms"),
+    # the divergence chain is to gain D_2 = renyi_divergence_q(rho,
+    # sigma, 2) between KL and the Petz chi-square; renyi_divergence is
+    # its classical core
+    ("divergences", "renyi_divergence"),
+    ("divergences", "renyi_divergence_q"),
 }
 
 
@@ -62,6 +72,8 @@ def _references(tree, strings: bool) -> set:
             top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
             else None
         for node in ast.walk(top):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
             if isinstance(node, ast.Name):
                 refs.add((owner, node.id))
             elif isinstance(node, ast.Attribute):
@@ -89,19 +101,26 @@ def _parse(directory) -> dict:
 
 
 def unreferenced() -> list:
+    """(module, export) pairs that no run reaches."""
     modules = _parse(PACKAGE)
     refs = {stem: _references(tree, strings=False)
             for stem, tree in modules.items()}
-    outside = set()
+    reached = set()
     for tree in _parse(BENCHMARK).values():
-        outside |= {name for _, name in _references(tree, strings=True)}
+        reached |= {name for _, name in _references(tree, strings=True)}
+    while True:
+        grown = reached | {ref for stem, module_refs in refs.items()
+                           if stem != "accept"
+                           for owner, ref in module_refs
+                           if owner is None or owner in reached}
+        if grown == reached:
+            break
+        reached = grown
     missing = []
     for stem, tree in modules.items():
         for name in sorted(_exports(tree)):
-            used = name in outside or any(
-                ref == name and not (other == stem and owner == name)
-                for other, module_refs in refs.items()
-                for owner, ref in module_refs)
+            used = name in reached or stem == "accept" and any(
+                ref == name and owner != name for owner, ref in refs[stem])
             if not used:
                 missing.append((stem, name))
     return missing
