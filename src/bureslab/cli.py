@@ -139,6 +139,10 @@ def cmd_mi_test(args) -> int:
     from . import mitest as mt
     if args.trials < 1:
         raise hz.ScenarioError(f"--trials {args.trials} must be at least 1")
+    if args.r is not None and not 1 <= args.r <= args.d:
+        raise hz.ScenarioError(f"--r {args.r} must lie in [1, --d {args.d}]")
+    if not 0.0 <= args.lam <= 1.0:
+        raise hz.ScenarioError(f"--lam {args.lam} must lie in [0, 1]")
     rng = np.random.default_rng(args.seed)
     lam = args.lam if args.arm == "correlated" else 0.0
     should_accept = args.arm == "product"

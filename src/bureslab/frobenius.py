@@ -51,26 +51,24 @@ def simple_frobenius(rho: np.ndarray, shots: int,
     """Measured estimate of every matrix entry, ``shots`` per POVM.
 
     Each matching round contributes two POVMs (real and imaginary
-    interference); outcome frequencies give r_hat = (f+ - f-)/2 per pair
-    with variance at most avg(rho_ii, rho_jj)/shots.  One more round of
+    interference), all drawn at once from the stacked
+    :func:`measurement.matching_povms` design; outcome frequencies give
+    r_hat = (f+ - f-)/2 per pair with variance at most
+    avg(rho_ii, rho_jj)/shots.  One more round of
     computational-basis shots fills in the diagonal.  Total copies:
     (2 rounds + 1) * shots.  Each pair adds at most (rho_ii + rho_jj)/shots
     to the expected squared Frobenius error and the diagonal pass at most
     (1 - 1/d)/shots: at most (d - 1/d)/shots, reached at rho = I/d.
     """
     d = rho.shape[0]
+    design = ms.matching_povms(d)
+    freq = ms.sample_povm(design, rho, design.n_rows * shots,
+                          rng).reshape(-1) / shots
+    re, im = (freq[design.plus] - freq[design.minus]) / 2.0
     est = np.zeros((d, d), dtype=complex)
-    for _, real_round, imag_round in ms.matching_povms(d):
-        cr = ms.sample_povm(real_round, rho, shots, rng) / shots
-        ci = ms.sample_povm(imag_round, rho, shots, rng) / shots
-        i, j = real_round.rows, real_round.cols
-        plus, minus = real_round.plus, real_round.minus
-        re = (cr[plus] - cr[minus]) / 2.0
-        im = (ci[plus] - ci[minus]) / 2.0
-        est[i, j] = re + 1j * im
-        est[j, i] = re - 1j * im
-    diag = ms.sample_basis(rho, shots, rng) / shots
-    est[np.diag_indices(d)] = diag
+    est[design.rows, design.cols] = re + 1j * im
+    est[design.cols, design.rows] = re - 1j * im
+    est[np.diag_indices(d)] = ms.sample_basis(rho, shots, rng) / shots
     return est
 
 

@@ -401,17 +401,17 @@ def csv_rows(records) -> list:
     sorted by name.  Wall time is excluded so identical reruns emit
     identical bytes.  Rows are tuples.  Callers may keep the rows of
     many calls, so the header is built once per column set and shared,
-    and the cells that repeat across calls (scenario, point, n_used) are
-    interned.
+    and the cells that repeat across calls (scenario, trial, point,
+    n_used and the flags) are interned.
     """
     loss_keys = tuple(sorted({k for r in records for k in r.losses}))
     flag_keys = tuple(sorted({k for r in records for k in r.flags}))
     return [_csv_header(loss_keys, flag_keys)] + [
-        (sys.intern(rec.scenario), str(rec.trial),
+        (sys.intern(rec.scenario), sys.intern(str(rec.trial)),
          sys.intern(repr(float(rec.point))), sys.intern(str(int(rec.n_used))),
          *(repr(float(rec.losses[k])) if k in rec.losses else ""
            for k in loss_keys),
-         *(str(int(rec.flags[k])) if k in rec.flags else ""
+         *(sys.intern(str(int(rec.flags[k]))) if k in rec.flags else ""
            for k in flag_keys))
         for rec in records]
 

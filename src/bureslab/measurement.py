@@ -11,16 +11,19 @@ from rho without building or eigen-checking a matrix per outcome:
 * :class:`Povm`, a measurement in an orthonormal basis.  The basis is
   validated once (square and unitary), and the probabilities are the
   diagonal of U^dagger rho U; no projector is ever formed.
-* :class:`PairRound`, one matching of pair-interference outcomes, whose
-  probabilities come in closed form from rho's diagonal and the matched
-  off-diagonal entries (see :func:`matching_povms`).
+* :class:`MatchingDesign`, every pair-interference measurement of one
+  dimension stacked into one record: one row of Born probabilities per
+  measurement, all read in closed form from rho's diagonal and its
+  off-diagonal entries in one gather (see :func:`matching_povms`).
 
-Both hand ``sample_povm`` a vector of Born probabilities; a vector that
-dips below zero past round-off means the input was not a state, and the
-sampler raises instead of clipping it away.  Every vector is judged at
-unit scale against PSD_TOL.  Conditional states are formed only above
-``config.PASS_MASS_FLOOR`` (:func:`filter_subset`), where round-off
-amplified by the pass probability stays far inside that tolerance.
+Both hand ``sample_povm`` Born probabilities, a vector or one row per
+measurement, and each row is one multinomial distribution of the same
+draw.  A row that dips below zero past round-off means the input was not
+a state, and the sampler raises instead of clipping it away.  Every row
+is judged at unit scale against PSD_TOL.  Conditional states are formed
+only above ``config.PASS_MASS_FLOOR`` (:func:`filter_subset`), where
+round-off amplified by the pass probability stays far inside that
+tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
     "BudgetExhausted",
     "CopyBudget",
     "Povm",
-    "PairRound",
+    "MatchingDesign",
     "sample_povm",
     "sample_basis",
     "filter_subset",
@@ -119,89 +122,21 @@ class Povm:
         return np.einsum("ik,ik->k", u.conj(), np.asarray(rho) @ u).real
 
 
-class PairRound:
-    """One matching's pair-interference measurement, in closed form.
-
-    ``pairs`` is the matching as (i, j) with i < j, plus at most one bye
-    (i, None).  A pair contributes the outcomes (i, j, +1) and (i, j, -1)
-    with probabilities avg(rho_ii, rho_jj) +- Re rho_ij, or +- Im rho_ij
-    when ``imaginary``; the bye contributes (i, None, 0) with probability
-    rho_ii.  ``rows``, ``cols``, ``plus`` and ``minus`` index the proper
-    pairs and the positions of their two outcomes in ``labels``; they are
-    read-only, because rounds are cached and shared.
-    """
-
-    def __init__(self, dim: int, pairs, imaginary: bool):
-        self.dim, self.pairs, self.imaginary = dim, tuple(pairs), imaginary
-        labels = self.labels
-        self.n_outcomes = len(labels)
-        self.bye = next(((i, k) for k, (i, j, _) in enumerate(labels)
-                         if j is None), ())
-        at = [k for k, label in enumerate(labels) if label[2] == 1]
-        self.rows = np.array([labels[k][0] for k in at], dtype=int)
-        self.cols = np.array([labels[k][1] for k in at], dtype=int)
-        self.plus = np.array(at, dtype=int)
-        self.minus = self.plus + 1
-        # flat positions of rho_ii, rho_jj, rho_ij, rho_ji: one gather
-        r, c = self.rows, self.cols
-        self._gather = np.concatenate([r * (dim + 1), c * (dim + 1),
-                                       r * dim + c, c * dim + r])
-        for a in (self.rows, self.cols, self.plus, self.minus, self._gather):
-            a.setflags(write=False)
-
-    @property
-    def labels(self) -> tuple:
-        """(i, j, +1) and (i, j, -1) per pair, (i, None, 0) for the bye."""
-        return tuple(label for i, j in self.pairs for label in
-                     ([(i, None, 0)] if j is None else [(i, j, 1), (i, j, -1)]))
-
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Born probabilities of the outcomes, in ``labels`` order.
-
-        Outcome (i, j, s) has the element (|i><i| + |j><j|)/2 plus s/2
-        times |i><j| + |j><i| (real round) or i|i><j| - i|j><i|
-        (imaginary round).  Its Born sum tr(E rho) is taken row by row,
-        row i then row j, with rho_ji read where row i meets it.  That is
-        the order in which numpy's einsum sums a dense (d, d) element, so
-        the values equal the dense Born rule bit for bit, also when rho
-        is Hermitian only to round-off.
-        """
-        rho = np.asarray(rho)
-        if rho.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim} x {self.dim} state, "
-                             f"got shape {rho.shape}")
-        ii, jj, ij, ji = rho.reshape(-1)[self._gather].reshape(4, -1)
-        half_ii = 0.5 * ii.real
-        half_jj = 0.5 * jj.real
-        if self.imaginary:
-            x_ij = 0.5 * ij.imag
-            x_ji = -0.5 * ji.imag
-        else:
-            x_ij = 0.5 * ij.real
-            x_ji = 0.5 * ji.real
-        p = np.empty(self.n_outcomes)
-        p[self.plus] = (half_ii + x_ji) + (x_ij + half_jj)
-        p[self.minus] = (half_ii - x_ji) + (-x_ij + half_jj)
-        if self.bye:
-            b, at = self.bye
-            p[at] = rho[b, b].real
-        return p
-
-
 def _sampling_probs(raw: np.ndarray) -> np.ndarray:
-    """Born probabilities made exact for sampling.
+    """Born probabilities made exact for sampling, row by row.
 
-    Round-off within PSD_TOL below zero is clipped and the vector is
-    renormalized; anything more negative means the measured matrix was
-    not a state, and raises.
+    Round-off within PSD_TOL below zero is clipped and each row (a vector
+    is one row) is renormalized; anything more negative in any row means
+    the measured matrix was not a state, and raises, as does a row whose
+    mass vanishes.
     """
     low = raw.min()
     if low < -config.PSD_TOL:
         raise ValueError(f"outcome probability {low:.3g} is negative: "
                          "the measured matrix is not a state")
     p = np.maximum(raw, 0.0)
-    s = p.sum()
-    if s <= 0.0:
+    s = p.sum(axis=-1, keepdims=True)
+    if s.min() <= 0.0:
         raise ValueError("all outcome probabilities vanish")
     return p / s
 
@@ -211,12 +146,20 @@ def sample_povm(povm, rho: np.ndarray, k: int,
                 budget: CopyBudget | None = None) -> np.ndarray:
     """Outcome counts from measuring k copies; one multinomial draw.
 
-    ``povm`` is a :class:`Povm` or a :class:`PairRound`.
+    ``povm`` is a :class:`Povm`, which measures all k copies, or a
+    :class:`MatchingDesign`, whose rows share the k copies evenly: each
+    row measures k / n_rows of them, and the counts come back as one row
+    per measurement.  Either way k copies are charged to ``budget``.  A
+    refused call charges nothing.
     """
+    p = _sampling_probs(povm.probabilities(rho))
+    shots, extra = divmod(k, len(p)) if p.ndim == 2 else (k, 0)
+    if extra:
+        raise ValueError(f"{k} copies do not split evenly over "
+                         f"{len(p)} measurements")
     if budget is not None:
         budget.take(k)
-    p = _sampling_probs(povm.probabilities(rho))
-    return rng.multinomial(k, p)
+    return rng.multinomial(shots, p)
 
 
 def sample_basis(rho: np.ndarray, k: int,
@@ -265,7 +208,80 @@ def matching_round_count(d: int) -> int:
     return d - 1 if d % 2 == 0 else d
 
 
-def matching_povms(d: int):
+#: scales the six gathered parts of a pair, in ``MatchingDesign.gather``
+#: order; the imaginary row's element i|i><j| - i|j><i| reads rho_ji
+#: with the opposite sign
+_GATHER_SCALE = np.array([0.5, 0.5, 0.5, 0.5, 0.5, -0.5])[:, None, None]
+
+
+@dataclass(frozen=True, eq=False)
+class MatchingDesign:
+    """All pair-interference measurements of dimension ``dim``, stacked.
+
+    There are R matchings (:func:`matching_round_count`), each of P
+    proper pairs (i, j), i < j, plus at odd d one bye.  Each matching is
+    measured twice, real then imaginary, so the design has 2R rows of
+    ``dim`` outcomes, in the order real_0, imag_0, real_1, imag_1, ...
+    Within a row, pair (i, j) owns two adjacent outcomes, + then -, in
+    the matching's order, and the bye owns one.
+
+    * ``rows``, ``cols``: (R, P) indices i and j of the proper pairs.
+    * ``plus``, ``minus``: (2, R, P) flat positions, in the raveled
+      (2R, dim) outcome matrix, of each pair's + and - outcome in the
+      real (``[0]``) and the imaginary (``[1]``) row of its round.
+    * ``gather``: (6, R, P) flat positions, in rho viewed as real
+      numbers, of Re rho_ii, Re rho_jj, Re rho_ij, Im rho_ij, Re rho_ji
+      and Im rho_ji: every entry the pairs read, in one gather.
+    * ``byes``: (R,) the unmatched index of each round, empty at even d;
+      ``bye_at``: (2, R) its flat outcome positions in the two rows.
+
+    The arrays are read-only, because designs are cached and shared.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    gather: np.ndarray
+    byes: np.ndarray
+    bye_at: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        """The number of measurements, 2R."""
+        return 2 * self.rows.shape[0]
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """Born probabilities, one row of ``dim`` outcomes per measurement.
+
+        Outcome (i, j, s) has the element (|i><i| + |j><j|)/2 plus s/2
+        times |i><j| + |j><i| (real row) or i|i><j| - i|j><i|
+        (imaginary row); the bye's outcome is |i><i|.  Its Born sum
+        tr(E rho) is taken row by row, row i then row j, with rho_ji
+        read where row i meets it.  That is the order in which numpy's
+        einsum sums a dense (d, d) element, so the values equal the
+        dense Born rule bit for bit, also when rho is Hermitian only to
+        round-off.
+        """
+        d = self.dim
+        rho = np.asarray(rho)
+        if rho.shape != (d, d):
+            raise ValueError(f"expected a {d} x {d} state, "
+                             f"got shape {rho.shape}")
+        parts = np.ascontiguousarray(rho, dtype=complex).reshape(-1) \
+            .view(float)
+        half = parts[self.gather] * _GATHER_SCALE
+        half_ii, half_jj, x_ij, x_ji = half[0], half[1], half[2:4], half[4:]
+        p = np.empty(self.n_rows * d)
+        p[self.plus] = (half_ii + x_ji) + (x_ij + half_jj)
+        p[self.minus] = (half_ii - x_ji) + (-x_ij + half_jj)
+        p[self.bye_at] = parts[2 * (d + 1) * self.byes]
+        return p.reshape(-1, d)
+
+
+@functools.lru_cache(maxsize=None)
+def matching_povms(d: int) -> MatchingDesign:
     """Pair-interference measurements covering every off-diagonal entry once.
 
     The complete graph on basis indices is split into matchings; each
@@ -278,26 +294,27 @@ def matching_povms(d: int):
     carries a factor 1j on the off-diagonal part and sees +- Im rho_ij.
     Odd d is handled by a phantom vertex: the unmatched index
     contributes its bare projector as a single outcome.  The outcomes
-    are never built as matrices: each :class:`PairRound` computes its
-    probabilities from those entries of rho directly.
-
-    Returns a list of (pairs, real_round, imag_round) triples, where
-    pairs is the matching as a list of (i, j) with i < j; a pair
-    (i, None) marks the bye outcome.  Labels on the rounds are
-    (i, j, +1/-1) and (i, None, 0) accordingly.
+    are never built as matrices: the returned :class:`MatchingDesign`
+    stacks every measurement and computes all their probabilities from
+    those entries of rho at once.  It is built once per dimension.
     """
-    return [(list(pairs), real, imag)
-            for pairs, real, imag in _matching_rounds(d)]
-
-
-@functools.lru_cache(maxsize=None)
-def _matching_rounds(d: int) -> tuple:
-    """The rounds of :func:`matching_povms`, built once per dimension."""
-    n = matching_round_count(d) + 1
-    rounds = []
-    for matching in _round_robin(n):
-        pairs = tuple((i, None) if j == d else (i, j) for (i, j) in matching)
-        rounds.append((pairs, PairRound(d, pairs, imaginary=False),
-                       PairRound(d, pairs, imaginary=True)))
-    return tuple(rounds)
-
+    n_rounds = matching_round_count(d)
+    pairs = np.array(_round_robin(n_rounds + 1))  # (R, pairs, 2), i < j
+    is_bye = pairs[..., 1] == d                    # matched to the phantom
+    width = 2 - is_bye                             # outcomes per pair
+    first = np.cumsum(width, axis=1) - width       # its first outcome
+    rows, cols, at = (a[~is_bye].reshape(n_rounds, -1)
+                      for a in (pairs[..., 0], pairs[..., 1], first))
+    byes = pairs[..., 0][is_bye]
+    # row 2r measures round r's real part, row 2r + 1 its imaginary part
+    row_start = d * np.arange(2 * n_rounds).reshape(n_rounds, 2).T
+    plus = row_start[:, :, None] + at
+    bye_at = row_start[:, :len(byes)] + first[is_bye]
+    ij, ji = 2 * (rows * d + cols), 2 * (cols * d + rows)
+    gather = np.stack([2 * (d + 1) * rows, 2 * (d + 1) * cols,
+                       ij, ij + 1, ji, ji + 1])
+    design = MatchingDesign(d, rows, cols, plus, plus + 1, gather, byes,
+                            bye_at)
+    for a in (rows, cols, plus, design.minus, gather, byes, bye_at):
+        a.setflags(write=False)
+    return design

@@ -154,10 +154,17 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["tomography", "run", "--trials", "0"], "field 'trials'"),
     (["mi-test", "--trials", "0"], "--trials 0 must be at least 1"),
     (["accept", "--only", "6"], "unknown criterion numbers: [6]"),
+    (["mi-test", "--arm", "correlated", "--lam", "2"],
+     "--lam 2.0 must lie in [0, 1]"),
+    (["mi-test", "--kind", "classical", "--lam", "-0.5"],
+     "--lam -0.5 must lie in [0, 1]"),
+    (["mi-test", "--r", "0"], "--r 0 must lie in [1, --d 4]"),
+    (["mi-test", "--r", "9", "--d", "4"], "--r 9 must lie in [1, --d 4]"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
         "accept-abc", "divergence-dims", "divergence-r-above-d",
         "divergence-d1", "bench-one-budget", "bench-no-trials",
-        "tomography-no-trials", "mi-no-trials", "accept-retired-6"])
+        "tomography-no-trials", "mi-no-trials", "accept-retired-6",
+        "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)

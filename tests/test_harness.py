@@ -248,6 +248,19 @@ class TestEmission:
         assert not any("wall" in col for col in rows[0])
         assert len(rows) == 1 + len(recs)
 
+    def test_repeated_cells_are_shared(self):
+        """Rows kept from many calls share one string per repeated cell."""
+        def records():
+            return [hz.TrialRecord(scenario="s", trial=12345, point=1e3,
+                                   n_used=1000, losses={"frob_sq": 0.5},
+                                   flags={"converged": 1, "within_rate": 0},
+                                   wall_time=0.0)]
+
+        (_, a), (_, b) = hz.csv_rows(records()), hz.csv_rows(records())
+        assert a == b
+        for col in (1, 5, 6):  # trial and both flags
+            assert a[col] is b[col]
+
     def test_files(self, tmp_path):
         recs = hz.run_scenario(small(trials=2))
         out = tmp_path / "r.csv"

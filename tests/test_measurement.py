@@ -98,34 +98,41 @@ def test_filter_subset():
 
 @pytest.mark.parametrize("d", [2, 4, 5, 7, 8])
 def test_matching_povms_cover_every_pair_once(d):
-    rounds = ms.matching_povms(d)
+    design = ms.matching_povms(d)
     expect_rounds = d - 1 if d % 2 == 0 else d
-    assert len(rounds) == expect_rounds
-    seen = []
-    for pairs, real_povm, imag_povm in rounds:
-        assert real_povm.dim == d and imag_povm.dim == d
-        seen.extend(p for p in pairs if p[1] is not None)
+    assert design.dim == d and design.n_rows == 2 * expect_rounds
+    assert design.rows.shape == (expect_rounds, d // 2)
+    seen = list(zip(design.rows.ravel().tolist(),
+                    design.cols.ravel().tolist()))
     assert sorted(seen) == sorted(itertools.combinations(range(d), 2))
+    # at odd d every index sits out exactly one round
+    assert sorted(design.byes.tolist()) == (list(range(d)) if d % 2 else [])
+    # every outcome of every row has exactly one owner
+    owned = np.concatenate([design.plus.ravel(), design.minus.ravel(),
+                            design.bye_at.ravel()])
+    assert sorted(owned.tolist()) == list(range(design.n_rows * d))
 
 
 def test_matching_povm_outcome_probabilities():
     rng = np.random.default_rng(23)
     d = 5
     rho = linalg.random_density(d, d, rng)
-    for pairs, real_povm, imag_povm in ms.matching_povms(d):
-        pr = real_povm.probabilities(rho)
-        pi = imag_povm.probabilities(rho)
-        assert real_povm.labels == imag_povm.labels
-        assert pr.sum() == pytest.approx(1.0, abs=1e-12)
-        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-        for k, (i, j, sign) in enumerate(real_povm.labels):
-            if j is None:
-                assert pr[k] == pytest.approx(rho[i, i].real, abs=1e-12)
-                assert pi[k] == pytest.approx(rho[i, i].real, abs=1e-12)
-                continue
-            avg = 0.5 * (rho[i, i].real + rho[j, j].real)
-            assert pr[k] == pytest.approx(avg + sign * rho[i, j].real, abs=1e-12)
-            assert pi[k] == pytest.approx(avg + sign * rho[i, j].imag, abs=1e-12)
+    design = ms.matching_povms(d)
+    p = design.probabilities(rho)
+    assert p.shape == (design.n_rows, d)
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    flat = p.ravel()
+    for (i, j), plus, minus in zip(
+            zip(design.rows.ravel(), design.cols.ravel()),
+            design.plus.reshape(2, -1).T, design.minus.reshape(2, -1).T):
+        avg = 0.5 * (rho[i, i].real + rho[j, j].real)
+        for sign, at in ((1, plus), (-1, minus)):
+            assert flat[at[0]] == pytest.approx(avg + sign * rho[i, j].real,
+                                                abs=1e-12)
+            assert flat[at[1]] == pytest.approx(avg + sign * rho[i, j].imag,
+                                                abs=1e-12)
+    for b, at in zip(design.byes, design.bye_at.T):
+        assert np.allclose(flat[at], rho[b, b].real, rtol=0, atol=1e-12)
 
 
 def test_dense_matching_povm_outcome_probabilities():
@@ -158,19 +165,46 @@ def _differential_states(d, rng):
         yield u.conj().T @ rho @ u
 
 
+def _dense_rows(d, rho):
+    """The dense rounds' probabilities, stacked in the design's row order."""
+    return np.array([povm.probabilities(rho)
+                     for _, real, imag in dense.dense_matching_povms(d)
+                     for povm in (real, imag)])
+
+
+def _assert_design_layout(d):
+    """The design's pairs, byes and outcome positions are the dense
+    rounds' matchings and labels."""
+    design = ms.matching_povms(d)
+    rounds = dense.dense_matching_povms(d)
+    assert design.n_rows == 2 * len(rounds)
+    for r, (pairs, real, imag) in enumerate(rounds):
+        assert real.labels == imag.labels
+        proper = [(i, j) for i, j in pairs if j is not None]
+        assert list(zip(design.rows[r].tolist(),
+                        design.cols[r].tolist())) == proper
+        byes = [i for i, j in pairs if j is None]
+        assert design.byes[r:r + 1].tolist() == byes
+        for s in (0, 1):  # real row 2r, imaginary row 2r + 1
+            start = (2 * r + s) * d
+            for p, (i, j) in enumerate(proper):
+                assert design.plus[s, r, p] - start == \
+                    real.labels.index((i, j, 1))
+                assert design.minus[s, r, p] - start == \
+                    real.labels.index((i, j, -1))
+            if byes:
+                assert design.bye_at[s, r] - start == \
+                    real.labels.index((byes[0], None, 0))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 16])
 def test_closed_form_matches_dense_reference(d):
     rng = np.random.default_rng(1000 + d)
+    _assert_design_layout(d)
+    design = ms.matching_povms(d)
     for rho in _differential_states(d, rng):
-        for (pairs, real_round, imag_round), (dpairs, real_dense, imag_dense) \
-                in zip(ms.matching_povms(d), dense.dense_matching_povms(d)):
-            assert pairs == dpairs
-            assert real_round.labels == real_dense.labels
-            # bit for bit, not approximately
-            assert np.array_equal(real_round.probabilities(rho),
-                                  real_dense.probabilities(rho))
-            assert np.array_equal(imag_round.probabilities(rho),
-                                  imag_dense.probabilities(rho))
+        # every row bit for bit, not approximately
+        assert np.array_equal(design.probabilities(rho), _dense_rows(d, rho))
         u = linalg.haar_unitary(d, rng)
         # diag(U^dagger rho U) sums in another order than tr(E_k rho)
         assert np.max(np.abs(
@@ -234,13 +268,19 @@ def test_sampler_rejects_non_states():
         ms.sample_basis(not_psd, 10, rng)
     with pytest.raises(ValueError, match="not a state"):
         ms.sample_povm(ms.Povm.from_basis(np.eye(2)), not_psd, 10, rng)
-    # unit trace and a positive diagonal, but |rho_01| > avg(rho_00, rho_11)
-    off = np.array([[0.5, 0.8], [0.8, 0.5]], dtype=complex)
-    _, real_round, imag_round = ms.matching_povms(2)[0]
-    with pytest.raises(ValueError, match="not a state"):
-        ms.sample_povm(real_round, off, 10, rng)
-    counts = ms.sample_povm(imag_round, off, 10, rng)  # Im part is 0
-    assert counts.sum() == 10
+    # unit trace and a positive diagonal, but |rho_01| > avg(rho_00, rho_11),
+    # in the real part (row 0) or the imaginary part (row 1)
+    design = ms.matching_povms(2)
+    for off01 in (0.8, 0.8j):
+        off = np.array([[0.5, off01], [np.conj(off01), 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="not a state"):
+            ms.sample_povm(design, off, 20, rng)
+    pure = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    counts = ms.sample_povm(design, pure, 20, rng)
+    assert counts.tolist()[1] == [10, 0]  # Im rho_01 = avg: no - outcome
+    assert counts.sum(axis=1).tolist() == [10, 10]
+    with pytest.raises(ValueError, match="vanish"):
+        ms.sample_povm(design, np.zeros((2, 2), dtype=complex), 20, rng)
     # round-off inside PSD_TOL is still clipped, not refused
     nearly = np.diag([1.0 + 1e-12, -1e-12]).astype(complex)
     assert ms.sample_basis(nearly, 10, rng).tolist() == [10, 0]
@@ -257,6 +297,43 @@ def test_sampler_judges_round_off_at_unit_scale():
 
 def test_matching_round_count():
     for d in (2, 3, 4, 5, 8, 9):
-        assert ms.matching_round_count(d) == len(ms.matching_povms(d))
+        assert 2 * ms.matching_round_count(d) == ms.matching_povms(d).n_rows
     with pytest.raises(ValueError):
         ms.matching_round_count(1)
+
+
+def test_design_refuses_a_negative_outcome_in_one_late_row():
+    """A Hermitian unit-trace non-state whose one negative Born value
+    sits in the last (imaginary) row: the stacked draw judges every row,
+    and the refused draw charges no copies."""
+    rng = np.random.default_rng(43)
+    d = 8
+    design = ms.matching_povms(d)
+    i, j = design.rows[-1, -1], design.cols[-1, -1]
+    rho = np.eye(d, dtype=complex) / d
+    rho[i, j], rho[j, i] = 0.2j, -0.2j  # avg(rho_ii, rho_jj) - 0.2 < 0
+    p = design.probabilities(rho)
+    bad_rows, _ = np.nonzero(p < -1e-3)
+    assert bad_rows.tolist() == [design.n_rows - 1]
+    budget = ms.CopyBudget(total=10 ** 6)
+    with pytest.raises(ValueError, match="not a state"):
+        ms.sample_povm(design, rho, design.n_rows * 10, rng, budget)
+    assert budget.consumed == 0
+
+
+@pytest.mark.parametrize("d", [2, 7, 16])
+def test_design_draw_charges_every_row(d):
+    """One stacked draw of ``shots`` per row costs 2R * shots copies."""
+    rng = np.random.default_rng(47)
+    rho = linalg.random_density(d, 2, rng)
+    design = ms.matching_povms(d)
+    shots = 10 ** 9
+    budget = ms.CopyBudget(total=10 ** 12)
+    counts = ms.sample_povm(design, rho, design.n_rows * shots, rng, budget)
+    assert budget.consumed == 2 * ms.matching_round_count(d) * shots
+    assert counts.shape == (design.n_rows, d)
+    assert np.all(counts.sum(axis=1) == shots)
+    # copies that do not split evenly over the rows are refused, uncharged
+    with pytest.raises(ValueError, match="split evenly"):
+        ms.sample_povm(design, rho, design.n_rows * shots + 1, rng, budget)
+    assert budget.consumed == design.n_rows * shots

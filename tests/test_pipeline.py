@@ -118,10 +118,9 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
     prefix = np.arange(d - 1)
     blk = linalg.submatrix(rho_cur, prefix)
     cond = blk / np.trace(blk).real
+    design = ms.matching_povms(d - 1)
     with pytest.raises(ValueError, match="not a state"):
-        for _, real_round, imag_round in ms.matching_povms(d - 1):
-            ms.sample_povm(real_round, cond, 10, rng)
-            ms.sample_povm(imag_round, cond, 10, rng)
+        ms.sample_povm(design, cond, design.n_rows * 10, rng)
     assert linalg.restrict(rho_cur, prefix) is None
     simple = fb.parse_estimator("simple")
     m_phase = 10 ** 13
