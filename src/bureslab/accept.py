@@ -33,7 +33,6 @@ from . import divergences as dv
 from . import frobenius as fb
 from . import harness as hz
 from . import linalg
-from . import measurement as ms
 from . import mitest as mt
 from . import pipeline as pl
 
@@ -188,7 +187,7 @@ def _frobenius_scaling():
         for t in range(trials):
             rng = np.random.default_rng([_SEED, 5, j, t])
             rho = linalg.random_density(d, d, rng)
-            est = spec.run(rho, ms.CopyBudget(total=n), rng)
+            est = spec.run(rho, n, rng)
             errs.append(linalg.frob_sq(est - rho))
         means.append(float(np.mean(errs)))
         level_ok = level_ok and means[-1] <= spec.rate(d, d) / n

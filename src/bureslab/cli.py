@@ -57,6 +57,8 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
 def cmd_divergence(args) -> int:
     if not 1 <= args.r <= args.d:
         raise hz.ScenarioError(f"--r {args.r} must lie in [1, --d {args.d}]")
+    if not 0.0 <= args.lam <= 1.0:
+        raise hz.ScenarioError(f"--lam {args.lam} must lie in [0, 1]")
     rng = np.random.default_rng(args.seed)
     rho = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
     sigma = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
@@ -75,12 +77,27 @@ def cmd_divergence(args) -> int:
     return 1 if failures else 0
 
 
-def _emit(records, loss: str, out: str | None, sid: str) -> None:
+def _out_path(out: str | None, sid: str) -> str | None:
+    """The CSV path ``--out`` names, settled before any trial runs.
+
+    A directory (created on demand) holds ``<sid>.csv``; a file path
+    whose directory does not exist is refused.
+    """
     if not out:
-        return
+        return None
     if os.path.isdir(out) or out.endswith(os.sep):
         os.makedirs(out, exist_ok=True)
-        out = os.path.join(out, f"{sid}.csv")
+        return os.path.join(out, f"{sid}.csv")
+    parent = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(parent):
+        raise hz.ScenarioError(
+            f"--out {out}: directory {parent} does not exist")
+    return out
+
+
+def _emit(records, loss: str, out: str | None) -> None:
+    if not out:
+        return
     hz.write_csv(records, out)
     base = out[:-4] if out.endswith(".csv") else out
     hz.write_summary_csv(records, loss, base + ".summary.csv")
@@ -120,6 +137,7 @@ def cmd_tomography(args) -> int:
         if args.n:
             data["n_grid"] = args.n
         s = _scenario(args, data)
+    out = _out_path(args.out, s.sid)
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     for row in hz.summarize(records, loss):
@@ -131,7 +149,7 @@ def cmd_tomography(args) -> int:
         failures += not passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: "
               f"measured {measured:.4g} vs {threshold:.4g}")
-    _emit(records, loss, args.out, s.sid)
+    _emit(records, loss, out)
     return 1 if failures else 0
 
 
@@ -171,6 +189,7 @@ def cmd_bench(args) -> int:
                          "n_grid": args.n})
     if len(set(s.n_grid)) < 2:
         raise hz.ScenarioError("a fit needs two distinct --n")
+    out = _out_path(args.out, s.sid)
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     slope, intercept, r2 = hz.fit_scaling(records, y=loss)
@@ -183,17 +202,17 @@ def cmd_bench(args) -> int:
         failures += not passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: "
               f"mean {measured:.4g} vs promised {threshold:.4g}")
-    _emit(records, loss, args.out, s.sid)
+    _emit(records, loss, out)
     return 1 if failures else 0
 
 
 def cmd_accept(args) -> int:
     from . import accept
     only = None
-    if args.only:
+    if args.only is not None:  # an empty selection is refused, not "all"
         known = {str(number): number for number, _, _ in accept.CRITERIA}
         asked = [x.strip() for x in args.only.split(",")]
-        unknown = [x for x in asked if x not in known]
+        unknown = [x or "''" for x in asked if x not in known]
         if unknown:
             raise hz.ScenarioError(
                 f"unknown criterion numbers: [{', '.join(unknown)}]")

@@ -12,9 +12,9 @@ squared Frobenius error at most f/m from m copies.  Two families ship:
   Useful for exploring how downstream guarantees scale with f without
   paying the d^2 of a real single-copy scheme.
 
-Estimators consume the entire budget they are handed; partial leftovers
-from shot granularity are burned, not returned, so copy accounting stays
-monotone.
+Estimators take a plain copy count n and are charged all n of them;
+copies left over from shot granularity are burned, not returned.  The
+only copy ledger is the staged learner's (``pipeline.staged_learn``).
 """
 
 from __future__ import annotations
@@ -34,15 +34,15 @@ __all__ = ["EstimatorSpec", "simple_frobenius", "oracle_estimate",
 class EstimatorSpec:
     """A base estimator and its promised copy-rate.
 
-    ``run(rho, budget, rng)`` returns a Hermitian estimate after drawing
-    from ``budget``; ``rate(d, r)`` is the f in the error promise f/m.
+    ``run(rho, n, rng)`` returns a Hermitian estimate from n copies;
+    ``rate(d, r)`` is the f in the error promise f/m.
     ``min_copies(d)`` is the fewest copies ``run`` accepts at
     dimension d.
     """
 
     name: str
     rate: Callable[[int, int], float]
-    run: Callable[[np.ndarray, ms.CopyBudget, np.random.Generator], np.ndarray]
+    run: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     min_copies: Callable[[int], int] = lambda d: 1
 
 
@@ -77,19 +77,16 @@ def _simple_min_copies(d: int) -> int:
     return 0 if d == 1 else 2 * ms.matching_round_count(d) + 1
 
 
-def _simple_runner(rho, budget, rng):
+def _simple_runner(rho, n, rng):
     d = rho.shape[0]
     if d == 1:  # a 1x1 state is [[1]] and needs no copies
-        budget.take(budget.remaining)
         return np.ones((1, 1), dtype=complex)
     povms_total = _simple_min_copies(d)
-    shots = budget.remaining // povms_total
+    shots = n // povms_total
     if shots < 1:
         raise ms.BudgetExhausted(
             f"need at least {povms_total} copies at dimension {d}")
-    est = simple_frobenius(rho, shots, rng)
-    budget.take(budget.remaining)
-    return est
+    return simple_frobenius(rho, shots, rng)
 
 
 def oracle_estimate(rho: np.ndarray, f: float, m: int,
@@ -140,12 +137,9 @@ def parse_estimator(text: str, r: int = None) -> EstimatorSpec:
                              f"choose from {sorted(_ORACLE_RATES)}")
         rate = _ORACLE_RATES[key]
 
-        def runner(rho, budget, rng, _rate=rate, _r=r):
-            m = budget.remaining
+        def runner(rho, n, rng, _rate=rate, _r=r):
             rr = _r if _r is not None else rho.shape[0]
-            est = oracle_estimate(rho, _rate(rho.shape[0], rr), m, rng)
-            budget.take(m)
-            return est
+            return oracle_estimate(rho, _rate(rho.shape[0], rr), n, rng)
 
         return EstimatorSpec(name=text, rate=rate, run=runner)
     raise ValueError(f"unknown estimator {text!r}")

@@ -25,7 +25,6 @@ import numpy as np
 from . import divergences as dv
 from . import frobenius as fb
 from . import linalg
-from . import measurement as ms
 from . import mitest as mt
 from . import pipeline as pl
 
@@ -127,6 +126,15 @@ def validate_scenario(s: Scenario) -> None:
 _FIELD_TYPES = typing.get_type_hints(Scenario)
 
 
+def _integer(value) -> int:
+    """An int field's value: booleans and fractional numbers are refused,
+    not truncated; a whole float such as 8.0 or 1e5 passes."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
     """Build and validate a Scenario from flat JSON-style keys."""
     kwargs = {}
@@ -135,9 +143,11 @@ def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
         if name not in _FIELD_TYPES:
             raise ScenarioError(f"{source}: unknown field {key!r}")
         kind = _FIELD_TYPES[name]
+        grid = typing.get_origin(kind) is tuple
+        item = typing.get_args(kind)[0] if grid else kind
+        cast = _integer if item is int else item
         try:  # a grid casts each entry to its item type
-            kwargs[name] = tuple(map(typing.get_args(kind)[0], value)) \
-                if typing.get_origin(kind) is tuple else kind(value)
+            kwargs[name] = tuple(map(cast, value)) if grid else cast(value)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{source}: field {key!r}: {exc}") from exc
     for f in fields(Scenario):
@@ -186,11 +196,7 @@ def make_state(s: Scenario, rng: np.random.Generator) -> np.ndarray:
 def _frobenius_trial(s: Scenario, rho, point, rng):
     n = int(point)
     spec = fb.parse_estimator(s.estimator, s.r)
-    budget = ms.CopyBudget(total=n)
-    est = spec.run(rho, budget, rng)
-    if budget.consumed != n:
-        raise RuntimeError(f"estimator {s.estimator!r} consumed "
-                           f"{budget.consumed} of {n} planned copies")
+    est = spec.run(rho, n, rng)
     loss = linalg.frob_sq(est - rho)
     promise = spec.rate(s.d, s.r) / n
     return n, {"frob_sq": float(loss)}, \

@@ -2,8 +2,10 @@
 
 Copies are an accounting fiction here: sampling k outcomes of a POVM is
 one multinomial draw (O(d) work however large k is), so astronomically
-large budgets cost nothing.  The :class:`CopyBudget` type exists to make
-every algorithm's copy consumption explicit and auditable.
+large budgets cost nothing.  The samplers take plain copy counts; the
+one ledger is the :class:`CopyBudget` that ``pipeline.staged_learn``
+keeps, so a staged run's copy consumption is explicit and auditable in
+one place.
 
 Two measurement types exist, and each reads its outcome probabilities
 from rho without building or eigen-checking a matrix per outcome:
@@ -29,7 +31,7 @@ tolerance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +56,7 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass
 class CopyBudget:
-    """Mutable counter of measurement copies.
+    """Mutable counter of measurement copies: a staged run's ledger.
 
     ``take`` spends copies, raising once the total would be exceeded.
     Totals are int64-safe.
@@ -85,11 +87,10 @@ class Povm:
     k has probability <u_k|rho|u_k>, the k-th diagonal entry of
     U^dagger rho U, read without forming the projectors u_k u_k^dagger.
     For a square unitary the projectors sum to the identity, so that
-    needs no check of its own.  Outcome k is labelled k.
+    needs no check of its own.
     """
 
     basis: np.ndarray
-    labels: tuple = field(init=False)
 
     def __post_init__(self):
         u = np.asarray(self.basis, dtype=complex)
@@ -101,15 +102,6 @@ class Povm:
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > config.UNITARY_TOL:
             raise ValueError("basis matrix is not unitary")
         object.__setattr__(self, "basis", u)
-        object.__setattr__(self, "labels", tuple(range(u.shape[1])))
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
 
     @classmethod
     def from_basis(cls, u: np.ndarray) -> "Povm":
@@ -142,23 +134,20 @@ def _sampling_probs(raw: np.ndarray) -> np.ndarray:
 
 
 def sample_povm(povm, rho: np.ndarray, k: int,
-                rng: np.random.Generator,
-                budget: CopyBudget | None = None) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """Outcome counts from measuring k copies; one multinomial draw.
 
     ``povm`` is a :class:`Povm`, which measures all k copies, or a
     :class:`MatchingDesign`, whose rows share the k copies evenly: each
     row measures k / n_rows of them, and the counts come back as one row
-    per measurement.  Either way k copies are charged to ``budget``.  A
-    refused call charges nothing.
+    per measurement.  Either way the counts sum to k.  The caller keeps
+    the copy ledger; a refused call draws nothing.
     """
     p = _sampling_probs(povm.probabilities(rho))
     shots, extra = divmod(k, len(p)) if p.ndim == 2 else (k, 0)
     if extra:
         raise ValueError(f"{k} copies do not split evenly over "
                          f"{len(p)} measurements")
-    if budget is not None:
-        budget.take(k)
     return rng.multinomial(shots, p)
 
 

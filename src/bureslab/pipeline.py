@@ -86,7 +86,7 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
     if m < 2:
         raise ParameterError("need at least 2 copies to split phases")
     m1 = m // 2
-    base = spec.run(rho, ms.CopyBudget(total=m1), rng)
+    base = spec.run(rho, m1, rng)
     dig = diagonalize_estimate(base)
     m2 = m - m1
     counts = ms.sample_povm(ms.Povm.from_basis(dig.vectors), rho, m2, rng)
@@ -110,15 +110,13 @@ class FinalUpgradeResult:
     theta_hat: float
     basis: np.ndarray
     values: np.ndarray
-    kept_first: int
     kept_second: int
-    consumed: int
 
 
 def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
-                  delta: float, m_phase: int, rng: np.random.Generator,
-                  budget: ms.CopyBudget | None = None) -> FinalUpgradeResult:
-    """Filtered two-phase estimate of the prefix block; consumes 2 m_phase.
+                  delta: float, m_phase: int,
+                  rng: np.random.Generator) -> FinalUpgradeResult:
+    """Filtered two-phase estimate of the prefix block from 2 m_phase copies.
 
     Phase one measures the pass rate tau_hat alone; phase two filters
     again and hands the survivors to :func:`make_state_diagonal` on the
@@ -128,12 +126,11 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
     ``config.PASS_MASS_FLOOR`` (``filter_subset`` then returns no
     conditional state), the observed mass is spread uniformly instead.
     The same code path serves both the high-mass and low-mass regimes;
-    only the analysis distinguishes them.
+    only the analysis distinguishes them.  The caller charges the
+    2 m_phase copies to its ledger.
     """
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
-    if budget is not None:
-        budget.take(2 * m_phase)
     kept1, _ = ms.filter_subset(rho, idx, m_phase, rng)
     tau_hat = kept1 / m_phase
     kept2, cond = ms.filter_subset(rho, idx, m_phase, rng)
@@ -153,7 +150,7 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
                 classical.mass_floor(m_phase, delta / d))
     return FinalUpgradeResult(
         tau_hat=tau_hat, theta_hat=theta, basis=basis, values=values,
-        kept_first=kept1, kept_second=kept2, consumed=2 * m_phase)
+        kept_second=kept2)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +331,10 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     the relearning pass) would be broken.  The reserve then buys a single
     computational-basis pass in the final frame, add-one smoothed on the
     retained suffix.
+
+    The run's :class:`measurement.CopyBudget` is the lab's one copy
+    ledger: each stage charges its m copies before it measures, and the
+    relearning pass charges all that remain.
     """
     d, r, m = params.d, params.r, params.m
     budget = ms.CopyBudget(total=params.total)
@@ -353,8 +354,9 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             out.stop_reason = "budget reserve"
             break
         stage += 1
+        budget.take(m)
         res = final_upgrade(spec, rho_cur, np.arange(d_t), r, params.delta,
-                            m // 2, rng, budget=budget)
+                            m // 2, rng)
         # revise the frame by the estimated prefix basis
         w = np.eye(d, dtype=complex)
         w[:d_t, :d_t] = res.basis
@@ -379,9 +381,8 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     out.frame = v_acc
 
     # relearning pass: everything left in the budget, one basis
-    m_rest = budget.remaining
-    counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng,
-                            budget=budget)
+    m_rest = budget.take(budget.remaining)
+    counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
     suffix = np.arange(d_t, d)
     q = classical.add_one_hybrid(counts, m_rest,
                                  suffix if suffix.size else np.arange(d))

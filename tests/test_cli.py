@@ -160,11 +160,18 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
      "--lam -0.5 must lie in [0, 1]"),
     (["mi-test", "--r", "0"], "--r 0 must lie in [1, --d 4]"),
     (["mi-test", "--r", "9", "--d", "4"], "--r 9 must lie in [1, --d 4]"),
+    (["divergence", "--family", "bipartite:correlated", "--family2",
+      "bipartite:product", "--d", "2", "--r", "1", "--lam", "2"],
+     "--lam 2.0 must lie in [0, 1]"),
+    (["accept", "--only", ""], "unknown criterion numbers: ['']"),
+    (["tomography", "run", "--target", "frobenius", "--n", "1000.9,2000"],
+     "field 'n_grid': expected an integer, got 1000.9"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
         "accept-abc", "divergence-dims", "divergence-r-above-d",
         "divergence-d1", "bench-one-budget", "bench-no-trials",
         "tomography-no-trials", "mi-no-trials", "accept-retired-6",
-        "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d"])
+        "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d",
+        "divergence-lam-above-one", "accept-empty", "tomography-n-fraction"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)
@@ -172,6 +179,23 @@ def test_rejected_parameters_exit_two(argv, message, capsys):
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", [["tomography", "run", "--d", "2"],
+                                  ["bench"]])
+def test_out_into_missing_directory_exits_two_before_any_trial(
+        verb, tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(cli.hz, "run_scenario", no_trials)
+    out = tmp_path / "missing" / "x.csv"
+    code = cli.main([*verb, "--trials", "1", "--seed", "1",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --out {out}: directory {out.parent} " \
+        "does not exist\n"
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("target", ["chi2", "infidelity", "kl"])

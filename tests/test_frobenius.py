@@ -86,14 +86,18 @@ def test_parse_estimator_rates():
 
 
 def test_runners_consume_whole_budget():
-    rng = np.random.default_rng(89)
-    rho = linalg.random_density(4, 2, rng)
-    for name in ("simple", "oracle:f=rd"):
-        spec = fb.parse_estimator(name, r=2)
-        budget = ms.CopyBudget(total=7000)
-        est = spec.run(rho, budget, rng)
-        assert budget.remaining == 0
+    """A runner handed n copies spends all n: the simple one as
+    n // (2R + 1) shots per POVM, the oracle at m = n."""
+    rho = linalg.random_density(4, 2, np.random.default_rng(89))
+    direct = {
+        "simple": lambda rng: fb.simple_frobenius(rho, 7000 // 7, rng),
+        "oracle:f=rd": lambda rng: fb.oracle_estimate(rho, 8.0, 7000, rng),
+    }
+    for name, reference in direct.items():
+        est = fb.parse_estimator(name, r=2).run(
+            rho, 7000, np.random.default_rng(1))
         assert est.shape == (4, 4)
+        assert np.array_equal(est, reference(np.random.default_rng(1)))
 
 
 def test_simple_runner_needs_minimum_budget():
@@ -102,12 +106,12 @@ def test_simple_runner_needs_minimum_budget():
     spec = fb.parse_estimator("simple")
     with pytest.raises(ms.BudgetExhausted,
                        match="need at least 7 copies at dimension 4"):
-        spec.run(rho, ms.CopyBudget(total=6), rng)
+        spec.run(rho, 6, rng)
     odd = linalg.random_density(5, 2, rng)
     with pytest.raises(ms.BudgetExhausted,
                        match="need at least 11 copies at dimension 5"):
-        spec.run(odd, ms.CopyBudget(total=10), rng)
-    assert spec.run(odd, ms.CopyBudget(total=11), rng).shape == (5, 5)
+        spec.run(odd, 10, rng)
+    assert spec.run(odd, 11, rng).shape == (5, 5)
 
 
 def test_min_copies_is_the_runners_floor():
@@ -118,8 +122,8 @@ def test_min_copies_is_the_runners_floor():
         need = simple.min_copies(d)
         assert need == 2 * ms.matching_round_count(d) + 1
         rho = linalg.random_density(d, 1, rng)
-        assert simple.run(rho, ms.CopyBudget(total=need), rng).shape == (d, d)
+        assert simple.run(rho, need, rng).shape == (d, d)
         with pytest.raises(ms.BudgetExhausted):
-            simple.run(rho, ms.CopyBudget(total=need - 1), rng)
+            simple.run(rho, need - 1, rng)
     oracle = fb.parse_estimator("oracle:f=d")
     assert oracle.min_copies(64) == 1

@@ -51,6 +51,22 @@ class TestScenarioConfig:
         with pytest.raises(hz.ScenarioError, match="'d'"):
             hz.scenario_from_dict({"id": "x", "target": "chi2"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", 4.9), ("trials", 2.5), ("r", True), ("n_grid", [1000.7, 2000]),
+        ("master_seed", 7.5), ("d", float("inf"))])
+    def test_integer_fields_refuse_fractions_and_booleans(self, key, value):
+        with pytest.raises(hz.ScenarioError,
+                           match=f"field '{key}': expected an integer"):
+            hz.scenario_from_dict({"id": "x", "target": "frobenius",
+                                   "d": 4, key: value})
+
+    def test_whole_floats_are_integers(self):
+        s = hz.scenario_from_dict({"id": "x", "target": "frobenius",
+                                   "d": 8.0, "n_grid": [1e5, 2000],
+                                   "trials": 3.0})
+        assert (s.d, s.n_grid, s.trials) == (8, (100_000, 2000), 3)
+        assert type(s.d) is int and type(s.n_grid[0]) is int
+
     def test_mi_family_pairing(self):
         with pytest.raises(hz.ScenarioError, match="family"):
             hz.validate_scenario(small(target="mi"))
@@ -135,17 +151,8 @@ class TestRunScenario:
 
 
 class TestBudgetDrain:
-    """A trial that leaves planned copies unspent raises, also under -O."""
-
-    def test_estimator_leaving_copies(self, monkeypatch):
-        def lazy(rho, budget, rng):
-            budget.take(budget.total - 1)
-            return rho
-        spec = fb.EstimatorSpec(name="lazy", rate=lambda d, r: 1.0,
-                                run=lazy)
-        monkeypatch.setattr(hz.fb, "parse_estimator", lambda name, r: spec)
-        with pytest.raises(RuntimeError, match="consumed 199 of 200 planned"):
-            hz.run_scenario(small(n_grid=(200,), trials=1), workers=1)
+    """A staged trial that leaves planned copies unspent raises, also
+    under -O."""
 
     def test_staged_run_leaving_copies(self, monkeypatch):
         s = small(target="chi2", d=3, r=1, family="pure", trials=1)

@@ -20,6 +20,10 @@ or ``perfbench/*.py``; an option that no caller sets is a constant.
 And every module of the package but ``__init__`` must be imported by
 another package module or named in ``perfbench/*.py``, its string
 constants included; a module nothing imports is code no run executes.
+
+And the staged learner keeps the one copy ledger: ``pipeline.staged_learn``
+is the only place in the package that builds a ``CopyBudget``, and every
+layer below it takes plain copy counts.
 """
 
 import ast
@@ -218,6 +222,20 @@ def unset_options() -> list:
                              (name, k)}]
 
 
+def budget_builders() -> list:
+    """(module, top-level definition) of each call that builds a
+    CopyBudget."""
+    found = []
+    for stem, tree in _parse(PACKAGE).items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "CopyBudget" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    found.append((stem, getattr(top, "name", None)))
+    return found
+
+
 def test_every_export_has_a_caller():
     assert len(list(PACKAGE.glob("*.py"))) > 10 and BENCHMARK.is_dir()
     missing = set(unreferenced())
@@ -235,3 +253,7 @@ def test_every_option_has_a_setter():
 
 def test_every_module_is_imported():
     assert unimported() == []
+
+
+def test_only_the_staged_learner_keeps_a_copy_ledger():
+    assert budget_builders() == [("pipeline", "staged_learn")]
