@@ -391,7 +391,7 @@ def _quantum_tester():
                 joint = linalg.correlated_pair_state(d, lam)
             sig, tau, _ = mt.learn_product_quantum(
                 joint, d, d, plan["eps_learn"], rng)
-            product = np.kron(sig, tau)
+            product = linalg.kron_decomposition(sig, tau)
             accept = mt.hellinger_gap_verdict(
                 dv.hellinger_sq_q(joint, product), plan["eps_t"])
             ma = linalg.partial_trace(joint, d, d, "A")

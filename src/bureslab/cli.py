@@ -77,17 +77,17 @@ def cmd_divergence(args) -> int:
     return 1 if failures else 0
 
 
-def _out_path(out: str | None, sid: str) -> str | None:
-    """The CSV path ``--out`` names, settled before any trial runs.
+def _out_path(out: str | None, name: str) -> str | None:
+    """The file path ``--out`` names, settled before any trial runs.
 
-    A directory (created on demand) holds ``<sid>.csv``; a file path
-    whose directory does not exist is refused.
+    A directory (created on demand) holds the file ``name``; a file
+    path whose directory does not exist is refused.
     """
     if not out:
         return None
     if os.path.isdir(out) or out.endswith(os.sep):
         os.makedirs(out, exist_ok=True)
-        return os.path.join(out, f"{sid}.csv")
+        return os.path.join(out, name)
     parent = os.path.dirname(out) or os.curdir
     if not os.path.isdir(parent):
         raise hz.ScenarioError(
@@ -137,7 +137,7 @@ def cmd_tomography(args) -> int:
         if args.n:
             data["n_grid"] = args.n
         s = _scenario(args, data)
-    out = _out_path(args.out, s.sid)
+    out = _out_path(args.out, f"{s.sid}.csv")
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     for row in hz.summarize(records, loss):
@@ -189,7 +189,7 @@ def cmd_bench(args) -> int:
                          "n_grid": args.n})
     if len(set(s.n_grid)) < 2:
         raise hz.ScenarioError("a fit needs two distinct --n")
-    out = _out_path(args.out, s.sid)
+    out = _out_path(args.out, f"{s.sid}.csv")
     records = hz.run_scenario(s, workers=args.workers)
     loss = hz.TARGETS[s.target].loss
     slope, intercept, r2 = hz.fit_scaling(records, y=loss)
@@ -217,6 +217,7 @@ def cmd_accept(args) -> int:
             raise hz.ScenarioError(
                 f"unknown criterion numbers: [{', '.join(unknown)}]")
         only = sorted(known[x] for x in asked)
+    out = _out_path(args.out, "accept.json")
     results = accept.acceptance_suite(only=only)
     failures = 0
     report = []
@@ -225,10 +226,10 @@ def cmd_accept(args) -> int:
         print(res.line())
         report.append({"criterion": res.number, "name": res.name,
                        "passed": res.passed, "measured": res.measured})
-    if args.out:
-        with open(args.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
-        print(f"wrote {args.out}")
+        print(f"wrote {out}")
     print(f"{len(results) - failures}/{len(results)} criteria passed")
     return 1 if failures else 0
 
@@ -306,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--only", help="comma list of criterion numbers")
-    p.add_argument("--out", help="JSON report path")
+    p.add_argument("--out",
+                   help="JSON report path, or a directory for accept.json")
     p.set_defaults(func=cmd_accept)
 
     return parser

@@ -135,6 +135,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A float field's value: booleans are refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
     """Build and validate a Scenario from flat JSON-style keys."""
     kwargs = {}
@@ -145,7 +152,7 @@ def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
         kind = _FIELD_TYPES[name]
         grid = typing.get_origin(kind) is tuple
         item = typing.get_args(kind)[0] if grid else kind
-        cast = _integer if item is int else item
+        cast = {int: _integer, float: _real}.get(item, item)
         try:  # a grid casts each entry to its item type
             kwargs[name] = tuple(map(cast, value)) if grid else cast(value)
         except (TypeError, ValueError) as exc:
@@ -227,7 +234,7 @@ def _staged(score):
 
 
 def _chi2_score(rho, out, point, eps):
-    est = linalg.decompose(pl.to_chi2(out))
+    est = pl.to_chi2(out)
     chi2 = float(dv.bures_chi2(rho, est))
     return ({"bures_chi2": chi2,
              "hellinger_sq": float(dv.hellinger_sq_q(rho, est)),

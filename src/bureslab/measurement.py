@@ -23,9 +23,9 @@ measurement, and each row is one multinomial distribution of the same
 draw.  A row that dips below zero past round-off means the input was not
 a state, and the sampler raises instead of clipping it away.  Every row
 is judged at unit scale against PSD_TOL.  Conditional states are formed
-only above ``config.PASS_MASS_FLOOR`` (:func:`filter_subset`), where
-round-off amplified by the pass probability stays far inside that
-tolerance.
+only above ``config.PASS_MASS_FLOOR`` (``linalg.restrict``, the state
+that survives :func:`filter_subset`), where round-off amplified by the
+pass probability stays far inside that tolerance.
 """
 
 from __future__ import annotations
@@ -159,18 +159,17 @@ def sample_basis(rho: np.ndarray, k: int,
 
 
 def filter_subset(rho: np.ndarray, subset, k: int,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator) -> int:
     """Project k copies onto the span of basis subset S.
 
-    Simulates the two-outcome measurement {P_S, Id - P_S}: returns the
-    number of copies that landed inside S (binomial with mean k tr rho[S])
-    and the conditional state on success, or None when tr rho[S] is at or
-    below ``config.PASS_MASS_FLOOR`` (see ``linalg.restrict``).
+    Simulates the two-outcome measurement {P_S, Id - P_S} and returns
+    the number of copies that landed inside S, binomial with mean
+    k tr rho[S].  The conditional state on success is
+    ``linalg.restrict(rho, subset)``; a caller that estimates from the
+    survivors builds it once itself.
     """
     tau = min(max(linalg.mass_on(rho, subset), 0.0), 1.0)
-    kept = int(rng.binomial(k, tau)) if k > 0 else 0
-    cond = linalg.restrict(rho, subset)
-    return kept, cond
+    return int(rng.binomial(k, tau)) if k > 0 else 0
 
 
 # ---------------------------------------------------------------------------

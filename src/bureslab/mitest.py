@@ -263,10 +263,12 @@ def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
                            spec: fb.EstimatorSpec | None = None):
     """Learn one marginal with the staged pipeline and blend in a floor.
 
-    Returns (estimate, record).  The estimate carries eps_learn of
-    uniform mass on any unresolved block, giving the spectrum floor the
-    product decomposition needs; the record holds budgets and floor
-    diagnostics.  floor_ok reports whether every eigenvalue cleared
+    Returns (estimate, record).  The estimate, a
+    ``linalg.SpectralDecomposition`` (see ``pipeline.to_chi2``), carries
+    eps_learn of uniform mass on any unresolved block, giving the
+    spectrum floor the product decomposition needs; the record holds
+    budgets and floor diagnostics.  floor_ok reports whether every
+    eigenvalue (read off the estimate, with no new solve) cleared
     eps_learn / d, which a fully resolved rank-deficient state will not.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -281,7 +283,7 @@ def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
     params = pl.budget_for_scale(d, r, spec.rate(d, r), target)
     out = pl.staged_learn(rho, spec, params, rng)
     est = pl.to_chi2(out, eta=eps_learn)
-    floor = float(np.linalg.eigvalsh(est)[0])
+    floor = float(est.values[0])
     record = {
         "dim": d, "rank_cap": int(r), "eps_learn": float(eps_learn),
         "eps_tilde": params.eps_tilde, "stage_budget": params.m,
@@ -302,7 +304,7 @@ def learn_product_quantum(rho_joint: np.ndarray, d_a: int, d_b: int,
     Local algorithms on disjoint subsystems can share copies, so every
     joint copy yields one copy of each marginal and the joint cost is
     the larger of the two marginal budgets, not their sum.  Returns
-    (sigma_hat, tau_hat, record).
+    (sigma_hat, tau_hat, record), the estimates as decompositions.
     """
     rho_joint = np.asarray(rho_joint, dtype=complex)
     if rho_joint.shape != (d_a * d_b, d_a * d_b):
@@ -344,13 +346,14 @@ def quantum_mi_test(rho_joint, d_a: int, d_b: int, eps: float,
     plan = quantum_mi_plan(max(d_a, d_b), eps)
     sigma_hat, tau_hat, record = learn_product_quantum(
         rho_joint, d_a, d_b, plan["eps_learn"], rng, r=r, spec=spec)
-    product = np.kron(sigma_hat, tau_hat)
     stats = dict(plan)
     stats["learning"] = record
     stats["joint_copies"] = record["joint_copies"]
-    # one decomposition per state; the joint's also serves the MI, its
-    # relative entropy to the product of its own marginals
-    joint, learned = linalg.decompose(rho_joint), linalg.decompose(product)
+    # one decomposition per state, the learned product's built from its
+    # factors; the joint's also serves the MI, its relative entropy to
+    # the product of its own marginals
+    joint = linalg.decompose(rho_joint)
+    learned = linalg.kron_decomposition(sigma_hat, tau_hat)
     marginals = np.kron(linalg.partial_trace(rho_joint, d_a, d_b, "A"),
                         linalg.partial_trace(rho_joint, d_a, d_b, "B"))
     stats["hellinger_sq"] = dv.hellinger_sq_q(joint, learned)

@@ -22,8 +22,10 @@ infidelity, Bures chi-square, or relative-entropy guarantees.
 
 Frames: ``staged_learn`` accumulates a unitary V such that the true
 state in the working frame is V^dagger rho V; all output quantities
-(prefix L, diagonal q) live in that frame, and every ``to_*`` helper
-returns states already rotated back to the input frame.
+(prefix L, diagonal q) live in that frame.  Every ``to_*`` helper
+returns its estimate in the input frame as a decomposition: the
+columns of V are its eigenvectors, so no helper multiplies out
+V diag(q) V^dagger and no scorer diagonalizes it again.
 """
 
 from __future__ import annotations
@@ -90,10 +92,7 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
     dig = diagonalize_estimate(base)
     m2 = m - m1
     counts = ms.sample_povm(ms.Povm.from_basis(dig.vectors), rho, m2, rng)
-    q = counts / m2
-    order = np.argsort(q, kind="stable")
-    return linalg.SpectralDecomposition(values=q[order],
-                                        vectors=dig.vectors[:, order])
+    return linalg.SpectralDecomposition.ascending(counts / m2, dig.vectors)
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,23 @@ def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
                   rng: np.random.Generator) -> FinalUpgradeResult:
     """Filtered two-phase estimate of the prefix block from 2 m_phase copies.
 
-    Phase one measures the pass rate tau_hat alone; phase two filters
-    again and hands the survivors to :func:`make_state_diagonal` on the
-    conditional state, rescaling its values by the observed pass rate.
-    When too few copies survive for the base estimator (its
-    ``min_copies`` on the block), or the block's true mass is at or below
-    ``config.PASS_MASS_FLOOR`` (``filter_subset`` then returns no
-    conditional state), the observed mass is spread uniformly instead.
-    The same code path serves both the high-mass and low-mass regimes;
-    only the analysis distinguishes them.  The caller charges the
-    2 m_phase copies to its ledger.
+    Phase one measures the pass rate tau_hat alone, so it forms no
+    conditional state; phase two filters again and hands the survivors
+    to :func:`make_state_diagonal` on the conditional state
+    (``linalg.restrict``, built once per call), rescaling its values by
+    the observed pass rate.  When too few copies survive for the base
+    estimator (its ``min_copies`` on the block), or the block's true
+    mass is at or below ``config.PASS_MASS_FLOOR`` (``restrict`` then
+    returns no conditional state), the observed mass is spread uniformly
+    instead.  The same code path serves both the high-mass and low-mass
+    regimes; only the analysis distinguishes them.  The caller charges
+    the 2 m_phase copies to its ledger.
     """
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
-    kept1, _ = ms.filter_subset(rho, idx, m_phase, rng)
-    tau_hat = kept1 / m_phase
-    kept2, cond = ms.filter_subset(rho, idx, m_phase, rng)
+    tau_hat = ms.filter_subset(rho, idx, m_phase, rng) / m_phase
+    kept2 = ms.filter_subset(rho, idx, m_phase, rng)
+    cond = linalg.restrict(rho, idx)
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(idx.size)):
@@ -280,7 +280,12 @@ class CentralOutput:
 
     The true state satisfies rho ~ V diag(q) V^dagger with the quality
     split by the prefix: L = range(prefix) holds the residual mass
-    eps_prime, the complement holds the resolved spectrum.
+    eps_prime, the complement holds the resolved spectrum.  The relearn
+    pass measures in V through ``Povm.from_basis``, which refuses a V
+    further than ``config.UNITARY_TOL`` from unitary; that check is what
+    lets the ``to_*`` helpers hand out (V, q'), for their adjusted
+    values q', as a ``linalg.SpectralDecomposition`` in the input frame,
+    sorted ascending with V's columns in the same order.
     """
 
     params: CentralParams
@@ -296,10 +301,6 @@ class CentralOutput:
     @property
     def retained(self) -> np.ndarray:
         return np.arange(self.prefix, self.params.d)
-
-    def state(self) -> np.ndarray:
-        """The diagonal estimate rotated back to the input frame."""
-        return (self.frame * self.q) @ self.frame.conj().T
 
 
 def _tail_rule_floor(values: np.ndarray, r: int) -> int:
@@ -396,12 +397,12 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
 # post-processing
 # ---------------------------------------------------------------------------
 
-def to_infidelity(out: CentralOutput) -> np.ndarray:
+def to_infidelity(out: CentralOutput) -> linalg.SpectralDecomposition:
     """Zero the unresolved prefix and renormalize.
 
-    The result is the retained block scaled by 1/(1 - eps_prime); its
-    infidelity against the true state is controlled by the end-to-end
-    eps of the run.
+    The result is the retained block scaled by 1/(1 - eps_prime), on
+    the run's frame (see :class:`CentralOutput`); its infidelity against
+    the true state is controlled by the end-to-end eps of the run.
     """
     q = out.q.copy()
     q[:out.prefix] = 0.0
@@ -409,29 +410,30 @@ def to_infidelity(out: CentralOutput) -> np.ndarray:
     if total <= 0.0:
         raise ParameterError("no mass left on the retained block")
     q /= total
-    return (out.frame * q) @ out.frame.conj().T
+    return linalg.SpectralDecomposition.ascending(q, out.frame)
 
 
-def to_chi2(out: CentralOutput, eta: float | None = None) -> np.ndarray:
+def to_chi2(out: CentralOutput,
+            eta: float | None = None) -> linalg.SpectralDecomposition:
     """Blend uniform mass into the unresolved prefix.
 
-    With eta in (0, 1/2), returns eta * Id_L/|L| + (1 - eta) * diag(q) in
-    the output frame; the uniform slab gives the prefix block a spectrum
-    floor so the Bures chi-square against the truth stays bounded.  An
-    empty prefix returns the plain diagonal estimate.  Default eta is
-    sqrt(d/r) * eps_tilde, the equalizer of the two off-diagonal error
-    terms.
+    With eta in (0, 1/2), returns eta * Id_L/|L| + (1 - eta) * diag(q) on
+    the run's frame (see :class:`CentralOutput`); the uniform slab gives
+    the prefix block a spectrum floor so the Bures chi-square against
+    the truth stays bounded.  An empty prefix returns the plain diagonal
+    estimate.  Default eta is sqrt(d/r) * eps_tilde, the equalizer of
+    the two off-diagonal error terms.
     """
     p = out.params
     if eta is None:
         eta = math.sqrt(p.d / p.r) * p.eps_tilde
     if out.prefix == 0:
-        return out.state()
+        return linalg.SpectralDecomposition.ascending(out.q, out.frame)
     if not 0.0 < eta < 0.5:
         raise ParameterError(f"eta {eta:.3g} outside (0, 1/2)")
     q = (1.0 - eta) * out.q
     q[:out.prefix] += eta / out.prefix
-    return (out.frame * q) @ out.frame.conj().T
+    return linalg.SpectralDecomposition.ascending(q, out.frame)
 
 
 def chi2_error_terms(out: CentralOutput, eta: float | None = None) -> dict:
@@ -456,15 +458,19 @@ def chi2_error_terms(out: CentralOutput, eta: float | None = None) -> dict:
     }
 
 
-def to_kl(rho_hat: np.ndarray, eps: float):
+def to_kl(est: linalg.SpectralDecomposition, eps: float):
     """Depolarize an infidelity-eps estimate for a relative-entropy bound.
 
-    Returns (state, bound): the 2 eps depolarization of the input and the
+    Takes the :func:`to_infidelity` decomposition and returns
+    (state, bound): its 2 eps depolarization, the values
+    (1 - 2 eps) q + 2 eps / d on the same eigenvectors, and the
     guarantee 16 eps (2 + ln(d / 2 eps)) that holds whenever the input
-    had infidelity at most eps <= 1/2.
+    had infidelity at most eps <= 1/2.  The map is increasing in q, so
+    the values stay ascending.
     """
     from .divergences import kl_from_infidelity_bound
-    d = rho_hat.shape[0]
+    d = est.values.size
     bound = kl_from_infidelity_bound(d, eps)
-    return linalg.depolarize(rho_hat, 2.0 * eps), bound
-
+    values = (1.0 - 2.0 * eps) * est.values + 2.0 * eps / d
+    return linalg.SpectralDecomposition(values=values,
+                                        vectors=est.vectors), bound

@@ -17,7 +17,9 @@ tests use them as references for what the library computes:
   block through a spectrum floor;
 * the mutual-information ceiling for a joint near a product in squared
   Hellinger, with its two ingredients: the root-Hellinger cost of
-  depolarizing and MI continuity in trace distance.
+  depolarizing and MI continuity in trace distance;
+* the depolarizing channel itself, on a density matrix (the library's
+  KL upgrade depolarizes a decomposition's values instead).
 
 Import from a test as ``from oracles import analysis``.
 """
@@ -254,3 +256,11 @@ def hellinger_mi_bound(eta: float, d: int) -> float:
     conversion = 2.0 + math.log(d * d / eps ** 2)
     core = conversion * (depol_hellinger_shift(eps) + eta)
     return core + mi_continuity_bound(eps, d)
+
+
+def depolarize(rho: np.ndarray, eps: float) -> np.ndarray:
+    """(1-eps) rho + eps Id/d."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("eps must lie in [0, 1]")
+    d = rho.shape[0]
+    return (1.0 - eps) * rho + eps * np.eye(d, dtype=complex) / d

@@ -166,12 +166,16 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["accept", "--only", ""], "unknown criterion numbers: ['']"),
     (["tomography", "run", "--target", "frobenius", "--n", "1000.9,2000"],
      "field 'n_grid': expected an integer, got 1000.9"),
+    (["accept", "--only", "13", "--out", "no-such-directory/x.json"],
+     "--out no-such-directory/x.json: directory no-such-directory "
+     "does not exist"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
         "accept-abc", "divergence-dims", "divergence-r-above-d",
         "divergence-d1", "bench-one-budget", "bench-no-trials",
         "tomography-no-trials", "mi-no-trials", "accept-retired-6",
         "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d",
-        "divergence-lam-above-one", "accept-empty", "tomography-n-fraction"])
+        "divergence-lam-above-one", "accept-empty", "tomography-n-fraction",
+        "accept-out-missing-directory"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)
@@ -196,6 +200,14 @@ def test_out_into_missing_directory_exits_two_before_any_trial(
     assert err == f"error: --out {out}: directory {out.parent} " \
         "does not exist\n"
     assert not out.parent.exists()
+
+
+def test_accept_out_directory_holds_the_report(tmp_path, capsys):
+    code = cli.main(["accept", "--only", "3", "--out", f"{tmp_path}/"])
+    assert code == 0
+    report = json.loads((tmp_path / "accept.json").read_text())
+    assert [row["criterion"] for row in report] == [3]
+    assert f"wrote {tmp_path / 'accept.json'}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("target", ["chi2", "infidelity", "kl"])

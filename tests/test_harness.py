@@ -60,6 +60,14 @@ class TestScenarioConfig:
             hz.scenario_from_dict({"id": "x", "target": "frobenius",
                                    "d": 4, key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps_grid", [True]), ("eps_grid", [0.2, False]), ("lam", True)])
+    def test_float_fields_refuse_booleans(self, key, value):
+        with pytest.raises(hz.ScenarioError,
+                           match=f"field '{key}': expected a number"):
+            hz.scenario_from_dict({"id": "x", "target": "chi2", "d": 4,
+                                   key: value})
+
     def test_whole_floats_are_integers(self):
         s = hz.scenario_from_dict({"id": "x", "target": "frobenius",
                                    "d": 8.0, "n_grid": [1e5, 2000],
@@ -203,14 +211,14 @@ class TestLossKernels:
 
     def test_chi2_branch(self, monkeypatch):
         rec, rho, est, calls = self._scored(monkeypatch, "chi2", "to_chi2")
-        assert calls == 2
+        assert calls == 1  # rho alone: the estimate is its decomposition
         assert rec.losses["bures_chi2"] == dv.bures_chi2(rho, est)
         assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho, est)
 
     def test_kl_branch(self, monkeypatch):
         rec, rho, est, calls = self._scored(monkeypatch, "kl",
                                             "to_infidelity")
-        assert calls == 3
+        assert calls == 1
         s = small(target="kl", d=4, r=2)
         spec = fb.parse_estimator(s.estimator, s.r)
         eps = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r),
@@ -219,6 +227,12 @@ class TestLossKernels:
         assert rec.losses["kl_bound"] == bound
         assert rec.losses["infidelity"] == dv.infidelity(rho, est)
         assert rec.losses["kl"] == dv.relative_entropy(rho, smoothed)
+
+    def test_infidelity_branch(self, monkeypatch):
+        rec, rho, est, calls = self._scored(monkeypatch, "infidelity",
+                                            "to_infidelity")
+        assert calls == 1
+        assert rec.losses["infidelity"] == dv.infidelity(rho, est)
 
 
 class TestFit:
@@ -301,21 +315,21 @@ GOLDEN = [
      "b7189299434432683683589d742743bb67c644d1442252c61ab6d9ce03994f49"),
     (dict(sid="g-infid", target="infidelity", d=3, r=2,
           family="geometric_spectrum", trials=2, master_seed=12),
-     "3861355346e75abfefe4444b1923b3890d70408524d4c2e530d68ed293634252"),
+     "f5da8988a5d898afa1d41de0f62272d176827ce900b204dba92ffc7df2a412fc"),
     (dict(sid="g-chi2", target="chi2", d=4, r=2, trials=2, master_seed=13),
-     "ff8e54da95c1dd1a07d635adf9faf0333452f2538a64bbd8fc89f4cf9d8b762d"),
+     "10b6bdfc199915a3e2cd7c018927536dab2813c2ae2abedc744d4e7025d7c0eb"),
     (dict(sid="g-kl", target="kl", d=3, r=3, family="geometric_spectrum",
           trials=2, master_seed=14),
-     "32f7ce21bc7049ed86e2de5a8a12cae285319b60128ec8b76362906eb2e5b301"),
+     "7a000ae247a2a99023ecc2a99cc4593c9e54a24a7dd1c43e331340b550636590"),
     (dict(sid="g-mi-prod", target="mi", d=2, family="bipartite:product",
           eps_grid=(0.5,), trials=2, master_seed=15),
-     "826ab89d581d5eeaa700a99841e3b91e4d24abdc57e78fdfab7ff11c4c3e25dc"),
+     "89764667688048f6457950ef34dd87df832ee891f97b606aab95a51dc7d48bed"),
     (dict(sid="g-mi-corr", target="mi", d=2, family="bipartite:correlated",
           lam=0.6, eps_grid=(0.5,), trials=2, master_seed=16),
-     "1e2ae19e361febca066711158fe494a81be19f7d3773b328f2b3224e6e60f76b"),
+     "458c120b13f6c6949c9fc319d1c56f10152a773094a44b28cb3d2bd01e872380"),
     (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
           trials=2, master_seed=17),
-     "402f3123053b1d66839533a479d3b46466d6d0844b9af62bb126836590ab8ccb"),
+     "7e798679a011ab842dbbd572eccbc9b198a68469f49446023fca1c0214dad837"),
 ]
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bureslab import config, linalg
+from bureslab import config, divergences as dv, linalg
+from oracles import analysis
 
 
 def test_eig_hermitian_ascending_and_reconstructs():
@@ -11,6 +12,34 @@ def test_eig_hermitian_ascending_and_reconstructs():
     dec = linalg.eig_hermitian(a)
     assert np.all(np.diff(dec.values) >= 0)
     assert np.max(np.abs(dec.matrix() - a)) < 1e-10
+
+
+def test_ascending_is_a_stable_sort():
+    vectors = np.eye(4, dtype=complex)
+    dec = linalg.SpectralDecomposition.ascending(
+        np.array([0.3, 0.1, 0.3, 0.0]), vectors)
+    assert np.array_equal(dec.values, [0.0, 0.1, 0.3, 0.3])
+    assert np.array_equal(dec.vectors, vectors[:, [3, 1, 0, 2]])
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (3, 2), (2, 5), (4, 4)])
+def test_kron_decomposition_matches_the_joint_eigh(da, db):
+    """The product's eigensystem from its factors: the same values, the
+    same matrix and the same divergences as a solve on np.kron."""
+    rng = np.random.default_rng([47, da, db])
+    a = linalg.eig_hermitian(linalg.random_density(da, da, rng))
+    b = linalg.eig_hermitian(analysis.depolarize(
+        linalg.random_density(db, 1, rng), 0.1))
+    dec = linalg.kron_decomposition(a, b)
+    joint = np.kron(a.matrix(), b.matrix())
+    assert np.max(np.abs(dec.values - np.linalg.eigh(joint)[0])) <= 1e-12
+    assert np.max(np.abs(dec.matrix() - joint)) <= 1e-12
+    rho = linalg.random_density(da * db, 2, rng)
+    for div in (dv.bures_chi2, dv.infidelity, dv.hellinger_sq_q,
+                dv.relative_entropy):
+        # relative: a floor of 0.1 / db puts bures_chi2 in the hundreds
+        want = div(rho, joint)
+        assert abs(div(rho, dec) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_eig_hermitian_rejects_nonhermitian():
@@ -131,10 +160,10 @@ def test_partial_trace_preserves_trace():
 def test_depolarize_floor_and_trace():
     rng = np.random.default_rng(43)
     rho = linalg.random_density(4, 1, rng)
-    out = linalg.depolarize(rho, 0.2)
+    out = analysis.depolarize(rho, 0.2)
     linalg.require_density(out)
     assert np.min(np.linalg.eigvalsh(out)) >= 0.2 / 4 - 1e-12
-    assert np.allclose(linalg.depolarize(rho, 0.0), rho)
+    assert np.allclose(analysis.depolarize(rho, 0.0), rho)
 
 
 def test_correlated_pair_state_marginals_stay_uniform():

@@ -216,7 +216,7 @@ class TestStagedLearn:
         for _ in range(10):
             rho, out = run_staged(4, 1, rng)
             est = pl.to_chi2(out)
-            linalg.require_density(est)
+            linalg.require_density(est.matrix())
             worst = max(worst, dv.bures_chi2(rho, est))
         assert worst <= 0.2
 
@@ -224,7 +224,7 @@ class TestStagedLearn:
         rng = np.random.default_rng(239)
         rho, out = run_staged(4, 4, rng, family="geo")
         est = pl.to_chi2(out)
-        linalg.require_density(est)
+        linalg.require_density(est.matrix())
         assert dv.bures_chi2(rho, est) <= 0.2
 
 
@@ -232,9 +232,9 @@ def test_to_infidelity_zeroes_prefix():
     rng = np.random.default_rng(241)
     rho, out = run_staged(4, 2, rng)
     est = pl.to_infidelity(out)
-    linalg.require_density(est)
+    linalg.require_density(est.matrix())
     if out.prefix:
-        blk = linalg.submatrix(out.frame.conj().T @ est @ out.frame,
+        blk = linalg.submatrix(out.frame.conj().T @ est.matrix() @ out.frame,
                                np.arange(out.prefix))
         assert np.max(np.abs(blk)) < 1e-12
     assert dv.infidelity(rho, est) <= 0.2
@@ -245,10 +245,75 @@ def test_to_kl_depolarizes():
     rho, out = run_staged(4, 2, rng)
     base = pl.to_infidelity(out)
     est, bound = pl.to_kl(base, 0.05)
-    linalg.require_density(est)
-    assert np.min(np.linalg.eigvalsh(est)) >= 0.1 / 4 - 1e-12
+    linalg.require_density(est.matrix())
+    assert np.min(np.linalg.eigvalsh(est.matrix())) >= 0.1 / 4 - 1e-12
     assert bound == pytest.approx(dv.kl_from_infidelity_bound(4, 0.05))
     assert dv.relative_entropy(rho, est) <= bound
+
+
+# the staged output as matrices, the way the post-processors built them
+# before they returned decompositions: the references for the route below
+def _old_infidelity(out):
+    q = out.q.copy()
+    q[:out.prefix] = 0.0
+    q /= q.sum()
+    return (out.frame * q) @ out.frame.conj().T
+
+
+def _old_chi2(out):
+    p = out.params
+    q = out.q.copy()
+    if out.prefix:
+        eta = math.sqrt(p.d / p.r) * p.eps_tilde
+        q = (1.0 - eta) * q
+        q[:out.prefix] += eta / out.prefix
+    return (out.frame * q) @ out.frame.conj().T
+
+
+def _old_kl(out, eps):
+    d = out.params.d
+    return (1.0 - 2.0 * eps) * _old_infidelity(out) \
+        + 2.0 * eps * np.eye(d) / d
+
+
+def _same(a, b):
+    """Equal within 1e-12, counting two infinities of one sign as equal."""
+    return a == b or abs(a - b) <= 1e-12
+
+
+EQUIVALENCE_FAMILIES = {
+    "pure": lambda d, rng: (linalg.random_pure(d, rng), 1),
+    "rank_deficient": lambda d, rng: (
+        linalg.random_density(d, max(1, d // 2), rng), max(1, d // 2)),
+    "geometric": lambda d, rng: (linalg.geometric_spectrum_state(d, rng), d),
+    "maximally_mixed": lambda d, rng: (linalg.maximally_mixed(d), d),
+}
+
+
+@pytest.mark.parametrize("estimator", ["simple", "oracle:f=d"])
+def test_post_processors_match_the_matrix_route(estimator):
+    """Each to_* decomposition is the matrix the helper used to return,
+    and every divergence the lab scores reads the same value from it."""
+    prefixes = set()
+    for k, (family, make) in enumerate(EQUIVALENCE_FAMILIES.items()):
+        for d in (2, 3, 8):
+            rng = np.random.default_rng([269, k, d])
+            rho, r = make(d, rng)
+            spec = fb.parse_estimator(estimator, r)
+            params = pl.plan_budget(d, r, spec.rate(d, r), 0.2)
+            out = pl.staged_learn(rho, spec, params, rng)
+            prefixes.add(out.prefix)
+            kl_est, _ = pl.to_kl(pl.to_infidelity(out), params.eps)
+            for est, old in ((pl.to_infidelity(out), _old_infidelity(out)),
+                             (pl.to_chi2(out), _old_chi2(out)),
+                             (kl_est, _old_kl(out, params.eps))):
+                assert np.all(np.diff(est.values) >= 0)
+                assert np.max(np.abs(est.matrix() - old)) <= 1e-12
+                for div in (dv.bures_chi2, dv.infidelity, dv.hellinger_sq_q,
+                            dv.relative_entropy):
+                    assert _same(div(rho, est), div(rho, est.matrix())), \
+                        (family, d, div.__name__)
+    assert 0 in prefixes and max(prefixes) > 0
 
 
 def test_chi2_error_terms_keys():
