@@ -209,7 +209,8 @@ def _central_trials() -> list:
     """d=8 staged runs over ranks {1, 2, 8} and targets {0.2, 0.1}.
 
     Criteria 7-9 all read this ensemble, so it is built once; every
-    trial keeps the true state, the raw output, and the blended error.
+    trial keeps the true state with its eigensystem from the draw, the
+    raw output, and the blended error.
     """
     global _central_cache
     if _central_cache is not None:
@@ -223,11 +224,11 @@ def _central_trials() -> list:
             for t in range(trials):
                 rng = np.random.default_rng(
                     [_SEED, 7, r, round(100 * eps_final), t])
-                rho = linalg.random_density(d, r, rng)
+                rho, rho_dec = linalg.random_density_eig(d, r, rng)
                 out = pl.staged_learn(rho, spec, params, rng)
                 rows.append({
                     "r": r, "eps_final": eps_final, "params": params,
-                    "rho": rho, "out": out,
+                    "rho": rho, "rho_dec": rho_dec, "out": out,
                     "chi2": float(dv.bures_chi2(rho, pl.to_chi2(out))),
                 })
     _central_cache = rows
@@ -311,11 +312,11 @@ def _kl_upgrade():
     for x in rows:
         p = x["params"]
         est = pl.to_infidelity(x["out"])
-        if dv.infidelity(x["rho"], est) > p.eps:
+        if dv.infidelity(x["rho_dec"], est) > p.eps:
             continue
         certified += 1
         smoothed, bound = pl.to_kl(est, p.eps)
-        kl = dv.relative_entropy(x["rho"], smoothed)
+        kl = dv.relative_entropy(x["rho_dec"], smoothed)
         worst = max(worst, kl / bound)
         violations += kl > bound
     ok = certified > 0 and violations == 0
@@ -384,16 +385,18 @@ def _quantum_tester():
     for arm in (0, 1):
         for t in range(trials):
             rng = np.random.default_rng([_SEED, 13, arm, t])
-            if arm == 0:
-                joint = np.kron(linalg.random_density(d, d, rng),
-                                linalg.random_density(d, d, rng))
+            if arm == 0:  # a product state's eigensystem from its factors'
+                a, a_dec = linalg.random_density_eig(d, d, rng)
+                b, b_dec = linalg.random_density_eig(d, d, rng)
+                joint = np.kron(a, b)
+                joint_dec = linalg.kron_decomposition(a_dec, b_dec)
             else:
-                joint = linalg.correlated_pair_state(d, lam)
+                joint, joint_dec = linalg.correlated_pair_eig(d, lam)
             sig, tau, _ = mt.learn_product_quantum(
                 joint, d, d, plan["eps_learn"], rng)
             product = linalg.kron_decomposition(sig, tau)
             accept = mt.hellinger_gap_verdict(
-                dv.hellinger_sq_q(joint, product), plan["eps_t"])
+                dv.hellinger_sq_q(joint_dec, product), plan["eps_t"])
             ma = linalg.partial_trace(joint, d, d, "A")
             mb = linalg.partial_trace(joint, d, d, "B")
             suffer = dv.bures_chi2(np.kron(ma, mb), product)

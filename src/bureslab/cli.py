@@ -60,8 +60,8 @@ def cmd_divergence(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise hz.ScenarioError(f"--lam {args.lam} must lie in [0, 1]")
     rng = np.random.default_rng(args.seed)
-    rho = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
-    sigma = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
+    rho, _ = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
+    sigma, _ = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
     if rho.shape != sigma.shape:
         raise hz.ScenarioError(
             f"--family {args.family} gives dimension {len(rho)} but "

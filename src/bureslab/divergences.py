@@ -15,12 +15,22 @@ Every Renyi divergence of (rho, sigma) equals the classical one of (P, Q),
 which keeps the zero conventions identical in both worlds and avoids
 matrix logarithms entirely.
 
+The square-root quantities read the same two eigensystems.  With
+U = (u_i) and V = (v_j), sqrt(rho) sqrt(sigma) is unitarily equivalent
+to diag(sqrt p) U^dagger V diag(sqrt q), so the fidelity is the sum of
+that matrix's singular values and the Hellinger affinity is
+sum_ij sqrt(p_i) sqrt(q_j) w_ij.  Both keep only the rows and columns on
+the two supports, so no square-root matrix is formed and a rank-r state
+needs only an r x k singular-value solve.
+
 Every quantum divergence that reads a spectrum (all but the trace
 distance, which works on rho - sigma) takes each state either as a
 density matrix or as its ``linalg.SpectralDecomposition``; for
 ``bures_chi2`` that holds for the reference argument.  Callers that
 evaluate several divergences of one pair, like :func:`quantum_chain`,
-diagonalize each state once and pass the decompositions on.
+diagonalize each state once and pass the decompositions on; a caller
+that built a state from a known eigensystem, like the harness's state
+families, passes that and diagonalizes nothing.
 """
 
 from __future__ import annotations
@@ -189,9 +199,29 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * linalg.trace_norm(np.asarray(rho) - np.asarray(sigma))
 
 
+def _root_overlap(rho, sigma):
+    """(sqrt p, sqrt q, U^dagger V) on the two supports.
+
+    The roots come from ``linalg.psd_sqrt``, which refuses non-PSD input
+    and applies the spectral cutoff.  They ascend from exact zeros, so
+    each support is a suffix of the columns.
+    """
+    a, b = linalg.psd_sqrt(rho), linalg.psd_sqrt(sigma)
+    i = a.values.size - np.count_nonzero(a.values)
+    j = b.values.size - np.count_nonzero(b.values)
+    return (a.values[i:], b.values[j:],
+            a.vectors[:, i:].conj().T @ b.vectors[:, j:])
+
+
 def fidelity(rho, sigma) -> float:
-    """|| sqrt(rho) sqrt(sigma) ||_1  (square-root convention)."""
-    a = linalg.psd_sqrt(rho) @ linalg.psd_sqrt(sigma)
+    """|| sqrt(rho) sqrt(sigma) ||_1  (square-root convention).
+
+    Read as the singular-value sum of diag(sqrt p) U^dagger V diag(sqrt q)
+    on the two supports (module docstring); 0 when either support is
+    empty.
+    """
+    sp, sq, overlap = _root_overlap(rho, sigma)
+    a = sp[:, None] * overlap * sq[None, :]
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
@@ -205,8 +235,9 @@ def bures_sq(rho, sigma) -> float:
 
 
 def hellinger_affinity(rho, sigma) -> float:
-    """tr( sqrt(rho) sqrt(sigma) )."""
-    return float(np.trace(linalg.psd_sqrt(rho) @ linalg.psd_sqrt(sigma)).real)
+    """tr( sqrt(rho) sqrt(sigma) ) = sum_ij sqrt(p_i) sqrt(q_j) w_ij."""
+    sp, sq, overlap = _root_overlap(rho, sigma)
+    return float(sp @ (np.abs(overlap) ** 2) @ sq)
 
 
 def hellinger_sq_q(rho, sigma) -> float:
@@ -267,10 +298,9 @@ def bures_chi2(rho: np.ndarray, sigma) -> float:
 
 
 def quantum_mutual_information(rho: np.ndarray, d_a: int, d_b: int) -> float:
-    """Relative entropy of a bipartite state from the product of marginals."""
-    ra = linalg.partial_trace(rho, d_a, d_b, "A")
-    rb = linalg.partial_trace(rho, d_a, d_b, "B")
-    return relative_entropy(rho, np.kron(ra, rb))
+    """Relative entropy of a bipartite state from the product of marginals,
+    whose eigensystem is ``linalg.product_of_marginals``."""
+    return relative_entropy(rho, linalg.product_of_marginals(rho, d_a, d_b))
 
 
 def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:

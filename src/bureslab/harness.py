@@ -171,7 +171,9 @@ def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
 # ---------------------------------------------------------------------------
 
 class Family(typing.NamedTuple):
-    """A state family; ``make(d, r, lam, rng)`` builds its state."""
+    """A state family; ``make(d, r, lam, rng)`` returns ``(rho, rho_dec)``,
+    its state and that state's exact eigensystem, read off the draw by
+    the matching ``linalg.*_eig`` constructor."""
 
     make: typing.Callable
     bipartite: bool = False   # on two d-dimensional systems
@@ -179,28 +181,32 @@ class Family(typing.NamedTuple):
 
 
 FAMILIES = {
-    "pure": Family(lambda d, r, lam, rng: linalg.random_pure(d, rng)),
+    "pure": Family(lambda d, r, lam, rng: linalg.random_pure_eig(d, rng)),
     "rank_r_random": Family(
-        lambda d, r, lam, rng: linalg.random_density(d, r, rng)),
+        lambda d, r, lam, rng: linalg.random_density_eig(d, r, rng)),
     "maximally_mixed": Family(
-        lambda d, r, lam, rng: linalg.maximally_mixed(d)),
+        lambda d, r, lam, rng: linalg.maximally_mixed_eig(d)),
     "geometric_spectrum": Family(
-        lambda d, r, lam, rng: linalg.geometric_spectrum_state(d, rng)),
+        lambda d, r, lam, rng: linalg.geometric_spectrum_eig(d, rng)),
+    # correlated_pair_state(d, 0.0) is exactly Id/d^2, so its eigensystem
+    # is the identity
     "bipartite:product": Family(
-        lambda d, r, lam, rng: linalg.correlated_pair_state(d, 0.0),
+        lambda d, r, lam, rng: linalg.maximally_mixed_eig(d * d),
         bipartite=True, product=True),
     "bipartite:correlated": Family(
-        lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
+        lambda d, r, lam, rng: linalg.correlated_pair_eig(d, lam),
         bipartite=True),
 }
 
 
-def make_state(s: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Draw (or construct) this trial's true state."""
+def make_state(s: Scenario, rng: np.random.Generator) -> tuple:
+    """Draw (or construct) this trial's true state: ``(rho, rho_dec)``,
+    the matrix and its eigensystem from the draw (see :class:`Family`),
+    so no trial diagonalizes its truth."""
     return FAMILIES[s.family].make(s.d, s.r, s.lam, rng)
 
 
-def _frobenius_trial(s: Scenario, rho, point, rng):
+def _frobenius_trial(s: Scenario, rho, rho_dec, point, rng):
     n = int(point)
     spec = fb.parse_estimator(s.estimator, s.r)
     est = spec.run(rho, n, rng)
@@ -219,38 +225,38 @@ def _frobenius_verdict(s: Scenario, row: dict):
 
 def _staged(score):
     """Trial body of a staged target: plan, learn, check the drain, then
-    ``score(rho, out, point, eps)`` with eps the planned accuracy."""
-    def trial(s: Scenario, rho, point, rng):
+    ``score(rho, rho_dec, out, point, eps)`` with eps the planned
+    accuracy."""
+    def trial(s: Scenario, rho, rho_dec, point, rng):
         spec = fb.parse_estimator(s.estimator, s.r)
         params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), float(point))
         out = pl.staged_learn(rho, spec, params, rng)
         if out.consumed != params.total:  # the relearn pass drains it
             raise RuntimeError(f"staged run consumed {out.consumed} of "
                                f"{params.total} planned copies")
-        losses, flags = score(rho, out, float(point), params.eps)
+        losses, flags = score(rho, rho_dec, out, float(point), params.eps)
         return out.consumed, losses, {**flags,
                                       "converged": not out.forced_stop}
     return trial
 
 
-def _chi2_score(rho, out, point, eps):
+def _chi2_score(rho, rho_dec, out, point, eps):
     est = pl.to_chi2(out)
     chi2 = float(dv.bures_chi2(rho, est))
     return ({"bures_chi2": chi2,
-             "hellinger_sq": float(dv.hellinger_sq_q(rho, est)),
+             "hellinger_sq": float(dv.hellinger_sq_q(rho_dec, est)),
              "eps_prime": float(out.eps_prime)},
             {"within_eps": chi2 <= point})
 
 
-def _infidelity_score(rho, out, point, eps):
-    infid = float(dv.infidelity(rho, pl.to_infidelity(out)))
+def _infidelity_score(rho, rho_dec, out, point, eps):
+    infid = float(dv.infidelity(rho_dec, pl.to_infidelity(out)))
     return ({"infidelity": infid, "eps_prime": float(out.eps_prime)},
             {"within_eps": infid <= eps})
 
 
-def _kl_score(rho, out, point, eps):
+def _kl_score(rho, rho_dec, out, point, eps):
     est = pl.to_infidelity(out)
-    rho_dec = linalg.decompose(rho)
     infid = float(dv.infidelity(rho_dec, est))
     smoothed, bound = pl.to_kl(est, eps)
     kl, bound = float(dv.relative_entropy(rho_dec, smoothed)), float(bound)
@@ -263,7 +269,7 @@ def _kl_verdict(s: Scenario, row: dict):
     return held == 1.0 and _pass_rate("within_eps")(s, row)[0], held, 1.0
 
 
-def _mi_trial(s: Scenario, rho, point, rng):
+def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
     v = mt.quantum_mi_test(rho, s.d, s.d, float(point), rng, r=s.r,
                            spec=fb.parse_estimator(s.estimator, s.r))
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
@@ -289,7 +295,8 @@ class Target(typing.NamedTuple):
     grid: str                 # the Scenario field holding its grid
     loss: str                 # what summaries average and verdicts judge
     bipartite: bool           # runs on the bipartite families, only there
-    trial: typing.Callable    # (s, rho, point, rng) -> n_used, losses, flags
+    trial: typing.Callable    # (s, rho, rho_dec, point, rng) ->
+    #                           n_used, losses, flags
     verdict: typing.Callable  # (s, summarize row) -> passed, measured, bar
 
 
@@ -319,8 +326,8 @@ def _run_trial(s: Scenario, point_index: int, trial: int) -> TrialRecord:
     point = grid_for(s)[point_index]
     rng = np.random.default_rng([s.master_seed, point_index, trial])
     started = time.perf_counter()
-    rho = make_state(s, rng)
-    n_used, losses, flags = TARGETS[s.target].trial(s, rho, point, rng)
+    n_used, losses, flags = TARGETS[s.target].trial(
+        s, *make_state(s, rng), point, rng)
     return TrialRecord(scenario=s.sid, trial=trial, point=float(point),
                        n_used=n_used, losses=losses, flags=flags,
                        wall_time=time.perf_counter() - started)

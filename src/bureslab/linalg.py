@@ -6,6 +6,11 @@ the package.  It fixes the eigenvalue order (ascending) once, for the
 staged algorithm's estimated bases and for the eigensystems the quantum
 divergences read alike.  :func:`spectral_cutoff` is the one place that
 rounds eigenvalues at or below SPECTRAL_CUTOFF to exact zeros.
+
+Each state family's ``*_eig`` constructor returns ``(rho, dec)``: the
+state, drawn and built exactly as the matrix constructors build it, and
+its exact eigensystem, read off the draw instead of solved for.  The
+values past a state's rank are exact zeros.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "eig_hermitian",
     "decompose",
     "kron_decomposition",
+    "product_of_marginals",
     "spectral_cutoff",
     "psd_sqrt",
     "frob_sq",
@@ -30,10 +36,14 @@ __all__ = [
     "hermitian_part",
     "haar_unitary",
     "random_pure",
+    "random_pure_eig",
     "random_density",
+    "random_density_eig",
     "maximally_mixed",
-    "geometric_spectrum_state",
+    "maximally_mixed_eig",
+    "geometric_spectrum_eig",
     "correlated_pair_state",
+    "correlated_pair_eig",
     "submatrix",
     "mass_on",
     "restrict",
@@ -84,7 +94,9 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.values) < 0):
+        # compared pairwise rather than through np.diff, whose call costs
+        # more than the check at the sizes the divergences see
+        if (self.values[1:] < self.values[:-1]).any():
             raise ValueError("values must be ascending")
 
     @classmethod
@@ -128,6 +140,15 @@ def kron_decomposition(a: SpectralDecomposition,
                                            np.kron(a.vectors, b.vectors))
 
 
+def product_of_marginals(rho: np.ndarray, d_a: int,
+                         d_b: int) -> SpectralDecomposition:
+    """Eigensystem of rho_A (x) rho_B, the product of a bipartite state's
+    marginals, from two marginal solves and no solve on C^{d_a d_b}."""
+    return kron_decomposition(
+        eig_hermitian(partial_trace(rho, d_a, d_b, "A")),
+        eig_hermitian(partial_trace(rho, d_a, d_b, "B")))
+
+
 def spectral_cutoff(values: np.ndarray) -> np.ndarray:
     """Eigenvalues at or below SPECTRAL_CUTOFF rounded to exact zeros.
 
@@ -138,18 +159,20 @@ def spectral_cutoff(values: np.ndarray) -> np.ndarray:
     return np.where(values <= config.SPECTRAL_CUTOFF, 0.0, values)
 
 
-def psd_sqrt(a) -> np.ndarray:
+def psd_sqrt(a) -> SpectralDecomposition:
     """Principal square root of a PSD Hermitian matrix or decomposition.
 
-    Eigenvalues in ``(-PSD_TOL, 0)`` are treated as float noise and
-    zeroed; anything more negative raises.  Positive values are cut at
-    SPECTRAL_CUTOFF by :func:`spectral_cutoff`.
+    Returned as its eigensystem: the same vectors, with values
+    sqrt(spectral_cutoff(values)), still ascending; ``.matrix()`` forms
+    the root.  Eigenvalues in ``(-PSD_TOL, 0)`` are treated as float
+    noise and zeroed; anything more negative raises.  Positive values
+    are cut at SPECTRAL_CUTOFF by :func:`spectral_cutoff`.
     """
     dec = decompose(a)
     if dec.values[0] < -config.PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {dec.values[0]}")
-    w = np.sqrt(spectral_cutoff(dec.values))
-    return (dec.vectors * w) @ dec.vectors.conj().T
+    return SpectralDecomposition(values=np.sqrt(spectral_cutoff(dec.values)),
+                                 vectors=dec.vectors)
 
 
 def frob_sq(a: np.ndarray) -> float:
@@ -185,32 +208,89 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
+def _span_eig(g: np.ndarray) -> SpectralDecomposition:
+    """Eigensystem of g g^dagger / ||g||_F^2 for a d x k draw g, k <= d.
+
+    One complete SVD g = U diag(s) X^dagger gives g g^dagger =
+    U diag(s^2) U^dagger: U's first k columns carry s^2, and the rest
+    complete the basis with exact zeros.  It costs about a complete QR
+    of g plus a k x k solve, not a d x d one.
+    """
+    u, s, _ = np.linalg.svd(g)
+    values = np.zeros(g.shape[0])
+    values[:s.size] = s * s / np.sum(s * s)
+    return SpectralDecomposition(values=values[::-1], vectors=u[:, ::-1])
+
+
+def _haar_vector(d: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     """Projector onto a Haar-random unit vector."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
+    v = _haar_vector(d, rng)
     return np.outer(v, v.conj())
+
+
+def random_pure_eig(d: int, rng: np.random.Generator) -> tuple:
+    """:func:`random_pure` and its eigensystem from the same draw: value 1
+    on v, after a completed basis of its complement at value 0."""
+    v = _haar_vector(d, rng)
+    return np.outer(v, v.conj()), _span_eig(v[:, None])
+
+
+def _ginibre(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    if not 1 <= r <= d:
+        raise ValueError(f"rank must be in [1, {d}], got {r}")
+    return rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+
+
+def _gram_state(g: np.ndarray) -> np.ndarray:
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def random_density(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random rank-``r`` density matrix, G G^dagger / tr with Ginibre G."""
-    if not 1 <= r <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {r}")
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _gram_state(_ginibre(d, r, rng))
+
+
+def random_density_eig(d: int, r: int,
+                       rng: np.random.Generator) -> tuple:
+    """:func:`random_density` and its eigensystem from the same Ginibre
+    factor G (d x r), by one complete SVD of G and no d x d solve."""
+    g = _ginibre(d, r, rng)
+    return _gram_state(g), _span_eig(g)
 
 
 def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-def geometric_spectrum_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank state with spectrum proportional to 2^-k, Haar basis."""
+def maximally_mixed_eig(d: int) -> tuple:
+    """:func:`maximally_mixed` and its eigensystem: every value 1/d on the
+    identity basis."""
+    return maximally_mixed(d), SpectralDecomposition(
+        values=np.full(d, 1.0 / d), vectors=np.eye(d, dtype=complex))
+
+
+def geometric_spectrum_eig(d: int, rng: np.random.Generator) -> tuple:
+    """Full-rank state with spectrum proportional to 2^-k in a Haar basis
+    U, with its eigensystem: those values reversed, on U's reversed
+    columns."""
     w = 0.5 ** np.arange(d)
     w /= w.sum()
     u = haar_unitary(d, rng)
-    return (u * w) @ u.conj().T
+    return (u * w) @ u.conj().T, SpectralDecomposition(values=w[::-1],
+                                                       vectors=u[:, ::-1])
+
+
+def _entangled_pair(d: int) -> np.ndarray:
+    phi = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        phi[i * d + i] = 1.0 / np.sqrt(d)
+    return phi
 
 
 def correlated_pair_state(d: int, lam: float) -> np.ndarray:
@@ -221,11 +301,19 @@ def correlated_pair_state(d: int, lam: float) -> np.ndarray:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
+    phi = _entangled_pair(d)
     ent = np.outer(phi, phi.conj())
     return (1.0 - lam) * np.eye(d * d, dtype=complex) / (d * d) + lam * ent
+
+
+def correlated_pair_eig(d: int, lam: float) -> tuple:
+    """:func:`correlated_pair_state` and its eigensystem: (1-lam)/d^2 on a
+    completed basis of Phi's complement, then (1-lam)/d^2 + lam on Phi."""
+    rho = correlated_pair_state(d, lam)
+    span = _span_eig(_entangled_pair(d)[:, None])
+    return rho, SpectralDecomposition(
+        values=(1.0 - lam) / (d * d) + lam * span.values,
+        vectors=span.vectors)
 
 
 # ---------------------------------------------------------------------------

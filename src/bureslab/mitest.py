@@ -349,13 +349,12 @@ def quantum_mi_test(rho_joint, d_a: int, d_b: int, eps: float,
     stats = dict(plan)
     stats["learning"] = record
     stats["joint_copies"] = record["joint_copies"]
-    # one decomposition per state, the learned product's built from its
-    # factors; the joint's also serves the MI, its relative entropy to
-    # the product of its own marginals
+    # one solve on the joint; both products are built from their
+    # factors' eigensystems.  The joint's also serves the MI, its
+    # relative entropy to the product of its own marginals.
     joint = linalg.decompose(rho_joint)
     learned = linalg.kron_decomposition(sigma_hat, tau_hat)
-    marginals = np.kron(linalg.partial_trace(rho_joint, d_a, d_b, "A"),
-                        linalg.partial_trace(rho_joint, d_a, d_b, "B"))
+    marginals = linalg.product_of_marginals(rho_joint, d_a, d_b)
     stats["hellinger_sq"] = dv.hellinger_sq_q(joint, learned)
     stats["bures_chi2_product"] = dv.bures_chi2(rho_joint, learned)
     stats["mi"] = dv.relative_entropy(joint, marginals)

@@ -362,7 +362,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
         w = np.eye(d, dtype=complex)
         w[:d_t, :d_t] = res.basis
         rho_cur = w.conj().T @ rho_cur @ w
-        v_acc = v_acc @ w
+        v_acc = w if stage == 1 else v_acc @ w  # the frame starts at I
 
         retained = _tail_rule_floor(res.values, r)
         out.stages.append(StageRecord(

@@ -19,7 +19,9 @@ tests use them as references for what the library computes:
   Hellinger, with its two ingredients: the root-Hellinger cost of
   depolarizing and MI continuity in trace distance;
 * the depolarizing channel itself, on a density matrix (the library's
-  KL upgrade depolarizes a decomposition's values instead).
+  KL upgrade depolarizes a decomposition's values instead);
+* the square-root divergences through matrix square roots, the route
+  the library took before it read them off one eigenbasis overlap.
 
 Import from a test as ``from oracles import analysis``.
 """
@@ -264,3 +266,31 @@ def depolarize(rho: np.ndarray, eps: float) -> np.ndarray:
         raise ValueError("eps must lie in [0, 1]")
     d = rho.shape[0]
     return (1.0 - eps) * rho + eps * np.eye(d, dtype=complex) / d
+
+
+# ---------------------------------------------------------------------------
+# square-root divergences through matrix square roots
+# ---------------------------------------------------------------------------
+
+def _root(state) -> np.ndarray:
+    """sqrt(state) as a matrix, with the library's refusal and cutoff."""
+    return linalg.psd_sqrt(state).matrix()
+
+
+def fidelity_by_roots(rho, sigma) -> float:
+    """|| sqrt(rho) sqrt(sigma) ||_1 from the two root matrices."""
+    a = _root(rho) @ _root(sigma)
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def hellinger_affinity_by_roots(rho, sigma) -> float:
+    """tr( sqrt(rho) sqrt(sigma) ) from the two root matrices."""
+    return float(np.trace(_root(rho) @ _root(sigma)).real)
+
+
+def hellinger_sq_q_by_roots(rho, sigma) -> float:
+    return 2.0 * (1.0 - hellinger_affinity_by_roots(rho, sigma))
+
+
+def bures_sq_by_roots(rho, sigma) -> float:
+    return 2.0 * (1.0 - fidelity_by_roots(rho, sigma))

@@ -248,6 +248,80 @@ class TestQuantum:
             dv.kl_from_infidelity_bound(8, 0.6)
 
 
+def root_route_pairs(rng):
+    """Pure, rank-deficient, degenerate and near-cutoff pairs, at d = 2
+    and odd d among others."""
+    def in_basis(u, values):
+        return (u * values) @ u.conj().T
+
+    for d in (2, 3, 7):
+        u = linalg.haar_unitary(d, rng)
+        yield "pure-pure", linalg.random_pure(d, rng), linalg.random_pure(d, rng)
+        yield "pure-full", linalg.random_pure(d, rng), \
+            linalg.random_density(d, d, rng)
+        yield "pure-itself", *(linalg.random_pure(d, rng),) * 2
+        r = max(1, d // 2)
+        yield "rank-deficient", linalg.random_density(d, r, rng), \
+            linalg.random_density(d, d - r, rng)
+        yield "degenerate", linalg.maximally_mixed(d), \
+            in_basis(u, np.r_[np.full(d - 1, 0.5 / (d - 1)), 0.5])
+        near = np.ones(d)  # one value under the cutoff, the rest just over
+        near[0], near[1:-1] = 0.5e-12, 2e-12
+        yield "near-cutoff", in_basis(u, near / near.sum()), \
+            linalg.random_density(d, d, rng)
+        yield "near-cutoff-both", in_basis(u, near / near.sum()), \
+            in_basis(linalg.haar_unitary(d, rng), near[::-1] / near.sum())
+        yield "orthogonal", in_basis(u, np.eye(d)[0]), \
+            in_basis(u, np.eye(d)[-1])
+
+
+class TestRootRoute:
+    """Fidelity and Hellinger read off the eigenbasis overlap equal the
+    matrix-square-root formulas (``oracles.analysis``)."""
+
+    ROUTES = ((dv.fidelity, analysis.fidelity_by_roots),
+              (dv.hellinger_affinity, analysis.hellinger_affinity_by_roots),
+              (dv.hellinger_sq_q, analysis.hellinger_sq_q_by_roots),
+              (dv.bures_sq, analysis.bures_sq_by_roots))
+
+    def test_matches_the_matrix_roots(self):
+        for name, rho, sigma in root_route_pairs(np.random.default_rng(83)):
+            dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
+            for new, old in self.ROUTES:
+                want = old(rho, sigma)
+                for a, b in ((rho, sigma), (dr, ds), (sigma, rho)):
+                    assert abs(new(a, b) - want) <= 1e-12, \
+                        (name, new.__name__)
+
+    def test_refuses_a_negative_value(self):
+        bad = np.diag([1.0 + 2e-10, -2e-10])
+        for new, _ in self.ROUTES:
+            with pytest.raises(ValueError, match="not PSD"):
+                new(bad, np.eye(2) / 2)
+            with pytest.raises(ValueError, match="not PSD"):
+                new(np.eye(2) / 2, bad)
+
+    def test_empty_support_gives_zero(self):
+        rho = linalg.random_density(3, 2, np.random.default_rng(89))
+        zero = np.zeros((3, 3))
+        for a, b in ((zero, rho), (rho, zero), (zero, zero)):
+            assert dv.fidelity(a, b) == 0.0
+            assert dv.hellinger_affinity(a, b) == 0.0
+
+    def test_rank_r_truth_takes_an_r_by_k_solve(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        _, truth = linalg.random_density_eig(16, 2, rng)
+        est = linalg.decompose(linalg.random_density(16, 16, rng))
+        shapes, svd = [], np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        dv.fidelity(truth, est)
+        assert shapes == [(2, 16)]
+
+
 class TestBuresChi2:
     def test_frozen_qubit_example(self):
         # frozen from tests/oracles/bures_chi2_oracle.py

@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from bureslab import config
 from bureslab import divergences as dv
 from bureslab import frobenius as fb
 from bureslab import harness as hz
@@ -96,10 +97,67 @@ class TestScenarioConfig:
         for family in hz.FAMILIES:
             target = "mi" if family.startswith("bipartite:") else "chi2"
             s = small(target=target, family=family, d=3)
-            rho = hz.make_state(s, rng)
+            rho, rho_dec = hz.make_state(s, rng)
             dim = 9 if family.startswith("bipartite:") else 3
             assert rho.shape == (dim, dim)
+            assert rho_dec.vectors.shape == (dim, dim)
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+
+
+def _geometric_reference(d, rng):
+    """The matrix-only geometric constructor the family table replaced."""
+    w = 0.5 ** np.arange(d)
+    w /= w.sum()
+    u = linalg.haar_unitary(d, rng)
+    return (u * w) @ u.conj().T
+
+
+#: family -> (the matrix constructor it must match byte for byte,
+#: the number of exact zeros it has at marginal dimension d and rank r)
+FAMILY_REFERENCES = {
+    "pure": (lambda d, r, lam, rng: linalg.random_pure(d, rng),
+             lambda d, r: d - 1),
+    "rank_r_random": (lambda d, r, lam, rng: linalg.random_density(d, r, rng),
+                      lambda d, r: d - r),
+    "maximally_mixed": (lambda d, r, lam, rng: linalg.maximally_mixed(d),
+                        lambda d, r: 0),
+    "geometric_spectrum": (lambda d, r, lam, rng: _geometric_reference(d, rng),
+                           lambda d, r: 0),
+    "bipartite:product": (
+        lambda d, r, lam, rng: linalg.correlated_pair_state(d, 0.0),
+        lambda d, r: 0),
+    "bipartite:correlated": (
+        lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
+        lambda d, r: 0),
+}
+
+
+@pytest.mark.parametrize("family", list(hz.FAMILIES))
+def test_family_eigensystems(family):
+    """Each family's matrix is the old constructor's, bytes and stream
+    alike, and its eigensystem from the draw is exact: unitary vectors,
+    ascending values that sum to 1 and are exactly 0 past the rank."""
+    assert FAMILY_REFERENCES.keys() == hz.FAMILIES.keys()
+    reference, zeros = FAMILY_REFERENCES[family]
+    for d in (2, 3, 7, 16):
+        for r in sorted({1, 2, d}):
+            seed = [401, d, r]
+            rng_new = np.random.default_rng(seed)
+            rng_old = np.random.default_rng(seed)
+            rho, dec = hz.FAMILIES[family].make(d, r, 0.5, rng_new)
+            old = reference(d, r, 0.5, rng_old)
+            assert rho.tobytes() == old.tobytes(), (d, r)
+            assert rng_new.random() == rng_old.random()
+            dim = rho.shape[0]
+            v = dec.vectors
+            assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) \
+                <= config.UNITARY_TOL
+            assert np.max(np.abs(dec.matrix() - rho)) <= 1e-12, (d, r)
+            assert np.all(np.diff(dec.values) >= 0.0)
+            assert abs(np.sum(dec.values) - 1.0) <= 1e-12
+            k = zeros(d, r)
+            assert np.all(dec.values[:k] == 0.0)
+            assert np.all(dec.values[k:] > 0.0)
 
 
 class TestRunScenario:
@@ -180,10 +238,14 @@ class TestBudgetDrain:
 
 
 class TestLossKernels:
-    """Each trial decomposes each state once when it scores its losses."""
+    """A trial scores its losses from the eigensystems it already holds:
+    the truth's from its draw, the estimate's from the learner."""
 
     def _scored(self, monkeypatch, target, last_step):
-        """Run one trial; count eigh calls after ``last_step`` returns."""
+        """Run one trial; count eigh calls after ``last_step`` returns.
+
+        Returns the record, the truth as (rho, rho_dec), the estimate
+        and the count."""
         seen, calls = {}, []
         make, step, eigh = hz.make_state, getattr(hz.pl, last_step), \
             np.linalg.eigh
@@ -210,29 +272,30 @@ class TestLossKernels:
         return rec, seen["rho"], seen["est"], len(calls)
 
     def test_chi2_branch(self, monkeypatch):
-        rec, rho, est, calls = self._scored(monkeypatch, "chi2", "to_chi2")
-        assert calls == 1  # rho alone: the estimate is its decomposition
+        rec, (rho, rho_dec), est, calls = self._scored(monkeypatch, "chi2",
+                                                       "to_chi2")
+        assert calls == 0
         assert rec.losses["bures_chi2"] == dv.bures_chi2(rho, est)
-        assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho, est)
+        assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho_dec, est)
 
     def test_kl_branch(self, monkeypatch):
-        rec, rho, est, calls = self._scored(monkeypatch, "kl",
-                                            "to_infidelity")
-        assert calls == 1
+        rec, (rho, rho_dec), est, calls = self._scored(monkeypatch, "kl",
+                                                       "to_infidelity")
+        assert calls == 0
         s = small(target="kl", d=4, r=2)
         spec = fb.parse_estimator(s.estimator, s.r)
         eps = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r),
                              s.eps_grid[0]).eps
         smoothed, bound = pl.to_kl(est, eps)
         assert rec.losses["kl_bound"] == bound
-        assert rec.losses["infidelity"] == dv.infidelity(rho, est)
-        assert rec.losses["kl"] == dv.relative_entropy(rho, smoothed)
+        assert rec.losses["infidelity"] == dv.infidelity(rho_dec, est)
+        assert rec.losses["kl"] == dv.relative_entropy(rho_dec, smoothed)
 
     def test_infidelity_branch(self, monkeypatch):
-        rec, rho, est, calls = self._scored(monkeypatch, "infidelity",
-                                            "to_infidelity")
-        assert calls == 1
-        assert rec.losses["infidelity"] == dv.infidelity(rho, est)
+        rec, (rho, rho_dec), est, calls = self._scored(
+            monkeypatch, "infidelity", "to_infidelity")
+        assert calls == 0
+        assert rec.losses["infidelity"] == dv.infidelity(rho_dec, est)
 
 
 class TestFit:
@@ -315,21 +378,21 @@ GOLDEN = [
      "b7189299434432683683589d742743bb67c644d1442252c61ab6d9ce03994f49"),
     (dict(sid="g-infid", target="infidelity", d=3, r=2,
           family="geometric_spectrum", trials=2, master_seed=12),
-     "f5da8988a5d898afa1d41de0f62272d176827ce900b204dba92ffc7df2a412fc"),
+     "98f874fb02eefd36511780dbe4c42784ad9b41047e30b8f64fd167454c4c8209"),
     (dict(sid="g-chi2", target="chi2", d=4, r=2, trials=2, master_seed=13),
-     "10b6bdfc199915a3e2cd7c018927536dab2813c2ae2abedc744d4e7025d7c0eb"),
+     "ddf826fc915c189ee3ed639c2f3f7a24973ca9b2ad46a03fa38450370b0d89d5"),
     (dict(sid="g-kl", target="kl", d=3, r=3, family="geometric_spectrum",
           trials=2, master_seed=14),
-     "7a000ae247a2a99023ecc2a99cc4593c9e54a24a7dd1c43e331340b550636590"),
+     "0de90c321817a44d799d492f7e5048be3f66b3c261c88b8e74dbf25641b35faa"),
     (dict(sid="g-mi-prod", target="mi", d=2, family="bipartite:product",
           eps_grid=(0.5,), trials=2, master_seed=15),
-     "89764667688048f6457950ef34dd87df832ee891f97b606aab95a51dc7d48bed"),
+     "666889fc5a77c91d90707af19e14d0fde959ba00a1492503cfcf3cb43954980b"),
     (dict(sid="g-mi-corr", target="mi", d=2, family="bipartite:correlated",
           lam=0.6, eps_grid=(0.5,), trials=2, master_seed=16),
-     "458c120b13f6c6949c9fc319d1c56f10152a773094a44b28cb3d2bd01e872380"),
+     "b0d62b40742a0f5dc74f397285d7c6bbe960df5cbff749da66b349cbdd4f89f5"),
     (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
           trials=2, master_seed=17),
-     "7e798679a011ab842dbbd572eccbc9b198a68469f49446023fca1c0214dad837"),
+     "d4bd4e35e86b54e7d4bb2509669eab6eaa1df9be6718e5eff8099992c5843fb9"),
 ]
 
 

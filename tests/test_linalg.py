@@ -51,7 +51,8 @@ def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(11)
     rho = linalg.random_density(5, 5, rng)
     s = linalg.psd_sqrt(rho)
-    assert np.max(np.abs(s @ s - rho)) < 1e-10
+    assert np.all(np.diff(s.values) >= 0.0)
+    assert np.max(np.abs(s.matrix() @ s.matrix() - rho)) < 1e-10
     with pytest.raises(ValueError):
         linalg.psd_sqrt(np.diag([1.0, -0.5]))
 
@@ -93,7 +94,7 @@ def test_random_pure_is_projector():
 
 def test_geometric_spectrum_state():
     rng = np.random.default_rng(23)
-    rho = linalg.geometric_spectrum_state(5, rng)
+    rho, _ = linalg.geometric_spectrum_eig(5, rng)
     w = np.sort(np.linalg.eigvalsh(rho))[::-1]
     assert np.allclose(w[1:] / w[:-1], 0.5, atol=1e-10)
     linalg.require_density(rho)

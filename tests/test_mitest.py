@@ -447,14 +447,14 @@ class TestQuantumMITest:
             assert v.stats["mi"] == dv.quantum_mutual_information(joint, 3, 3)
 
     def test_verdict_reads_the_stats(self, monkeypatch):
-        """After learning: one eigh each for the joint and the product
-        of the joint's marginals; the learned product's eigensystem is
-        built from its factors'."""
+        """After learning: one 9 x 9 eigh for the joint and one 3 x 3
+        eigh per marginal; both products' eigensystems are built from
+        their factors'."""
         calls, eigh, learn = [], np.linalg.eigh, mt.learn_product_quantum
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
 
         def learned(*args, **kwargs):
             out = learn(*args, **kwargs)
@@ -465,7 +465,7 @@ class TestQuantumMITest:
         v = mt.quantum_mi_test(linalg.correlated_pair_state(3, 0.5), 3, 3,
                                0.5, rng)
         monkeypatch.undo()
-        assert len(calls) == 2
+        assert sorted(calls) == [(3, 3), (3, 3), (9, 9)]
         assert v.accept == mt.hellinger_gap_verdict(v.stats["hellinger_sq"],
                                                     v.stats["eps_t"])
 

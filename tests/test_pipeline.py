@@ -179,7 +179,7 @@ def run_staged(d, r, rng, eps_final=0.2, family="rank"):
     if family == "rank":
         rho = linalg.random_density(d, r, rng)
     else:
-        rho = linalg.geometric_spectrum_state(d, rng)
+        rho, _ = linalg.geometric_spectrum_eig(d, rng)
     spec = fb.parse_estimator("oracle:f=d2")
     params = pl.plan_budget(d, r, spec.rate(d, r), eps_final)
     out = pl.staged_learn(rho, spec, params, rng)
@@ -285,7 +285,7 @@ EQUIVALENCE_FAMILIES = {
     "pure": lambda d, rng: (linalg.random_pure(d, rng), 1),
     "rank_deficient": lambda d, rng: (
         linalg.random_density(d, max(1, d // 2), rng), max(1, d // 2)),
-    "geometric": lambda d, rng: (linalg.geometric_spectrum_state(d, rng), d),
+    "geometric": lambda d, rng: (linalg.geometric_spectrum_eig(d, rng)[0], d),
     "maximally_mixed": lambda d, rng: (linalg.maximally_mixed(d), d),
 }
 
