@@ -33,13 +33,16 @@ _SINGLE_FAMILIES = [name for name, family in hz.FAMILIES.items()
 
 
 def _chain_verdicts(chain: dict, quantum: bool) -> list:
-    """(name, lhs, rhs) orderings; holds when lhs <= rhs + slack."""
+    """(name, lhs, rhs) orderings; holds when lhs <= rhs + slack.
+
+    Reads a chain of one pair (floats) or of a stack (arrays) alike.
+    """
     h2 = chain["hellinger_sq"]
     if quantum:
         return [
             ("h2/2 <= trace_distance", 0.5 * h2, chain["trace_distance"]),
             ("trace_distance <= bures", chain["trace_distance"],
-             math.sqrt(chain["bures_sq"])),
+             np.sqrt(chain["bures_sq"])),
             ("bures_sq <= kl", chain["bures_sq"], chain["kl"]),
             ("kl <= reverse_bound", chain["kl"], chain["reverse_bound"]),
             ("bures_sq <= hellinger_sq", chain["bures_sq"], h2),
@@ -47,7 +50,7 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
         ]
     return [
         ("h2/2 <= tv", 0.5 * h2, chain["tv"]),
-        ("tv <= h", chain["tv"], math.sqrt(h2)),
+        ("tv <= h", chain["tv"], np.sqrt(h2)),
         ("h2 <= kl", h2, chain["kl"]),
         ("kl <= chi2", chain["kl"], chain["chi2"]),
         ("kl <= reverse_bound", chain["kl"], chain["reverse_bound"]),
@@ -170,9 +173,9 @@ def cmd_mi_test(args) -> int:
             joint = mt.correlated_joint(args.d, lam)
             verdict = mt.classical_mi_test(joint, args.eps, rng)
         else:
-            joint = linalg.correlated_pair_state(args.d, lam)
-            verdict = mt.quantum_mi_test(joint, args.d, args.d, args.eps,
-                                         rng, r=args.r)
+            joint, joint_dec = linalg.correlated_pair_eig(args.d, lam)
+            verdict = mt.quantum_mi_test(joint, joint_dec, args.d, args.d,
+                                         args.eps, rng, r=args.r)
         good = verdict.accept == should_accept
         correct += good
         print(f"trial {trial}: {'accept' if verdict.accept else 'reject'}"

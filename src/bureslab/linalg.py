@@ -5,7 +5,12 @@ here is :class:`SpectralDecomposition`, the one (values, vectors) type of
 the package.  It fixes the eigenvalue order (ascending) once, for the
 staged algorithm's estimated bases and for the eigensystems the quantum
 divergences read alike.  :func:`spectral_cutoff` is the one place that
-rounds eigenvalues at or below SPECTRAL_CUTOFF to exact zeros.
+rounds eigenvalues at or below SPECTRAL_CUTOFF to exact zeros, and
+:func:`psd_values` the one place that refuses a negative spectrum.
+
+The checks, :func:`decompose` and :func:`trace_norm` also take an
+(n, d, d) stack of matrices: a decomposition then carries a leading axis
+of n eigensystems, and one bad member refuses the whole stack.
 
 Each state family's ``*_eig`` constructor returns ``(rho, dec)``: the
 state, drawn and built exactly as the matrix constructors build it, and
@@ -30,6 +35,7 @@ __all__ = [
     "kron_decomposition",
     "product_of_marginals",
     "spectral_cutoff",
+    "psd_values",
     "psd_sqrt",
     "frob_sq",
     "trace_norm",
@@ -56,11 +62,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """Return ``a`` as a complex array, raising if it is not Hermitian."""
+    """Return ``a`` as a complex array, raising if it is not Hermitian.
+
+    ``a`` is a square matrix or an (n, d, d) stack of them, and one
+    member off by more than HERMITIAN_TOL refuses the stack.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > config.HERMITIAN_TOL:
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > config.HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -88,6 +98,9 @@ class SpectralDecomposition:
     are raw: they may dip below zero when produced from a noisy matrix
     estimate, which is exactly what keeps the diagonalization error
     identity of ``pipeline.diagonalize_estimate`` exact.
+
+    A stack of n eigensystems has values (n, d) and vectors (n, d, d),
+    each row ascending.
     """
 
     values: np.ndarray
@@ -96,19 +109,20 @@ class SpectralDecomposition:
     def __post_init__(self):
         # compared pairwise rather than through np.diff, whose call costs
         # more than the check at the sizes the divergences see
-        if (self.values[1:] < self.values[:-1]).any():
+        if (self.values[..., 1:] < self.values[..., :-1]).any():
             raise ValueError("values must be ascending")
 
     @classmethod
     def ascending(cls, values: np.ndarray,
                   vectors: np.ndarray) -> "SpectralDecomposition":
-        """Sort an unordered eigensystem; a stable argsort keeps tied
+        """Sort one unordered eigensystem; a stable argsort keeps tied
         values in their given order."""
         order = np.argsort(values, kind="stable")
         return cls(values=values[order], vectors=vectors[:, order])
 
     def matrix(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        v = self.vectors
+        return (v * self.values[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
@@ -122,7 +136,8 @@ def decompose(state) -> SpectralDecomposition:
 
     Lets a function that reads a spectrum take either a Hermitian matrix
     or a :class:`SpectralDecomposition`, so a caller evaluating several
-    divergences of one pair diagonalizes each state once.
+    divergences of one pair diagonalizes each state once.  An (n, d, d)
+    stack is diagonalized in one batched solve.
     """
     if isinstance(state, SpectralDecomposition):
         return state
@@ -159,19 +174,27 @@ def spectral_cutoff(values: np.ndarray) -> np.ndarray:
     return np.where(values <= config.SPECTRAL_CUTOFF, 0.0, values)
 
 
+def psd_values(dec: SpectralDecomposition) -> np.ndarray:
+    """The values of a PSD eigensystem, cut by :func:`spectral_cutoff`.
+
+    Values in ``(-PSD_TOL, 0)`` are float noise and become zeros; a
+    value below -PSD_TOL in any member of a stack raises.  The values
+    ascend, so each member's least is its first.
+    """
+    low = dec.values[..., 0].min()
+    if low < -config.PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {low}")
+    return spectral_cutoff(dec.values)
+
+
 def psd_sqrt(a) -> SpectralDecomposition:
     """Principal square root of a PSD Hermitian matrix or decomposition.
 
     Returned as its eigensystem: the same vectors, with values
-    sqrt(spectral_cutoff(values)), still ascending; ``.matrix()`` forms
-    the root.  Eigenvalues in ``(-PSD_TOL, 0)`` are treated as float
-    noise and zeroed; anything more negative raises.  Positive values
-    are cut at SPECTRAL_CUTOFF by :func:`spectral_cutoff`.
+    sqrt(psd_values(...)), still ascending; ``.matrix()`` forms the root.
     """
     dec = decompose(a)
-    if dec.values[0] < -config.PSD_TOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {dec.values[0]}")
-    return SpectralDecomposition(values=np.sqrt(spectral_cutoff(dec.values)),
+    return SpectralDecomposition(values=np.sqrt(psd_values(dec)),
                                  vectors=dec.vectors)
 
 
@@ -180,12 +203,17 @@ def frob_sq(a: np.ndarray) -> float:
     return float(np.sum(np.abs(np.asarray(a)) ** 2))
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+def trace_norm(a: np.ndarray):
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+
+    A float for one matrix; for an (n, d, d) stack, the n norms.
+    """
     a = np.asarray(a, dtype=complex)
-    if np.max(np.abs(a - a.conj().T)) <= config.HERMITIAN_TOL:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max() <= config.HERMITIAN_TOL:
+        norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
+    else:
+        norms = np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -104,10 +104,17 @@ def bures_chi2_tail(rho_t: np.ndarray, q, ell: int) -> float:
     return float(np.sum(num[ok] / qmax[ok]))
 
 
+def max_log_ratio_q(rho, sigma) -> float:
+    """Order-infinity Renyi divergence of one pair: the classical
+    max-log-ratio of its overlap pair; at most ln ||sigma^{-1}||."""
+    pp, qq = dv.overlap_pair(rho, sigma)
+    return dv.max_log_ratio(pp.ravel(), qq.ravel())
+
+
 def reverse_pinsker_bound(rho, sigma) -> float:
     """(2 + max_log_ratio) * H^2, an upper bound on the relative entropy."""
     dr, ds = linalg.decompose(rho), linalg.decompose(sigma)
-    m = dv.max_log_ratio_q(dr, ds)
+    m = max_log_ratio_q(dr, ds)
     if not np.isfinite(m):
         return float("inf")
     return (2.0 + m) * dv.hellinger_sq_q(dr, ds)

@@ -36,7 +36,7 @@ def chain_pairs(rng):
 class TestClassical:
     def test_disjoint_supports(self):
         p, q = [1.0, 0.0], [0.0, 1.0]
-        assert dv.total_variation(p, q) == 1.0
+        assert dv.classical_chain(p, q)["tv"] == 1.0
         assert dv.hellinger_sq(p, q) == 2.0
         assert overlap(p, q) == 0.0
         assert dv.kl_divergence(p, q) == np.inf
@@ -127,7 +127,8 @@ class TestQuantum:
         q = np.array([0.25, 0.25, 0.5])
         rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
         assert dv.relative_entropy(rho, sigma) == pytest.approx(dv.kl_divergence(p, q))
-        assert dv.trace_distance(rho, sigma) == pytest.approx(dv.total_variation(p, q))
+        assert dv.trace_distance(rho, sigma) == pytest.approx(
+            dv.classical_chain(p, q)["tv"])
         assert dv.hellinger_sq_q(rho, sigma) == pytest.approx(dv.hellinger_sq(p, q))
         assert dv.bures_chi2(rho, sigma) == pytest.approx(dv.chi_sq_divergence(p, q))
 
@@ -193,11 +194,12 @@ class TestQuantum:
         public = {
             "trace_distance": dv.trace_distance, "bures_sq": dv.bures_sq,
             "hellinger_sq": dv.hellinger_sq_q, "kl": dv.relative_entropy,
-            "bures_chi2": dv.bures_chi2, "max_log_ratio": dv.max_log_ratio_q,
+            "bures_chi2": dv.bures_chi2,
+            "max_log_ratio": analysis.max_log_ratio_q,
             "reverse_bound": analysis.reverse_pinsker_bound,
         }
         either_form = (dv.fidelity, dv.hellinger_affinity, dv.hellinger_sq_q,
-                       dv.relative_entropy, dv.max_log_ratio_q,
+                       dv.relative_entropy, analysis.max_log_ratio_q,
                        analysis.reverse_pinsker_bound,
                        lambda a, b: dv.renyi_divergence_q(a, b, 0.5),
                        lambda a, b: dv.renyi_divergence_q(a, b, 2.0))
@@ -218,7 +220,7 @@ class TestQuantum:
         rng = np.random.default_rng(49)
         rho, sigma = random_pair(5, rng)
         bound = np.log(1.0 / np.min(np.linalg.eigvalsh(sigma)))
-        assert dv.max_log_ratio_q(rho, sigma) <= bound + 1e-9
+        assert dv.quantum_chain(rho, sigma)["max_log_ratio"] <= bound + 1e-9
 
     def test_quantum_mi_product_is_zero(self):
         rng = np.random.default_rng(51)

@@ -389,7 +389,7 @@ GOLDEN = [
      "666889fc5a77c91d90707af19e14d0fde959ba00a1492503cfcf3cb43954980b"),
     (dict(sid="g-mi-corr", target="mi", d=2, family="bipartite:correlated",
           lam=0.6, eps_grid=(0.5,), trials=2, master_seed=16),
-     "b0d62b40742a0f5dc74f397285d7c6bbe960df5cbff749da66b349cbdd4f89f5"),
+     "ca60fa0abed0e31695d939ccad1ef9594eb240ec90c30791366ea61c016abfdd"),
     (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
           trials=2, master_seed=17),
      "d4bd4e35e86b54e7d4bb2509669eab6eaa1df9be6718e5eff8099992c5843fb9"),

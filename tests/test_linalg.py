@@ -42,6 +42,27 @@ def test_kron_decomposition_matches_the_joint_eigh(da, db):
         assert abs(div(rho, dec) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_decompose_takes_a_stack():
+    """A leading axis of eigensystems, each that of its own matrix; one
+    non-ascending member refuses the stack, as one bad member refuses
+    psd_values."""
+    rng = np.random.default_rng(53)
+    stack = np.array([linalg.random_density(5, r, rng) for r in (1, 3, 5)])
+    dec = linalg.decompose(stack)
+    assert dec.values.shape == (3, 5) and dec.vectors.shape == (3, 5, 5)
+    for k, rho in enumerate(stack):
+        one = linalg.decompose(rho)
+        assert np.array_equal(dec.values[k], one.values)
+        assert np.array_equal(dec.vectors[k], one.vectors)
+    assert np.max(np.abs(dec.matrix() - stack)) < 1e-12
+    with pytest.raises(ValueError, match="ascending"):
+        linalg.SpectralDecomposition(dec.values[:, ::-1], dec.vectors)
+    negative = dec.values.copy()
+    negative[1, 0] = -2e-10
+    with pytest.raises(ValueError, match="not PSD"):
+        linalg.psd_values(linalg.SpectralDecomposition(negative, dec.vectors))
+
+
 def test_eig_hermitian_rejects_nonhermitian():
     with pytest.raises(ValueError):
         linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -429,27 +429,30 @@ class TestQuantumMITest:
 
     def test_product_arm_accepts(self):
         rng = np.random.default_rng(61)
-        joint = linalg.correlated_pair_state(3, 0.0)
+        joint, joint_dec = linalg.correlated_pair_eig(3, 0.0)
         for _ in range(3):
-            v = mt.quantum_mi_test(joint, 3, 3, 0.5, rng)
+            v = mt.quantum_mi_test(joint, joint_dec, 3, 3, 0.5, rng)
             assert v.accept
             assert v.stats["bures_chi2_product"] <= v.stats["eps_prime"]
             assert v.stats["mi"] == pytest.approx(0.0, abs=1e-10)
 
     def test_correlated_arm_rejects(self):
         rng = np.random.default_rng(62)
-        joint = linalg.correlated_pair_state(3, 0.5)
+        joint, joint_dec = linalg.correlated_pair_eig(3, 0.5)
         assert dv.quantum_mutual_information(joint, 3, 3) >= 0.5
+        # the MI read from the given eigensystem, not a solved one
+        mi = dv.relative_entropy(joint_dec,
+                                 linalg.product_of_marginals(joint, 3, 3))
         for _ in range(3):
-            v = mt.quantum_mi_test(joint, 3, 3, 0.5, rng)
+            v = mt.quantum_mi_test(joint, joint_dec, 3, 3, 0.5, rng)
             assert not v.accept
             assert v.stats["hellinger_sq"] >= 2 * v.stats["eps_t"]
-            assert v.stats["mi"] == dv.quantum_mutual_information(joint, 3, 3)
+            assert v.stats["mi"] == mi
 
     def test_verdict_reads_the_stats(self, monkeypatch):
-        """After learning: one 9 x 9 eigh for the joint and one 3 x 3
-        eigh per marginal; both products' eigensystems are built from
-        their factors'."""
+        """After learning: one 3 x 3 eigh per marginal and none for the
+        joint, whose eigensystem is given; both products' eigensystems
+        are built from their factors'."""
         calls, eigh, learn = [], np.linalg.eigh, mt.learn_product_quantum
 
         def counted(a, *args, **kwargs):
@@ -462,14 +465,15 @@ class TestQuantumMITest:
             return out
         monkeypatch.setattr(mt, "learn_product_quantum", learned)
         rng = np.random.default_rng(63)
-        v = mt.quantum_mi_test(linalg.correlated_pair_state(3, 0.5), 3, 3,
+        v = mt.quantum_mi_test(*linalg.correlated_pair_eig(3, 0.5), 3, 3,
                                0.5, rng)
         monkeypatch.undo()
-        assert sorted(calls) == [(3, 3), (3, 3), (9, 9)]
+        assert sorted(calls) == [(3, 3), (3, 3)]
         assert v.accept == mt.hellinger_gap_verdict(v.stats["hellinger_sq"],
                                                     v.stats["eps_t"])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(64)
         with pytest.raises(ValueError):
-            mt.quantum_mi_test(linalg.maximally_mixed(6), 2, 2, 0.5, rng)
+            mt.quantum_mi_test(*linalg.maximally_mixed_eig(6), 2, 2, 0.5,
+                               rng)
