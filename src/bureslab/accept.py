@@ -94,8 +94,7 @@ def _chains():
         return max(float(np.max(lhs - rhs)) for _, lhs, rhs
                    in cli._chain_verdicts(chain, quantum))
 
-    slack = max(0.0,
-                worst(dv.classical_chain(pq[0::2], pq[1::2]), False),
+    slack = max(worst(dv.classical_chain(pq[0::2], pq[1::2]), False),
                 worst(dv.quantum_chain(states[0::2], states[1::2]), True))
     elapsed = time.perf_counter() - started
     ok = slack <= cli.SLACK and elapsed < 120.0
@@ -378,7 +377,6 @@ def _classical_tester():
 def _quantum_tester():
     d, eps, trials = 4, 0.5, 100
     lam = 0.4  # entangled mix with MI 0.56, just past the gap
-    plan = mt.quantum_mi_plan(d, eps)
     mi_corr = dv.quantum_mutual_information(
         linalg.correlated_pair_state(d, lam), d, d)
     accept_hits = reject_hits = suffer_hits = 0
@@ -392,19 +390,17 @@ def _quantum_tester():
                 joint_dec = linalg.kron_decomposition(a_dec, b_dec)
             else:
                 joint, joint_dec = linalg.correlated_pair_eig(d, lam)
-            sig, tau, _ = mt.learn_product_quantum(
-                joint, d, d, plan["eps_learn"], rng)
-            product = linalg.kron_decomposition(sig, tau)
-            accept = mt.hellinger_gap_verdict(
-                dv.hellinger_sq_q(joint_dec, product), plan["eps_t"])
+            v = mt.quantum_mi_test(joint, joint_dec, d, eps, rng)
+            # the learned product against the product of the true
+            # marginals, each traced out here a second time
             ma = linalg.partial_trace(joint, d, d, "A")
             mb = linalg.partial_trace(joint, d, d, "B")
-            suffer = dv.bures_chi2(np.kron(ma, mb), product)
-            suffer_hits += suffer <= plan["eps_prime"]
+            suffer = dv.bures_chi2(np.kron(ma, mb), v.stats["product"])
+            suffer_hits += suffer <= v.stats["eps_prime"]
             if arm == 0:
-                accept_hits += accept
+                accept_hits += v.accept
             else:
-                reject_hits += not accept
+                reject_hits += not v.accept
     ok = (accept_hits >= 0.9 * trials and reject_hits >= 0.9 * trials
           and suffer_hits >= 0.9 * 2 * trials and mi_corr >= eps)
     return ok, {"accept_rate": accept_hits / trials,

@@ -12,6 +12,7 @@ parameters were rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import divergences as dv
 from . import harness as hz
-from . import linalg
 from . import measurement as ms
 from . import pipeline as pl
 
@@ -41,8 +41,9 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
     if quantum:
         return [
             ("h2/2 <= trace_distance", 0.5 * h2, chain["trace_distance"]),
+            # bures_sq rounds below 0 for a state against itself
             ("trace_distance <= bures", chain["trace_distance"],
-             np.sqrt(chain["bures_sq"])),
+             np.sqrt(np.maximum(chain["bures_sq"], 0.0))),
             ("bures_sq <= kl", chain["bures_sq"], chain["kl"]),
             ("kl <= reverse_bound", chain["kl"], chain["reverse_bound"]),
             ("bures_sq <= hellinger_sq", chain["bures_sq"], h2),
@@ -165,17 +166,18 @@ def cmd_mi_test(args) -> int:
     if not 0.0 <= args.lam <= 1.0:
         raise hz.ScenarioError(f"--lam {args.lam} must lie in [0, 1]")
     rng = np.random.default_rng(args.seed)
-    lam = args.lam if args.arm == "correlated" else 0.0
-    should_accept = args.arm == "product"
+    family = hz.FAMILIES[f"bipartite:{args.arm}"]
+    should_accept = family.product
+    if args.kind == "classical":
+        joint = mt.correlated_joint(args.d, 0.0 if should_accept else args.lam)
+        run = functools.partial(mt.classical_mi_test, joint, args.eps, rng)
+    else:
+        joint, joint_dec = family.make(args.d, args.r, args.lam, rng)
+        run = functools.partial(mt.quantum_mi_test, joint, joint_dec, args.d,
+                                args.eps, rng, r=args.r)
     correct = 0
     for trial in range(args.trials):
-        if args.kind == "classical":
-            joint = mt.correlated_joint(args.d, lam)
-            verdict = mt.classical_mi_test(joint, args.eps, rng)
-        else:
-            joint, joint_dec = linalg.correlated_pair_eig(args.d, lam)
-            verdict = mt.quantum_mi_test(joint, joint_dec, args.d, args.d,
-                                         args.eps, rng, r=args.r)
+        verdict = run()
         good = verdict.accept == should_accept
         correct += good
         print(f"trial {trial}: {'accept' if verdict.accept else 'reject'}"

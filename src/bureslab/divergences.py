@@ -66,8 +66,6 @@ __all__ = [
     "trace_distance",
     "fidelity",
     "infidelity",
-    "bures_sq",
-    "hellinger_affinity",
     "hellinger_sq_q",
     "relative_entropy",
     "renyi_divergence_q",
@@ -75,7 +73,6 @@ __all__ = [
     "bures_chi2_in_basis",
     "quantum_mutual_information",
     "quantum_chain",
-    "kl_from_infidelity_bound",
 ]
 
 # numerator magnitudes below this count as exact zeros when the matching
@@ -296,6 +293,8 @@ def overlap_pair(rho, sigma):
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the trace norm of rho - sigma; a non-Hermitian difference is
+    refused (``linalg.trace_norm``)."""
     return 0.5 * linalg.trace_norm(np.asarray(rho) - np.asarray(sigma))
 
 
@@ -313,19 +312,10 @@ def infidelity(rho, sigma) -> float:
     return 1.0 - fidelity(rho, sigma)
 
 
-def bures_sq(rho, sigma) -> float:
-    """Squared Bures distance 2 (1 - fidelity)."""
-    return 2.0 * (1.0 - fidelity(rho, sigma))
-
-
-def hellinger_affinity(rho, sigma) -> float:
-    """tr( sqrt(rho) sqrt(sigma) ) = sum_ij sqrt(p_i) sqrt(q_j) w_ij."""
-    return _result(_affinity(_overlap(rho, sigma)))
-
-
 def hellinger_sq_q(rho, sigma) -> float:
-    """2 (1 - affinity) = || sqrt(rho) - sqrt(sigma) ||_F^2."""
-    return 2.0 * (1.0 - hellinger_affinity(rho, sigma))
+    """|| sqrt(rho) - sqrt(sigma) ||_F^2 = 2 (1 - affinity), with the
+    affinity tr(sqrt(rho) sqrt(sigma)) = sum_ij sqrt(p_i) sqrt(q_j) w_ij."""
+    return _result(2.0 * (1.0 - _affinity(_overlap(rho, sigma))))
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -416,15 +406,3 @@ def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:
         "bures_chi2": bures_chi2(rho, ds),
         "max_log_ratio": mlr,
     })
-
-
-def kl_from_infidelity_bound(d: int, eps: float) -> float:
-    """Relative-entropy bound after depolarizing an infidelity-eps estimate.
-
-    If the estimate has infidelity at most eps <= 1/2, mixing it with
-    2*eps of the maximally mixed state bounds the relative entropy by
-    16 eps (2 + ln(d / (2 eps))).
-    """
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
-    return 16.0 * eps * (2.0 + np.log(d / (2.0 * eps)))

@@ -270,7 +270,7 @@ def _kl_verdict(s: Scenario, row: dict):
 
 
 def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
-    v = mt.quantum_mi_test(rho, rho_dec, s.d, s.d, float(point), rng,
+    v = mt.quantum_mi_test(rho, rho_dec, s.d, float(point), rng,
                            r=s.r, spec=fb.parse_estimator(s.estimator, s.r))
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
               "bures_chi2": float(v.stats["bures_chi2_product"]),

@@ -204,15 +204,13 @@ def frob_sq(a: np.ndarray) -> float:
 
 
 def trace_norm(a: np.ndarray):
-    """Sum of singular values; for Hermitian input, sum of |eigenvalues|.
+    """Sum of |eigenvalues| of a Hermitian matrix, its singular values'
+    sum; a non-Hermitian input is refused (:func:`require_hermitian`).
 
     A float for one matrix; for an (n, d, d) stack, the n norms.
     """
-    a = np.asarray(a, dtype=complex)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max() <= config.HERMITIAN_TOL:
-        norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
-    else:
-        norms = np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+    a = require_hermitian(a)
+    norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
     return float(norms) if a.ndim == 2 else norms
 
 

@@ -259,8 +259,8 @@ def marginal_scale(d: int, r: int, eps_learn: float) -> float:
 
 
 def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
-                           rng: np.random.Generator, r: int | None = None,
-                           spec: fb.EstimatorSpec | None = None):
+                           rng: np.random.Generator, r: int,
+                           spec: fb.EstimatorSpec):
     """Learn one marginal with the staged pipeline and blend in a floor.
 
     Returns (estimate, record).  The estimate, a
@@ -271,12 +271,7 @@ def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
     eigenvalue (read off the estimate, with no new solve) cleared
     eps_learn / d, which a fully resolved rank-deficient state will not.
     """
-    rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
-    if r is None:
-        r = d
-    if spec is None:
-        spec = fb.parse_estimator("oracle:f=d")
     if not 0.0 < eps_learn < 0.5:
         raise pl.ParameterError("eps_learn must lie in (0, 1/2)")
     target = marginal_scale(d, r, eps_learn)
@@ -295,30 +290,26 @@ def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
     return est, record
 
 
-def learn_product_quantum(rho_joint: np.ndarray, d_a: int, d_b: int,
-                          eps_learn: float, rng: np.random.Generator,
-                          r: int | None = None,
-                          spec: fb.EstimatorSpec | None = None):
-    """Learn both marginals of a bipartite state as floored estimates.
+def learn_product_quantum(rho_joint: np.ndarray, d: int, eps_learn: float,
+                          rng: np.random.Generator, r: int,
+                          spec: fb.EstimatorSpec):
+    """Learn both marginals of a d x d bipartite state as floored estimates.
 
     Local algorithms on disjoint subsystems can share copies, so every
     joint copy yields one copy of each marginal and the joint cost is
     the larger of the two marginal budgets, not their sum.  Returns
-    (sigma_hat, tau_hat, record), the estimates as decompositions.
+    (marginals, estimates, record): the two marginals, each traced out
+    once, their estimates as decompositions in the same order, and the
+    budgets.
     """
-    rho_joint = np.asarray(rho_joint, dtype=complex)
-    if rho_joint.shape != (d_a * d_b, d_a * d_b):
-        raise ValueError("joint dimension mismatch")
-    rho_a = linalg.partial_trace(rho_joint, d_a, d_b, keep="A")
-    rho_b = linalg.partial_trace(rho_joint, d_a, d_b, keep="B")
-    sigma_hat, rec_a = learn_marginal_floored(rho_a, eps_learn, rng,
-                                              r=r, spec=spec)
-    tau_hat, rec_b = learn_marginal_floored(rho_b, eps_learn, rng,
-                                            r=r, spec=spec)
+    rho_a = linalg.partial_trace(rho_joint, d, d, keep="A")
+    rho_b = linalg.partial_trace(rho_joint, d, d, keep="B")
+    sigma_hat, rec_a = learn_marginal_floored(rho_a, eps_learn, rng, r, spec)
+    tau_hat, rec_b = learn_marginal_floored(rho_b, eps_learn, rng, r, spec)
     record = {"a": rec_a, "b": rec_b,
               "joint_copies": max(rec_a["consumed"], rec_b["consumed"]),
               "floor_ok": rec_a["floor_ok"] and rec_b["floor_ok"]}
-    return sigma_hat, tau_hat, record
+    return (rho_a, rho_b), (sigma_hat, tau_hat), record
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +322,38 @@ def hellinger_gap_verdict(hellinger_sq: float, eps_t: float) -> bool:
     return bool(hellinger_sq < 2.0 * eps_t)
 
 
-def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition,
-                    d_a: int, d_b: int, eps: float,
-                    rng: np.random.Generator, r: int | None = None,
+def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
+                    eps: float, rng: np.random.Generator, r: int | None = None,
                     spec: fb.EstimatorSpec | None = None) -> TesterVerdict:
-    """One round of the quantum MI test on a known bipartite state,
+    """One round of the quantum MI test on a known d x d bipartite state,
     given with its eigensystem ``joint``.
 
-    Learns floored marginal estimates at 0.49 eps_t in Bures chi-square
-    and accepts when the joint sits within 2 eps_t of their product in
-    squared Hellinger (:func:`hellinger_gap_verdict`).  Accepting
-    certifies MI below eps with high probability; states with MI at
-    least eps reject with high probability.
+    Learns floored marginal estimates at 0.49 eps_t in Bures chi-square,
+    each with rank cap ``r`` (default d) and base estimator ``spec``
+    (default ``oracle:f=d``), and accepts when the joint sits within
+    2 eps_t of their product in squared Hellinger
+    (:func:`hellinger_gap_verdict`).  Accepting certifies MI below eps
+    with high probability; states with MI at least eps reject with high
+    probability.  The stats carry the learned product as a
+    decomposition under ``product``.
     """
-    rho_joint = np.asarray(rho_joint, dtype=complex)
-    plan = quantum_mi_plan(max(d_a, d_b), eps)
-    sigma_hat, tau_hat, record = learn_product_quantum(
-        rho_joint, d_a, d_b, plan["eps_learn"], rng, r=r, spec=spec)
-    stats = dict(plan)
-    stats["learning"] = record
-    stats["joint_copies"] = record["joint_copies"]
+    plan = quantum_mi_plan(d, eps)
+    if r is None:
+        r = d
+    if spec is None:
+        spec = fb.parse_estimator("oracle:f=d")
+    marginals, (sigma_hat, tau_hat), record = learn_product_quantum(
+        rho_joint, d, plan["eps_learn"], rng, r, spec)
     # no solve on the joint: both products are built from their
     # factors' eigensystems, and the joint's given one also serves the
     # MI, its relative entropy to the product of its own marginals.
     learned = linalg.kron_decomposition(sigma_hat, tau_hat)
-    marginals = linalg.product_of_marginals(rho_joint, d_a, d_b)
-    stats["hellinger_sq"] = dv.hellinger_sq_q(joint, learned)
-    stats["bures_chi2_product"] = dv.bures_chi2(rho_joint, learned)
-    stats["mi"] = dv.relative_entropy(joint, marginals)
+    truth = linalg.kron_decomposition(*map(linalg.eig_hermitian, marginals))
+    stats = {**plan, "learning": record,
+             "joint_copies": record["joint_copies"], "product": learned,
+             "hellinger_sq": dv.hellinger_sq_q(joint, learned),
+             "bures_chi2_product": dv.bures_chi2(rho_joint, learned),
+             "mi": dv.relative_entropy(joint, truth)}
     return TesterVerdict(
         accept=hellinger_gap_verdict(stats["hellinger_sq"], plan["eps_t"]),
         stats=stats)

@@ -177,6 +177,13 @@ def _confidence(r: int, f: float, m: int) -> float:
     return config.DELTA_FLOOR / max(math.log2(max(m / (r * f), 1.0)), 1.0)
 
 
+def _stage_scale(r: int, f: float, m: int) -> tuple:
+    """(delta, eps_tilde) for an even stage budget of m copies."""
+    delta = _confidence(r, f, m)
+    return delta, config.C_STAGE * r * f / classical.effective_samples(
+        m, delta)
+
+
 def central_params(d: int, r: int, f: float, m: int) -> CentralParams:
     """Validate and derive the staged algorithm's parameter set.
 
@@ -191,9 +198,7 @@ def central_params(d: int, r: int, f: float, m: int) -> CentralParams:
     m -= m % 2  # phases split the stage budget in half
     if m < r:
         raise ParameterError("need at least r copies per stage")
-    delta = _confidence(r, f, m)
-    m_delta = classical.effective_samples(m, delta)
-    eps_tilde = config.C_STAGE * r * f / m_delta
+    delta, eps_tilde = _stage_scale(r, f, m)
     if eps_tilde >= 1.0:
         raise ParameterError(
             f"stage budget {m} gives eps_tilde {eps_tilde:.3g} >= 1")
@@ -219,28 +224,31 @@ def budget_for_scale(d: int, r: int, f: float,
     """Smallest stage budget whose per-stage scale meets the target.
 
     Solves the fixed point between m and delta(m) for
-    eps_tilde <= eps_tilde_target, then nudges m upward if rounding in
-    the confidence schedule left the scale slightly above the target.
+    eps_tilde <= eps_tilde_target, then steps m by 2 to the smallest even
+    budget that meets the target, which rounding in the fixed point can
+    miss by a step either way.
     """
     if not 0.0 < eps_tilde_target < 1.0:
         raise ParameterError("eps_tilde target must lie in (0, 1)")
-    delta = config.DELTA_FLOOR
-    m = max(int(config.C_STAGE * r * f * config.CONF_SCALE
-                * math.log(1.0 / delta) / eps_tilde_target), 2 * int(r))
+
+    def copies(delta: float) -> float:
+        # the m at which eps_tilde meets the target, were delta fixed
+        return (config.C_STAGE * r * f * config.CONF_SCALE
+                * math.log(1.0 / delta) / eps_tilde_target)
+
+    m = max(int(copies(config.DELTA_FLOOR)), 2 * int(r))
     for _ in range(60):
-        delta = _confidence(r, f, m)
-        m_new = int(math.ceil(config.C_STAGE * r * f * config.CONF_SCALE
-                              * math.log(1.0 / delta) / eps_tilde_target))
+        m_new = int(math.ceil(copies(_confidence(r, f, m))))
         if m_new == m:
             break
         m = m_new
     m += m % 2
-    params = central_params(d, r, f, m)
-    while params.eps_tilde > eps_tilde_target:
-        m += max(2, m // 20)
-        m -= m % 2
-        params = central_params(d, r, f, m)
-    return params
+    # rounding can leave the fixed point a step to either side
+    while _stage_scale(r, f, m)[1] > eps_tilde_target:
+        m += 2
+    while m > 2 and _stage_scale(r, f, m - 2)[1] <= eps_tilde_target:
+        m -= 2
+    return central_params(d, r, f, m)
 
 
 def plan_budget(d: int, r: int, f: float, eps_final: float) -> CentralParams:
@@ -464,13 +472,15 @@ def to_kl(est: linalg.SpectralDecomposition, eps: float):
     Takes the :func:`to_infidelity` decomposition and returns
     (state, bound): its 2 eps depolarization, the values
     (1 - 2 eps) q + 2 eps / d on the same eigenvectors, and the
-    guarantee 16 eps (2 + ln(d / 2 eps)) that holds whenever the input
-    had infidelity at most eps <= 1/2.  The map is increasing in q, so
-    the values stay ascending.
+    guarantee 16 eps (2 + ln(d / 2 eps)) on the relative entropy of the
+    true state from it, which holds whenever the input had infidelity at
+    most eps <= 1/2.  The map is increasing in q, so the values stay
+    ascending.
     """
-    from .divergences import kl_from_infidelity_bound
+    if not 0.0 < eps <= 0.5:
+        raise ValueError("eps must lie in (0, 1/2]")
     d = est.values.size
-    bound = kl_from_infidelity_bound(d, eps)
+    bound = 16.0 * eps * (2.0 + np.log(d / (2.0 * eps)))
     values = (1.0 - 2.0 * eps) * est.values + 2.0 * eps / d
     return linalg.SpectralDecomposition(values=values,
                                         vectors=est.vectors), bound

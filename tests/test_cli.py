@@ -1,11 +1,12 @@
 """Command-line surface: verbs, exit codes, emitted files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bureslab import accept, cli, divergences as dv
+from bureslab import accept, cli, divergences as dv, linalg
 
 
 def test_parser_accepts_every_verb():
@@ -57,6 +58,23 @@ def test_chain_verdicts_hold_where_kl_exceeds_bures_chi2():
     verdicts = cli._chain_verdicts(chain, quantum=True)
     assert all("bures_chi2" not in name for name, _, _ in verdicts)
     assert all(lhs <= rhs + cli.SLACK for _, lhs, rhs in verdicts)
+
+
+def test_chain_verdicts_hold_for_a_state_against_itself():
+    """Fidelity rounds above 1 for some pure qubit states against
+    themselves, so bures_sq rounds below 0; every link still holds, with
+    no nan and no warning."""
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        negative = 0
+        for _ in range(300):
+            psi = linalg.random_pure(2, rng)
+            chain = dv.quantum_chain(psi, psi)
+            negative += chain["bures_sq"] < 0.0
+            for name, lhs, rhs in cli._chain_verdicts(chain, quantum=True):
+                assert lhs <= rhs + cli.SLACK, name
+    assert negative > 0
 
 
 def test_tomography_inline_scenario(capsys):

@@ -17,6 +17,11 @@ def conjugate(u, a):
     return u @ a @ u.conj().T
 
 
+def bures_sq(rho, sigma):
+    """Squared Bures distance 2 (1 - fidelity), the chain's entry."""
+    return 2.0 * (1.0 - dv.fidelity(rho, sigma))
+
+
 def random_pair(d, rng, ranks=(None, None)):
     ra = ranks[0] or d
     rb = ranks[1] or d
@@ -132,6 +137,12 @@ class TestQuantum:
         assert dv.hellinger_sq_q(rho, sigma) == pytest.approx(dv.hellinger_sq(p, q))
         assert dv.bures_chi2(rho, sigma) == pytest.approx(dv.chi_sq_divergence(p, q))
 
+    def test_trace_distance_refuses_a_non_hermitian_input(self):
+        rho = linalg.random_density(3, 3, np.random.default_rng(27))
+        skew = rho + 1e-3j * np.triu(np.ones((3, 3)), 1)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            dv.trace_distance(skew, rho)
+
     def test_fidelity_pure_and_self(self):
         rng = np.random.default_rng(33)
         rho = linalg.random_density(4, 4, rng)
@@ -145,7 +156,7 @@ class TestQuantum:
         rng = np.random.default_rng(39)
         for _ in range(25):
             rho, sigma = random_pair(4, rng)
-            db2 = dv.bures_sq(rho, sigma)
+            db2 = bures_sq(rho, sigma)
             dh2 = dv.hellinger_sq_q(rho, sigma)
             assert db2 <= dh2 + 1e-9
             assert dh2 <= 2 * db2 + 1e-9
@@ -192,13 +203,13 @@ class TestQuantum:
 
     def test_quantum_chain_equals_public_functions(self):
         public = {
-            "trace_distance": dv.trace_distance, "bures_sq": dv.bures_sq,
+            "trace_distance": dv.trace_distance, "bures_sq": bures_sq,
             "hellinger_sq": dv.hellinger_sq_q, "kl": dv.relative_entropy,
             "bures_chi2": dv.bures_chi2,
             "max_log_ratio": analysis.max_log_ratio_q,
             "reverse_bound": analysis.reverse_pinsker_bound,
         }
-        either_form = (dv.fidelity, dv.hellinger_affinity, dv.hellinger_sq_q,
+        either_form = (dv.fidelity, dv.hellinger_sq_q,
                        dv.relative_entropy, analysis.max_log_ratio_q,
                        analysis.reverse_pinsker_bound,
                        lambda a, b: dv.renyi_divergence_q(a, b, 0.5),
@@ -241,14 +252,6 @@ class TestQuantum:
         got = dv.quantum_mutual_information(rho, d, d)
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_kl_from_infidelity_bound(self):
-        assert dv.kl_from_infidelity_bound(8, 0.5) == pytest.approx(
-            16 * 0.5 * (2 + np.log(8.0)))
-        with pytest.raises(ValueError):
-            dv.kl_from_infidelity_bound(8, 0.0)
-        with pytest.raises(ValueError):
-            dv.kl_from_infidelity_bound(8, 0.6)
-
 
 def root_route_pairs(rng):
     """Pure, rank-deficient, degenerate and near-cutoff pairs, at d = 2
@@ -282,9 +285,8 @@ class TestRootRoute:
     matrix-square-root formulas (``oracles.analysis``)."""
 
     ROUTES = ((dv.fidelity, analysis.fidelity_by_roots),
-              (dv.hellinger_affinity, analysis.hellinger_affinity_by_roots),
               (dv.hellinger_sq_q, analysis.hellinger_sq_q_by_roots),
-              (dv.bures_sq, analysis.bures_sq_by_roots))
+              (bures_sq, analysis.bures_sq_by_roots))
 
     def test_matches_the_matrix_roots(self):
         for name, rho, sigma in root_route_pairs(np.random.default_rng(83)):
@@ -308,7 +310,7 @@ class TestRootRoute:
         zero = np.zeros((3, 3))
         for a, b in ((zero, rho), (rho, zero), (zero, zero)):
             assert dv.fidelity(a, b) == 0.0
-            assert dv.hellinger_affinity(a, b) == 0.0
+            assert dv.hellinger_sq_q(a, b) == 2.0
 
     def test_rank_r_truth_takes_an_r_by_k_solve(self, monkeypatch):
         rng = np.random.default_rng(97)

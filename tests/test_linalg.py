@@ -81,12 +81,14 @@ def test_psd_sqrt_squares_back():
 def test_trace_norm_matches_svd():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    want = np.sum(np.linalg.svd(a, compute_uv=False))
-    assert abs(linalg.trace_norm(a) - want) < 1e-10
-    # Hermitian branch agrees with the generic one
     h = (a + a.conj().T) / 2
-    want_h = np.sum(np.abs(np.linalg.eigvalsh(h)))
-    assert abs(linalg.trace_norm(h) - want_h) < 1e-10
+    want = np.sum(np.linalg.svd(h, compute_uv=False))
+    assert abs(linalg.trace_norm(h) - want) < 1e-10
+    # a non-Hermitian input is refused, like every other divergence input
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.trace_norm(a)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.trace_norm(np.stack([h, a]))
 
 
 def test_haar_unitary_is_unitary():

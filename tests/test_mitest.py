@@ -7,6 +7,7 @@ import pytest
 
 from bureslab import accept, config
 from bureslab import divergences as dv
+from bureslab import frobenius as fb
 from bureslab import linalg
 from bureslab import mitest as mt
 from bureslab import pipeline as pl
@@ -375,11 +376,15 @@ class TestProductDecomposition:
 # quantum marginal learning and tester
 # ---------------------------------------------------------------------------
 
+#: the base estimator quantum_mi_test uses by default
+ORACLE = fb.parse_estimator("oracle:f=d")
+
+
 class TestQuantumLearning:
     def test_mixed_marginal_floored(self):
         rng = np.random.default_rng(51)
         rho = linalg.maximally_mixed(4)
-        est, rec = mt.learn_marginal_floored(rho, 0.004, rng)
+        est, rec = mt.learn_marginal_floored(rho, 0.004, rng, 4, ORACLE)
         assert rec["floor_ok"]
         assert rec["min_eigenvalue"] >= 0.004 / 4 - 1e-10
         assert dv.bures_chi2(rho, est) <= 0.004
@@ -388,7 +393,7 @@ class TestQuantumLearning:
     def test_rank_one_marginal_close(self):
         rng = np.random.default_rng(52)
         rho = linalg.random_density(4, 1, rng)
-        est, rec = mt.learn_marginal_floored(rho, 0.01, rng)
+        est, rec = mt.learn_marginal_floored(rho, 0.01, rng, 4, ORACLE)
         assert np.trace(est.matrix()).real == pytest.approx(1.0, abs=1e-9)
         assert dv.bures_chi2(rho, est) <= 5 * 0.01
 
@@ -397,25 +402,29 @@ class TestQuantumLearning:
         rng = np.random.default_rng(53)
         rho = np.diag([1e-4, 0.0099, 0.02, 0.9700 + 1e-4]).astype(complex)
         rho /= np.trace(rho).real
-        est, rec = mt.learn_marginal_floored(rho, 0.01, rng)
+        est, rec = mt.learn_marginal_floored(rho, 0.01, rng, 4, ORACLE)
         if rec["prefix"] == 0:
             assert not rec["floor_ok"]
 
     def test_product_learning_shares_copies(self):
         rng = np.random.default_rng(54)
         joint = linalg.correlated_pair_state(3, 0.5)
-        sg, tu, rec = mt.learn_product_quantum(joint, 3, 3, 0.005, rng)
+        marginals, (sg, tu), rec = mt.learn_product_quantum(
+            joint, 3, 0.005, rng, 3, ORACLE)
         assert rec["joint_copies"] == max(rec["a"]["consumed"],
                                           rec["b"]["consumed"])
         assert rec["floor_ok"]
         third = linalg.maximally_mixed(3)
+        for marginal in marginals:
+            assert np.allclose(marginal, third, rtol=0.0, atol=1e-15)
         assert dv.bures_chi2(third, sg) <= 0.005
         assert dv.bures_chi2(third, tu) <= 0.005
 
     def test_eps_learn_domain(self):
         rng = np.random.default_rng(55)
         with pytest.raises(pl.ParameterError):
-            mt.learn_marginal_floored(linalg.maximally_mixed(2), 0.7, rng)
+            mt.learn_marginal_floored(linalg.maximally_mixed(2), 0.7, rng,
+                                      2, ORACLE)
 
 
 class TestQuantumMITest:
@@ -431,7 +440,7 @@ class TestQuantumMITest:
         rng = np.random.default_rng(61)
         joint, joint_dec = linalg.correlated_pair_eig(3, 0.0)
         for _ in range(3):
-            v = mt.quantum_mi_test(joint, joint_dec, 3, 3, 0.5, rng)
+            v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng)
             assert v.accept
             assert v.stats["bures_chi2_product"] <= v.stats["eps_prime"]
             assert v.stats["mi"] == pytest.approx(0.0, abs=1e-10)
@@ -444,7 +453,7 @@ class TestQuantumMITest:
         mi = dv.relative_entropy(joint_dec,
                                  linalg.product_of_marginals(joint, 3, 3))
         for _ in range(3):
-            v = mt.quantum_mi_test(joint, joint_dec, 3, 3, 0.5, rng)
+            v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng)
             assert not v.accept
             assert v.stats["hellinger_sq"] >= 2 * v.stats["eps_t"]
             assert v.stats["mi"] == mi
@@ -465,15 +474,33 @@ class TestQuantumMITest:
             return out
         monkeypatch.setattr(mt, "learn_product_quantum", learned)
         rng = np.random.default_rng(63)
-        v = mt.quantum_mi_test(*linalg.correlated_pair_eig(3, 0.5), 3, 3,
-                               0.5, rng)
+        v = mt.quantum_mi_test(*linalg.correlated_pair_eig(3, 0.5), 3, 0.5,
+                               rng)
         monkeypatch.undo()
         assert sorted(calls) == [(3, 3), (3, 3)]
         assert v.accept == mt.hellinger_gap_verdict(v.stats["hellinger_sq"],
                                                     v.stats["eps_t"])
 
+    def test_traces_each_marginal_once(self, monkeypatch):
+        """The two traces feed both the learner and the true product's
+        eigensystem, and the verdict carries the learned product."""
+        calls, trace = [], linalg.partial_trace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return trace(*args, **kwargs)
+        monkeypatch.setattr(linalg, "partial_trace", counted)
+        joint, joint_dec = linalg.correlated_pair_eig(3, 0.5)
+        v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5,
+                               np.random.default_rng(65))
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert v.stats["hellinger_sq"] == dv.hellinger_sq_q(
+            joint_dec, v.stats["product"])
+        assert v.stats["mi"] == dv.relative_entropy(
+            joint_dec, linalg.product_of_marginals(joint, 3, 3))
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(64)
         with pytest.raises(ValueError):
-            mt.quantum_mi_test(*linalg.maximally_mixed_eig(6), 2, 2, 0.5,
-                               rng)
+            mt.quantum_mi_test(*linalg.maximally_mixed_eig(6), 2, 0.5, rng)

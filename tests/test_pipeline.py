@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -169,6 +170,24 @@ def test_plan_budget_meets_target_and_halving():
         assert p1.total / p2.total <= 2.5
 
 
+def test_plan_budget_is_the_smallest():
+    """Two copies fewer per stage miss the per-stage target.  The grid
+    holds plans whose fixed point rounding left a step high, among them
+    (64, 2, 4.5 * 64^2, 0.05), once planned 5% too large."""
+    assert pl.plan_budget(64, 2, 4.5 * 64 ** 2, 0.05).m == 3_363_313_020_225_418
+    for d, r, kind, eps in itertools.product(
+            (2, 7, 16, 32, 64), (1, 2, 4, 64), ("d", "rd", "d2"),
+            (0.02, 0.05, 0.1, 0.2, 0.5)):
+        if r > d:
+            continue
+        f = {"d": d, "rd": r * d, "d2": 4.5 * d * d}[kind]
+        p = pl.plan_budget(d, r, f, eps)
+        target = eps * math.sqrt(r / d) / config.K_PLAN
+        assert p.eps_tilde <= target
+        assert pl.central_params(d, r, f, p.m - 2).eps_tilde > target, \
+            (d, r, f, eps)
+
+
 def test_tail_rules():
     vals = np.array([0.001, 0.002, 0.05, 0.3, 0.5])
     # floor rule: beta = 1.21 * 0.853 / 100 ~ 0.0103: suffix above it has 3
@@ -247,8 +266,16 @@ def test_to_kl_depolarizes():
     est, bound = pl.to_kl(base, 0.05)
     linalg.require_density(est.matrix())
     assert np.min(np.linalg.eigvalsh(est.matrix())) >= 0.1 / 4 - 1e-12
-    assert bound == pytest.approx(dv.kl_from_infidelity_bound(4, 0.05))
+    assert bound == pytest.approx(16 * 0.05 * (2 + np.log(4 / 0.1)))
     assert dv.relative_entropy(rho, est) <= bound
+
+
+def test_to_kl_certificate():
+    est = linalg.maximally_mixed_eig(8)[1]
+    assert pl.to_kl(est, 0.5)[1] == pytest.approx(16 * 0.5 * (2 + np.log(8.0)))
+    for eps in (0.0, 0.6):
+        with pytest.raises(ValueError):
+            pl.to_kl(est, eps)
 
 
 # the staged output as matrices, the way the post-processors built them

@@ -24,6 +24,9 @@ constants included; a module nothing imports is code no run executes.
 And the staged learner keeps the one copy ledger: ``pipeline.staged_learn``
 is the only place in the package that builds a ``CopyBudget``, and every
 layer below it takes plain copy counts.
+
+And ``pipeline`` keeps its own relative-entropy certificate: it imports
+nothing from ``divergences``, at module level or inside a function.
 """
 
 import ast
@@ -236,6 +239,12 @@ def budget_builders() -> list:
     return found
 
 
+def imported_by(stem: str) -> set:
+    """Stems of the package modules a module imports anywhere in its
+    body, function bodies included."""
+    return _imports(_parse(PACKAGE)[stem])
+
+
 def test_every_export_has_a_caller():
     assert len(list(PACKAGE.glob("*.py"))) > 10 and BENCHMARK.is_dir()
     missing = set(unreferenced())
@@ -257,3 +266,8 @@ def test_every_module_is_imported():
 
 def test_only_the_staged_learner_keeps_a_copy_ledger():
     assert budget_builders() == [("pipeline", "staged_learn")]
+
+
+def test_the_pipeline_imports_no_divergences():
+    assert "linalg" in imported_by("pipeline")
+    assert "divergences" not in imported_by("pipeline")
