@@ -161,6 +161,8 @@ def cmd_mi_test(args) -> int:
     from . import mitest as mt
     if args.trials < 1:
         raise hz.ScenarioError(f"--trials {args.trials} must be at least 1")
+    if args.d < 2:
+        raise hz.ScenarioError("marginal dimension must be at least 2")
     if args.r is not None and not 1 <= args.r <= args.d:
         raise hz.ScenarioError(f"--r {args.r} must lie in [1, --d {args.d}]")
     if not 0.0 <= args.lam <= 1.0:

@@ -19,6 +19,7 @@ only copy ledger is the staged learner's (``pipeline.staged_learn``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,14 +102,24 @@ def oracle_estimate(rho: np.ndarray, f: float, m: int,
     d = rho.shape[0]
     s = np.sqrt((f / m) / d ** 2)
     g = np.zeros((d, d), dtype=complex)
-    iu = np.triu_indices(d, k=1)
+    iu = _upper_triangle(d)
     n_off = iu[0].size
     re = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
     im = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
     g[iu] = re + 1j * im
     g = g + g.conj().T
-    g[np.diag_indices(d)] = rng.standard_normal(d) * s
+    np.fill_diagonal(g, rng.standard_normal(d) * s)
     return np.asarray(rho, dtype=complex) + g
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(d: int) -> tuple:
+    """``np.triu_indices(d, k=1)``, built once per dimension; read-only,
+    because cached arrays are shared."""
+    iu = np.triu_indices(d, k=1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
 
 
 _ORACLE_RATES = {

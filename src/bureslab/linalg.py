@@ -148,11 +148,15 @@ def kron_decomposition(a: SpectralDecomposition,
                        b: SpectralDecomposition) -> SpectralDecomposition:
     """Eigensystem of a (x) b from those of a and b, with no new solve.
 
-    u_i (x) v_j is an eigenvector of a (x) b for a_i b_j, and
-    ``np.kron`` orders the values and the columns alike.
+    u_i (x) v_j is an eigenvector of a (x) b for a_i b_j.  The outer
+    products are taken by broadcasting, in ``np.kron``'s order: value
+    and column i * len(b) + j belong to the pair (i, j).
     """
-    return SpectralDecomposition.ascending(np.kron(a.values, b.values),
-                                           np.kron(a.vectors, b.vectors))
+    n = a.values.size * b.values.size
+    values = (a.values[:, None] * b.values[None, :]).reshape(n)
+    vectors = (a.vectors[:, None, :, None]
+               * b.vectors[None, :, None, :]).reshape(n, n)
+    return SpectralDecomposition.ascending(values, vectors)
 
 
 def product_of_marginals(rho: np.ndarray, d_a: int,
@@ -347,15 +351,22 @@ def correlated_pair_eig(d: int, lam: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 def submatrix(a: np.ndarray, subset) -> np.ndarray:
-    """Principal submatrix on the index subset, order preserved."""
+    """Principal submatrix on the index subset, order preserved.
+
+    The subset is a sequence of indices, gathered into a copy, or a
+    slice, which gives a view: ``slice(None)`` is all of ``a``.
+    """
+    a = np.asarray(a)
+    if isinstance(subset, slice):
+        return a[subset, subset]
     idx = np.asarray(subset, dtype=int)
-    return np.asarray(a)[np.ix_(idx, idx)]
+    return a[np.ix_(idx, idx)]
 
 
 def mass_on(rho: np.ndarray, subset) -> float:
-    """tr rho[S], the probability a basis measurement lands in S."""
-    idx = np.asarray(subset, dtype=int)
-    return float(np.sum(np.diag(rho)[idx]).real)
+    """tr rho[S], the probability a basis measurement lands in S; S is
+    as in :func:`submatrix`, so ``slice(None)`` gives a block's trace."""
+    return float(np.trace(submatrix(rho, subset)).real)
 
 
 def restrict(rho: np.ndarray, subset) -> np.ndarray | None:

@@ -99,7 +99,9 @@ class Povm:
         if u.shape[0] != u.shape[1]:
             raise ValueError(f"a {u.shape[0]} x {u.shape[1]} basis does not "
                              "resolve the identity: it must be square")
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) > config.UNITARY_TOL:
+        gram = u.conj().T @ u
+        gram.reshape(-1)[::u.shape[0] + 1] -= 1.0  # U^dagger U - Id
+        if np.max(np.abs(gram)) > config.UNITARY_TOL:
             raise ValueError("basis matrix is not unitary")
         object.__setattr__(self, "basis", u)
 
@@ -164,9 +166,10 @@ def filter_subset(rho: np.ndarray, subset, k: int,
 
     Simulates the two-outcome measurement {P_S, Id - P_S} and returns
     the number of copies that landed inside S, binomial with mean
-    k tr rho[S].  The conditional state on success is
-    ``linalg.restrict(rho, subset)``; a caller that estimates from the
-    survivors builds it once itself.
+    k tr rho[S].  S is as in ``linalg.mass_on``: ``slice(None)`` filters
+    onto all of an unnormalized block, whose trace is the pass mass.
+    The conditional state on success is ``linalg.restrict(rho, subset)``;
+    a caller that estimates from the survivors builds it once itself.
     """
     tau = min(max(linalg.mass_on(rho, subset), 0.0), 1.0)
     return int(rng.binomial(k, tau)) if k > 0 else 0

@@ -8,8 +8,8 @@ The ladder, bottom to top:
    eigenvalues, with an exact error identity;
 2. make_state_diagonal: spend half the copies on the basis, half on an
    empirical diagonal in that basis, ending with a genuine distribution;
-3. final_upgrade: the same machinery run behind a subset filter, so
-   only the interesting block pays for copies;
+3. final_upgrade: the same machinery run behind a filter onto the
+   prefix block, so only the interesting block pays for copies;
 4. staged_learn: iterate final_upgrade, peeling off large eigenvalues
    into a retained suffix and re-estimating the shrinking prefix, then
    relearn the diagonal with the second half of the budget.
@@ -22,8 +22,12 @@ infidelity, Bures chi-square, or relative-entropy guarantees.
 
 Frames: ``staged_learn`` accumulates a unitary V such that the true
 state in the working frame is V^dagger rho V; all output quantities
-(prefix L, diagonal q) live in that frame.  Every ``to_*`` helper
-returns its estimate in the input frame as a decomposition: the
+(prefix L, diagonal q) live in that frame.  A stage reads only the
+prefix block of that state, so the learner keeps the block alone,
+unnormalized (its trace is the prefix's mass): each stage rotates it
+by the estimated basis B as B^dagger blk B and slices it to the next
+prefix, and updates only the first d_t columns of V.  Every ``to_*``
+helper returns its estimate in the input frame as a decomposition: the
 columns of V are its eigenvectors, so no helper multiplies out
 V diag(q) V^dagger and no scorer diagonalizes it again.
 """
@@ -100,8 +104,8 @@ class FinalUpgradeResult:
     """One filtered estimation round: pass rate plus a scaled diagonal.
 
     ``values`` sum exactly to kept_second / m_phase (the observed pass
-    rate of the second phase) and estimate the spectrum of rho[S];
-    ``basis`` is |S| x |S| in the subset's coordinates.  ``theta_hat``
+    rate of the second phase) and estimate the spectrum of the block;
+    ``basis`` is d_t x d_t in the block's coordinates.  ``theta_hat``
     is the reporting threshold max(tau_hat/(100 r), mass floor).
     """
 
@@ -112,42 +116,45 @@ class FinalUpgradeResult:
     kept_second: int
 
 
-def final_upgrade(spec: EstimatorSpec, rho: np.ndarray, subset, r: int,
+def final_upgrade(spec: EstimatorSpec, blk: np.ndarray, r: int,
                   delta: float, m_phase: int,
                   rng: np.random.Generator) -> FinalUpgradeResult:
-    """Filtered two-phase estimate of the prefix block from 2 m_phase copies.
+    """Filtered two-phase estimate of a prefix block from 2 m_phase copies.
 
-    Phase one measures the pass rate tau_hat alone, so it forms no
-    conditional state; phase two filters again and hands the survivors
-    to :func:`make_state_diagonal` on the conditional state
-    (``linalg.restrict``, built once per call), rescaling its values by
-    the observed pass rate.  When too few copies survive for the base
-    estimator (its ``min_copies`` on the block), or the block's true
-    mass is at or below ``config.PASS_MASS_FLOOR`` (``restrict`` then
-    returns no conditional state), the observed mass is spread uniformly
-    instead.  The same code path serves both the high-mass and low-mass
-    regimes; only the analysis distinguishes them.  The caller charges
-    the 2 m_phase copies to its ledger.
+    ``blk`` is the d_t x d_t prefix block of the working state,
+    unnormalized: a copy passes the filter onto the prefix with
+    probability tr blk, and the state it leaves is blk / tr blk.
+    ``delta`` is the failure parameter of each coordinate's mass floor,
+    the run's delta over the full dimension.  Phase one measures the
+    pass rate tau_hat alone, so it forms no conditional state; phase two
+    filters again and hands the survivors to :func:`make_state_diagonal`
+    on the conditional state (``linalg.restrict`` of the whole block,
+    built once per call), rescaling its values by the observed pass
+    rate.  When too few copies survive for the base estimator (its
+    ``min_copies`` on the block), or the block's true mass is at or
+    below ``config.PASS_MASS_FLOOR`` (``restrict`` then returns no
+    conditional state), the observed mass is spread uniformly instead.
+    The same code path serves both the high-mass and low-mass regimes;
+    only the analysis distinguishes them.  The caller charges the
+    2 m_phase copies to its ledger.
     """
-    idx = np.asarray(subset, dtype=int)
-    d = rho.shape[0]
-    tau_hat = ms.filter_subset(rho, idx, m_phase, rng) / m_phase
-    kept2 = ms.filter_subset(rho, idx, m_phase, rng)
-    cond = linalg.restrict(rho, idx)
+    d_t = blk.shape[0]
+    tau_hat = ms.filter_subset(blk, slice(None), m_phase, rng) / m_phase
+    kept2 = ms.filter_subset(blk, slice(None), m_phase, rng)
+    cond = linalg.restrict(blk, slice(None))
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
-            or kept2 // 2 < spec.min_copies(idx.size)):
+            or kept2 // 2 < spec.min_copies(d_t)):
         # too few survivors to estimate structure (the base estimator
         # gets kept2 // 2 of them); spread the observed mass uniformly
         # so the trace identity stays exact
-        basis = np.eye(idx.size, dtype=complex)
-        values = np.full(idx.size, scale / idx.size)
+        basis = np.eye(d_t, dtype=complex)
+        values = np.full(d_t, scale / d_t)
     else:
         dig = make_state_diagonal(spec, cond, kept2, rng)
         basis = dig.vectors
         values = dig.values * scale
-    theta = max(tau_hat / (100.0 * r),
-                classical.mass_floor(m_phase, delta / d))
+    theta = max(tau_hat / (100.0 * r), classical.mass_floor(m_phase, delta))
     return FinalUpgradeResult(
         tau_hat=tau_hat, theta_hat=theta, basis=basis, values=values,
         kept_second=kept2)
@@ -333,8 +340,11 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     """Peel large eigenvalues off a shrinking prefix, then relearn.
 
     Each stage spends params.m copies on a filtered two-phase estimate of
-    the current prefix, rotates the working frame by the estimated basis,
-    and moves the suffix entries passing the tail rule out of the prefix.
+    the current prefix block, rotates the block and the frame's prefix
+    columns by the estimated basis, and moves the suffix entries passing
+    the tail rule out of the prefix.  The stage state is that prefix
+    block of V^dagger rho V alone, unnormalized, sliced down as the
+    prefix shrinks; the rest of the rotated state is never formed.
     Stages stop once the prefix mass estimate falls to 1.1 eps_tilde, the
     stage count passes d, or the budget reserve (half the total, kept for
     the relearning pass) would be broken.  The reserve then buys a single
@@ -348,7 +358,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     d, r, m = params.d, params.r, params.m
     budget = ms.CopyBudget(total=params.total)
     v_acc = np.eye(d, dtype=complex)
-    rho_cur = np.asarray(rho, dtype=complex)
+    blk = np.asarray(rho, dtype=complex)
     out = CentralOutput(params=params, frame=v_acc, prefix=d,
                         q=np.zeros(d), eps_prime=0.0)
 
@@ -364,13 +374,11 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             break
         stage += 1
         budget.take(m)
-        res = final_upgrade(spec, rho_cur, np.arange(d_t), r, params.delta,
-                            m // 2, rng)
-        # revise the frame by the estimated prefix basis
-        w = np.eye(d, dtype=complex)
-        w[:d_t, :d_t] = res.basis
-        rho_cur = w.conj().T @ rho_cur @ w
-        v_acc = w if stage == 1 else v_acc @ w  # the frame starts at I
+        res = final_upgrade(spec, blk, r, params.delta / d, m // 2, rng)
+        # revise the frame's prefix columns by the estimated block basis
+        # (the frame starts at I)
+        b = res.basis
+        v_acc[:, :d_t] = b if stage == 1 else v_acc[:, :d_t] @ b
 
         retained = _tail_rule_floor(res.values, r)
         out.stages.append(StageRecord(
@@ -385,6 +393,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             break
         d_next = max(d_t - r, 0)
         d_t = max(d_next, d_t - retained)
+        blk = (b.conj().T @ blk @ b)[:d_t, :d_t]
 
     out.prefix = d_t
     out.frame = v_acc

@@ -1,0 +1,90 @@
+"""Dense reference for the staged learner's stage loop.
+
+This is the loop as it ran before the learner kept only the prefix
+block: every stage rotates the whole d x d working state as w^dagger
+rho w and the whole frame as V w, where w is the estimated prefix basis
+padded with the identity, and the filtered estimate gathers the prefix
+out of the full state by index.  The library's
+``pipeline.staged_learn`` must take the same random draws and reach the
+same frame, prefix, diagonal and stage records, within round-off of the
+block-sized products.
+
+Import from a test as ``from oracles import dense_stages``.
+"""
+
+import numpy as np
+
+from bureslab import classical, linalg, measurement as ms, pipeline as pl
+
+
+def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
+    """Filtered two-phase estimate of rho[S] from 2 m_phase copies,
+    with delta the run's failure parameter over d = rho's dimension."""
+    idx = np.asarray(subset, dtype=int)
+    d = rho.shape[0]
+    tau_hat = ms.filter_subset(rho, idx, m_phase, rng) / m_phase
+    kept2 = ms.filter_subset(rho, idx, m_phase, rng)
+    cond = linalg.restrict(rho, idx)
+    scale = kept2 / m_phase
+    if (kept2 < 2 or cond is None
+            or kept2 // 2 < spec.min_copies(idx.size)):
+        basis = np.eye(idx.size, dtype=complex)
+        values = np.full(idx.size, scale / idx.size)
+    else:
+        dig = pl.make_state_diagonal(spec, cond, kept2, rng)
+        basis = dig.vectors
+        values = dig.values * scale
+    theta = max(tau_hat / (100.0 * r),
+                classical.mass_floor(m_phase, delta / d))
+    return pl.FinalUpgradeResult(
+        tau_hat=tau_hat, theta_hat=theta, basis=basis, values=values,
+        kept_second=kept2)
+
+
+def staged_learn(rho, spec, params, rng):
+    """The staged learner with the full state and frame rotated per stage."""
+    d, r, m = params.d, params.r, params.m
+    budget = ms.CopyBudget(total=params.total)
+    v_acc = np.eye(d, dtype=complex)
+    rho_cur = np.asarray(rho, dtype=complex)
+    out = pl.CentralOutput(params=params, frame=v_acc, prefix=d,
+                           q=np.zeros(d), eps_prime=0.0)
+    d_t = d
+    stage = 0
+    while True:
+        if d_t == 0:
+            out.stop_reason = "prefix exhausted"
+            break
+        if budget.remaining - m < params.total // 2:
+            out.forced_stop = True
+            out.stop_reason = "budget reserve"
+            break
+        stage += 1
+        budget.take(m)
+        res = final_upgrade(spec, rho_cur, np.arange(d_t), r, params.delta,
+                            m // 2, rng)
+        w = np.eye(d, dtype=complex)
+        w[:d_t, :d_t] = res.basis
+        rho_cur = w.conj().T @ rho_cur @ w
+        v_acc = v_acc @ w
+        retained = pl._tail_rule_floor(res.values, r)
+        out.stages.append(pl.StageRecord(
+            stage=stage, prefix=d_t, tau_hat=res.tau_hat,
+            theta_hat=res.theta_hat, retained=retained, values=res.values))
+        if res.tau_hat <= 1.1 * params.eps_tilde:
+            out.stop_reason = "mass converged"
+            break
+        if stage > d:
+            out.stop_reason = "stage cap"
+            break
+        d_t = max(d_t - r, d_t - retained, 0)
+    out.prefix = d_t
+    out.frame = v_acc
+    m_rest = budget.take(budget.remaining)
+    counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
+    suffix = np.arange(d_t, d)
+    out.q = classical.add_one_hybrid(counts, m_rest,
+                                     suffix if suffix.size else np.arange(d))
+    out.eps_prime = float(np.sum(out.q[:d_t]))
+    out.consumed = budget.consumed
+    return out

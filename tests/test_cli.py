@@ -160,6 +160,14 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["bench", "--d", "4", "--n", "5,50", "--trials", "2"],
      "need at least 7 copies"),
     (["mi-test", "--d", "1"], "marginal dimension"),
+    (["mi-test", "--kind", "classical", "--d", "0"],
+     "marginal dimension must be at least 2"),
+    (["mi-test", "--kind", "quantum", "--d", "0"],
+     "marginal dimension must be at least 2"),
+    (["mi-test", "--kind", "classical", "--d", "-3"],
+     "marginal dimension must be at least 2"),
+    (["mi-test", "--kind", "quantum", "--d", "-3"],
+     "marginal dimension must be at least 2"),
     (["mi-test", "--kind", "classical", "--eps", "0.9"], "MI gap eps"),
     (["accept", "--only", "99"], "unknown criterion numbers: [99]"),
     (["accept", "--only", "abc"], "unknown criterion numbers: [abc]"),
@@ -187,7 +195,9 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["accept", "--only", "13", "--out", "no-such-directory/x.json"],
      "--out no-such-directory/x.json: directory no-such-directory "
      "does not exist"),
-], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-eps", "accept-99",
+], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-classical-d0",
+        "mi-quantum-d0", "mi-classical-d-negative", "mi-quantum-d-negative",
+        "mi-eps", "accept-99",
         "accept-abc", "divergence-dims", "divergence-r-above-d",
         "divergence-d1", "bench-one-budget", "bench-no-trials",
         "tomography-no-trials", "mi-no-trials", "accept-retired-6",

@@ -74,6 +74,39 @@ def test_oracle_estimate_rate_is_exact():
         fb.oracle_estimate(rho, f, 0, rng)
 
 
+def _oracle_estimate_per_call(rho, f, m, rng):
+    """The noise oracle with its index tables built on every call."""
+    d = rho.shape[0]
+    s = np.sqrt((f / m) / d ** 2)
+    g = np.zeros((d, d), dtype=complex)
+    iu = np.triu_indices(d, k=1)
+    n_off = iu[0].size
+    re = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
+    im = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
+    g[iu] = re + 1j * im
+    g = g + g.conj().T
+    g[np.diag_indices(d)] = rng.standard_normal(d) * s
+    return np.asarray(rho, dtype=complex) + g
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 64])
+def test_oracle_estimate_equals_the_per_call_reference(d):
+    """Cached index tables draw the same normals in the same order
+    (real parts, imaginary parts, diagonal): the same estimate bit for
+    bit, and the generator left at the same next draw."""
+    rho = linalg.random_density(d, d, np.random.default_rng([89, d]))
+    rng, ref_rng = np.random.default_rng(97), np.random.default_rng(97)
+    for m in (3, 1000):  # the second call reads the cached tables
+        est = fb.oracle_estimate(rho, float(d), m, rng)
+        ref = _oracle_estimate_per_call(rho, float(d), m, ref_rng)
+        assert np.array_equal(est, ref)
+    assert rng.standard_normal() == ref_rng.standard_normal()
+    for table in fb._upper_triangle(d):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+
+
 def test_parse_estimator_rates():
     assert fb.parse_estimator("simple").rate(4, 2) == config.K_ACC * 16
     assert fb.parse_estimator("oracle:f=d").rate(6, 2) == 6.0

@@ -393,6 +393,14 @@ GOLDEN = [
     (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
           trials=2, master_seed=17),
      "d4bd4e35e86b54e7d4bb2509669eab6eaa1df9be6718e5eff8099992c5843fb9"),
+    # five shrinking stages per staged run (prefixes 5, 4, 3, 2, 1), so
+    # the stage loop's block products at d_t < d reach the CSV
+    (dict(sid="g-chi2-stages", target="chi2", d=5, r=1,
+          family="geometric_spectrum", trials=2, master_seed=18),
+     "1502600b00959cfc6bf4580df47dbec852f0ff3cdeeea1850c28c60ba8c1f4c0"),
+    (dict(sid="g-mi-stages", target="mi", d=5, family="bipartite:product",
+          eps_grid=(0.5,), trials=2, master_seed=19),
+     "68a02f5b6ff540c6b8f59d5001026aa2b3eef20aaba4c43d0345407e719aa797"),
 ]
 
 

@@ -31,6 +31,11 @@ def test_kron_decomposition_matches_the_joint_eigh(da, db):
     b = linalg.eig_hermitian(analysis.depolarize(
         linalg.random_density(db, 1, rng), 0.1))
     dec = linalg.kron_decomposition(a, b)
+    # the same products in np.kron's order, hence the same sort
+    want = linalg.SpectralDecomposition.ascending(
+        np.kron(a.values, b.values), np.kron(a.vectors, b.vectors))
+    assert np.array_equal(dec.values, want.values)
+    assert np.array_equal(dec.vectors, want.vectors)
     joint = np.kron(a.matrix(), b.matrix())
     assert np.max(np.abs(dec.values - np.linalg.eigh(joint)[0])) <= 1e-12
     assert np.max(np.abs(dec.matrix() - joint)) <= 1e-12

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bureslab import frobenius as fb, linalg, measurement as ms
+from bureslab import config, frobenius as fb, linalg, measurement as ms
 from oracles import dense_povm as dense
 
 
@@ -22,6 +22,10 @@ def test_povm_validation():
     ms.Povm.from_basis(np.eye(3))
     with pytest.raises(ValueError, match="not unitary"):
         ms.Povm.from_basis(np.array([[1, 1], [0, 1.0]]))
+    # the diagonal of U^dagger U is held to UNITARY_TOL as well
+    ms.Povm.from_basis(np.eye(3) * (1 + 0.4 * config.UNITARY_TOL))
+    with pytest.raises(ValueError, match="not unitary"):
+        ms.Povm.from_basis(np.eye(3) * (1 + 0.6 * config.UNITARY_TOL))
     # orthonormal columns that do not span: projectors miss the identity
     with pytest.raises(ValueError, match="identity"):
         ms.Povm.from_basis(np.eye(3)[:, :2])

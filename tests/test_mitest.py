@@ -81,38 +81,50 @@ class TestBounds:
     def test_bounds_hold_on_depolarized_joints(self):
         # 1,000 random joints at d = 2 and 3, each smoothed over an eps
         # grid: continuity, the depolarizing shift, the bound assembled
-        # at each eps, and the optimized bound itself
+        # at each eps, and the optimized bound itself.  The joints are
+        # drawn in turn (d = 2, 3, 2, ...) and scored as one stack per d.
         rng = np.random.default_rng([accept._SEED, 11])
         eps_grid = np.geomspace(1e-3, 0.5, 7)
+        joints = [linalg.random_density(d * d, d * d, rng)
+                  for d in (2 + k % 2 for k in range(1_000))]
         v_cont = v_shift = v_assembled = v_direct = 0
-        for k in range(1_000):
-            d = 2 + (k % 2)
-            rho = linalg.random_density(d * d, d * d, rng)
-            ra = linalg.partial_trace(rho, d, d, "A")
-            rb = linalg.partial_trace(rho, d, d, "B")
-            eta = dv.hellinger_sq_q(rho, np.kron(ra, rb))
-            mi = dv.quantum_mutual_information(rho, d, d)
-            v_direct += mi > analysis.hellinger_mi_bound(eta, d)
+        for d in (2, 3):
+            rho = np.stack(joints[d - 2::2])
+            eta = dv.hellinger_sq_q(rho, _product_of_marginals(rho, d))
+            mi = dv.relative_entropy(rho, _product_of_marginals(rho, d))
+            v_direct += sum(m > analysis.hellinger_mi_bound(e, d)
+                            for m, e in zip(mi, eta))
             for eps in map(float, eps_grid):
-                sig = analysis.depolarize(rho, eps)
-                sa = linalg.partial_trace(sig, d, d, "A")
-                sb = linalg.partial_trace(sig, d, d, "B")
-                mi_s = dv.quantum_mutual_information(sig, d, d)
+                # analysis.depolarize, member by member
+                sig = (1.0 - eps) * rho \
+                    + eps * np.eye(d * d, dtype=complex) / (d * d)
+                prod_s = _product_of_marginals(sig, d)
+                mi_s = dv.relative_entropy(sig, prod_s)
                 eps_tr = dv.trace_distance(rho, sig)
-                v_cont += (abs(mi - mi_s)
-                           > analysis.mi_continuity_bound(eps_tr, d))
-                h_s = dv.hellinger_sq_q(sig, np.kron(sa, sb))
-                v_shift += h_s > analysis.depol_hellinger_shift(eps) + eta
+                v_cont += sum(abs(m - m_s)
+                              > analysis.mi_continuity_bound(float(e), d)
+                              for m, m_s, e in zip(mi, mi_s, eps_tr))
+                h_s = dv.hellinger_sq_q(sig, prod_s)
+                shift = analysis.depol_hellinger_shift(eps)
+                v_shift += int(np.sum(h_s > shift + eta))
                 # the pre-optimization form: smooth by eps, pay
                 # continuity, bound the max log-ratio through the floor
                 assembled = ((2.0 + math.log(d * d / eps ** 2))
-                             * (analysis.depol_hellinger_shift(eps) + eta)
+                             * (shift + eta)
                              + analysis.mi_continuity_bound(eps, d))
-                v_assembled += mi > assembled
+                v_assembled += int(np.sum(mi > assembled))
         assert v_cont == 0
         assert v_shift == 0
         assert v_assembled == 0
         assert v_direct == 0
+
+
+def _product_of_marginals(rho, d):
+    """rho_A (x) rho_B for each member of an (n, d^2, d^2) stack."""
+    t = rho.reshape(-1, d, d, d, d)
+    ra = np.trace(t, axis1=2, axis2=4)
+    rb = np.trace(t, axis1=1, axis2=3)
+    return np.einsum("nij,nkl->nikjl", ra, rb).reshape(rho.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from bureslab import config, divergences as dv, frobenius as fb, linalg
 from bureslab import measurement as ms, pipeline as pl
+from oracles import dense_stages
 
 
 ORACLE = fb.parse_estimator("oracle:f=d2")
@@ -62,7 +63,8 @@ def test_make_state_diagonal_error_rate():
 def test_final_upgrade_accounting():
     rng = np.random.default_rng(217)
     rho = linalg.random_density(5, 3, rng)
-    res = pl.final_upgrade(ORACLE, rho, np.arange(3), r=3, delta=0.01,
+    blk = linalg.submatrix(rho, np.arange(3))
+    res = pl.final_upgrade(ORACLE, blk, r=3, delta=0.01 / 5,
                            m_phase=20_000, rng=rng)
     # exact trace identity: values sum to the observed phase-two pass rate
     assert res.values.sum() == pytest.approx(res.kept_second / 20_000, abs=1e-12)
@@ -78,8 +80,8 @@ def test_final_upgrade_starved_filter():
     rho = np.diag([0.999999, 1e-6, 0.0]).astype(complex) \
         + np.zeros((3, 3), dtype=complex)
     rho /= np.trace(rho).real
-    res = pl.final_upgrade(ORACLE, rho, [1, 2], r=1, delta=0.1,
-                           m_phase=50, rng=rng)
+    res = pl.final_upgrade(ORACLE, linalg.submatrix(rho, [1, 2]), r=1,
+                           delta=0.1 / 3, m_phase=50, rng=rng)
     # almost surely zero or one survivor: uniform fallback keeps the trace
     assert res.values.sum() == pytest.approx(res.kept_second / 50, abs=1e-12)
 
@@ -92,8 +94,8 @@ def test_final_upgrade_starved_base_estimator():
     rho = linalg.random_density(6, 6, rng)
     prefix = np.arange(4)
     simple = fb.parse_estimator("simple")
-    res = pl.final_upgrade(simple, rho, prefix, r=2, delta=0.1,
-                           m_phase=12, rng=rng)
+    res = pl.final_upgrade(simple, linalg.submatrix(rho, prefix), r=2,
+                           delta=0.1 / 6, m_phase=12, rng=rng)
     assert 2 <= res.kept_second < 2 * simple.min_copies(prefix.size)
     assert np.array_equal(res.basis, np.eye(prefix.size))
     assert np.all(res.values == res.values[0])
@@ -122,7 +124,7 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
     assert linalg.restrict(rho_cur, prefix) is None
     simple = fb.parse_estimator("simple")
     m_phase = 10 ** 13
-    res = pl.final_upgrade(simple, rho_cur, prefix, r=1, delta=0.1,
+    res = pl.final_upgrade(simple, blk, r=1, delta=0.1 / d,
                            m_phase=m_phase, rng=rng)
     # enough survivors for the base estimator: the floor chose the branch
     assert res.kept_second // 2 >= simple.min_copies(prefix.size)
@@ -341,6 +343,55 @@ def test_post_processors_match_the_matrix_route(estimator):
                     assert _same(div(rho, est), div(rho, est.matrix())), \
                         (family, d, div.__name__)
     assert 0 in prefixes and max(prefixes) > 0
+
+
+@pytest.mark.parametrize("estimator", ["simple", "oracle:f=d"])
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
+    """The prefix-block learner takes the dense loop's draws and reaches
+    its stop, copies and stage prefixes everywhere, and its frame,
+    diagonal and stage values within 1e-12 where they are well posed.
+
+    Each family runs at its own rank, and at rank 1, which peels one
+    prefix index per stage as the mi target's marginal learners do.
+    From the second stage on, the block products run on BLAS kernels
+    of other shapes than the dense d x d ones and differ in the last
+    bits.  A degenerate spectrum (the null space of a rank-deficient
+    state, or all of Id/d) leaves the estimated basis of that eigenspace
+    to the estimator's noise, which those bits can rotate, and can
+    reorder columns of equal counts; at rank 1 on those families only
+    the discrete record is compared."""
+    stages = []
+    for k, (family, make) in enumerate(EQUIVALENCE_FAMILIES.items()):
+        rho, rank = make(d, np.random.default_rng([271, k, d]))
+        for r in sorted({rank, 1}):
+            spec = fb.parse_estimator(estimator, r)
+            params = pl.plan_budget(d, r, spec.rate(d, r), 0.2)
+            seed = [277, k, d, r]
+            out = pl.staged_learn(rho, spec, params,
+                                  np.random.default_rng(seed))
+            ref = dense_stages.staged_learn(rho, spec, params,
+                                            np.random.default_rng(seed))
+            where = (family, r)
+            assert (out.prefix, out.stop_reason, out.forced_stop,
+                    out.consumed) == (ref.prefix, ref.stop_reason,
+                                      ref.forced_stop, ref.consumed), where
+            assert [(s.stage, s.prefix, s.retained) for s in out.stages] \
+                == [(s.stage, s.prefix, s.retained) for s in ref.stages], \
+                where
+            stages.append(len(out.stages))
+            if r != rank and family in ("rank_deficient", "maximally_mixed"):
+                continue
+            assert np.max(np.abs(out.frame - ref.frame)) <= 1e-12, where
+            assert np.max(np.abs(out.q - ref.q)) <= 1e-12, where
+            assert abs(out.eps_prime - ref.eps_prime) <= 1e-12, where
+            for got, want in zip(out.stages, ref.stages):
+                assert abs(got.tau_hat - want.tau_hat) <= 1e-12, where
+                assert abs(got.theta_hat - want.theta_hat) <= 1e-12, where
+                assert np.max(np.abs(got.values - want.values)) <= 1e-12, \
+                    where
+    # the grid reaches runs of one stage and runs of several
+    assert min(stages) == 1 and max(stages) >= d
 
 
 def test_chi2_error_terms_keys():
