@@ -127,12 +127,11 @@ def _bridge():
                           np.log(pv[:, None] / qv[None, :]), -np.inf)
         inf_mat = float(np.max(ratios))
 
-        pp, qq = dv.overlap_pair(rho, sig)
         checks = (
             (dv.relative_entropy(rho, sig), kl_mat),
             (dv.renyi_divergence_q(rho, sig, 0.5), half_mat),
             (dv.renyi_divergence_q(rho, sig, 2.0), two_mat),
-            (dv.max_log_ratio(pp.ravel(), qq.ravel()), inf_mat),
+            (dv.quantum_chain(rho, sig)["max_log_ratio"], inf_mat),
         )
         for a, b in checks:
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-30))
@@ -162,7 +161,7 @@ def _add_one_risk():
     counts = rng.multinomial(m, p, size=trials)
     q = (counts + 1.0) / (m + d)
     route_match = all(
-        np.allclose(classical.add_one_hybrid(row, m, np.arange(d)),
+        np.allclose(classical.add_one_hybrid(row, m, 0),
                     (row + 1.0) / (m + d), rtol=0.0, atol=1e-15)
         for row in counts[:100])
     chi2 = np.sum((q - p) ** 2 / p, axis=1)
@@ -337,11 +336,12 @@ def _restriction_fidelity():
         rho = linalg.random_density(d, int(rng.integers(1, d + 1)), rng)
         subset = rng.choice(d, size=int(rng.integers(1, d + 1)),
                             replace=False)
-        cond = linalg.restrict(rho, subset)
+        blk = rho[np.ix_(subset, subset)]
+        cond = linalg.restrict(blk)
         if cond is None:
             skipped += 1
             continue
-        mass = linalg.mass_on(rho, subset)
+        mass = np.trace(blk).real
         back = np.zeros((d, d), dtype=complex)
         back[np.ix_(subset, subset)] = cond
         fid = dv.fidelity(rho, back)
@@ -378,7 +378,7 @@ def _quantum_tester():
     d, eps, trials = 4, 0.5, 100
     lam = 0.4  # entangled mix with MI 0.56, just past the gap
     mi_corr = dv.quantum_mutual_information(
-        linalg.correlated_pair_state(d, lam), d, d)
+        linalg.correlated_pair_state(d, lam), d)
     accept_hits = reject_hits = suffer_hits = 0
     for arm in (0, 1):
         for t in range(trials):
@@ -392,10 +392,9 @@ def _quantum_tester():
                 joint, joint_dec = linalg.correlated_pair_eig(d, lam)
             v = mt.quantum_mi_test(joint, joint_dec, d, eps, rng)
             # the learned product against the product of the true
-            # marginals, each traced out here a second time
-            ma = linalg.partial_trace(joint, d, d, "A")
-            mb = linalg.partial_trace(joint, d, d, "B")
-            suffer = dv.bures_chi2(np.kron(ma, mb), v.stats["product"])
+            # marginals, traced out here a second time
+            suffer = dv.bures_chi2(np.kron(*linalg.marginals(joint, d)),
+                                   v.stats["product"])
             suffer_hits += suffer <= v.stats["eps_prime"]
             if arm == 0:
                 accept_hits += v.accept

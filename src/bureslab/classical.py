@@ -1,7 +1,8 @@
 """Estimators for discrete distributions from iid counts.
 
 The quantum pipeline reduces its classical step to one primitive: an
-add-one smoothed estimator with chi-square control on a chosen subset.
+add-one smoothed estimator with chi-square control on a chosen suffix
+of the outcomes.
 
 High-probability statements are phrased through the effective sample
 count m_delta = m / (CONF_SCALE * ln(1/delta)): with m samples, events
@@ -37,17 +38,17 @@ def mass_floor(m: int, delta: float) -> float:
     return 1.0 / effective_samples(m, delta)
 
 
-def add_one_hybrid(counts, m: int, subset) -> np.ndarray:
-    """Add-one smoothing on a subset: q_i = (counts_i + [i in S]) / (m + |S|).
+def add_one_hybrid(counts, m: int, start: int) -> np.ndarray:
+    """Add-one smoothing on the suffix S = [start, d) of d outcomes:
+    q_i = (counts_i + [i >= start]) / (m + d - start).
 
     Defined for every coordinate; only the S-block carries the guarantee
     E[chi2(p[S] || q[S])] <= 2|S|/m.  Smoothing keeps q positive on S, so
     the chi-square against the true restriction is finite no matter how
-    the counts fall.
+    the counts fall.  ``start`` = 0 smooths every outcome.
     """
-    counts = np.asarray(counts, dtype=float)
-    s_mask = np.zeros(counts.size, dtype=float)
-    s_mask[np.asarray(subset, dtype=int)] = 1.0
-    s = int(s_mask.sum())
-    return (counts + s_mask) / (m + s)
-
+    q = np.array(counts, dtype=float)
+    if not 0 <= start <= q.size:
+        raise ValueError(f"start {start} outside [0, {q.size}]")
+    q[start:] += 1.0
+    return q / (m + q.size - start)

@@ -58,12 +58,28 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
     ]
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The one generator a verb's ``--seed`` names; numpy refuses a
+    negative seed with a traceback, so it is refused here first."""
+    if seed < 0:
+        raise hz.ScenarioError(f"--seed {seed} must be nonnegative")
+    return np.random.default_rng(seed)
+
+
+def _workers(args) -> int:
+    """``--workers``, refused below 1 instead of run serially."""
+    if args.workers < 1:
+        raise hz.ScenarioError(
+            f"--workers {args.workers} must be at least 1")
+    return args.workers
+
+
 def cmd_divergence(args) -> int:
     if not 1 <= args.r <= args.d:
         raise hz.ScenarioError(f"--r {args.r} must lie in [1, --d {args.d}]")
     if not 0.0 <= args.lam <= 1.0:
         raise hz.ScenarioError(f"--lam {args.lam} must lie in [0, 1]")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     rho, _ = hz.FAMILIES[args.family].make(args.d, args.r, args.lam, rng)
     sigma, _ = hz.FAMILIES[args.family2].make(args.d, args.r, args.lam, rng)
     if rho.shape != sigma.shape:
@@ -130,6 +146,7 @@ def _load_config(path: str) -> dict:
 
 
 def cmd_tomography(args) -> int:
+    workers = _workers(args)
     if args.config:
         s = _scenario(args, _load_config(args.config), source=args.config)
     else:
@@ -142,7 +159,7 @@ def cmd_tomography(args) -> int:
             data["n_grid"] = args.n
         s = _scenario(args, data)
     out = _out_path(args.out, f"{s.sid}.csv")
-    records = hz.run_scenario(s, workers=args.workers)
+    records = hz.run_scenario(s, workers=workers)
     loss = hz.TARGETS[s.target].loss
     for row in hz.summarize(records, loss):
         rates = " ".join(f"{k}={v:.2f}" for k, v in row["flag_rates"].items())
@@ -167,7 +184,7 @@ def cmd_mi_test(args) -> int:
         raise hz.ScenarioError(f"--r {args.r} must lie in [1, --d {args.d}]")
     if not 0.0 <= args.lam <= 1.0:
         raise hz.ScenarioError(f"--lam {args.lam} must lie in [0, 1]")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     family = hz.FAMILIES[f"bipartite:{args.arm}"]
     should_accept = family.product
     if args.kind == "classical":
@@ -190,6 +207,7 @@ def cmd_mi_test(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    workers = _workers(args)
     s = _scenario(args, {"id": args.id, "target": "frobenius", "d": args.d,
                          "r": args.r, "family": args.family,
                          "estimator": args.estimator, "trials": args.trials,
@@ -197,9 +215,9 @@ def cmd_bench(args) -> int:
     if len(set(s.n_grid)) < 2:
         raise hz.ScenarioError("a fit needs two distinct --n")
     out = _out_path(args.out, f"{s.sid}.csv")
-    records = hz.run_scenario(s, workers=args.workers)
+    records = hz.run_scenario(s, workers=workers)
     loss = hz.TARGETS[s.target].loss
-    slope, intercept, r2 = hz.fit_scaling(records, y=loss)
+    slope, intercept, r2 = hz.fit_scaling(records)
     print(f"slope {slope:.4f}  level {math.exp(intercept):.4g}  r2 {r2:.4f}")
     failures = 0
     slope_ok = abs(slope + 1.0) <= 0.15

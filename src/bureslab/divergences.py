@@ -59,7 +59,6 @@ __all__ = [
     "kl_divergence",
     "chi_sq_divergence",
     "renyi_divergence",
-    "max_log_ratio",
     "classical_mutual_information",
     "classical_chain",
     "overlap_pair",
@@ -161,11 +160,6 @@ def renyi_divergence(p, q, alpha: float) -> float:
     if s == 0.0:
         return float("inf") if alpha < 1.0 else float("-inf")
     return float(np.log(s) / (alpha - 1.0))
-
-
-def max_log_ratio(p, q) -> float:
-    """max over i with p_i > 0 of ln(p_i / q_i), the order-infinity limit."""
-    return _result(_log_ratios(_weights(p), _weights(q))[1])
 
 
 def classical_mutual_information(joint: np.ndarray) -> float:
@@ -370,10 +364,11 @@ def bures_chi2(rho: np.ndarray, sigma) -> float:
     return bures_chi2_in_basis(rho_t, dec.values)
 
 
-def quantum_mutual_information(rho: np.ndarray, d_a: int, d_b: int) -> float:
-    """Relative entropy of a bipartite state from the product of marginals,
-    whose eigensystem is ``linalg.product_of_marginals``."""
-    return relative_entropy(rho, linalg.product_of_marginals(rho, d_a, d_b))
+def quantum_mutual_information(rho: np.ndarray, d: int) -> float:
+    """Relative entropy of a state on C^d (x) C^d from the product of its
+    marginals, whose eigensystem is ``linalg.product_of_marginals``."""
+    return relative_entropy(
+        rho, linalg.product_of_marginals(linalg.marginals(rho, d)))
 
 
 def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:
@@ -391,7 +386,7 @@ def quantum_chain(rho: np.ndarray, sigma: np.ndarray) -> dict:
     Each state is diagonalized once and every entry is read off one
     overlap, the one the matching public function reads; so for one pair
     each entry is a float equal to that function on the two matrices
-    (the max-log-ratio: ``max_log_ratio`` of the flattened
+    (the max-log-ratio: :func:`classical_chain`'s of the flattened
     :func:`overlap_pair`).  A stack gives an array of n values per key
     from one batched call of each kernel.
     """

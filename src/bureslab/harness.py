@@ -355,16 +355,17 @@ def run_scenario(s: Scenario, workers: int = 1) -> list:
 # analysis
 # ---------------------------------------------------------------------------
 
-def fit_scaling(records, y: str = "frob_sq"):
+def fit_scaling(records):
     """Least squares on log-log means: returns (slope, intercept, r2).
 
-    Records are grouped by copies used, the chosen loss is averaged
-    within each group, and the fit runs on the log of both.  Constant
-    data fits slope 0 with r2 = 1.
+    Records are grouped by copies used, the Frobenius loss ``frob_sq``
+    is averaged within each group, and the fit runs on the log of both.
+    Constant data fits slope 0 with r2 = 1.
     """
     groups: dict = {}
     for rec in records:
-        groups.setdefault(float(rec.n_used), []).append(rec.losses[y])
+        groups.setdefault(float(rec.n_used), []).append(
+            rec.losses["frob_sq"])
     if len(groups) < 2:
         raise ValueError("need at least two distinct x values to fit")
     xs = np.array(sorted(groups))

@@ -50,10 +50,8 @@ __all__ = [
     "geometric_spectrum_eig",
     "correlated_pair_state",
     "correlated_pair_eig",
-    "submatrix",
-    "mass_on",
     "restrict",
-    "partial_trace",
+    "marginals",
 ]
 
 
@@ -159,13 +157,12 @@ def kron_decomposition(a: SpectralDecomposition,
     return SpectralDecomposition.ascending(values, vectors)
 
 
-def product_of_marginals(rho: np.ndarray, d_a: int,
-                         d_b: int) -> SpectralDecomposition:
-    """Eigensystem of rho_A (x) rho_B, the product of a bipartite state's
-    marginals, from two marginal solves and no solve on C^{d_a d_b}."""
-    return kron_decomposition(
-        eig_hermitian(partial_trace(rho, d_a, d_b, "A")),
-        eig_hermitian(partial_trace(rho, d_a, d_b, "B")))
+def product_of_marginals(pair) -> SpectralDecomposition:
+    """Eigensystem of rho_A (x) rho_B from the pair (rho_A, rho_B) that
+    :func:`marginals` returns: two marginal solves and no solve on the
+    joint space."""
+    rho_a, rho_b = pair
+    return kron_decomposition(eig_hermitian(rho_a), eig_hermitian(rho_b))
 
 
 def spectral_cutoff(values: np.ndarray) -> np.ndarray:
@@ -347,51 +344,30 @@ def correlated_pair_eig(d: int, lam: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# blocks, restrictions, channels
+# blocks and marginals
 # ---------------------------------------------------------------------------
 
-def submatrix(a: np.ndarray, subset) -> np.ndarray:
-    """Principal submatrix on the index subset, order preserved.
+def restrict(blk: np.ndarray) -> np.ndarray | None:
+    """Conditional state blk / tr blk, or None at or below the floor.
 
-    The subset is a sequence of indices, gathered into a copy, or a
-    slice, which gives a view: ``slice(None)`` is all of ``a``.
+    ``blk`` is a principal block of a state, unnormalized: its trace is
+    the probability that a copy passes a filter onto the block's basis
+    vectors.  This is the one place the package forms a conditional
+    state.  At a pass mass tau <= PASS_MASS_FLOOR the block is left
+    unresolved: its normalized form would be round-off of the state
+    amplified by 1 / tau.
     """
-    a = np.asarray(a)
-    if isinstance(subset, slice):
-        return a[subset, subset]
-    idx = np.asarray(subset, dtype=int)
-    return a[np.ix_(idx, idx)]
-
-
-def mass_on(rho: np.ndarray, subset) -> float:
-    """tr rho[S], the probability a basis measurement lands in S; S is
-    as in :func:`submatrix`, so ``slice(None)`` gives a block's trace."""
-    return float(np.trace(submatrix(rho, subset)).real)
-
-
-def restrict(rho: np.ndarray, subset) -> np.ndarray | None:
-    """Conditional state rho[S] / tr rho[S], or None at or below the floor.
-
-    This is the one place the package forms a conditional state.  At a
-    pass mass tau <= PASS_MASS_FLOOR the block is left unresolved: its
-    normalized form would be round-off of rho amplified by 1 / tau.
-    """
-    blk = submatrix(rho, subset)
     tau = np.trace(blk).real
     if tau <= config.PASS_MASS_FLOOR:
         return None
     return blk / tau
 
 
-def partial_trace(rho: np.ndarray, d_a: int, d_b: int, keep: str) -> np.ndarray:
-    """Marginal of a state on C^{d_a} x C^{d_b}; keep is 'A' or 'B'."""
+def marginals(rho: np.ndarray, d: int) -> tuple:
+    """(rho_A, rho_B), the two marginals of a state on C^d (x) C^d."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (d_a * d_b, d_a * d_b):
-        raise ValueError(f"shape {rho.shape} does not match dims ({d_a},{d_b})")
-    t = rho.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
-        return np.trace(t, axis1=1, axis2=3)
-    if keep == "B":
-        return np.trace(t, axis1=0, axis2=2)
-    raise ValueError("keep must be 'A' or 'B'")
-
+    if rho.shape != (d * d, d * d):
+        raise ValueError(f"shape {rho.shape} is not that of a {d} x {d} "
+                         "bipartite state")
+    t = rho.reshape(d, d, d, d)
+    return np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config, linalg
+from . import config
 
 __all__ = [
     "BudgetExhausted",
@@ -160,18 +160,18 @@ def sample_basis(rho: np.ndarray, k: int,
     return rng.multinomial(k, p)
 
 
-def filter_subset(rho: np.ndarray, subset, k: int,
+def filter_subset(blk: np.ndarray, k: int,
                   rng: np.random.Generator) -> int:
-    """Project k copies onto the span of basis subset S.
+    """Project k copies onto the span of a block's basis vectors.
 
-    Simulates the two-outcome measurement {P_S, Id - P_S} and returns
-    the number of copies that landed inside S, binomial with mean
-    k tr rho[S].  S is as in ``linalg.mass_on``: ``slice(None)`` filters
-    onto all of an unnormalized block, whose trace is the pass mass.
-    The conditional state on success is ``linalg.restrict(rho, subset)``;
-    a caller that estimates from the survivors builds it once itself.
+    ``blk`` is the principal block of the state on those vectors,
+    unnormalized, so tr blk is the pass mass.  Simulates the two-outcome
+    measurement {P, Id - P} and returns the number of copies that pass,
+    binomial with mean k tr blk.  The conditional state on success is
+    ``linalg.restrict(blk)``; a caller that estimates from the survivors
+    builds it once itself.
     """
-    tau = min(max(linalg.mass_on(rho, subset), 0.0), 1.0)
+    tau = min(max(float(np.trace(blk).real), 0.0), 1.0)
     return int(rng.binomial(k, tau)) if k > 0 else 0
 
 

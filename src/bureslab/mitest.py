@@ -106,11 +106,8 @@ def classical_mi_plan(d: int, eps: float) -> dict:
 def learn_marginals(counts: np.ndarray, n: int):
     """Add-one smoothed marginal estimates from a joint count table."""
     counts = np.asarray(counts)
-    qa = classical.add_one_hybrid(counts.sum(axis=1), n,
-                                  np.arange(counts.shape[0]))
-    qb = classical.add_one_hybrid(counts.sum(axis=0), n,
-                                  np.arange(counts.shape[1]))
-    return qa, qb
+    return (classical.add_one_hybrid(counts.sum(axis=1), n, 0),
+            classical.add_one_hybrid(counts.sum(axis=0), n, 0))
 
 
 def pearson_null_variance(q, n: int) -> float:
@@ -203,7 +200,7 @@ def pearson_identity_test(q, counts, n: int, eps_t: float,
 
 def classical_mi_test(joint, eps: float,
                       rng: np.random.Generator) -> TesterVerdict:
-    """One round of the classical MI test on a known joint table.
+    """One round of the classical MI test on a known d x d joint table.
 
     Draws its own samples: a learning batch fixes add-one marginal
     estimates, then a fresh testing batch feeds the identity tester
@@ -213,11 +210,11 @@ def classical_mi_test(joint, eps: float,
     along in the stats.
     """
     p = np.asarray(joint, dtype=float)
-    if p.ndim != 2:
-        raise ValueError("joint must be a 2-D table")
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"joint must be a d x d table, got shape {p.shape}")
     if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("joint must be a probability table")
-    d = max(p.shape)
+    d = p.shape[0]
     plan = classical_mi_plan(d, eps)
     flat = p.ravel()
     counts_learn = rng.multinomial(plan["n_learn"], flat).reshape(p.shape)
@@ -298,12 +295,11 @@ def learn_product_quantum(rho_joint: np.ndarray, d: int, eps_learn: float,
     Local algorithms on disjoint subsystems can share copies, so every
     joint copy yields one copy of each marginal and the joint cost is
     the larger of the two marginal budgets, not their sum.  Returns
-    (marginals, estimates, record): the two marginals, each traced out
-    once, their estimates as decompositions in the same order, and the
-    budgets.
+    (marginals, estimates, record): the pair ``linalg.marginals``
+    returns, their estimates as decompositions in the same order, and
+    the budgets.
     """
-    rho_a = linalg.partial_trace(rho_joint, d, d, keep="A")
-    rho_b = linalg.partial_trace(rho_joint, d, d, keep="B")
+    rho_a, rho_b = linalg.marginals(rho_joint, d)
     sigma_hat, rec_a = learn_marginal_floored(rho_a, eps_learn, rng, r, spec)
     tau_hat, rec_b = learn_marginal_floored(rho_b, eps_learn, rng, r, spec)
     record = {"a": rec_a, "b": rec_b,
@@ -348,7 +344,7 @@ def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
     # factors' eigensystems, and the joint's given one also serves the
     # MI, its relative entropy to the product of its own marginals.
     learned = linalg.kron_decomposition(sigma_hat, tau_hat)
-    truth = linalg.kron_decomposition(*map(linalg.eig_hermitian, marginals))
+    truth = linalg.product_of_marginals(marginals)
     stats = {**plan, "learning": record,
              "joint_copies": record["joint_copies"], "product": learned,
              "hellinger_sq": dv.hellinger_sq_q(joint, learned),

@@ -128,20 +128,20 @@ def final_upgrade(spec: EstimatorSpec, blk: np.ndarray, r: int,
     the run's delta over the full dimension.  Phase one measures the
     pass rate tau_hat alone, so it forms no conditional state; phase two
     filters again and hands the survivors to :func:`make_state_diagonal`
-    on the conditional state (``linalg.restrict`` of the whole block,
-    built once per call), rescaling its values by the observed pass
-    rate.  When too few copies survive for the base estimator (its
-    ``min_copies`` on the block), or the block's true mass is at or
-    below ``config.PASS_MASS_FLOOR`` (``restrict`` then returns no
-    conditional state), the observed mass is spread uniformly instead.
+    on the conditional state (``linalg.restrict(blk)``, built once per
+    call), rescaling its values by the observed pass rate.  When too few
+    copies survive for the base estimator (its ``min_copies`` on the
+    block), or the block's true mass is at or below
+    ``config.PASS_MASS_FLOOR`` (``restrict`` then returns no conditional
+    state), the observed mass is spread uniformly instead.
     The same code path serves both the high-mass and low-mass regimes;
     only the analysis distinguishes them.  The caller charges the
     2 m_phase copies to its ledger.
     """
     d_t = blk.shape[0]
-    tau_hat = ms.filter_subset(blk, slice(None), m_phase, rng) / m_phase
-    kept2 = ms.filter_subset(blk, slice(None), m_phase, rng)
-    cond = linalg.restrict(blk, slice(None))
+    tau_hat = ms.filter_subset(blk, k=m_phase, rng=rng) / m_phase
+    kept2 = ms.filter_subset(blk, k=m_phase, rng=rng)
+    cond = linalg.restrict(blk)
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(d_t)):
@@ -313,10 +313,6 @@ class CentralOutput:
     stop_reason: str = ""
     forced_stop: bool = False
 
-    @property
-    def retained(self) -> np.ndarray:
-        return np.arange(self.prefix, self.params.d)
-
 
 def _tail_rule_floor(values: np.ndarray, r: int) -> int:
     """Retain the maximal suffix above the mass floor.
@@ -349,7 +345,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     stage count passes d, or the budget reserve (half the total, kept for
     the relearning pass) would be broken.  The reserve then buys a single
     computational-basis pass in the final frame, add-one smoothed on the
-    retained suffix.
+    retained suffix [d_t, d), or on every coordinate if that is empty.
 
     The run's :class:`measurement.CopyBudget` is the lab's one copy
     ledger: each stage charges its m copies before it measures, and the
@@ -401,9 +397,7 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     # relearning pass: everything left in the budget, one basis
     m_rest = budget.take(budget.remaining)
     counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
-    suffix = np.arange(d_t, d)
-    q = classical.add_one_hybrid(counts, m_rest,
-                                 suffix if suffix.size else np.arange(d))
+    q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
     out.q = q
     out.eps_prime = float(np.sum(q[:d_t]))
     out.consumed = budget.consumed

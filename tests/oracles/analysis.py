@@ -108,7 +108,7 @@ def max_log_ratio_q(rho, sigma) -> float:
     """Order-infinity Renyi divergence of one pair: the classical
     max-log-ratio of its overlap pair; at most ln ||sigma^{-1}||."""
     pp, qq = dv.overlap_pair(rho, sigma)
-    return dv.max_log_ratio(pp.ravel(), qq.ravel())
+    return dv.classical_chain(pp.ravel(), qq.ravel())["max_log_ratio"]
 
 
 def reverse_pinsker_bound(rho, sigma) -> float:

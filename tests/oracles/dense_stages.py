@@ -22,9 +22,10 @@ def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
     with delta the run's failure parameter over d = rho's dimension."""
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
-    tau_hat = ms.filter_subset(rho, idx, m_phase, rng) / m_phase
-    kept2 = ms.filter_subset(rho, idx, m_phase, rng)
-    cond = linalg.restrict(rho, idx)
+    blk = rho[np.ix_(idx, idx)]
+    tau_hat = ms.filter_subset(blk, k=m_phase, rng=rng) / m_phase
+    kept2 = ms.filter_subset(blk, k=m_phase, rng=rng)
+    cond = linalg.restrict(blk)
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(idx.size)):
@@ -82,9 +83,7 @@ def staged_learn(rho, spec, params, rng):
     out.frame = v_acc
     m_rest = budget.take(budget.remaining)
     counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
-    suffix = np.arange(d_t, d)
-    out.q = classical.add_one_hybrid(counts, m_rest,
-                                     suffix if suffix.size else np.arange(d))
+    out.q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
     out.eps_prime = float(np.sum(out.q[:d_t]))
     out.consumed = budget.consumed
     return out

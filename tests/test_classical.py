@@ -46,13 +46,39 @@ def test_empirical_moments():
     assert np.max(np.abs(hats.mean(axis=0) - p)) < 0.01
 
 
+def _add_one_on_subset(counts, m, subset):
+    """Add-one smoothing on an index subset, by a 0/1 mask: the form the
+    suffix smoothing replaced, kept as its reference."""
+    counts = np.asarray(counts, dtype=float)
+    s_mask = np.zeros(counts.size, dtype=float)
+    s_mask[np.asarray(subset, dtype=int)] = 1.0
+    s = int(s_mask.sum())
+    return (counts + s_mask) / (m + s)
+
+
 def test_add_one_hybrid_values():
-    q = classical.add_one_hybrid([3, 1, 0], m=4, subset=[0, 2])
-    assert np.allclose(q, [4 / 6, 1 / 6, 1 / 6])
+    q = classical.add_one_hybrid([1, 3, 0], m=4, start=1)
+    assert np.allclose(q, [1 / 6, 4 / 6, 1 / 6])
     # full-support smoothing keeps a normalized vector
-    q2 = classical.add_one_hybrid([2, 2, 0], m=4, subset=[0, 1, 2])
+    q2 = classical.add_one_hybrid([2, 2, 0], m=4, start=0)
     assert q2.sum() == pytest.approx(1.0)
-    assert np.all(q2[[0, 1, 2]] > 0)
+    assert np.all(q2 > 0)
+    with pytest.raises(ValueError):
+        classical.add_one_hybrid([2, 2, 0], m=4, start=4)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_add_one_suffix_equals_the_mask_form(d):
+    """Bit for bit, at every start, on counts of every magnitude up to
+    the 1e15 copies a relearning pass can draw; an empty suffix
+    (start = d) smooths nothing."""
+    rng = np.random.default_rng([2029, d])
+    for m in (7, 10 ** 6, 10 ** 15):
+        counts = rng.multinomial(m, rng.dirichlet(np.ones(d)))
+        for start in range(d + 1):
+            got = classical.add_one_hybrid(counts, m, start)
+            want = _add_one_on_subset(counts, m, np.arange(start, d))
+            assert np.array_equal(got, want), (m, start)
 
 
 def test_add_one_mean_uniform_frozen():
@@ -108,8 +134,9 @@ def test_add_one_within_factor_four_on_resolved_coordinates():
     bad = 0
     for _ in range(200):
         counts = rng.multinomial(m, p)
-        q = classical.add_one_hybrid(counts, m, subset)
-        ratio = q[subset] / p[subset]
+        # reordered after the draw so that S is the suffix [1, 4)
+        q = classical.add_one_hybrid(counts[[3, *subset]], m, 1)
+        ratio = q[1:] / p[subset]
         if ratio.max() > 4.0 or ratio.min() < 0.25:
             bad += 1
     assert bad / 200 <= delta

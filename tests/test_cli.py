@@ -195,6 +195,11 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["accept", "--only", "13", "--out", "no-such-directory/x.json"],
      "--out no-such-directory/x.json: directory no-such-directory "
      "does not exist"),
+    (["divergence", "--seed", "-1"], "--seed -1 must be nonnegative"),
+    (["mi-test", "--seed", "-1"], "--seed -1 must be nonnegative"),
+    (["tomography", "run", "--workers", "0"],
+     "--workers 0 must be at least 1"),
+    (["bench", "--workers", "-3"], "--workers -3 must be at least 1"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-classical-d0",
         "mi-quantum-d0", "mi-classical-d-negative", "mi-quantum-d-negative",
         "mi-eps", "accept-99",
@@ -203,7 +208,8 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
         "tomography-no-trials", "mi-no-trials", "accept-retired-6",
         "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d",
         "divergence-lam-above-one", "accept-empty", "tomography-n-fraction",
-        "accept-out-missing-directory"])
+        "accept-out-missing-directory", "divergence-seed-negative",
+        "mi-seed-negative", "tomography-workers-0", "bench-workers-negative"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)

@@ -307,21 +307,21 @@ class TestFit:
 
     def test_exact_inverse_law(self):
         recs = self._records([(n, 5.0 / n) for n in (10, 100, 1000, 10000)])
-        slope, intercept, r2 = hz.fit_scaling(recs, y="frob_sq")
+        slope, intercept, r2 = hz.fit_scaling(recs)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert np.exp(intercept) == pytest.approx(5.0, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_data(self):
         recs = self._records([(n, 2.0) for n in (10, 100, 1000)])
-        slope, _, r2 = hz.fit_scaling(recs, y="frob_sq")
+        slope, _, r2 = hz.fit_scaling(recs)
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0
 
     def test_needs_two_points(self):
         recs = self._records([(10, 1.0), (10, 2.0)])
         with pytest.raises(ValueError):
-            hz.fit_scaling(recs, y="frob_sq")
+            hz.fit_scaling(recs)
 
 
 class TestEmission:

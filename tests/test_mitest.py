@@ -47,10 +47,8 @@ class TestBounds:
         for d in (2, 3):
             for _ in range(10):
                 rho = linalg.random_density(d * d, d * d, rng)
-                mi = dv.quantum_mutual_information(rho, d, d)
-                prod = np.kron(
-                    linalg.partial_trace(rho, d, d, "A"),
-                    linalg.partial_trace(rho, d, d, "B"))
+                mi = dv.quantum_mutual_information(rho, d)
+                prod = np.kron(*linalg.marginals(rho, d))
                 eta = math.sqrt(dv.hellinger_sq_q(rho, prod))
                 assert mi <= analysis.hellinger_mi_bound(eta, d)
 
@@ -324,6 +322,15 @@ class TestClassicalMITest:
         with pytest.raises(ValueError):
             mt.classical_mi_test(np.full((2, 2), 0.3), 0.3, rng)
 
+    def test_refuses_non_square_tables(self):
+        """A 2 x 8 table would be planned as an 8 x 8 one; it is refused
+        before any draw."""
+        rng = np.random.default_rng(35)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="d x d"):
+            mt.classical_mi_test(np.full((2, 8), 1 / 16), 0.5, rng)
+        assert rng.bit_generator.state == state
+
 
 # ---------------------------------------------------------------------------
 # product decomposition
@@ -460,10 +467,10 @@ class TestQuantumMITest:
     def test_correlated_arm_rejects(self):
         rng = np.random.default_rng(62)
         joint, joint_dec = linalg.correlated_pair_eig(3, 0.5)
-        assert dv.quantum_mutual_information(joint, 3, 3) >= 0.5
+        assert dv.quantum_mutual_information(joint, 3) >= 0.5
         # the MI read from the given eigensystem, not a solved one
-        mi = dv.relative_entropy(joint_dec,
-                                 linalg.product_of_marginals(joint, 3, 3))
+        mi = dv.relative_entropy(
+            joint_dec, linalg.product_of_marginals(linalg.marginals(joint, 3)))
         for _ in range(3):
             v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng)
             assert not v.accept
@@ -494,23 +501,24 @@ class TestQuantumMITest:
                                                     v.stats["eps_t"])
 
     def test_traces_each_marginal_once(self, monkeypatch):
-        """The two traces feed both the learner and the true product's
-        eigensystem, and the verdict carries the learned product."""
-        calls, trace = [], linalg.partial_trace
+        """One call traces out both marginals, which feed both the
+        learner and the true product's eigensystem, and the verdict
+        carries the learned product."""
+        calls, trace = [], linalg.marginals
 
         def counted(*args, **kwargs):
             calls.append(args)
             return trace(*args, **kwargs)
-        monkeypatch.setattr(linalg, "partial_trace", counted)
+        monkeypatch.setattr(linalg, "marginals", counted)
         joint, joint_dec = linalg.correlated_pair_eig(3, 0.5)
         v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5,
                                np.random.default_rng(65))
         monkeypatch.undo()
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert v.stats["hellinger_sq"] == dv.hellinger_sq_q(
             joint_dec, v.stats["product"])
         assert v.stats["mi"] == dv.relative_entropy(
-            joint_dec, linalg.product_of_marginals(joint, 3, 3))
+            joint_dec, linalg.product_of_marginals(linalg.marginals(joint, 3)))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(64)

@@ -63,12 +63,12 @@ def test_make_state_diagonal_error_rate():
 def test_final_upgrade_accounting():
     rng = np.random.default_rng(217)
     rho = linalg.random_density(5, 3, rng)
-    blk = linalg.submatrix(rho, np.arange(3))
+    blk = rho[:3, :3]
     res = pl.final_upgrade(ORACLE, blk, r=3, delta=0.01 / 5,
                            m_phase=20_000, rng=rng)
     # exact trace identity: values sum to the observed phase-two pass rate
     assert res.values.sum() == pytest.approx(res.kept_second / 20_000, abs=1e-12)
-    tau = linalg.mass_on(rho, [0, 1, 2])
+    tau = np.trace(blk).real
     assert abs(res.tau_hat - tau) < 0.02
     want_theta = max(res.tau_hat / 300.0,
                      1.0 / (20_000 / (config.CONF_SCALE * math.log(5 / 0.01))))
@@ -80,7 +80,7 @@ def test_final_upgrade_starved_filter():
     rho = np.diag([0.999999, 1e-6, 0.0]).astype(complex) \
         + np.zeros((3, 3), dtype=complex)
     rho /= np.trace(rho).real
-    res = pl.final_upgrade(ORACLE, linalg.submatrix(rho, [1, 2]), r=1,
+    res = pl.final_upgrade(ORACLE, rho[1:, 1:], r=1,
                            delta=0.1 / 3, m_phase=50, rng=rng)
     # almost surely zero or one survivor: uniform fallback keeps the trace
     assert res.values.sum() == pytest.approx(res.kept_second / 50, abs=1e-12)
@@ -92,12 +92,11 @@ def test_final_upgrade_starved_base_estimator():
     of the estimator refusing its budget."""
     rng = np.random.default_rng(221)
     rho = linalg.random_density(6, 6, rng)
-    prefix = np.arange(4)
     simple = fb.parse_estimator("simple")
-    res = pl.final_upgrade(simple, linalg.submatrix(rho, prefix), r=2,
+    res = pl.final_upgrade(simple, rho[:4, :4], r=2,
                            delta=0.1 / 6, m_phase=12, rng=rng)
-    assert 2 <= res.kept_second < 2 * simple.min_copies(prefix.size)
-    assert np.array_equal(res.basis, np.eye(prefix.size))
+    assert 2 <= res.kept_second < 2 * simple.min_copies(4)
+    assert np.array_equal(res.basis, np.eye(4))
     assert np.all(res.values == res.values[0])
     assert res.values.sum() == pytest.approx(res.kept_second / 12, abs=1e-12)
 
@@ -115,20 +114,19 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
     rho = (1 - tau) * (v @ v.conj().T) + tau * (u @ u.conj().T)
     w = np.roll(q, -1, axis=1)  # the dominant direction goes last
     rho_cur = w.conj().T @ rho @ w
-    prefix = np.arange(d - 1)
-    blk = linalg.submatrix(rho_cur, prefix)
+    blk = rho_cur[:d - 1, :d - 1]
     cond = blk / np.trace(blk).real
     design = ms.matching_povms(d - 1)
     with pytest.raises(ValueError, match="not a state"):
         ms.sample_povm(design, cond, design.n_rows * 10, rng)
-    assert linalg.restrict(rho_cur, prefix) is None
+    assert linalg.restrict(blk) is None
     simple = fb.parse_estimator("simple")
     m_phase = 10 ** 13
     res = pl.final_upgrade(simple, blk, r=1, delta=0.1 / d,
                            m_phase=m_phase, rng=rng)
     # enough survivors for the base estimator: the floor chose the branch
-    assert res.kept_second // 2 >= simple.min_copies(prefix.size)
-    assert np.array_equal(res.basis, np.eye(prefix.size))
+    assert res.kept_second // 2 >= simple.min_copies(d - 1)
+    assert np.array_equal(res.basis, np.eye(d - 1))
     assert np.all(res.values == res.values[0])
     assert res.values.sum() == pytest.approx(res.kept_second / m_phase,
                                               abs=1e-12)
@@ -227,8 +225,8 @@ class TestStagedLearn:
             if out.stop_reason != "mass converged":
                 continue
             frame_state = out.frame.conj().T @ rho @ out.frame
-            tau_true = linalg.mass_on(frame_state, np.arange(out.prefix)) \
-                if out.prefix else 0.0
+            ell = out.prefix
+            tau_true = np.trace(frame_state[:ell, :ell]).real
             assert tau_true <= 3.0 * out.params.eps_tilde
 
     def test_chi2_estimate_quality(self):
@@ -255,8 +253,8 @@ def test_to_infidelity_zeroes_prefix():
     est = pl.to_infidelity(out)
     linalg.require_density(est.matrix())
     if out.prefix:
-        blk = linalg.submatrix(out.frame.conj().T @ est.matrix() @ out.frame,
-                               np.arange(out.prefix))
+        ell = out.prefix
+        blk = (out.frame.conj().T @ est.matrix() @ out.frame)[:ell, :ell]
         assert np.max(np.abs(blk)) < 1e-12
     assert dv.infidelity(rho, est) <= 0.2
 

@@ -5,8 +5,10 @@ name in a module's ``__all__``, must be reached from ``perfbench/*.py``
 or from the package's module-level code, which holds the command-line
 entry point.  A reference is a name or an attribute the code loads;
 docstrings, the ``__all__`` lists and assignment targets do not count.
-The benchmark patches functions by name, so its string constants count
-as references too.  A reference inside a top-level definition counts
+The benchmark's tracer patches functions by name, so the string
+constants of ``perfbench/tracing.py``, which holds those names, count as
+references too; the other benchmark files' strings are data (chain keys,
+labels) and do not.  A reference inside a top-level definition counts
 once that definition is itself reached, and the reached set grows to a
 fixed point.  References from ``accept`` reach only the names ``accept``
 defines: code that only the acceptance suite calls, to check that same
@@ -113,8 +115,9 @@ def unreferenced() -> list:
     refs = {stem: _references(tree, strings=False)
             for stem, tree in modules.items()}
     reached = set()
-    for tree in _parse(BENCHMARK).values():
-        reached |= {name for _, name in _references(tree, strings=True)}
+    for stem, tree in _parse(BENCHMARK).items():
+        reached |= {name for _, name in _references(
+            tree, strings=stem == "tracing")}
     while True:
         grown = reached | {ref for stem, module_refs in refs.items()
                            if stem != "accept"
