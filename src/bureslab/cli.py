@@ -58,12 +58,17 @@ def _chain_verdicts(chain: dict, quantum: bool) -> list:
     ]
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """The one generator a verb's ``--seed`` names; numpy refuses a
-    negative seed with a traceback, so it is refused here first."""
+def _seed(seed: int) -> int:
+    """``--seed``, refused by the flag's name when negative, before numpy
+    (a traceback) or the scenario check (a config field) sees it."""
     if seed < 0:
         raise hz.ScenarioError(f"--seed {seed} must be nonnegative")
-    return np.random.default_rng(seed)
+    return seed
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The one generator a verb's ``--seed`` names."""
+    return np.random.default_rng(_seed(seed))
 
 
 def _workers(args) -> int:
@@ -128,7 +133,7 @@ def _emit(records, loss: str, out: str | None) -> None:
 def _scenario(args, data: dict, source: str = "command line"):
     """The validated scenario; ``--seed`` wins over the data's seed."""
     if args.seed is not None:
-        data["master_seed"] = args.seed
+        data["master_seed"] = _seed(args.seed)
     return hz.scenario_from_dict(data, source=source)
 
 

@@ -104,12 +104,12 @@ def oracle_estimate(rho: np.ndarray, f: float, m: int,
     g = np.zeros((d, d), dtype=complex)
     iu = _upper_triangle(d)
     n_off = iu[0].size
-    re = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
-    im = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
-    g[iu] = re + 1j * im
-    g = g + g.conj().T
+    g.real[iu] = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
+    g.imag[iu] = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
+    g += g.conj().T
     np.fill_diagonal(g, rng.standard_normal(d) * s)
-    return np.asarray(rho, dtype=complex) + g
+    g += rho
+    return g
 
 
 @functools.lru_cache(maxsize=None)

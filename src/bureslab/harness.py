@@ -112,7 +112,9 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'n_grid': entries must be positive")
     if s.trials < 1:
         raise ScenarioError("field 'trials': need at least one trial")
-    if not 0 <= s.master_seed < 2 ** 64:
+    if s.master_seed < 0:
+        raise ScenarioError("field 'master_seed': must be nonnegative")
+    if s.master_seed >= 2 ** 64:
         raise ScenarioError("field 'master_seed': must fit in 64 bits")
     if not 0.0 <= s.lam <= 1.0:
         raise ScenarioError("field 'lam': must lie in [0, 1]")
@@ -392,10 +394,9 @@ def summarize(records, y: str) -> list:
         vals = np.array([r.losses[y] for r in recs], dtype=float)
         se = float(vals.std(ddof=1) / math.sqrt(len(vals))) \
             if len(vals) > 1 else 0.0
-        rates = {}
-        for key in sorted({k for r in recs for k in r.flags}):
-            rates[key] = float(np.mean([r.flags.get(key, False)
-                                        for r in recs]))
+        rates = {key: sum(1 for r in recs if r.flags.get(key, False))
+                 / len(recs)
+                 for key in sorted({k for r in recs for k in r.flags})}
         rows.append({"point": point, "trials": len(recs),
                      "n_mean": float(np.mean([r.n_used for r in recs])),
                      "mean": float(vals.mean()), "ci95": 1.96 * se,

@@ -26,14 +26,17 @@ state in the working frame is V^dagger rho V; all output quantities
 prefix block of that state, so the learner keeps the block alone,
 unnormalized (its trace is the prefix's mass): each stage rotates it
 by the estimated basis B as B^dagger blk B and slices it to the next
-prefix, and updates only the first d_t columns of V.  Every ``to_*``
-helper returns its estimate in the input frame as a decomposition: the
-columns of V are its eigenvectors, so no helper multiplies out
-V diag(q) V^dagger and no scorer diagonalizes it again.
+prefix, and updates only the first d_t columns of V.  A stage that
+spreads its mass uniformly estimates no basis (B would be the identity:
+the block keeps its frame), so it only slices the block and leaves V as
+it is.  Every ``to_*`` helper returns its estimate in the input frame
+as a decomposition: the columns of V are its eigenvectors, so no helper
+multiplies out V diag(q) V^dagger and no scorer diagonalizes it again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -105,13 +108,15 @@ class FinalUpgradeResult:
 
     ``values`` sum exactly to kept_second / m_phase (the observed pass
     rate of the second phase) and estimate the spectrum of the block;
-    ``basis`` is d_t x d_t in the block's coordinates.  ``theta_hat``
-    is the reporting threshold max(tau_hat/(100 r), mass floor).
+    ``basis`` is d_t x d_t in the block's coordinates, or None after a
+    uniform spread, which estimates none: the block keeps its frame.
+    ``theta_hat`` is the reporting threshold max(tau_hat/(100 r), mass
+    floor).
     """
 
     tau_hat: float
     theta_hat: float
-    basis: np.ndarray
+    basis: np.ndarray | None
     values: np.ndarray
     kept_second: int
 
@@ -133,10 +138,10 @@ def final_upgrade(spec: EstimatorSpec, blk: np.ndarray, r: int,
     copies survive for the base estimator (its ``min_copies`` on the
     block), or the block's true mass is at or below
     ``config.PASS_MASS_FLOOR`` (``restrict`` then returns no conditional
-    state), the observed mass is spread uniformly instead.
-    The same code path serves both the high-mass and low-mass regimes;
-    only the analysis distinguishes them.  The caller charges the
-    2 m_phase copies to its ledger.
+    state), the observed mass is spread uniformly instead and ``basis``
+    is None: the block keeps its frame.  The same code path serves both
+    the high-mass and low-mass regimes; only the analysis distinguishes
+    them.  The caller charges the 2 m_phase copies to its ledger.
     """
     d_t = blk.shape[0]
     tau_hat = ms.filter_subset(blk, k=m_phase, rng=rng) / m_phase
@@ -148,7 +153,7 @@ def final_upgrade(spec: EstimatorSpec, blk: np.ndarray, r: int,
         # too few survivors to estimate structure (the base estimator
         # gets kept2 // 2 of them); spread the observed mass uniformly
         # so the trace identity stays exact
-        basis = np.eye(d_t, dtype=complex)
+        basis = None
         values = np.full(d_t, scale / d_t)
     else:
         dig = make_state_diagonal(spec, cond, kept2, rng)
@@ -226,6 +231,7 @@ def central_params(d: int, r: int, f: float, m: int) -> CentralParams:
                          total=2 * m * l_max)
 
 
+@functools.lru_cache(maxsize=None)
 def budget_for_scale(d: int, r: int, f: float,
                      eps_tilde_target: float) -> CentralParams:
     """Smallest stage budget whose per-stage scale meets the target.
@@ -233,7 +239,10 @@ def budget_for_scale(d: int, r: int, f: float,
     Solves the fixed point between m and delta(m) for
     eps_tilde <= eps_tilde_target, then steps m by 2 to the smallest even
     budget that meets the target, which rounding in the fixed point can
-    miss by a step either way.
+    miss by a step either way.  A pure function with a frozen result,
+    so it is solved once per argument tuple and repeated calls share one
+    :class:`CentralParams`; a refused target is not cached and raises
+    on every call.
     """
     if not 0.0 < eps_tilde_target < 1.0:
         raise ParameterError("eps_tilde target must lie in (0, 1)")
@@ -337,10 +346,11 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
 
     Each stage spends params.m copies on a filtered two-phase estimate of
     the current prefix block, rotates the block and the frame's prefix
-    columns by the estimated basis, and moves the suffix entries passing
-    the tail rule out of the prefix.  The stage state is that prefix
-    block of V^dagger rho V alone, unnormalized, sliced down as the
-    prefix shrinks; the rest of the rotated state is never formed.
+    columns by the estimated basis (a uniform-spread stage has none and
+    rotates nothing), and moves the suffix entries passing the tail rule
+    out of the prefix.  The stage state is that prefix block of
+    V^dagger rho V alone, unnormalized, sliced down as the prefix
+    shrinks; the rest of the rotated state is never formed.
     Stages stop once the prefix mass estimate falls to 1.1 eps_tilde, the
     stage count passes d, or the budget reserve (half the total, kept for
     the relearning pass) would be broken.  The reserve then buys a single
@@ -372,9 +382,10 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
         budget.take(m)
         res = final_upgrade(spec, blk, r, params.delta / d, m // 2, rng)
         # revise the frame's prefix columns by the estimated block basis
-        # (the frame starts at I)
+        # (the frame starts at I); a uniform spread leaves them as they are
         b = res.basis
-        v_acc[:, :d_t] = b if stage == 1 else v_acc[:, :d_t] @ b
+        if b is not None:
+            v_acc[:, :d_t] = b if stage == 1 else v_acc[:, :d_t] @ b
 
         retained = _tail_rule_floor(res.values, r)
         out.stages.append(StageRecord(
@@ -389,7 +400,9 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             break
         d_next = max(d_t - r, 0)
         d_t = max(d_next, d_t - retained)
-        blk = (b.conj().T @ blk @ b)[:d_t, :d_t]
+        if b is not None:
+            blk = b.conj().T @ blk @ b
+        blk = blk[:d_t, :d_t]
 
     out.prefix = d_t
     out.frame = v_acc

@@ -29,7 +29,7 @@ def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(idx.size)):
-        basis = np.eye(idx.size, dtype=complex)
+        basis = None
         values = np.full(idx.size, scale / idx.size)
     else:
         dig = pl.make_state_diagonal(spec, cond, kept2, rng)
@@ -65,7 +65,8 @@ def staged_learn(rho, spec, params, rng):
         res = final_upgrade(spec, rho_cur, np.arange(d_t), r, params.delta,
                             m // 2, rng)
         w = np.eye(d, dtype=complex)
-        w[:d_t, :d_t] = res.basis
+        if res.basis is not None:  # no basis: the identity
+            w[:d_t, :d_t] = res.basis
         rho_cur = w.conj().T @ rho_cur @ w
         v_acc = v_acc @ w
         retained = pl._tail_rule_floor(res.values, r)

@@ -197,6 +197,8 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
      "does not exist"),
     (["divergence", "--seed", "-1"], "--seed -1 must be nonnegative"),
     (["mi-test", "--seed", "-1"], "--seed -1 must be nonnegative"),
+    (["tomography", "run", "--seed", "-1"], "--seed -1 must be nonnegative"),
+    (["bench", "--seed", "-1"], "--seed -1 must be nonnegative"),
     (["tomography", "run", "--workers", "0"],
      "--workers 0 must be at least 1"),
     (["bench", "--workers", "-3"], "--workers -3 must be at least 1"),
@@ -209,7 +211,8 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
         "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d",
         "divergence-lam-above-one", "accept-empty", "tomography-n-fraction",
         "accept-out-missing-directory", "divergence-seed-negative",
-        "mi-seed-negative", "tomography-workers-0", "bench-workers-negative"])
+        "mi-seed-negative", "tomography-seed-negative", "bench-seed-negative",
+        "tomography-workers-0", "bench-workers-negative"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)

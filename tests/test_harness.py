@@ -83,8 +83,13 @@ class TestScenarioConfig:
             hz.validate_scenario(small(family="bipartite:product"))
 
     def test_bounds(self):
-        with pytest.raises(hz.ScenarioError, match="master_seed"):
+        with pytest.raises(hz.ScenarioError,
+                           match="'master_seed': must fit in 64 bits"):
             hz.validate_scenario(small(master_seed=2 ** 64))
+        with pytest.raises(hz.ScenarioError,
+                           match="'master_seed': must be nonnegative"):
+            hz.validate_scenario(small(master_seed=-1))
+        hz.validate_scenario(small(master_seed=2 ** 64 - 1))
         with pytest.raises(hz.ScenarioError, match="eps_grid"):
             hz.validate_scenario(small(eps_grid=(1.5,)))
         with pytest.raises(hz.ScenarioError, match="estimator"):
@@ -401,6 +406,15 @@ GOLDEN = [
     (dict(sid="g-mi-stages", target="mi", d=5, family="bipartite:product",
           eps_grid=(0.5,), trials=2, master_seed=19),
      "68a02f5b6ff540c6b8f59d5001026aa2b3eef20aaba4c43d0345407e719aa797"),
+    # the benchmark's shapes: stage 1 peels the top directions and stage
+    # 2 spreads the sub-floor prefix uniformly, so the uniform-spread
+    # branch of final_upgrade reaches the CSV at d = 64 and d = 16
+    (dict(sid="g-chi2-pure64", target="chi2", d=64, r=1, family="pure",
+          trials=2, master_seed=20),
+     "b97934ce3ebb4fcf70d8c762ef0ac336781e08d1c96d23e3af7c27f2d7543864"),
+    (dict(sid="g-chi2-simple16", target="chi2", d=16, r=2,
+          estimator="simple", trials=2, master_seed=21),
+     "7dd2c0434200809399b1b64ae3746a7da9b37b7418d6eea5d632aca4a4bddce4"),
 ]
 
 

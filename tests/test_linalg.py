@@ -210,6 +210,23 @@ def test_correlated_pair_state_marginals_stay_uniform():
             assert np.max(np.abs(marg - np.eye(3) / 3)) < 1e-12
 
 
+@pytest.mark.parametrize("build, args", [
+    (linalg.maximally_mixed_eig, (9,)),
+    (linalg.correlated_pair_eig, (3, 0.5)),
+    (linalg.correlated_pair_eig, (3, 0.0)),
+], ids=["maximally-mixed", "correlated", "correlated-product"])
+def test_cached_states_equal_a_fresh_build_and_are_read_only(build, args):
+    rho, dec = build(*args)
+    assert build(*args)[0] is rho
+    fresh_rho, fresh_dec = build.__wrapped__(*args)
+    assert np.array_equal(rho, fresh_rho)
+    assert np.array_equal(dec.values, fresh_dec.values)
+    assert np.array_equal(dec.vectors, fresh_dec.vectors)
+    for a in (rho, dec.values, dec.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_require_density_rejects():
     with pytest.raises(ValueError):
         linalg.require_density(np.diag([0.6, 0.6]))

@@ -96,7 +96,7 @@ def test_final_upgrade_starved_base_estimator():
     res = pl.final_upgrade(simple, rho[:4, :4], r=2,
                            delta=0.1 / 6, m_phase=12, rng=rng)
     assert 2 <= res.kept_second < 2 * simple.min_copies(4)
-    assert np.array_equal(res.basis, np.eye(4))
+    assert res.basis is None  # the block keeps its frame
     assert np.all(res.values == res.values[0])
     assert res.values.sum() == pytest.approx(res.kept_second / 12, abs=1e-12)
 
@@ -126,7 +126,7 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
                            m_phase=m_phase, rng=rng)
     # enough survivors for the base estimator: the floor chose the branch
     assert res.kept_second // 2 >= simple.min_copies(d - 1)
-    assert np.array_equal(res.basis, np.eye(d - 1))
+    assert res.basis is None  # the block keeps its frame
     assert np.all(res.values == res.values[0])
     assert res.values.sum() == pytest.approx(res.kept_second / m_phase,
                                               abs=1e-12)
@@ -159,6 +159,23 @@ class TestCentralParams:
     def test_rejects_bad_rank(self):
         with pytest.raises(pl.ParameterError):
             pl.central_params(4, 5, 16.0, 10 ** 12)
+
+
+def test_budget_for_scale_is_solved_once_per_argument_tuple():
+    """Repeated arguments share one CentralParams, equal to a fresh
+    solve."""
+    p = pl.budget_for_scale(8, 2, 64.0, 0.01)
+    assert pl.budget_for_scale(8, 2, 64.0, 0.01) is p
+    assert pl.budget_for_scale.__wrapped__(8, 2, 64.0, 0.01) == p
+
+
+@pytest.mark.parametrize("target", [0.0, 1.5, 1e-9])
+def test_budget_for_scale_refuses_on_every_call(target):
+    """A refused target is not cached: the second call raises too.
+    1e-9 puts eps_tilde at or below the pass-mass floor."""
+    for _ in range(2):
+        with pytest.raises(pl.ParameterError):
+            pl.budget_for_scale(4, 1, 4.0, target)
 
 
 def test_plan_budget_meets_target_and_halving():
