@@ -80,15 +80,24 @@ _ZERO_NUM = config.PSD_TOL
 
 
 def _weights(p) -> np.ndarray:
+    """p as a float array, with entries in (-PSD_TOL, 0] (-0.0 included)
+    set to +0.0 by ``np.maximum(p, 0.0)``; an entry below -PSD_TOL raises.
+    A vector with every entry positive comes back uncopied, so callers
+    must not write to the result."""
     p = np.asarray(p, dtype=float)
-    if p.size and p.min() < -config.PSD_TOL:
-        raise ValueError(f"negative weight {p.min()}")
-    return np.maximum(p, 0.0)
+    if p.size:
+        low = p.min()
+        if low <= 0.0:
+            if low < -config.PSD_TOL:
+                raise ValueError(f"negative weight {low}")
+            return np.maximum(p, 0.0)
+    return p
 
 
 def _result(x):
-    """A float for one pair; the array of n values for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
+    """A float for one pair; the array of n values for a stack.  x is a
+    numpy scalar or array."""
+    return x if x.ndim else float(x)
 
 
 # ---------------------------------------------------------------------------

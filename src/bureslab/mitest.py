@@ -18,6 +18,7 @@ entropies and divergences are in nats.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -92,15 +93,23 @@ def classical_mi_plan(d: int, eps: float) -> dict:
     through the smoothing bound, which eats a ln(d/eps) factor; the
     learner gets enough samples that each marginal lands within a third
     of the working accuracy except with small constant probability, and
-    the identity test runs at the usual sqrt(#outcomes) rate.
+    the identity test runs at the usual sqrt(#outcomes) rate.  The plan
+    is solved once per (d, eps) and each call hands out a fresh dict, so
+    a caller may change its copy; a refused gap is not cached and raises
+    on every call.
     """
+    return dict(_solve_classical_plan(d, eps))
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_classical_plan(d: int, eps: float) -> tuple:
     _check_gap(d, eps)
     eps_dd = config.C_INEQ * eps / math.log(d / eps)
     eps_t = 2.0 * eps_dd
     n_learn = math.ceil(config.C_LEARN_CLASSICAL * d / eps_dd)
     n_test = math.ceil(config.C_TEST_BUDGET * d / eps_t)
-    return {"eps_dd": eps_dd, "eps_t": eps_t,
-            "n_learn": int(n_learn), "n_test": int(n_test)}
+    return (("eps_dd", eps_dd), ("eps_t", eps_t),
+            ("n_learn", int(n_learn)), ("n_test", int(n_test)))
 
 
 def learn_marginals(counts: np.ndarray, n: int):
@@ -121,28 +130,32 @@ def pearson_null_variance(q, n: int) -> float:
     return 2.0 * (k - 1) + (float(np.sum(1.0 / q)) - k * k - 2 * k + 2) / n
 
 
-def pearson_null_quantile(q, n: int) -> float:
-    """Closed-form PEARSON_NULL_LEVEL quantile of the Pearson null.
+#: the standard normal quantile at PEARSON_NULL_LEVEL
+_NULL_Z = statistics.NormalDist().inv_cdf(config.PEARSON_NULL_LEVEL)
+
+
+def pearson_null_quantile(k: int, variance: float) -> float:
+    """Closed-form PEARSON_NULL_LEVEL quantile of the Pearson null over
+    k bins, given its variance V (:func:`pearson_null_variance`).
 
     A scaled chi-square c chi2_nu is matched to the null's mean k - 1
-    and variance V (:func:`pearson_null_variance`): c = V / (2 (k - 1))
-    and nu = 2 (k - 1)^2 / V.  Its quantile comes from the Wilson-Hilferty
-    cube-root normal approximation (Wilson & Hilferty 1931),
+    and variance V: c = V / (2 (k - 1)) and nu = 2 (k - 1)^2 / V.  Its
+    quantile comes from the Wilson-Hilferty cube-root normal
+    approximation (Wilson & Hilferty 1931),
 
         (k - 1) (1 - a + z sqrt(a))^3,  a = 2 / (9 nu) = V / (9 (k - 1)^2),
 
-    with z the standard normal quantile at that level and the cube's base
-    clamped at zero.  Matching V, not just the mean, keeps the quantile
-    close to the simulated one when some expected counts n q_i are far
-    below one, where plain chi2(k - 1) sits too low.  O(k) work and no
-    random draws.
+    with z the standard normal quantile at that level (a module
+    constant) and the cube's base clamped at zero.  Matching V, not just
+    the mean, keeps the quantile close to the simulated one when some
+    expected counts n q_i are far below one, where plain chi2(k - 1)
+    sits too low.  O(1) work and no random draws.
     """
-    mean = np.asarray(q).size - 1.0
+    mean = k - 1.0
     if mean < 1.0:  # one bin: the statistic is identically zero
         return 0.0
-    a = pearson_null_variance(q, n) / (9.0 * mean * mean)
-    z = statistics.NormalDist().inv_cdf(config.PEARSON_NULL_LEVEL)
-    return mean * max(1.0 - a + z * math.sqrt(a), 0.0) ** 3
+    a = variance / (9.0 * mean * mean)
+    return mean * max(1.0 - a + _NULL_Z * math.sqrt(a), 0.0) ** 3
 
 
 def pearson_identity_test(q, counts, n: int, eps_t: float,
@@ -154,13 +167,15 @@ def pearson_identity_test(q, counts, n: int, eps_t: float,
     acceptance threshold is the null's 0.99 quantile plus a separation
     margin proportional to n eps_t, so distributions with chi-square
     divergence at least eps_t from q land above it.  With ``sims`` = 0
-    the quantile is the closed form of :func:`pearson_null_quantile`
-    and no random draws are made; ``sims`` > 0 places it from that many
-    simulated null multinomials drawn from ``rng`` instead, the
-    reference the closed form is checked against.  The stats carry the
-    null quantile and variance either route used.  Any observed count
-    outside the support rejects outright.  eps_t above 1/2 is outside
-    the tester's domain.
+    the quantile is the closed form of :func:`pearson_null_quantile`,
+    read off the exact null variance computed once, and no random draws
+    are made; ``sims`` > 0 places it from that many simulated null
+    multinomials drawn from ``rng`` instead, the reference the closed
+    form is checked against.  The stats carry the null quantile and
+    variance either route used.  Any observed count outside the support
+    rejects outright; a reference with every cell positive is read whole,
+    with no support gathers.  eps_t above 1/2 is outside the tester's
+    domain.
     """
     if not 0.0 < eps_t <= 0.5:
         raise pl.ParameterError("eps_t must lie in (0, 1/2]")
@@ -172,26 +187,29 @@ def pearson_identity_test(q, counts, n: int, eps_t: float,
     counts = np.asarray(counts).ravel()
     if q.shape != counts.shape:
         raise ValueError("reference and counts disagree on outcome count")
-    support = q > 0.0
-    escaped = int(np.sum(counts[~support]))
     stats = {"n": int(n), "bins": int(q.size), "eps_t": float(eps_t),
-             "escaped": escaped}
-    if escaped > 0:
-        stats.update(statistic=math.inf, threshold=math.nan,
-                     null_quantile=math.nan, null_variance=math.nan)
-        return TesterVerdict(accept=False, stats=stats)
-    qs = q[support]
-    qs = qs / qs.sum()
+             "escaped": 0}
+    # an add-one smoothed product has every cell positive, and a NaN
+    # cell counts as outside the support
+    if not q.min(initial=math.inf) > 0.0:
+        support = q > 0.0
+        stats["escaped"] = int(np.sum(counts[~support]))
+        if stats["escaped"] > 0:
+            stats.update(statistic=math.inf, threshold=math.nan,
+                         null_quantile=math.nan, null_variance=math.nan)
+            return TesterVerdict(accept=False, stats=stats)
+        q, counts = q[support], counts[support]
+    qs = q / q.sum()
     expected = n * qs
-    statistic = float(np.sum((counts[support] - expected) ** 2 / expected))
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
     if sims > 0:
         null = rng.multinomial(n, qs, size=sims)
         null_stats = np.sum((null - expected) ** 2 / expected, axis=1)
         quantile = float(np.quantile(null_stats, config.PEARSON_NULL_LEVEL))
         variance = float(null_stats.var())
     else:
-        quantile = pearson_null_quantile(qs, n)
         variance = pearson_null_variance(qs, n)
+        quantile = pearson_null_quantile(qs.size, variance)
     threshold = quantile + config.PEARSON_MARGIN * n * eps_t
     stats.update(statistic=statistic, threshold=threshold,
                  null_quantile=quantile, null_variance=variance)

@@ -3,7 +3,8 @@
 The benchmark's tracer patches the library from outside: it reads the
 default of ``pearson_identity_test``'s ``sims`` argument (its sixth) to
 count null draws, and rebinds ``Povm.from_basis`` as a classmethod.  A
-traced run of each workload must count exactly and fail no op.
+traced run of each workload must count exactly and fail no op, and the
+classical MI tester's calls through patched names keep their counts.
 """
 
 import inspect
@@ -18,6 +19,10 @@ from bureslab import mitest as mt
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("tomo-measured", "tomo-oracle", "divergence-chain",
              "mi-testers")
+#: per-op calls of patched names that the classical MI tester reaches
+#: by module attribute; a path that bypassed them would count fewer
+REACHED = {"mi-testers": {"mitest.pearson_identity_test.calls": 0.75,
+                          "classical.add_one_hybrid.calls": 2.0}}
 
 
 def test_patched_names_keep_their_shape():
@@ -34,4 +39,7 @@ def test_traced_run_counts_exactly(name):
     import run
     out = run.run_traced(name, 3, 0.0, write_spans=False)
     assert out["mismatched"] == [] and out["failures"] == []
-    assert out["metrics"]["mitest.pearson_null_draws"]["value"] == 0.0
+    metrics = out["metrics"]
+    assert metrics["mitest.pearson_null_draws"]["value"] == 0.0
+    for key, calls in REACHED.get(name, {}).items():
+        assert metrics[key]["value"] == calls, key

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_sylvester
 
+from bureslab import config
 from bureslab import divergences as dv
 from bureslab import linalg
 from oracles import analysis
@@ -115,6 +116,61 @@ class TestClassical:
         assert dv.classical_mutual_information(np.outer(pa, pb)) == pytest.approx(0.0, abs=1e-12)
         perfect = np.diag([0.5, 0.5])
         assert dv.classical_mutual_information(perfect) == pytest.approx(np.log(2))
+
+
+class TestWeights:
+    """``_weights`` hands a positive vector back uncopied, so no classical
+    function may write to its clipped inputs."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(71)
+        positive = rng.dirichlet(np.ones(6), size=2)
+        edged = positive.copy()
+        edged[:, 0] = -0.0
+        edged[:, 1] = -0.5 * config.PSD_TOL
+        edged[1, 2] = 0.0
+        return positive, edged
+
+    def test_inputs_left_unchanged(self):
+        for p, q in self._inputs():
+            for args in ((p[0], q[0]), (p, q), (p[0], p[1])):
+                kept = [a.copy() for a in args]
+                dv.hellinger_sq(*args)
+                dv.kl_divergence(*args)
+                dv.chi_sq_divergence(*args)
+                dv.classical_chain(*args)
+                if args[0].ndim == 1:
+                    dv.renyi_divergence(*args, 2.0)
+                    dv.renyi_divergence(*args, 0.5)
+                    dv.classical_mutual_information(args[0].reshape(2, 3))
+                for a, k in zip(args, kept):
+                    assert np.array_equal(np.signbit(a), np.signbit(k))
+                    assert np.array_equal(a, k)
+
+    def test_positive_vector_is_not_copied(self):
+        p = self._inputs()[0]
+        assert dv._weights(p) is p
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_clipped_like_maximum(self, row):
+        """-0.0 and entries in (-PSD_TOL, 0) come back as +0.0, exactly as
+        np.maximum(p, 0.0) gives them; row 0 holds a -0.0 with no other
+        zero, row 1 also a +0.0."""
+        p = self._inputs()[1][row]
+        want = np.maximum(p, 0.0)
+        got = dv._weights(p)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.signbit(got).any()
+        only_negative_zero = np.array([0.25, -0.0, 0.75])
+        assert not np.signbit(dv._weights(only_negative_zero)).any()
+
+    def test_below_tolerance_raises(self):
+        p = np.array([0.5, -2.0 * config.PSD_TOL, 0.5])
+        with pytest.raises(ValueError, match="negative weight"):
+            dv._weights(p)
+        with pytest.raises(ValueError, match="negative weight"):
+            dv.kl_divergence(p, np.full(3, 1 / 3))
 
 
 class TestQuantum:

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import io
+import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,7 +378,9 @@ class TestEmission:
 
 
 #: sha256 of the CSV bytes of one small fixed-seed scenario per target;
-#: a change to any trial's random stream or loss arithmetic moves one
+#: a change to any trial's random stream or loss arithmetic moves one.
+#: The bytes themselves are committed as ``goldens/<sid>.csv``, so a
+#: mismatch names the cells that moved.
 GOLDEN = [
     (dict(sid="g-frob", target="frobenius", d=3, r=2, n_grid=(200, 2000),
           trials=3, master_seed=11),
@@ -418,12 +422,46 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("fields, digest", GOLDEN,
-                         ids=[f["sid"] for f, _ in GOLDEN])
-def test_golden_csv_digest(fields, digest):
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def golden_csv(fields) -> str:
+    """The CSV text of one ``GOLDEN`` scenario, run on one worker."""
     base = dict(family="rank_r_random", estimator="oracle:f=d",
                 eps_grid=(0.25,))
     s = hz.Scenario(**{**base, **fields})
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(hz.csv_rows(hz.run_scenario(s, workers=1)))
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    return buf.getvalue()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _moved_cells(want: str, got: str, limit: int = 20) -> str:
+    """The cells where ``got`` differs from ``want``, with numpy's BLAS
+    build: some cells depend on the last bits of a LAPACK solve."""
+    rows_w = list(csv.reader(io.StringIO(want, newline="")))
+    rows_g = list(csv.reader(io.StringIO(got, newline="")))
+    header = rows_w[0]
+    moved = [f"row {i} {header[j] if j < len(header) else j}: {a} -> {b}"
+             for i, (rw, rg) in enumerate(zip(rows_w, rows_g))
+             for j, (a, b) in enumerate(itertools.zip_longest(rw, rg))
+             if a != b]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "\n".join([
+        f"{len(rows_w)} rows stored, {len(rows_g)} produced; "
+        f"{len(moved)} cells moved", *moved[:limit],
+        f"numpy {np.__version__}, BLAS {blas.get('name')} "
+        f"{blas.get('version')}"])
+
+
+@pytest.mark.parametrize("fields, digest", GOLDEN,
+                         ids=[f["sid"] for f, _ in GOLDEN])
+def test_golden_csv_digest(fields, digest):
+    with open(GOLDENS / f"{fields['sid']}.csv", newline="") as fh:
+        stored = fh.read()
+    assert _sha256(stored) == digest, "stored CSV disagrees with its digest"
+    got = golden_csv(fields)
+    assert _sha256(got) == digest, _moved_cells(stored, got)

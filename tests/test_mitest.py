@@ -1,6 +1,8 @@
 """Product testing: bounds, decomposition identities, both testers."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,16 +197,19 @@ class TestPearson:
         state = rng.bit_generator.state
         v = mt.pearson_identity_test(q, counts, 1000, 0.1, rng)
         assert rng.bit_generator.state == state
-        assert v.stats["null_quantile"] == mt.pearson_null_quantile(q, 1000)
-        assert v.stats["null_variance"] == mt.pearson_null_variance(q, 1000)
+        variance = mt.pearson_null_variance(q, 1000)
+        assert v.stats["null_variance"] == variance
+        assert v.stats["null_quantile"] == mt.pearson_null_quantile(16,
+                                                                   variance)
         # one bin: the statistic is identically zero, and so is the quantile
-        assert mt.pearson_null_quantile(np.ones(1), 10) == 0.0
+        assert mt.pearson_null_quantile(1, 2.0) == 0.0
 
     @pytest.mark.parametrize("dof", [1, 3, 7, 15, 63, 255])
     def test_uniform_quantile_matches_chi2(self, dof):
         stats = pytest.importorskip("scipy.stats")
         q = np.full(dof + 1, 1.0 / (dof + 1))
-        got = mt.pearson_null_quantile(q, 10_000)
+        got = mt.pearson_null_quantile(q.size,
+                                       mt.pearson_null_variance(q, 10_000))
         want = stats.chi2.ppf(config.PEARSON_NULL_LEVEL, dof)
         assert abs(got / want - 1.0) < 0.01
 
@@ -286,12 +291,23 @@ class TestClassicalMITest:
         assert plan["n_test"] == 22714
 
     def test_gap_domain(self):
-        with pytest.raises(pl.ParameterError):
-            mt.classical_mi_plan(8, 0.6)
-        with pytest.raises(pl.ParameterError):
-            mt.classical_mi_plan(8, 0.0)
-        with pytest.raises(pl.ParameterError):
-            mt.classical_mi_plan(1, 0.2)
+        """A refused gap is not cached: the second call raises too."""
+        for _ in range(2):
+            with pytest.raises(pl.ParameterError):
+                mt.classical_mi_plan(8, 0.6)
+            with pytest.raises(pl.ParameterError):
+                mt.classical_mi_plan(8, 0.0)
+            with pytest.raises(pl.ParameterError):
+                mt.classical_mi_plan(1, 0.2)
+
+    def test_plan_cached_and_handed_out_fresh(self):
+        solve = mt._solve_classical_plan.__wrapped__
+        for d, eps in ((2, 0.3), (8, 0.5), (5, 0.1)):
+            plan = mt.classical_mi_plan(d, eps)
+            assert plan == dict(solve(d, eps))
+            plan["n_test"] = 1
+            del plan["eps_t"]
+            assert mt.classical_mi_plan(d, eps) == dict(solve(d, eps))
 
     def test_product_arm_accepts(self):
         rng = np.random.default_rng(31)
@@ -330,6 +346,50 @@ class TestClassicalMITest:
         with pytest.raises(ValueError, match="d x d"):
             mt.classical_mi_test(np.full((2, 8), 1 / 16), 0.5, rng)
         assert rng.bit_generator.state == state
+
+
+#: sha256 of ``goldens/classical_mi.txt``, the text of
+#: :func:`classical_golden`; any change to a verdict, to a stat's last
+#: bit or to the tester's draws moves it
+CLASSICAL_GOLDEN = (
+    "e065ec5002cb2762e7fc669a7ab3f24461c0563d65f60bf2cb9f51c08d14d0bb")
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def classical_golden() -> str:
+    """One line per seeded classical_mi_test call: its case, then
+    ``repr((accept, sorted(stats.items())))``.
+
+    The joints are the uniform product, two Dirichlet products and
+    correlated_joint at lam 0.2, 0.5 and 1.0, at d in {2, 3, 8} and eps
+    in {0.3, 0.5}.  At lam = 1 the off-diagonal cells are zero, so the
+    MI reads the masked branch of the log-ratios.
+    """
+    lines = []
+    for d in (2, 3, 8):
+        pick = np.random.default_rng([41, d])
+        joints = {"uniform": np.full((d, d), 1.0 / (d * d))}
+        for k in range(2):
+            joints[f"dirichlet{k}"] = np.outer(pick.dirichlet(np.ones(d)),
+                                               pick.dirichlet(np.ones(d)))
+        for lam in (0.2, 0.5, 1.0):
+            joints[f"lam={lam}"] = mt.correlated_joint(d, lam)
+        for eps in (0.3, 0.5):
+            rng = np.random.default_rng([42, d, round(10 * eps)])
+            for name, joint in joints.items():
+                v = mt.classical_mi_test(joint, eps, rng)
+                lines.append(f"d={d} eps={eps} {name} "
+                             + repr((v.accept, sorted(v.stats.items()))))
+    return "\n".join(lines) + "\n"
+
+
+def test_classical_golden():
+    stored = (GOLDENS / "classical_mi.txt").read_text()
+    assert hashlib.sha256(stored.encode()).hexdigest() == CLASSICAL_GOLDEN
+    got = classical_golden()
+    moved = [f"- {w}\n+ {g}" for w, g in
+             zip(stored.splitlines(), got.splitlines()) if w != g]
+    assert got == stored, "\n".join(moved)
 
 
 # ---------------------------------------------------------------------------
