@@ -22,6 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from . import config
 from . import divergences as dv
 from . import frobenius as fb
 from . import linalg
@@ -182,6 +183,14 @@ class Family(typing.NamedTuple):
     product: bool = False     # a product tester should accept it
 
 
+def _random_product_eig(d, r, lam, rng) -> tuple:
+    """a (x) b for two full-rank random states, with its eigensystem
+    read off the factors'."""
+    a, a_dec = linalg.random_density_eig(d, d, rng)
+    b, b_dec = linalg.random_density_eig(d, d, rng)
+    return np.kron(a, b), linalg.kron_decomposition(a_dec, b_dec)
+
+
 FAMILIES = {
     "pure": Family(lambda d, r, lam, rng: linalg.random_pure_eig(d, rng)),
     "rank_r_random": Family(
@@ -195,6 +204,8 @@ FAMILIES = {
     "bipartite:product": Family(
         lambda d, r, lam, rng: linalg.maximally_mixed_eig(d * d),
         bipartite=True, product=True),
+    "bipartite:random_product": Family(
+        _random_product_eig, bipartite=True, product=True),
     "bipartite:correlated": Family(
         lambda d, r, lam, rng: linalg.correlated_pair_eig(d, lam),
         bipartite=True),
@@ -248,7 +259,47 @@ def _chi2_score(rho, rho_dec, out, point, eps):
     return ({"bures_chi2": chi2,
              "hellinger_sq": float(dv.hellinger_sq_q(rho_dec, est)),
              "eps_prime": float(out.eps_prime)},
-            {"within_eps": chi2 <= point})
+            {"within_eps": chi2 <= point,
+             **_structure_flags(rho_dec, out)})
+
+
+def _structure_flags(rho_dec, out) -> dict:
+    """A staged run's structure against the true state in its frame: few
+    unresolved directions, little mass on them (true and estimated), an
+    accurate prefix block and a small weighted error off it."""
+    p, ell = out.params, out.prefix
+    bar = config.K_ACC * p.eps_tilde
+    # rotated from the truth's support alone: cheap at low rank
+    keep = rho_dec.values > 0.0
+    w = out.frame.conj().T @ rho_dec.vectors[:, keep]
+    rho_t = (w * rho_dec.values[keep]) @ w.conj().T
+    block = rho_t[:ell, :ell]
+    return {
+        "cardinality": p.d - ell <= config.K_ACC * p.r * p.l_max,
+        "masses": float(np.trace(block).real) <= bar
+        and float(out.eps_prime) <= bar,
+        "block": linalg.frob_sq(block - np.diag(out.q[:ell]))
+        <= bar * p.eps_tilde / p.r,
+        "tail": _indexed_tail(rho_t, out.q, ell) <= config.K_ACC * p.eps,
+    }
+
+
+def _indexed_tail(rho_t: np.ndarray, q: np.ndarray, ell: int) -> float:
+    """Tail error over pairs whose larger coordinate leaves the prefix.
+
+    Each pair is weighted by 2/q at that coordinate.  q is taken as-is,
+    not required to ascend: the relearning pass can leave small ordering
+    inversions between the prefix and the retained block, which the
+    index-based weights do not care about.
+    """
+    idx = np.arange(q.size)
+    kmax = np.maximum.outer(idx, idx)
+    sel, qk = kmax >= ell, q[kmax]
+    num = 2.0 * np.abs(rho_t - np.diag(q)) ** 2
+    if np.any(sel & (qk <= 0.0) & (num > config.PSD_TOL ** 2)):
+        return float("inf")
+    ok = sel & (qk > 0.0)
+    return float(np.sum(num[ok] / qk[ok]))
 
 
 def _infidelity_score(rho, rho_dec, out, point, eps):
@@ -277,10 +328,21 @@ def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
               "bures_chi2": float(v.stats["bures_chi2_product"]),
               "mi": float(v.stats["mi"])}
+    chi2 = _product_chi2(rho, s.d, v.stats["product"])
     flags = {"accept": v.accept,
              "correct": v.accept == FAMILIES[s.family].product,
-             "floor_ok": bool(v.stats["learning"]["floor_ok"])}
+             "floor_ok": bool(v.stats["learning"]["floor_ok"]),
+             "product_within_eps_prime": chi2 <= v.stats["eps_prime"]}
     return int(v.stats["joint_copies"]), losses, flags
+
+
+def _product_chi2(rho, d: int, learned) -> float:
+    """Bures chi-square of a (x) b, rho's marginals traced out a second
+    time, from ``learned`` (W, q); (a (x) b) W is taken factor by factor."""
+    a, b = linalg.marginals(rho, d)
+    w = learned.vectors
+    abw = (a @ (b @ w.reshape(d, d, d * d)).reshape(d, -1)).reshape(w.shape)
+    return float(dv.bures_chi2_in_basis(w.conj().T @ abw, learned.values))
 
 
 def _pass_rate(flag: str):

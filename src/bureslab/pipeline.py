@@ -464,8 +464,8 @@ def chi2_error_terms(out: CentralOutput, eta: float | None = None) -> dict:
     """The four bound contributions for a cookie-blended estimate.
 
     Descriptive scales, not certified constants: prefix-block off and on
-    diagonal, and retained-block off and on diagonal.  Logged by the
-    harness so runs can show which term dominates.
+    diagonal, and retained-block off and on diagonal.  No caller yet: it
+    is allowlisted for per-trial traces, to show which term dominates.
     """
     p = out.params
     if eta is None:

@@ -1,15 +1,14 @@
 """One test per acceptance criterion.
 
-The suite runs once per pytest process (the pipeline ensemble inside it
-is shared between criteria anyway) and each test prints the criterion's
-pass/fail line before asserting it.  Key tolerances are re-asserted
+The suite runs once per pytest process (criteria 7 and 8 share one chi2
+run inside it anyway) and each test prints the criterion's pass/fail
+line before asserting it.  Key tolerances are re-asserted
 from the measured values so a bookkeeping bug in the suite's own
 ``passed`` flag cannot slip through.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from bureslab import accept
@@ -84,13 +83,23 @@ def test_only_filter_and_unknown_number():
         accept.acceptance_suite(only=[3, 99])
 
 
-def test_indexed_tail_matches_sorted_route():
-    # on an ascending q the index-based tail equals the sorted-route tail
-    from oracles import analysis
-    rng = np.random.default_rng(7)
-    q = np.sort(rng.dirichlet(np.ones(6)))
-    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    rho_t = 0.5 * (h + h.conj().T) * 0.01 + np.diag(q)
-    for ell in (0, 2, 6):
-        assert accept._indexed_tail(rho_t, q, ell) == pytest.approx(
-            analysis.bures_chi2_tail(rho_t, q, ell), rel=1e-12)
+def test_shared_chi2_run_is_seed_pure_and_built_once(monkeypatch):
+    """Criteria 7 and 8 read one chi2 run: criterion 8 measures the same
+    alone as after 7, and running both runs each scenario once."""
+    runs = []
+    real = accept.hz.run_scenario
+
+    def counted(s, *args, **kwargs):
+        runs.append(s.sid)
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(accept.hz, "run_scenario", counted)
+    accept._staged.cache_clear()
+    (alone,) = accept.acceptance_suite(only=[8])
+    accept._staged.cache_clear()
+    runs.clear()
+    both = accept.acceptance_suite(only=[7, 8])
+    assert [r.number for r in both] == [7, 8]
+    assert both[1].measured == alone.measured
+    assert sorted(runs) == sorted(set(runs))
+    assert len(runs) == 3

@@ -1,6 +1,7 @@
 """Scenario plumbing: validation, determinism, fits, emission."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -132,6 +133,10 @@ FAMILY_REFERENCES = {
                            lambda d, r: 0),
     "bipartite:product": (
         lambda d, r, lam, rng: linalg.correlated_pair_state(d, 0.0),
+        lambda d, r: 0),
+    "bipartite:random_product": (
+        lambda d, r, lam, rng: np.kron(linalg.random_density(d, d, rng),
+                                       linalg.random_density(d, d, rng)),
         lambda d, r: 0),
     "bipartite:correlated": (
         lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
@@ -305,6 +310,85 @@ class TestLossKernels:
         assert rec.losses["infidelity"] == dv.infidelity(rho_dec, est)
 
 
+class TestStructureFlags:
+    """The chi2 target's structure flags and the mi target's product flag
+    hold on a real run, and each one fails on an output altered to break
+    it."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        s = small(target="chi2", d=8, r=1, eps_grid=(0.2,), trials=1)
+        rng = np.random.default_rng([s.master_seed, 0, 0])
+        rho, rho_dec = hz.make_state(s, rng)
+        spec = fb.parse_estimator(s.estimator, s.r)
+        params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), 0.2)
+        out = pl.staged_learn(rho, spec, params, rng)
+        assert 0 < out.prefix < s.d
+        return rho_dec, out
+
+    def test_real_run_holds(self, run):
+        assert hz._structure_flags(*run) == dict.fromkeys(
+            ("cardinality", "masses", "block", "tail"), True)
+
+    @pytest.mark.parametrize("flag", ["cardinality", "masses", "block",
+                                      "tail"])
+    def test_each_flag_has_power(self, run, flag):
+        rho_dec, out = run
+        p, ell, q = out.params, out.prefix, out.q.copy()
+        if flag == "cardinality":
+            out = dataclasses.replace(
+                out, params=dataclasses.replace(p, l_max=0))
+        elif flag == "masses":
+            out = dataclasses.replace(
+                out, eps_prime=2.0 * config.K_ACC * p.eps_tilde)
+        elif flag == "block":
+            q[:ell] += 0.1
+            out = dataclasses.replace(out, q=q)
+        else:
+            q[ell:] *= 1e-6
+            out = dataclasses.replace(out, q=q)
+        flags = hz._structure_flags(rho_dec, out)
+        assert flags == {**dict.fromkeys(flags, True), flag: False}
+
+    def test_product_flag_has_power(self, monkeypatch):
+        s = small(target="mi", d=3, family="bipartite:random_product",
+                  eps_grid=(0.5,), trials=1)
+        assert hz._run_trial(s, 0, 0).flags["product_within_eps_prime"]
+        real = hz.mt.quantum_mi_test
+
+        def far(*args, **kwargs):
+            v = real(*args, **kwargs)
+            _, pure = linalg.random_pure_eig(9, np.random.default_rng(3))
+            v.stats["product"] = pure
+            return v
+
+        monkeypatch.setattr(hz.mt, "quantum_mi_test", far)
+        assert not hz._run_trial(s, 0, 0).flags["product_within_eps_prime"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_product_chi2_matches_the_dense_route(d):
+    # any joint and any full-rank reference: (a (x) b) W taken factor by
+    # factor equals the rotation of the formed Kronecker product
+    rng = np.random.default_rng([d, 17])
+    rho = linalg.random_density(d * d, d * d, rng)
+    _, ref = linalg.random_density_eig(d * d, d * d, rng)
+    dense = dv.bures_chi2(np.kron(*linalg.marginals(rho, d)), ref)
+    assert hz._product_chi2(rho, d, ref) == pytest.approx(dense, rel=1e-12)
+
+
+def test_indexed_tail_matches_sorted_route():
+    # on an ascending q the index-based tail equals the sorted-route tail
+    from oracles import analysis
+    rng = np.random.default_rng(7)
+    q = np.sort(rng.dirichlet(np.ones(6)))
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho_t = 0.5 * (h + h.conj().T) * 0.01 + np.diag(q)
+    for ell in (0, 2, 6):
+        assert hz._indexed_tail(rho_t, q, ell) == pytest.approx(
+            analysis.bures_chi2_tail(rho_t, q, ell), rel=1e-12)
+
+
 class TestFit:
     def _records(self, pairs, key="frob_sq"):
         return [hz.TrialRecord(scenario="s", trial=i, point=float(n),
@@ -389,36 +473,36 @@ GOLDEN = [
           family="geometric_spectrum", trials=2, master_seed=12),
      "98f874fb02eefd36511780dbe4c42784ad9b41047e30b8f64fd167454c4c8209"),
     (dict(sid="g-chi2", target="chi2", d=4, r=2, trials=2, master_seed=13),
-     "ddf826fc915c189ee3ed639c2f3f7a24973ca9b2ad46a03fa38450370b0d89d5"),
+     "83239f5735fafb0a382fa860d660d07920c1aac4fcd9c063a61ef8d39b4bbbb5"),
     (dict(sid="g-kl", target="kl", d=3, r=3, family="geometric_spectrum",
           trials=2, master_seed=14),
      "0de90c321817a44d799d492f7e5048be3f66b3c261c88b8e74dbf25641b35faa"),
     (dict(sid="g-mi-prod", target="mi", d=2, family="bipartite:product",
           eps_grid=(0.5,), trials=2, master_seed=15),
-     "666889fc5a77c91d90707af19e14d0fde959ba00a1492503cfcf3cb43954980b"),
+     "158a86b43e717dd6b96c8a6dc605ec717cfdcc2f7d899c188466d930b6626383"),
     (dict(sid="g-mi-corr", target="mi", d=2, family="bipartite:correlated",
           lam=0.6, eps_grid=(0.5,), trials=2, master_seed=16),
-     "ca60fa0abed0e31695d939ccad1ef9594eb240ec90c30791366ea61c016abfdd"),
+     "68f701ca3d8aed100151af3e5b5984182239b3a5ee3668b8a5e0f8ff4742e8ce"),
     (dict(sid="g-chi2-simple", target="chi2", d=4, r=2, estimator="simple",
           trials=2, master_seed=17),
-     "d4bd4e35e86b54e7d4bb2509669eab6eaa1df9be6718e5eff8099992c5843fb9"),
+     "3cd131666632576421eafc3fce1ab22244e97b79b31236f0deedb9f5e0b9bf93"),
     # five shrinking stages per staged run (prefixes 5, 4, 3, 2, 1), so
     # the stage loop's block products at d_t < d reach the CSV
     (dict(sid="g-chi2-stages", target="chi2", d=5, r=1,
           family="geometric_spectrum", trials=2, master_seed=18),
-     "1502600b00959cfc6bf4580df47dbec852f0ff3cdeeea1850c28c60ba8c1f4c0"),
+     "4a75343e4b9373c6dda310fd9858581d4b3c5e24c85826ec306c918fbde5ca36"),
     (dict(sid="g-mi-stages", target="mi", d=5, family="bipartite:product",
           eps_grid=(0.5,), trials=2, master_seed=19),
-     "68a02f5b6ff540c6b8f59d5001026aa2b3eef20aaba4c43d0345407e719aa797"),
+     "e89e03631c982fc5a883505de507f8dfcbbe523c397fbac6a1820b3f4803edd7"),
     # the benchmark's shapes: stage 1 peels the top directions and stage
     # 2 spreads the sub-floor prefix uniformly, so the uniform-spread
     # branch of final_upgrade reaches the CSV at d = 64 and d = 16
     (dict(sid="g-chi2-pure64", target="chi2", d=64, r=1, family="pure",
           trials=2, master_seed=20),
-     "b97934ce3ebb4fcf70d8c762ef0ac336781e08d1c96d23e3af7c27f2d7543864"),
+     "e55a4989dd79df185277ffa58d2b2fd6658301714a1e808183d2097ab6ddcead"),
     (dict(sid="g-chi2-simple16", target="chi2", d=16, r=2,
           estimator="simple", trials=2, master_seed=21),
-     "7dd2c0434200809399b1b64ae3746a7da9b37b7418d6eea5d632aca4a4bddce4"),
+     "2dd214ccd0bb693b7dde425939466df4496590d634b00b0405168672c20d96a8"),
 ]
 
 
