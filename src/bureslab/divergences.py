@@ -1,7 +1,10 @@
 """Classical and quantum divergences with explicit zero conventions.
 
-Classical functions accept nonnegative weight vectors that need not sum
-to one (several estimators hand around subnormalized vectors on purpose).
+Every classical divergence of a pair of weight vectors is a key of
+:func:`classical_chain`, the one classical entry point; only the Renyi
+divergence, the core of :func:`renyi_divergence_q`, has its own.  Both
+accept nonnegative weight vectors that need not sum to one (several
+estimators hand around subnormalized vectors on purpose).
 Conventions throughout: 0/0 = 0, x/0 = +inf for x > 0, and 0*ln 0 = 0.
 Divergences return float('inf') as a first-class value, never raise.
 
@@ -55,11 +58,7 @@ import numpy as np
 from . import config, linalg
 
 __all__ = [
-    "hellinger_sq",
-    "kl_divergence",
-    "chi_sq_divergence",
     "renyi_divergence",
-    "classical_mutual_information",
     "classical_chain",
     "overlap_pair",
     "trace_distance",
@@ -101,8 +100,8 @@ def _result(x):
 
 
 # ---------------------------------------------------------------------------
-# classical: each function but the Renyi divergence reads its weights along
-# the last axis, so a leading axis makes a stack
+# classical: the chain's kernels read their weights along the last axis, so
+# a leading axis makes a stack
 # ---------------------------------------------------------------------------
 
 def _log_ratios(p, q) -> tuple:
@@ -124,32 +123,14 @@ def _log_ratios(p, q) -> tuple:
 
 
 def _chi_sq(p, q):
+    """sum_i (p_i - q_i)^2 / q_i along the last axis.  This form (rather
+    than sum p^2/q - 1) stays correct for subnormalized inputs."""
     diff = p - q
     if q.min() > 0.0:
         return (diff * diff / q).sum(axis=-1)
     live = q > 0.0
     s = np.where(live, diff * diff / np.where(live, q, 1.0), 0.0).sum(axis=-1)
     return np.where((~live & (p > _ZERO_NUM)).any(axis=-1), np.inf, s)
-
-
-def hellinger_sq(p, q) -> float:
-    """sum_i (sqrt(p_i) - sqrt(q_i))^2, valid for subnormalized inputs."""
-    p, q = _weights(p), _weights(q)
-    return _result(((np.sqrt(p) - np.sqrt(q)) ** 2).sum(axis=-1))
-
-
-def kl_divergence(p, q) -> float:
-    """sum_i p_i ln(p_i / q_i)."""
-    return _result(_log_ratios(_weights(p), _weights(q))[0])
-
-
-def chi_sq_divergence(p, q) -> float:
-    """sum_i (p_i - q_i)^2 / q_i.
-
-    This form (rather than sum p^2/q - 1) stays correct for subnormalized
-    inputs, which is exactly how the prefix-learning analysis uses it.
-    """
-    return _result(_chi_sq(_weights(p), _weights(q)))
 
 
 def renyi_divergence(p, q, alpha: float) -> float:
@@ -169,16 +150,6 @@ def renyi_divergence(p, q, alpha: float) -> float:
     if s == 0.0:
         return float("inf") if alpha < 1.0 else float("-inf")
     return float(np.log(s) / (alpha - 1.0))
-
-
-def classical_mutual_information(joint: np.ndarray) -> float:
-    """KL of a joint pmf matrix from the product of its marginals."""
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2:
-        raise ValueError("joint must be a 2-D array")
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    return kl_divergence(joint.ravel(), np.outer(pa, pb).ravel())
 
 
 def _chain(out: dict) -> dict:

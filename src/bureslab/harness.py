@@ -273,33 +273,36 @@ def _structure_flags(rho_dec, out) -> dict:
     keep = rho_dec.values > 0.0
     w = out.frame.conj().T @ rho_dec.vectors[:, keep]
     rho_t = (w * rho_dec.values[keep]) @ w.conj().T
-    block = rho_t[:ell, :ell]
+    # |tau|^2, tau = rho_t - diag(q): the block is its prefix corner
+    num = np.abs(rho_t - np.diag(out.q)) ** 2
     return {
         "cardinality": p.d - ell <= config.K_ACC * p.r * p.l_max,
-        "masses": float(np.trace(block).real) <= bar
+        "masses": float(np.trace(rho_t[:ell, :ell]).real) <= bar
         and float(out.eps_prime) <= bar,
-        "block": linalg.frob_sq(block - np.diag(out.q[:ell]))
-        <= bar * p.eps_tilde / p.r,
-        "tail": _indexed_tail(rho_t, out.q, ell) <= config.K_ACC * p.eps,
+        "block": float(num[:ell, :ell].sum()) <= bar * p.eps_tilde / p.r,
+        "tail": _indexed_tail(num, out.q, ell) <= config.K_ACC * p.eps,
     }
 
 
-def _indexed_tail(rho_t: np.ndarray, q: np.ndarray, ell: int) -> float:
+def _indexed_tail(num: np.ndarray, q: np.ndarray, ell: int) -> float:
     """Tail error over pairs whose larger coordinate leaves the prefix.
 
-    Each pair is weighted by 2/q at that coordinate.  q is taken as-is,
-    not required to ascend: the relearning pass can leave small ordering
-    inversions between the prefix and the retained block, which the
-    index-based weights do not care about.
+    ``num`` holds |tau_ij|^2, tau = rho_t - diag(q) with rho_t the truth
+    in the output frame.  Each pair is weighted by 2/q at that
+    coordinate.  q is taken as-is, not required to ascend: the
+    relearning pass can leave small ordering inversions between the
+    prefix and the retained block, which the index-based weights do not
+    care about.
     """
     idx = np.arange(q.size)
     kmax = np.maximum.outer(idx, idx)
     sel, qk = kmax >= ell, q[kmax]
-    num = 2.0 * np.abs(rho_t - np.diag(q)) ** 2
-    if np.any(sel & (qk <= 0.0) & (num > config.PSD_TOL ** 2)):
+    # 2 |tau|^2 > PSD_TOL^2, with the exact factor 2 moved across
+    if np.any(sel & (qk <= 0.0) & (num > 0.5 * config.PSD_TOL ** 2)):
         return float("inf")
     ok = sel & (qk > 0.0)
-    return float(np.sum(num[ok] / qk[ok]))
+    # the factor 2 is exact, so it may wait for the sum
+    return float(2.0 * np.sum(num[ok] / qk[ok]))
 
 
 def _infidelity_score(rho, rho_dec, out, point, eps):
@@ -323,12 +326,20 @@ def _kl_verdict(s: Scenario, row: dict):
 
 
 def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
+    """Run the quantum tester, then score its learned product against the
+    truth: the joint's Bures chi-square from it, the MI (the joint's
+    relative entropy to the product of its true marginals, whose
+    eigensystem takes two marginal solves) and the product flag.  The
+    true marginals are traced once, for both."""
     v = mt.quantum_mi_test(rho, rho_dec, s.d, float(point), rng,
                            r=s.r, spec=fb.parse_estimator(s.estimator, s.r))
+    learned = v.stats["product"]
+    marginals = linalg.marginals(rho, s.d)
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
-              "bures_chi2": float(v.stats["bures_chi2_product"]),
-              "mi": float(v.stats["mi"])}
-    chi2 = _product_chi2(rho, s.d, v.stats["product"])
+              "bures_chi2": float(dv.bures_chi2(rho, learned)),
+              "mi": float(dv.relative_entropy(
+                  rho_dec, linalg.product_of_marginals(marginals)))}
+    chi2 = _product_chi2(marginals, learned)
     flags = {"accept": v.accept,
              "correct": v.accept == FAMILIES[s.family].product,
              "floor_ok": bool(v.stats["learning"]["floor_ok"]),
@@ -336,11 +347,12 @@ def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
     return int(v.stats["joint_copies"]), losses, flags
 
 
-def _product_chi2(rho, d: int, learned) -> float:
-    """Bures chi-square of a (x) b, rho's marginals traced out a second
-    time, from ``learned`` (W, q); (a (x) b) W is taken factor by factor."""
-    a, b = linalg.marginals(rho, d)
-    w = learned.vectors
+def _product_chi2(marginals, learned) -> float:
+    """Bures chi-square of a (x) b, for the pair ``marginals`` = (a, b)
+    of d x d matrices, from ``learned`` (W, q); (a (x) b) W is taken
+    factor by factor."""
+    a, b = marginals
+    d, w = a.shape[0], learned.vectors
     abw = (a @ (b @ w.reshape(d, d, d * d)).reshape(d, -1)).reshape(w.shape)
     return float(dv.bures_chi2_in_basis(w.conj().T @ abw, learned.values))
 

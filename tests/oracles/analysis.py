@@ -15,6 +15,8 @@ tests use them as references for what the library computes:
 * the block split of D(xi x rho || sigma x tau) in the product
   eigenbasis of the references, and the closed forms that control each
   block through a spectrum floor;
+* the mutual information of a classical joint table, the KL entry of
+  ``divergences.classical_chain`` against the product of its marginals;
 * the mutual-information ceiling for a joint near a product in squared
   Hellinger, with its two ingredients: the root-Hellinger cost of
   depolarizing and MI continuity in trace distance;
@@ -199,8 +201,8 @@ def product_chi2_controls(xi, rho, sigma_hat, tau_hat) -> dict:
     xi_t, rho_t, s, t = _aligned(xi, rho, sigma_hat, tau_hat)
     x = np.real(np.diag(xi_t))
     y = np.real(np.diag(rho_t))
-    chi_x = dv.chi_sq_divergence(x, s)
-    chi_y = dv.chi_sq_divergence(y, t)
+    chi_x = dv.classical_chain(x, s)["chi2"]
+    chi_y = dv.classical_chain(y, t)["chi2"]
     off_xi = _off_diag_sum(xi_t, s)
     off_rho = _off_diag_sum(rho_t, t)
     d = max(s.size, t.size)
@@ -218,6 +220,15 @@ def product_chi2_controls(xi, rho, sigma_hat, tau_hat) -> dict:
 # ---------------------------------------------------------------------------
 # mutual-information bounds
 # ---------------------------------------------------------------------------
+
+def classical_mutual_information(joint) -> float:
+    """KL of a joint pmf matrix from the product of its marginals."""
+    joint = np.asarray(joint, dtype=float)
+    if joint.ndim != 2:
+        raise ValueError("joint must be a 2-D array")
+    product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    return dv.classical_chain(joint.ravel(), product.ravel())["kl"]
+
 
 #: root-Hellinger growth coefficient for depolarizing both arguments
 DEPOL_HELLINGER_COEFF = 4.0 + 4.0 * math.sqrt(2.0)

@@ -366,6 +366,58 @@ class TestStructureFlags:
         assert not hz._run_trial(s, 0, 0).flags["product_within_eps_prime"]
 
 
+def test_mi_trial_scores_against_the_truth(monkeypatch):
+    """After the tester learns, the trial traces the true marginals once
+    and solves two d x d eigensystems, those of the true product; the
+    joint's is the draw's.  Its losses are the same calls on the same
+    inputs as scoring the learned product by hand."""
+    s = small(target="mi", d=3, family="bipartite:correlated", lam=0.6,
+              eps_grid=(0.5,), trials=1)
+    seen, traces, solves = {}, [], []
+    make, test, trace, eigh = hz.make_state, hz.mt.quantum_mi_test, \
+        linalg.marginals, np.linalg.eigh
+    learn = hz.mt.learn_product_quantum
+
+    def made(s, rng):
+        seen["truth"] = make(s, rng)
+        return seen["truth"]
+
+    def traced(*args, **kwargs):
+        traces.append(1)
+        return trace(*args, **kwargs)
+
+    def solved(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def learned(*args, **kwargs):
+        out = learn(*args, **kwargs)
+        monkeypatch.setattr(linalg, "marginals", traced)
+        monkeypatch.setattr(np.linalg, "eigh", solved)
+        return out
+
+    def tested(*args, **kwargs):
+        seen["verdict"] = test(*args, **kwargs)
+        return seen["verdict"]
+
+    monkeypatch.setattr(hz, "make_state", made)
+    monkeypatch.setattr(hz.mt, "learn_product_quantum", learned)
+    monkeypatch.setattr(hz.mt, "quantum_mi_test", tested)
+    rec = hz._run_trial(s, 0, 0)
+    monkeypatch.undo()
+    assert len(traces) == 1
+    assert solves == [(3, 3), (3, 3)]
+    (rho, rho_dec), product = seen["truth"], seen["verdict"].stats["product"]
+    marginals = linalg.marginals(rho, 3)
+    assert rec.losses["bures_chi2"] == dv.bures_chi2(rho, product)
+    assert rec.losses["mi"] == dv.relative_entropy(
+        rho_dec, linalg.product_of_marginals(marginals))
+    assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho_dec, product)
+    assert rec.flags["product_within_eps_prime"] == (
+        hz._product_chi2(marginals, product)
+        <= seen["verdict"].stats["eps_prime"])
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_product_chi2_matches_the_dense_route(d):
     # any joint and any full-rank reference: (a (x) b) W taken factor by
@@ -373,8 +425,9 @@ def test_product_chi2_matches_the_dense_route(d):
     rng = np.random.default_rng([d, 17])
     rho = linalg.random_density(d * d, d * d, rng)
     _, ref = linalg.random_density_eig(d * d, d * d, rng)
-    dense = dv.bures_chi2(np.kron(*linalg.marginals(rho, d)), ref)
-    assert hz._product_chi2(rho, d, ref) == pytest.approx(dense, rel=1e-12)
+    marginals = linalg.marginals(rho, d)
+    dense = dv.bures_chi2(np.kron(*marginals), ref)
+    assert hz._product_chi2(marginals, ref) == pytest.approx(dense, rel=1e-12)
 
 
 def test_indexed_tail_matches_sorted_route():
@@ -384,8 +437,9 @@ def test_indexed_tail_matches_sorted_route():
     q = np.sort(rng.dirichlet(np.ones(6)))
     h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     rho_t = 0.5 * (h + h.conj().T) * 0.01 + np.diag(q)
+    num = np.abs(rho_t - np.diag(q)) ** 2
     for ell in (0, 2, 6):
-        assert hz._indexed_tail(rho_t, q, ell) == pytest.approx(
+        assert hz._indexed_tail(num, q, ell) == pytest.approx(
             analysis.bures_chi2_tail(rho_t, q, ell), rel=1e-12)
 
 

@@ -4,7 +4,10 @@ Every top-level undecorated function or class of ``bureslab``, and every
 name in a module's ``__all__``, must be reached from ``perfbench/*.py``
 or from the package's module-level code, which holds the command-line
 entry point.  A reference is a name or an attribute the code loads;
-docstrings, the ``__all__`` lists and assignment targets do not count.
+docstrings, the ``__all__`` lists and assignment targets do not count,
+and neither does a name read in a top-level definition that binds it
+there (as a parameter or an assignment target anywhere inside): that
+name is a local.
 The benchmark's tracer patches functions by name, so the string
 constants of ``perfbench/tracing.py``, which holds those names, count as
 references too; the other benchmark files' strings are data (chain keys,
@@ -70,6 +73,18 @@ def _is_all(node) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
 
 
+def _bound(top) -> set:
+    """Names a top-level statement binds inside: the parameters of every
+    function or lambda in it and every assignment target."""
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
 def _references(tree, strings: bool) -> set:
     """(top-level definition the reference sits in, or None; name)."""
     skip = _docstring_nodes(tree)
@@ -80,11 +95,13 @@ def _references(tree, strings: bool) -> set:
         owner = top.name if isinstance(
             top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
             else None
+        local = _bound(top)
         for node in ast.walk(top):
             if isinstance(getattr(node, "ctx", None), ast.Store):
                 continue
             if isinstance(node, ast.Name):
-                refs.add((owner, node.id))
+                if node.id not in local:
+                    refs.add((owner, node.id))
             elif isinstance(node, ast.Attribute):
                 refs.add((owner, node.attr))
             elif (strings and isinstance(node, ast.Constant)
