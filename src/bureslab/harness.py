@@ -292,17 +292,25 @@ def _indexed_tail(num: np.ndarray, q: np.ndarray, ell: int) -> float:
     coordinate.  q is taken as-is, not required to ascend: the
     relearning pass can leave small ordering inversions between the
     prefix and the retained block, which the index-based weights do not
-    care about.
+    care about.  The pairs whose larger coordinate is k fill an L: row k
+    up to the diagonal and column k above it.  Each L is summed by a
+    running sum along rows and one along columns, read at the diagonal,
+    so the weights divide d - ell sums, not the d x d pairs.
     """
-    idx = np.arange(q.size)
-    kmax = np.maximum.outer(idx, idx)
-    sel, qk = kmax >= ell, q[kmax]
-    # 2 |tau|^2 > PSD_TOL^2, with the exact factor 2 moved across
-    if np.any(sel & (qk <= 0.0) & (num > 0.5 * config.PSD_TOL ** 2)):
-        return float("inf")
-    ok = sel & (qk > 0.0)
+    rows, cols, qk = num[ell:], num[:, ell:], q[ell:]
+    # both running sums count num_kk, so it is taken off once
+    ls = (np.cumsum(rows, axis=1).diagonal(ell)
+          + np.cumsum(cols, axis=0).diagonal(-ell) - num.diagonal()[ell:])
+    dead = qk <= 0.0
+    if dead.any():
+        peak = np.maximum(np.maximum.accumulate(rows, axis=1).diagonal(ell),
+                          np.maximum.accumulate(cols, axis=0).diagonal(-ell))
+        # 2 |tau|^2 > PSD_TOL^2, with the exact factor 2 moved across
+        if np.any(peak[dead] > 0.5 * config.PSD_TOL ** 2):
+            return float("inf")
+        ls, qk = ls[~dead], qk[~dead]
     # the factor 2 is exact, so it may wait for the sum
-    return float(2.0 * np.sum(num[ok] / qk[ok]))
+    return float(2.0 * np.sum(ls / qk))
 
 
 def _infidelity_score(rho, rho_dec, out, point, eps):
@@ -313,9 +321,9 @@ def _infidelity_score(rho, rho_dec, out, point, eps):
 
 def _kl_score(rho, rho_dec, out, point, eps):
     est = pl.to_infidelity(out)
-    infid = float(dv.infidelity(rho_dec, est))
     smoothed, bound = pl.to_kl(est, eps)
-    kl, bound = float(dv.relative_entropy(rho_dec, smoothed)), float(bound)
+    infid, kl = dv.infidelity_and_relative_entropy(rho_dec, est, smoothed)
+    bound = float(bound)
     return ({"infidelity": infid, "kl": kl, "kl_bound": bound},
             {"within_eps": infid <= eps, "kl_within_bound": kl <= bound})
 

@@ -12,7 +12,8 @@ from rho without building or eigen-checking a matrix per outcome:
 
 * :class:`Povm`, a measurement in an orthonormal basis.  The basis is
   validated once (square and unitary), and the probabilities are the
-  diagonal of U^dagger rho U; no projector is ever formed.
+  diagonal of U^dagger rho U; no projector is ever formed.  The same
+  projectors under new labels (``Povm.permuted``) need no second check.
 * :class:`MatchingDesign`, every pair-interference measurement of one
   dimension stacked into one record: one row of Born probabilities per
   measurement, all read in closed form from rho's diagonal and its
@@ -22,10 +23,14 @@ Both hand ``sample_povm`` Born probabilities, a vector or one row per
 measurement, and each row is one multinomial distribution of the same
 draw.  A row that dips below zero past round-off means the input was not
 a state, and the sampler raises instead of clipping it away.  Every row
-is judged at unit scale against PSD_TOL.  Conditional states are formed
-only above ``config.PASS_MASS_FLOOR`` (``linalg.restrict``, the state
-that survives :func:`filter_subset`), where round-off amplified by the
-pass probability stays far inside that tolerance.
+is judged at unit scale against PSD_TOL.
+
+A filter onto a block of basis vectors (:func:`filter_subset`) reads
+only the block's pass mass, so a caller that knows the mass need not
+form the block.  Conditional states are formed only above
+``config.PASS_MASS_FLOOR`` (``linalg.restrict``, the state that
+survives the filter), where round-off amplified by the pass probability
+stays far inside that tolerance.
 """
 
 from __future__ import annotations
@@ -110,6 +115,25 @@ class Povm:
         """Rank-one POVM of projectors onto the columns of a unitary."""
         return cls(basis=u)
 
+    def permuted(self, order) -> "Povm":
+        """The same projectors reordered: its outcome k is ``order[k]``.
+
+        Its basis is U P for the permutation matrix P of ``order``, and
+        (U P)^dagger (U P) - Id = P^T (U^dagger U - Id) P holds the same
+        entries as the checked gram, so no second gram is formed; only
+        ``order`` is checked to be a permutation of the outcomes.
+        """
+        order = np.asarray(order)
+        d = self.basis.shape[0]
+        # d nonnegative indices below d, each once (bincount refuses a
+        # negative one)
+        counts = np.bincount(order.ravel(), minlength=d)
+        if order.shape != (d,) or counts.size != d or counts.min() != 1:
+            raise ValueError(f"order must be a permutation of {d} outcomes")
+        povm = object.__new__(Povm)
+        object.__setattr__(povm, "basis", self.basis.take(order, axis=1))
+        return povm
+
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """<u_k|rho|u_k> = Re sum_i conj(u_ik) (rho u)_ik for each column k."""
         u = self.basis
@@ -160,18 +184,18 @@ def sample_basis(rho: np.ndarray, k: int,
     return rng.multinomial(k, p)
 
 
-def filter_subset(blk: np.ndarray, k: int,
+def filter_subset(mass: float, k: int,
                   rng: np.random.Generator) -> int:
     """Project k copies onto the span of a block's basis vectors.
 
-    ``blk`` is the principal block of the state on those vectors,
-    unnormalized, so tr blk is the pass mass.  Simulates the two-outcome
-    measurement {P, Id - P} and returns the number of copies that pass,
-    binomial with mean k tr blk.  The conditional state on success is
-    ``linalg.restrict(blk)``; a caller that estimates from the survivors
-    builds it once itself.
+    ``mass`` is the pass mass, tr blk for the principal block blk of the
+    state on those vectors; it is clipped to [0, 1] against round-off.
+    Simulates the two-outcome measurement {P, Id - P} and returns the
+    number of copies that pass, binomial with mean k times the mass.
+    The conditional state on success is ``linalg.restrict(blk)``; a
+    caller that estimates from the survivors builds it once itself.
     """
-    tau = min(max(float(np.trace(blk).real), 0.0), 1.0)
+    tau = min(max(float(mass), 0.0), 1.0)
     return int(rng.binomial(k, tau)) if k > 0 else 0
 
 

@@ -24,14 +24,21 @@ Frames: ``staged_learn`` accumulates a unitary V such that the true
 state in the working frame is V^dagger rho V; all output quantities
 (prefix L, diagonal q) live in that frame.  A stage reads only the
 prefix block of that state, so the learner keeps the block alone,
-unnormalized (its trace is the prefix's mass): each stage rotates it
-by the estimated basis B as B^dagger blk B and slices it to the next
-prefix, and updates only the first d_t columns of V.  A stage that
+unnormalized (its trace is the prefix's mass), and updates only the
+first d_t columns of V by a stage's estimated basis B.  The block's
+rotation B^dagger blk B is formed only when a later stage needs it:
+the next prefix's mass is read first, as tr blk minus the retained
+columns' b^dagger blk b, and a stage whose mass is at or below
+``config.PASS_MASS_FLOOR`` measures that mass alone.  A stage that
 spreads its mass uniformly estimates no basis (B would be the identity:
 the block keeps its frame), so it only slices the block and leaves V as
-it is.  Every ``to_*`` helper returns its estimate in the input frame
-as a decomposition: the columns of V are its eigenvectors, so no helper
-multiplies out V diag(q) V^dagger and no scorer diagonalizes it again.
+it is.  While V is still the first stage's basis, the relearning pass
+measures in the ``measurement.Povm`` that stage validated, relabeled to
+the order of its values; once a later stage rotates V, it measures in a
+newly checked ``Povm.from_basis(V)``.  Every ``to_*`` helper returns its
+estimate in the input frame as a decomposition: the columns of V are its
+eigenvectors, so no helper multiplies out V diag(q) V^dagger and no
+scorer diagonalizes it again.
 """
 
 from __future__ import annotations
@@ -83,14 +90,18 @@ def diagonalize_estimate(est: np.ndarray) -> linalg.SpectralDecomposition:
 
 
 def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
-                        rng: np.random.Generator
-                        ) -> linalg.SpectralDecomposition:
+                        rng: np.random.Generator) -> tuple:
     """Basis from half the copies, empirical diagonal from the rest.
 
-    Returns an estimate whose values are a genuine probability vector
-    (nonnegative, summing to one exactly) sorted ascending along with the
-    matching basis.  Expected squared error of (basis, values) against
-    rho is at most 2 f/m + 2/m for an f-rate base estimator.
+    Returns ``(estimate, povm)``: a ``linalg.SpectralDecomposition``
+    whose values are a genuine probability vector (nonnegative, summing
+    to one exactly) sorted ascending along with the matching basis, and
+    the :class:`measurement.Povm` the diagonal was measured in, relabeled
+    to the order of those values, so ``povm.basis`` is the estimate's
+    vectors.  Ties keep their measured order, as in
+    ``SpectralDecomposition.ascending``.  Expected squared error of
+    (basis, values) against rho is at most 2 f/m + 2/m for an f-rate
+    base estimator.
     """
     if m < 2:
         raise ParameterError("need at least 2 copies to split phases")
@@ -98,8 +109,12 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
     base = spec.run(rho, m1, rng)
     dig = diagonalize_estimate(base)
     m2 = m - m1
-    counts = ms.sample_povm(ms.Povm.from_basis(dig.vectors), rho, m2, rng)
-    return linalg.SpectralDecomposition.ascending(counts / m2, dig.vectors)
+    povm = ms.Povm.from_basis(dig.vectors)
+    values = ms.sample_povm(povm, rho, m2, rng) / m2
+    order = np.argsort(values, kind="stable")
+    povm = povm.permuted(order)
+    return linalg.SpectralDecomposition(values=values[order],
+                                        vectors=povm.basis), povm
 
 
 @dataclass(frozen=True)
@@ -108,60 +123,72 @@ class FinalUpgradeResult:
 
     ``values`` sum exactly to kept_second / m_phase (the observed pass
     rate of the second phase) and estimate the spectrum of the block;
-    ``basis`` is d_t x d_t in the block's coordinates, or None after a
-    uniform spread, which estimates none: the block keeps its frame.
-    ``theta_hat`` is the reporting threshold max(tau_hat/(100 r), mass
-    floor).
+    ``povm`` is the measurement in the estimated basis, d_t x d_t in the
+    block's coordinates, with its outcomes in the order of ``values``,
+    or None after a uniform spread, which estimates none: the block
+    keeps its frame.  ``theta_hat`` is the reporting threshold
+    max(tau_hat/(100 r), mass floor).
     """
 
     tau_hat: float
     theta_hat: float
-    basis: np.ndarray | None
+    povm: ms.Povm | None
     values: np.ndarray
     kept_second: int
 
+    @property
+    def basis(self) -> np.ndarray | None:
+        """The estimated basis, ``povm.basis``, or None."""
+        return None if self.povm is None else self.povm.basis
 
-def final_upgrade(spec: EstimatorSpec, blk: np.ndarray, r: int,
-                  delta: float, m_phase: int,
+
+def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
+                  blk: np.ndarray | None, r: int, delta: float,
+                  m_phase: int,
                   rng: np.random.Generator) -> FinalUpgradeResult:
     """Filtered two-phase estimate of a prefix block from 2 m_phase copies.
 
-    ``blk`` is the d_t x d_t prefix block of the working state,
-    unnormalized: a copy passes the filter onto the prefix with
-    probability tr blk, and the state it leaves is blk / tr blk.
-    ``delta`` is the failure parameter of each coordinate's mass floor,
-    the run's delta over the full dimension.  Phase one measures the
-    pass rate tau_hat alone, so it forms no conditional state; phase two
-    filters again and hands the survivors to :func:`make_state_diagonal`
-    on the conditional state (``linalg.restrict(blk)``, built once per
-    call), rescaling its values by the observed pass rate.  When too few
-    copies survive for the base estimator (its ``min_copies`` on the
-    block), or the block's true mass is at or below
-    ``config.PASS_MASS_FLOOR`` (``restrict`` then returns no conditional
-    state), the observed mass is spread uniformly instead and ``basis``
-    is None: the block keeps its frame.  The same code path serves both
-    the high-mass and low-mass regimes; only the analysis distinguishes
-    them.  The caller charges the 2 m_phase copies to its ledger.
+    The prefix has d_t coordinates, and a copy passes the filter onto it
+    with probability ``mass``, which both filter phases read.  ``blk``
+    is the d_t x d_t prefix block of the working state, unnormalized,
+    whose trace is ``mass``, and a passing copy leaves blk / tr blk; at
+    or below ``config.PASS_MASS_FLOOR``, where no conditional state is
+    formed, the caller may pass None instead (above it, None is
+    refused).  ``delta`` is the failure parameter of each coordinate's
+    mass floor, the run's delta over the full dimension.  Phase one
+    measures the pass rate tau_hat alone, so it forms no conditional
+    state; phase two filters again and hands the survivors to
+    :func:`make_state_diagonal` on the conditional state
+    (``linalg.restrict(blk)``, built once per call), rescaling its
+    values by the observed pass rate.  When too few copies survive for
+    the base estimator (its ``min_copies`` on the block), or the block's
+    true mass is at or below the floor (``restrict`` then returns no
+    conditional state), the observed mass is spread uniformly instead
+    and ``povm`` is None: the block keeps its frame.  The same code path
+    serves both the high-mass and low-mass regimes; only the analysis
+    distinguishes them.  The caller charges the 2 m_phase copies to its
+    ledger.
     """
-    d_t = blk.shape[0]
-    tau_hat = ms.filter_subset(blk, k=m_phase, rng=rng) / m_phase
-    kept2 = ms.filter_subset(blk, k=m_phase, rng=rng)
-    cond = linalg.restrict(blk)
+    if blk is None and mass > config.PASS_MASS_FLOOR:
+        raise ValueError(f"a prefix of mass {mass:.3g} above the pass-mass "
+                         "floor needs its block")
+    tau_hat = ms.filter_subset(mass, k=m_phase, rng=rng) / m_phase
+    kept2 = ms.filter_subset(mass, k=m_phase, rng=rng)
+    cond = None if blk is None else linalg.restrict(blk)
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(d_t)):
         # too few survivors to estimate structure (the base estimator
         # gets kept2 // 2 of them); spread the observed mass uniformly
         # so the trace identity stays exact
-        basis = None
+        povm = None
         values = np.full(d_t, scale / d_t)
     else:
-        dig = make_state_diagonal(spec, cond, kept2, rng)
-        basis = dig.vectors
+        dig, povm = make_state_diagonal(spec, cond, kept2, rng)
         values = dig.values * scale
     theta = max(tau_hat / (100.0 * r), classical.mass_floor(m_phase, delta))
     return FinalUpgradeResult(
-        tau_hat=tau_hat, theta_hat=theta, basis=basis, values=values,
+        tau_hat=tau_hat, theta_hat=theta, povm=povm, values=values,
         kept_second=kept2)
 
 
@@ -305,11 +332,14 @@ class CentralOutput:
     The true state satisfies rho ~ V diag(q) V^dagger with the quality
     split by the prefix: L = range(prefix) holds the residual mass
     eps_prime, the complement holds the resolved spectrum.  The relearn
-    pass measures in V through ``Povm.from_basis``, which refuses a V
-    further than ``config.UNITARY_TOL`` from unitary; that check is what
-    lets the ``to_*`` helpers hand out (V, q'), for their adjusted
-    values q', as a ``linalg.SpectralDecomposition`` in the input frame,
-    sorted ascending with V's columns in the same order.
+    pass measures in V through a ``measurement.Povm``, which refuses a
+    V further than ``config.UNITARY_TOL`` from unitary: a V that is the
+    first stage's basis is that stage's checked Povm with its outcomes
+    relabeled (``Povm.permuted``), and any other V is checked by
+    ``Povm.from_basis``.  That check is what lets the ``to_*`` helpers
+    hand out (V, q'), for their adjusted values q', as a
+    ``linalg.SpectralDecomposition`` in the input frame, sorted
+    ascending with V's columns in the same order.
     """
 
     params: CentralParams
@@ -345,16 +375,22 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     """Peel large eigenvalues off a shrinking prefix, then relearn.
 
     Each stage spends params.m copies on a filtered two-phase estimate of
-    the current prefix block, rotates the block and the frame's prefix
-    columns by the estimated basis (a uniform-spread stage has none and
-    rotates nothing), and moves the suffix entries passing the tail rule
-    out of the prefix.  The stage state is that prefix block of
-    V^dagger rho V alone, unnormalized, sliced down as the prefix
-    shrinks; the rest of the rotated state is never formed.
+    the current prefix block, rotates the frame's prefix columns by the
+    estimated basis B (a uniform-spread stage has none and rotates
+    nothing), and moves the suffix entries passing the tail rule out of
+    the prefix.  The stage state is that prefix block of V^dagger rho V
+    alone, unnormalized, sliced down as the prefix shrinks; the rest of
+    the rotated state is never formed.  After a stage with a basis, the
+    next prefix's mass is tr blk minus the retained columns'
+    b^dagger blk b, a d_t x r product, and B^dagger blk B is formed only
+    when that mass clears ``config.PASS_MASS_FLOOR`` or a smaller prefix
+    must be sliced from it; a stage below the floor measures the mass
+    alone.
     Stages stop once the prefix mass estimate falls to 1.1 eps_tilde, the
     stage count passes d, or the budget reserve (half the total, kept for
     the relearning pass) would be broken.  The reserve then buys a single
-    computational-basis pass in the final frame, add-one smoothed on the
+    computational-basis pass in the final frame (in the first stage's
+    Povm while the frame is that stage's basis), add-one smoothed on the
     retained suffix [d_t, d), or on every coordinate if that is empty.
 
     The run's :class:`measurement.CopyBudget` is the lab's one copy
@@ -365,6 +401,11 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     budget = ms.CopyBudget(total=params.total)
     v_acc = np.eye(d, dtype=complex)
     blk = np.asarray(rho, dtype=complex)
+    mass = float(blk.trace().real)
+    # a stage's basis whose rotation of blk is not formed yet: the
+    # current block is then (b^dagger blk b)[:d_t, :d_t]
+    pending = None
+    relearn = None  # the first stage's Povm, while it is the frame
     out = CentralOutput(params=params, frame=v_acc, prefix=d,
                         q=np.zeros(d), eps_prime=0.0)
 
@@ -380,12 +421,17 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             break
         stage += 1
         budget.take(m)
-        res = final_upgrade(spec, blk, r, params.delta / d, m // 2, rng)
+        if pending is not None and mass > config.PASS_MASS_FLOOR:
+            blk, pending = _rotate(blk, pending, d_t), None
+            mass = float(blk.trace().real)
+        res = final_upgrade(spec, d_t, mass, None if pending is not None
+                            else blk, r, params.delta / d, m // 2, rng)
         # revise the frame's prefix columns by the estimated block basis
         # (the frame starts at I); a uniform spread leaves them as they are
         b = res.basis
         if b is not None:
             v_acc[:, :d_t] = b if stage == 1 else v_acc[:, :d_t] @ b
+            relearn = res.povm if stage == 1 else None
 
         retained = _tail_rule_floor(res.values, r)
         out.stages.append(StageRecord(
@@ -398,23 +444,37 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
         if stage > d:
             out.stop_reason = "stage cap"
             break
-        d_next = max(d_t - r, 0)
-        d_t = max(d_next, d_t - retained)
+        d_next = max(d_t - r, d_t - retained, 0)
         if b is not None:
-            blk = b.conj().T @ blk @ b
-        blk = blk[:d_t, :d_t]
+            # the rotated block's mass on the next prefix: all of it but
+            # what the retained columns carry
+            gone = b[:, d_next:]
+            mass -= float(np.vdot(gone, blk @ gone).real)
+            pending = b
+        elif d_next < d_t:
+            blk = blk[:d_next, :d_next] if pending is None \
+                else _rotate(blk, pending, d_next)
+            pending = None
+            mass = float(blk.trace().real)
+        d_t = d_next
 
     out.prefix = d_t
     out.frame = v_acc
 
     # relearning pass: everything left in the budget, one basis
     m_rest = budget.take(budget.remaining)
-    counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
+    povm = ms.Povm.from_basis(v_acc) if relearn is None else relearn
+    counts = ms.sample_povm(povm, rho, m_rest, rng)
     q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
     out.q = q
     out.eps_prime = float(np.sum(q[:d_t]))
     out.consumed = budget.consumed
     return out
+
+
+def _rotate(blk: np.ndarray, b: np.ndarray, d_t: int) -> np.ndarray:
+    """The prefix block (b^dagger blk b)[:d_t, :d_t]."""
+    return (b.conj().T @ blk @ b)[:d_t, :d_t]
 
 
 # ---------------------------------------------------------------------------

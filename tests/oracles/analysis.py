@@ -7,8 +7,9 @@ tests use them as references for what the library computes:
   chi-square risk (checked against Monte Carlo and against
   ``addone_mean_oracle.py``);
 * the hat-weighted tail of the Bures chi-square, which splits the full
-  divergence into a prefix block plus a tail (criterion 8 of the
-  acceptance suite keeps its own index-based version);
+  divergence into a prefix block plus a tail, and the index-based form
+  of it that the harness's structure flags read, summed through d x d
+  index masks as the harness once did;
 * the reverse-Pinsker bound (2 + max-log-ratio) H^2 on the relative
   entropy, the reference for the ``reverse_bound`` entry of
   ``divergences.quantum_chain``;
@@ -104,6 +105,23 @@ def bures_chi2_tail(rho_t: np.ndarray, q, ell: int) -> float:
         return float("inf")
     ok = sel & (qmax > 0.0)
     return float(np.sum(num[ok] / qmax[ok]))
+
+
+def indexed_tail_by_masks(num: np.ndarray, q, ell: int) -> float:
+    """The harness's ``_indexed_tail`` through the d x d index maximum.
+
+    Sums 2 num_ij / q_k over the pairs whose larger index k = max(i, j)
+    is at least ``ell`` and has q_k > 0, gathered by boolean masks; +inf
+    when such a pair has q_k <= 0 and 2 num_ij > PSD_TOL^2.  q is taken
+    as-is, in any order and with any sign.
+    """
+    idx = np.arange(q.size)
+    kmax = np.maximum.outer(idx, idx)
+    sel, qk = kmax >= ell, q[kmax]
+    if np.any(sel & (qk <= 0.0) & (num > 0.5 * config.PSD_TOL ** 2)):
+        return float("inf")
+    ok = sel & (qk > 0.0)
+    return float(2.0 * np.sum(num[ok] / qk[ok]))
 
 
 def max_log_ratio_q(rho, sigma) -> float:

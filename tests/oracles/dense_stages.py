@@ -4,10 +4,12 @@ This is the loop as it ran before the learner kept only the prefix
 block: every stage rotates the whole d x d working state as w^dagger
 rho w and the whole frame as V w, where w is the estimated prefix basis
 padded with the identity, and the filtered estimate gathers the prefix
-out of the full state by index.  The library's
+out of the full state by index, reading its pass mass as the trace of
+that gathered block.  It measures the relearning pass in a newly
+checked ``Povm.from_basis`` of the final frame.  The library's
 ``pipeline.staged_learn`` must take the same random draws and reach the
 same frame, prefix, diagonal and stage records, within round-off of the
-block-sized products.
+block-sized products and of its route to a stage's mass.
 
 Import from a test as ``from oracles import dense_stages``.
 """
@@ -19,37 +21,42 @@ from bureslab import classical, linalg, measurement as ms, pipeline as pl
 
 def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
     """Filtered two-phase estimate of rho[S] from 2 m_phase copies,
-    with delta the run's failure parameter over d = rho's dimension."""
+    with delta the run's failure parameter over d = rho's dimension;
+    returns the result and the pass mass tr rho[S]."""
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
     blk = rho[np.ix_(idx, idx)]
-    tau_hat = ms.filter_subset(blk, k=m_phase, rng=rng) / m_phase
-    kept2 = ms.filter_subset(blk, k=m_phase, rng=rng)
+    mass = np.trace(blk).real
+    tau_hat = ms.filter_subset(mass, k=m_phase, rng=rng) / m_phase
+    kept2 = ms.filter_subset(mass, k=m_phase, rng=rng)
     cond = linalg.restrict(blk)
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(idx.size)):
-        basis = None
+        povm = None
         values = np.full(idx.size, scale / idx.size)
     else:
-        dig = pl.make_state_diagonal(spec, cond, kept2, rng)
-        basis = dig.vectors
+        dig, povm = pl.make_state_diagonal(spec, cond, kept2, rng)
         values = dig.values * scale
     theta = max(tau_hat / (100.0 * r),
                 classical.mass_floor(m_phase, delta / d))
     return pl.FinalUpgradeResult(
-        tau_hat=tau_hat, theta_hat=theta, basis=basis, values=values,
-        kept_second=kept2)
+        tau_hat=tau_hat, theta_hat=theta, povm=povm, values=values,
+        kept_second=kept2), mass
 
 
 def staged_learn(rho, spec, params, rng):
-    """The staged learner with the full state and frame rotated per stage."""
+    """The staged learner with the full state and frame rotated per stage.
+
+    Returns ``(out, masses)``: the run's output and each stage's true
+    pass mass, the trace of its prefix block."""
     d, r, m = params.d, params.r, params.m
     budget = ms.CopyBudget(total=params.total)
     v_acc = np.eye(d, dtype=complex)
     rho_cur = np.asarray(rho, dtype=complex)
     out = pl.CentralOutput(params=params, frame=v_acc, prefix=d,
                            q=np.zeros(d), eps_prime=0.0)
+    masses = []
     d_t = d
     stage = 0
     while True:
@@ -62,8 +69,9 @@ def staged_learn(rho, spec, params, rng):
             break
         stage += 1
         budget.take(m)
-        res = final_upgrade(spec, rho_cur, np.arange(d_t), r, params.delta,
-                            m // 2, rng)
+        res, mass = final_upgrade(spec, rho_cur, np.arange(d_t), r,
+                                  params.delta, m // 2, rng)
+        masses.append(mass)
         w = np.eye(d, dtype=complex)
         if res.basis is not None:  # no basis: the identity
             w[:d_t, :d_t] = res.basis
@@ -87,4 +95,4 @@ def staged_learn(rho, spec, params, rng):
     out.q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
     out.eps_prime = float(np.sum(out.q[:d_t]))
     out.consumed = budget.consumed
-    return out
+    return out, masses

@@ -31,6 +31,28 @@ def test_povm_validation():
         ms.Povm.from_basis(np.eye(3)[:, :2])
 
 
+def test_permuted_povm_is_the_reordered_basis():
+    """Relabeling a checked Povm's outcomes forms no second gram, and it
+    measures exactly as a Povm built and checked on the reordered
+    columns; only a permutation of the outcomes is taken."""
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 8, 64):
+        u = linalg.haar_unitary(d, rng)
+        rho = linalg.random_density(d, max(1, d // 2), rng)
+        order = rng.permutation(d)
+        moved = ms.Povm.from_basis(u).permuted(order)
+        assert np.array_equal(moved.basis, u[:, order])
+        assert np.array_equal(moved.probabilities(rho),
+                              ms.Povm.from_basis(u[:, order])
+                              .probabilities(rho))
+    povm = ms.Povm.from_basis(np.eye(3))
+    with pytest.raises(ValueError):
+        povm.permuted([-1, 0, 1])
+    for bad in ([0, 0, 1], [0, 1], [[0, 1, 2]], [0, 1, 3], [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match="permutation"):
+            povm.permuted(bad)
+
+
 def test_dense_povm_validation():
     """The reference POVM keeps every per-element check."""
     good = dense.DensePovm.from_basis(np.eye(3))
@@ -86,16 +108,20 @@ def test_sample_huge_budget_is_cheap():
 def test_filter_subset():
     rng = np.random.default_rng(19)
     blk = np.diag([0.5, 0.3, 0.2]).astype(complex)[:2, :2]
-    kept = ms.filter_subset(blk, 100_000, rng)
+    mass = np.trace(blk).real
+    kept = ms.filter_subset(mass, 100_000, rng)
     assert isinstance(kept, int)
     assert abs(kept / 100_000 - 0.8) < 0.01
     cond = linalg.restrict(blk)
     assert abs(np.trace(cond).real - 1.0) < 1e-12
     assert cond[0, 0].real == pytest.approx(0.5 / 0.8)
     empty = np.diag([1.0, 0, 0]).astype(complex)[1:, 1:]
-    assert ms.filter_subset(empty, 50, rng) == 0
+    assert ms.filter_subset(np.trace(empty).real, 50, rng) == 0
     assert linalg.restrict(empty) is None
-    assert ms.filter_subset(blk, 0, rng) == 0
+    assert ms.filter_subset(mass, 0, rng) == 0
+    # round-off past either end of [0, 1] is clipped
+    assert ms.filter_subset(-1e-17, 50, rng) == 0
+    assert ms.filter_subset(1.0 + 1e-15, 50, rng) == 50
 
 
 @pytest.mark.parametrize("d", [2, 4, 5, 7, 8])

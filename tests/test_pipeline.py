@@ -35,7 +35,8 @@ def test_diagonal_estimate_invariants():
 def test_make_state_diagonal_output_shape():
     rng = np.random.default_rng(203)
     rho = linalg.random_density(4, 2, rng)
-    dig = pl.make_state_diagonal(ORACLE, rho, 10_000, rng)
+    dig, povm = pl.make_state_diagonal(ORACLE, rho, 10_000, rng)
+    assert povm.basis is dig.vectors  # the Povm in the order of the values
     assert dig.values.sum() == pytest.approx(1.0)
     assert np.all(dig.values >= 0)
     assert np.all(np.diff(dig.values) >= 0)
@@ -52,7 +53,7 @@ def test_make_state_diagonal_error_rate():
     f = ORACLE.rate(d, d)
     errs = np.empty(trials)
     for t in range(trials):
-        dig = pl.make_state_diagonal(ORACLE, rho, m, rng)
+        dig, _ = pl.make_state_diagonal(ORACLE, rho, m, rng)
         errs[t] = linalg.frob_sq(dig.vectors.conj().T @ rho @ dig.vectors
                                  - np.diag(dig.values))
     bound = 2 * f / m + 2 / m
@@ -64,8 +65,8 @@ def test_final_upgrade_accounting():
     rng = np.random.default_rng(217)
     rho = linalg.random_density(5, 3, rng)
     blk = rho[:3, :3]
-    res = pl.final_upgrade(ORACLE, blk, r=3, delta=0.01 / 5,
-                           m_phase=20_000, rng=rng)
+    res = pl.final_upgrade(ORACLE, 3, np.trace(blk).real, blk, r=3,
+                           delta=0.01 / 5, m_phase=20_000, rng=rng)
     # exact trace identity: values sum to the observed phase-two pass rate
     assert res.values.sum() == pytest.approx(res.kept_second / 20_000, abs=1e-12)
     tau = np.trace(blk).real
@@ -80,8 +81,9 @@ def test_final_upgrade_starved_filter():
     rho = np.diag([0.999999, 1e-6, 0.0]).astype(complex) \
         + np.zeros((3, 3), dtype=complex)
     rho /= np.trace(rho).real
-    res = pl.final_upgrade(ORACLE, rho[1:, 1:], r=1,
-                           delta=0.1 / 3, m_phase=50, rng=rng)
+    res = pl.final_upgrade(ORACLE, 2, np.trace(rho[1:, 1:]).real,
+                           rho[1:, 1:], r=1, delta=0.1 / 3, m_phase=50,
+                           rng=rng)
     # almost surely zero or one survivor: uniform fallback keeps the trace
     assert res.values.sum() == pytest.approx(res.kept_second / 50, abs=1e-12)
 
@@ -93,8 +95,9 @@ def test_final_upgrade_starved_base_estimator():
     rng = np.random.default_rng(221)
     rho = linalg.random_density(6, 6, rng)
     simple = fb.parse_estimator("simple")
-    res = pl.final_upgrade(simple, rho[:4, :4], r=2,
-                           delta=0.1 / 6, m_phase=12, rng=rng)
+    res = pl.final_upgrade(simple, 4, np.trace(rho[:4, :4]).real,
+                           rho[:4, :4], r=2, delta=0.1 / 6, m_phase=12,
+                           rng=rng)
     assert 2 <= res.kept_second < 2 * simple.min_copies(4)
     assert res.basis is None  # the block keeps its frame
     assert np.all(res.values == res.values[0])
@@ -122,14 +125,34 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
     assert linalg.restrict(blk) is None
     simple = fb.parse_estimator("simple")
     m_phase = 10 ** 13
-    res = pl.final_upgrade(simple, blk, r=1, delta=0.1 / d,
-                           m_phase=m_phase, rng=rng)
+    res = pl.final_upgrade(simple, d - 1, np.trace(blk).real, blk, r=1,
+                           delta=0.1 / d, m_phase=m_phase, rng=rng)
     # enough survivors for the base estimator: the floor chose the branch
     assert res.kept_second // 2 >= simple.min_copies(d - 1)
     assert res.basis is None  # the block keeps its frame
     assert np.all(res.values == res.values[0])
     assert res.values.sum() == pytest.approx(res.kept_second / m_phase,
                                               abs=1e-12)
+
+
+def test_final_upgrade_below_the_floor_reads_the_mass_alone():
+    """Below PASS_MASS_FLOOR the block is never read: passing the mass
+    alone takes the same draws and spreads the same values.  Above it, a
+    missing block is refused rather than spread."""
+    rng = np.random.default_rng(227)
+    rho = linalg.random_density(6, 6, rng)
+    blk = rho[:4, :4] * (1e-7 / np.trace(rho[:4, :4]).real)
+    mass = np.trace(blk).real
+    got, want = (pl.final_upgrade(ORACLE, 4, mass, b, r=1, delta=0.1 / 6,
+                                  m_phase=10 ** 12,
+                                  rng=np.random.default_rng(229))
+                 for b in (None, blk))
+    assert got.basis is None and want.basis is None
+    assert (got.tau_hat, got.kept_second) == (want.tau_hat, want.kept_second)
+    assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError, match="floor"):
+        pl.final_upgrade(ORACLE, 4, 2 * config.PASS_MASS_FLOOR, None, r=1,
+                         delta=0.1 / 6, m_phase=10, rng=rng)
 
 
 class TestCentralParams:
@@ -375,8 +398,13 @@ def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
     state, or all of Id/d) leaves the estimated basis of that eigenspace
     to the estimator's noise, which those bits can rotate, and can
     reorder columns of equal counts; at rank 1 on those families only
-    the discrete record is compared."""
-    stages = []
+    the discrete record is compared.
+
+    The grid also reaches a second stage whose true mass is at or below
+    PASS_MASS_FLOOR, which the library measures from the mass alone,
+    read off the retained columns, while the dense loop rotates the
+    whole state there as at every stage."""
+    stages, sub_floor = [], 0
     for k, (family, make) in enumerate(EQUIVALENCE_FAMILIES.items()):
         rho, rank = make(d, np.random.default_rng([271, k, d]))
         for r in sorted({rank, 1}):
@@ -385,8 +413,8 @@ def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
             seed = [277, k, d, r]
             out = pl.staged_learn(rho, spec, params,
                                   np.random.default_rng(seed))
-            ref = dense_stages.staged_learn(rho, spec, params,
-                                            np.random.default_rng(seed))
+            ref, masses = dense_stages.staged_learn(
+                rho, spec, params, np.random.default_rng(seed))
             where = (family, r)
             assert (out.prefix, out.stop_reason, out.forced_stop,
                     out.consumed) == (ref.prefix, ref.stop_reason,
@@ -395,6 +423,8 @@ def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
                 == [(s.stage, s.prefix, s.retained) for s in ref.stages], \
                 where
             stages.append(len(out.stages))
+            sub_floor += (len(masses) > 1
+                          and masses[1] <= config.PASS_MASS_FLOOR)
             if r != rank and family in ("rank_deficient", "maximally_mixed"):
                 continue
             assert np.max(np.abs(out.frame - ref.frame)) <= 1e-12, where
@@ -405,8 +435,117 @@ def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
                 assert abs(got.theta_hat - want.theta_hat) <= 1e-12, where
                 assert np.max(np.abs(got.values - want.values)) <= 1e-12, \
                     where
-    # the grid reaches runs of one stage and runs of several
+    # the grid reaches runs of one stage and runs of several, and a
+    # second stage below the floor
     assert min(stages) == 1 and max(stages) >= d
+    assert sub_floor
+
+
+def test_staged_learn_slices_a_sub_floor_block_it_has_not_formed():
+    """A stage below PASS_MASS_FLOOR that does not stop: its prefix
+    shrinks, so the deferred rotation of the first stage's block is
+    formed only to slice the next prefix from it.  Planned parameters
+    never reach this (tau_hat concentrates on a mass below eps_tilde),
+    so eps_tilde is set by hand far under the floor; the run still takes
+    the dense loop's draws and reaches its records, frame and diagonal."""
+    d, mu = 4, 3e-7
+    u = linalg.haar_unitary(d, np.random.default_rng(281))
+    rho = (u * np.array([1.0 - mu, mu / 3, mu / 3, mu / 3])) @ u.conj().T
+    m = 2 * 10 ** 13
+    params = pl.CentralParams(d=d, r=1, f=d, m=m, delta=1e-4,
+                              eps_tilde=1e-9, l_max=8, eps=8e-9,
+                              total=2 * m * 8)
+    spec = fb.parse_estimator("oracle:f=d", 1)
+    out = pl.staged_learn(rho, spec, params, np.random.default_rng(283))
+    ref, masses = dense_stages.staged_learn(rho, spec, params,
+                                            np.random.default_rng(283))
+    assert masses[0] > config.PASS_MASS_FLOOR
+    assert all(mass <= config.PASS_MASS_FLOOR for mass in masses[1:])
+    # the second stage spreads, keeps its prefix open and shrinks it
+    assert [s.prefix for s in out.stages] == [4, 3, 2, 1]
+    assert out.stop_reason == ref.stop_reason == "prefix exhausted"
+    assert [(s.prefix, s.retained) for s in out.stages] \
+        == [(s.prefix, s.retained) for s in ref.stages]
+    for got, want in zip(out.stages, ref.stages):
+        assert abs(got.tau_hat - want.tau_hat) <= 1e-12
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+    assert np.max(np.abs(out.frame - ref.frame)) <= 1e-12
+    assert np.max(np.abs(out.q - ref.q)) <= 1e-12
+
+
+def _count_grams(monkeypatch) -> list:
+    """Record the basis of every unitarity gram ``Povm`` forms."""
+    seen = []
+    check = ms.Povm.__post_init__
+
+    def counted(povm):
+        seen.append(np.array(povm.basis))
+        check(povm)
+    monkeypatch.setattr(ms.Povm, "__post_init__", counted)
+    return seen
+
+
+@pytest.mark.parametrize("family, r", [("pure", 1), ("rank", 2)])
+def test_low_rank_relearn_measures_in_the_first_stage_povm(monkeypatch,
+                                                           family, r):
+    """On a pure or rank-2 state at d = 64 the second stage is a uniform
+    spread, so the frame stays the first stage's basis and the relearn
+    measures in that stage's Povm, relabeled: one gram per run."""
+    rng = np.random.default_rng([287, r])
+    rho = linalg.random_pure(64, rng) if family == "pure" \
+        else linalg.random_density(64, r, rng)
+    spec = fb.parse_estimator("oracle:f=d", r)
+    params = pl.plan_budget(64, r, spec.rate(64, r), 0.2)
+    grams = _count_grams(monkeypatch)
+    out = pl.staged_learn(rho, spec, params, rng)
+    assert len(out.stages) == 2 and out.stop_reason == "mass converged"
+    assert np.all(out.stages[1].values == out.stages[1].values[0])
+    assert len(grams) == 1
+    # the checked basis is the frame with its columns reordered
+    order = np.argmax(np.abs(grams[0].conj().T @ out.frame), axis=0)
+    assert np.array_equal(np.sort(order), np.arange(64))
+    assert np.array_equal(grams[0][:, order], out.frame)
+
+
+def test_rotated_relearn_frame_is_checked(monkeypatch):
+    """A geometric spectrum runs stages that rotate the frame after the
+    first, so the relearn checks its final frame with a gram of its own."""
+    rng = np.random.default_rng(293)
+    rho, _ = linalg.geometric_spectrum_eig(64, rng)
+    spec = fb.parse_estimator("oracle:f=d", 4)
+    params = pl.plan_budget(64, 4, spec.rate(64, 4), 0.2)
+    grams = _count_grams(monkeypatch)
+    out = pl.staged_learn(rho, spec, params, rng)
+    # a stage that estimated a basis measured in it; a spread did not
+    estimated = sum(not np.all(s.values == s.values[0]) for s in out.stages)
+    assert estimated >= 2
+    assert len(grams) == estimated + 1
+    assert np.array_equal(grams[-1], out.frame)
+
+
+@pytest.mark.parametrize("estimator", ["simple", "oracle:f=d"])
+def test_kl_pair_reads_one_overlap(estimator):
+    """The kl scorer's one-overlap pair equals the infidelity of the
+    to_infidelity estimate and the relative entropy of its smoothing,
+    bit for bit."""
+    for k, (family, make) in enumerate(EQUIVALENCE_FAMILIES.items()):
+        for d in (2, 3, 8):
+            rng = np.random.default_rng([297, k, d])
+            rho, r = make(d, rng)
+            spec = fb.parse_estimator(estimator, r)
+            params = pl.plan_budget(d, r, spec.rate(d, r), 0.2)
+            out = pl.staged_learn(rho, spec, params, rng)
+            est = pl.to_infidelity(out)
+            smoothed, _ = pl.to_kl(est, params.eps)
+            got = dv.infidelity_and_relative_entropy(rho, est, smoothed)
+            want = (dv.infidelity(rho, est),
+                    dv.relative_entropy(rho, smoothed))
+            assert got == want, (family, d)
+            assert all(type(x) is float for x in got)
+    est = linalg.maximally_mixed_eig(4)[1]
+    other = linalg.SpectralDecomposition(est.values, est.vectors.copy())
+    with pytest.raises(ValueError, match="share"):
+        dv.infidelity_and_relative_entropy(est, est, other)
 
 
 def test_chi2_error_terms_keys():
