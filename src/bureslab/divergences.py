@@ -83,14 +83,14 @@ _ZERO_NUM = config.PSD_TOL
 
 def _weights(p) -> np.ndarray:
     """p as a float array, with entries in (-PSD_TOL, 0] (-0.0 included)
-    set to +0.0 by ``np.maximum(p, 0.0)``; an entry below -PSD_TOL raises.
-    A vector with every entry positive comes back uncopied, so callers
-    must not write to the result."""
+    set to +0.0 by ``np.maximum(p, 0.0)``; an entry below -PSD_TOL, or a
+    NaN, raises.  A vector with every entry positive comes back uncopied,
+    so callers must not write to the result."""
     p = np.asarray(p, dtype=float)
     if p.size:
-        low = p.min()
-        if low <= 0.0:
-            if low < -config.PSD_TOL:
+        low = p.min()  # NaN if any entry is, and every comparison fails
+        if not low > 0.0:
+            if not low >= -config.PSD_TOL:
                 raise ValueError(f"negative weight {low}")
             return np.maximum(p, 0.0)
     return p

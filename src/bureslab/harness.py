@@ -439,6 +439,10 @@ def run_scenario(s: Scenario, workers: int = 1) -> list:
 # analysis
 # ---------------------------------------------------------------------------
 
+#: how far a fitted log-log slope may sit from the -1 of an f/n law
+SLOPE_TOL = 0.15
+
+
 def fit_scaling(records):
     """Least squares on log-log means: returns (slope, intercept, r2).
 

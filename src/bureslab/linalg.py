@@ -64,12 +64,14 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a complex array, raising if it is not Hermitian.
 
     ``a`` is a square matrix or an (n, d, d) stack of them, and one
-    member off by more than HERMITIAN_TOL refuses the stack.
+    member off by more than HERMITIAN_TOL, or holding a NaN, refuses the
+    stack.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max() > config.HERMITIAN_TOL:
+    skew = np.abs(a - a.conj().swapaxes(-1, -2)).max()
+    if not skew <= config.HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 
@@ -77,10 +79,10 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
 def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
     rho = require_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > config.TRACE_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= config.TRACE_TOL:
         raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -config.PSD_TOL:
+    if not w[0] >= -config.PSD_TOL:
         raise ValueError(f"negative eigenvalue {w[0]}")
     return rho
 
@@ -180,11 +182,11 @@ def psd_values(dec: SpectralDecomposition) -> np.ndarray:
     """The values of a PSD eigensystem, cut by :func:`spectral_cutoff`.
 
     Values in ``(-PSD_TOL, 0)`` are float noise and become zeros; a
-    value below -PSD_TOL in any member of a stack raises.  The values
-    ascend, so each member's least is its first.
+    member of a stack whose least value is below -PSD_TOL, or NaN,
+    raises.  The values ascend, so each member's least is its first.
     """
     low = dec.values[..., 0].min()
-    if low < -config.PSD_TOL:
+    if not low >= -config.PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {low}")
     return spectral_cutoff(dec.values)
 

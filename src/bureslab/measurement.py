@@ -106,7 +106,7 @@ class Povm:
                              "resolve the identity: it must be square")
         gram = u.conj().T @ u
         gram.reshape(-1)[::u.shape[0] + 1] -= 1.0  # U^dagger U - Id
-        if np.max(np.abs(gram)) > config.UNITARY_TOL:
+        if not np.max(np.abs(gram)) <= config.UNITARY_TOL:
             raise ValueError("basis matrix is not unitary")
         object.__setattr__(self, "basis", u)
 
@@ -144,12 +144,12 @@ def _sampling_probs(raw: np.ndarray) -> np.ndarray:
     """Born probabilities made exact for sampling, row by row.
 
     Round-off within PSD_TOL below zero is clipped and each row (a vector
-    is one row) is renormalized; anything more negative in any row means
-    the measured matrix was not a state, and raises, as does a row whose
-    mass vanishes.
+    is one row) is renormalized; anything more negative, or a NaN, in any
+    row means the measured matrix was not a state, and raises, as does a
+    row whose mass vanishes.
     """
     low = raw.min()
-    if low < -config.PSD_TOL:
+    if not low >= -config.PSD_TOL:
         raise ValueError(f"outcome probability {low:.3g} is negative: "
                          "the measured matrix is not a state")
     p = np.maximum(raw, 0.0)

@@ -234,7 +234,7 @@ def classical_mi_test(joint, eps: float,
     p = np.asarray(joint, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"joint must be a d x d table, got shape {p.shape}")
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+    if not (np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError("joint must be a probability table")
     d = p.shape[0]
     plan = classical_mi_plan(d, eps)
@@ -336,14 +336,14 @@ def hellinger_gap_verdict(hellinger_sq: float, eps_t: float) -> bool:
 
 
 def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
-                    eps: float, rng: np.random.Generator, r: int | None = None,
-                    spec: fb.EstimatorSpec | None = None) -> TesterVerdict:
+                    eps: float, rng: np.random.Generator, r: int,
+                    spec: fb.EstimatorSpec) -> TesterVerdict:
     """One round of the quantum MI test on a known d x d bipartite state,
     given with its eigensystem ``joint``.
 
     Learns floored marginal estimates at 0.49 eps_t in Bures chi-square,
-    each with rank cap ``r`` (default d) and base estimator ``spec``
-    (default ``oracle:f=d``), and accepts when the joint sits within
+    each with rank cap ``r`` and base estimator ``spec`` (a scenario's
+    ``r`` and ``estimator``), and accepts when the joint sits within
     2 eps_t of their product in squared Hellinger
     (:func:`hellinger_gap_verdict`).  Accepting certifies MI below eps
     with high probability; states with MI at least eps reject with high
@@ -354,10 +354,6 @@ def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
     the learned product against the true marginals is the caller's.
     """
     plan = quantum_mi_plan(d, eps)
-    if r is None:
-        r = d
-    if spec is None:
-        spec = fb.parse_estimator("oracle:f=d")
     (sigma_hat, tau_hat), record = learn_product_quantum(
         rho_joint, d, plan["eps_learn"], rng, r, spec)
     learned = linalg.kron_decomposition(sigma_hat, tau_hat)

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, emitted files."""
 
+import csv
 import json
 import warnings
 
@@ -159,15 +160,15 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
      "pass-mass floor"),
     (["bench", "--d", "4", "--n", "5,50", "--trials", "2"],
      "need at least 7 copies"),
-    (["mi-test", "--d", "1"], "marginal dimension"),
+    (["mi-test", "--d", "1"], "field 'd': need dimension at least 2"),
     (["mi-test", "--kind", "classical", "--d", "0"],
-     "marginal dimension must be at least 2"),
+     "field 'd': need dimension at least 2"),
     (["mi-test", "--kind", "quantum", "--d", "0"],
-     "marginal dimension must be at least 2"),
+     "field 'd': need dimension at least 2"),
     (["mi-test", "--kind", "classical", "--d", "-3"],
-     "marginal dimension must be at least 2"),
+     "field 'd': need dimension at least 2"),
     (["mi-test", "--kind", "quantum", "--d", "-3"],
-     "marginal dimension must be at least 2"),
+     "field 'd': need dimension at least 2"),
     (["mi-test", "--kind", "classical", "--eps", "0.9"], "MI gap eps"),
     (["accept", "--only", "99"], "unknown criterion numbers: [99]"),
     (["accept", "--only", "abc"], "unknown criterion numbers: [abc]"),
@@ -178,14 +179,14 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["bench", "--n", "100"], "a fit needs two distinct --n"),
     (["bench", "--trials", "0"], "field 'trials'"),
     (["tomography", "run", "--trials", "0"], "field 'trials'"),
-    (["mi-test", "--trials", "0"], "--trials 0 must be at least 1"),
+    (["mi-test", "--trials", "0"], "field 'trials'"),
     (["accept", "--only", "6"], "unknown criterion numbers: [6]"),
     (["mi-test", "--arm", "correlated", "--lam", "2"],
-     "--lam 2.0 must lie in [0, 1]"),
+     "field 'lam': must lie in [0, 1]"),
     (["mi-test", "--kind", "classical", "--lam", "-0.5"],
-     "--lam -0.5 must lie in [0, 1]"),
-    (["mi-test", "--r", "0"], "--r 0 must lie in [1, --d 4]"),
-    (["mi-test", "--r", "9", "--d", "4"], "--r 9 must lie in [1, --d 4]"),
+     "field 'lam': must lie in [0, 1]"),
+    (["mi-test", "--r", "0"], "field 'r': must lie in [1, 4]"),
+    (["mi-test", "--r", "9", "--d", "4"], "field 'r': must lie in [1, 4]"),
     (["divergence", "--family", "bipartite:correlated", "--family2",
       "bipartite:product", "--d", "2", "--r", "1", "--lam", "2"],
      "--lam 2.0 must lie in [0, 1]"),
@@ -302,6 +303,47 @@ def test_mi_test_quantum_both_arms(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "correlated arm: 2/2 correct" in out
+
+
+@pytest.mark.parametrize("arm, lam, code", [
+    ("product", 0.6, 0), ("correlated", 0.6, 0),
+    # MI far below the gap: the correlated arm accepts, wrongly
+    ("correlated", 0.05, 1)])
+def test_quantum_mi_test_is_the_mi_scenario(arm, lam, code, tmp_path,
+                                            capsys):
+    """The quantum mi-test runs the mi scenario its flags name: the same
+    per-trial verdicts and exit code as ``tomography run`` on it."""
+    assert cli.main(["mi-test", "--kind", "quantum", "--arm", arm,
+                     "--d", "3", "--eps", "0.5", "--lam", str(lam),
+                     "--trials", "3", "--seed", "8"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    accepts = [line.split()[2] == "accept" for line in lines
+               if line.startswith("trial ")]
+    cfg = tmp_path / "mi.json"
+    cfg.write_text(json.dumps({
+        "id": "mi", "target": "mi", "d": 3, "r": 3,
+        "family": f"bipartite:{arm}", "eps_grid": [0.5], "lam": lam,
+        "trials": 3, "master_seed": 8}))
+    out = tmp_path / "mi.csv"
+    assert cli.main(["tomography", "run", "--config", str(cfg),
+                     "--out", str(out)]) == code
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert accepts == [row["flag:accept"] == "1" for row in rows]
+    assert len(accepts) == 3
+
+
+def test_bench_csv_is_the_frobenius_scenario_csv(tmp_path, capsys):
+    fields = ["--id", "fit", "--d", "2", "--r", "2", "--family", "pure",
+              "--estimator", "simple", "--n", "1000,10000", "--trials", "5",
+              "--seed", "3"]
+    cli.main(["bench", *fields, "--out", str(tmp_path / "bench.csv")])
+    cli.main(["tomography", "run", "--target", "frobenius", *fields,
+              "--out", str(tmp_path / "run.csv")])
+    capsys.readouterr()
+    assert (tmp_path / "bench.csv").read_bytes() \
+        == (tmp_path / "run.csv").read_bytes()
 
 
 def test_bench_fits_inverse_law(tmp_path, capsys):

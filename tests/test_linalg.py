@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bureslab import config, divergences as dv, linalg
+from bureslab import measurement as ms, mitest as mt
 from oracles import analysis
 
 
@@ -94,6 +95,33 @@ def test_trace_norm_matches_svd():
         linalg.trace_norm(a)
     with pytest.raises(ValueError, match="not Hermitian"):
         linalg.trace_norm(np.stack([h, a]))
+
+
+_NAN = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: dv.bures_chi2(linalg.maximally_mixed(2),
+                           linalg.SpectralDecomposition(
+                               values=np.full(2, np.nan),
+                               vectors=np.eye(2, dtype=complex))),
+     "negative weight"),
+    (lambda: linalg.require_hermitian(_NAN), "not Hermitian"),
+    (lambda: linalg.require_density(_NAN), "not Hermitian"),
+    (lambda: linalg.psd_values(linalg.SpectralDecomposition(
+        values=np.array([np.nan, 1.0]), vectors=np.eye(2, dtype=complex))),
+     "not PSD"),
+    (lambda: ms.Povm.from_basis(_NAN), "not unitary"),
+    (lambda: ms._sampling_probs(np.array([0.5, np.nan])), "not a state"),
+    (lambda: mt.classical_mi_test(np.array([[np.nan, 0.5], [0.25, 0.25]]),
+                                  0.5, np.random.default_rng(0)),
+     "probability table"),
+], ids=["divergences-weights", "require-hermitian", "require-density",
+        "psd-values", "povm", "sampling-probs", "classical-mi-table"])
+def test_checks_refuse_nan(check, message):
+    """Each check is written so that a NaN fails its comparison."""
+    with pytest.raises(ValueError, match=message):
+        check()
 
 
 def test_haar_unitary_is_unitary():

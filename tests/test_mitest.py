@@ -472,7 +472,7 @@ class TestProductDecomposition:
 # quantum marginal learning and tester
 # ---------------------------------------------------------------------------
 
-#: the base estimator quantum_mi_test uses by default
+#: the base estimator a Scenario names by default
 ORACLE = fb.parse_estimator("oracle:f=d")
 
 
@@ -534,7 +534,8 @@ class TestQuantumMITest:
         rng = np.random.default_rng(61)
         joint, joint_dec = linalg.correlated_pair_eig(3, 0.0)
         for _ in range(3):
-            v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng)
+            v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng,
+                                   r=3, spec=ORACLE)
             assert v.accept
             assert dv.bures_chi2(joint, v.stats["product"]) \
                 <= v.stats["eps_prime"]
@@ -544,7 +545,8 @@ class TestQuantumMITest:
         joint, joint_dec = linalg.correlated_pair_eig(3, 0.5)
         assert dv.quantum_mutual_information(joint, 3) >= 0.5
         for _ in range(3):
-            v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng)
+            v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5, rng,
+                                   r=3, spec=ORACLE)
             assert not v.accept
             assert v.stats["hellinger_sq"] >= 2 * v.stats["eps_t"]
 
@@ -561,7 +563,7 @@ class TestQuantumMITest:
         monkeypatch.setattr(dv, "hellinger_sq_q", counted)
         rng = np.random.default_rng(63)
         v = mt.quantum_mi_test(*linalg.correlated_pair_eig(3, 0.5), 3, 0.5,
-                               rng)
+                               rng, r=3, spec=ORACLE)
         monkeypatch.undo()
         assert len(calls) == 1
         assert v.accept == mt.hellinger_gap_verdict(v.stats["hellinger_sq"],
@@ -579,7 +581,7 @@ class TestQuantumMITest:
         monkeypatch.setattr(linalg, "marginals", counted)
         joint, joint_dec = linalg.correlated_pair_eig(3, 0.5)
         v = mt.quantum_mi_test(joint, joint_dec, 3, 0.5,
-                               np.random.default_rng(65))
+                               np.random.default_rng(65), r=3, spec=ORACLE)
         monkeypatch.undo()
         assert len(calls) == 1
         assert v.stats["hellinger_sq"] == dv.hellinger_sq_q(
@@ -590,4 +592,5 @@ class TestQuantumMITest:
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(64)
         with pytest.raises(ValueError):
-            mt.quantum_mi_test(*linalg.maximally_mixed_eig(6), 2, 0.5, rng)
+            mt.quantum_mi_test(*linalg.maximally_mixed_eig(6), 2, 0.5, rng,
+                               r=2, spec=ORACLE)

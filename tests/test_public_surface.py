@@ -32,6 +32,12 @@ layer below it takes plain copy counts.
 
 And ``pipeline`` keeps its own relative-entropy certificate: it imports
 nothing from ``divergences``, at module level or inside a function.
+
+And there is one trial path: no top-level definition in ``cli`` or
+``accept`` names ``quantum_mi_test``, ``staged_learn`` or an estimator's
+``.run``, so trials of the learner, the estimators and the quantum
+tester reach them only through ``harness.run_scenario``.  The classical
+tester stays callable from both.
 """
 
 import ast
@@ -265,6 +271,24 @@ def imported_by(stem: str) -> set:
     return _imports(_parse(PACKAGE)[stem])
 
 
+def trial_bodies(stem: str) -> list:
+    """(top-level definition, name) of each reference in a module to a
+    trial body the harness runs: the learner, the quantum tester, or an
+    attribute ``run``, as on an estimator spec."""
+    found = []
+    for top in _parse(PACKAGE)[stem].body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name) and node.id != "run":
+                name = node.id  # a bare "run" is a local, not a spec's
+            else:
+                continue
+            if name in ("quantum_mi_test", "staged_learn", "run"):
+                found.append((getattr(top, "name", None), name))
+    return found
+
+
 def test_every_export_has_a_caller():
     assert len(list(PACKAGE.glob("*.py"))) > 10 and BENCHMARK.is_dir()
     missing = set(unreferenced())
@@ -291,3 +315,8 @@ def test_only_the_staged_learner_keeps_a_copy_ledger():
 def test_the_pipeline_imports_no_divergences():
     assert "linalg" in imported_by("pipeline")
     assert "divergences" not in imported_by("pipeline")
+
+
+def test_cli_and_accept_run_trials_through_the_harness():
+    assert trial_bodies("cli") == [] and trial_bodies("accept") == []
+    assert trial_bodies("harness")  # the guard sees the harness's calls
