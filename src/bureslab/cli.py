@@ -4,13 +4,12 @@ Verbs: `divergence` prints the divergence chain between two lab states
 and checks its orderings; `tomography run` executes one scenario;
 `mi-test` exercises a product tester arm; `bench` sweeps a copy-budget
 grid and fits the scaling law; `accept` runs the acceptance suite.
-`tomography run`, `bench` and the quantum `mi-test` build a validated
+`tomography run`, `bench` and `mi-test` build a validated
 ``harness.Scenario`` and hand it to one runner, which runs its trials,
 prints each point's summary and guarantee verdict and writes ``--out``;
-only the classical `mi-test` and `divergence` draw from one stream of
-their own.  Every verb exits 0 only if all guarantees it executed
-passed, 1 if one failed, and 2 with one ``error:`` line on standard
-error if its parameters were rejected.
+only `divergence` draws from one stream of its own.  Every verb exits 0
+only if all guarantees it executed passed, 1 if one failed, and 2 with
+one ``error:`` line on standard error if its parameters were rejected.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 from . import divergences as dv
 from . import harness as hz
 from . import measurement as ms
-from . import mitest as mt
 from . import pipeline as pl
 
 SLACK = 1e-9
@@ -178,28 +176,18 @@ def cmd_tomography(args) -> int:
 
 def cmd_mi_test(args) -> int:
     s = _scenario(args, {
-        "id": "mi-test", "target": "mi", "d": args.d,
+        "id": "mi-test", "d": args.d,
+        "target": "mi" if args.kind == "quantum" else "classical_mi",
         "r": args.d if args.r is None else args.r,
         "family": f"bipartite:{args.arm}", "eps_grid": (args.eps,),
         "lam": args.lam, "trials": args.trials})
-    should_accept = hz.FAMILIES[s.family].product
-    if args.kind == "quantum":
-        records, failures = _run(s, 1, None)
-        accepts = [rec.flags["accept"] for rec in records]
-    else:  # one stream runs every trial on one fixed joint
-        rng = np.random.default_rng(s.master_seed)
-        joint = mt.correlated_joint(s.d, 0.0 if should_accept else s.lam)
-        accepts = [mt.classical_mi_test(joint, s.eps_grid[0], rng).accept
-                   for _ in range(s.trials)]
-    correct = 0
-    for trial, accept in enumerate(accepts):
-        good = accept == should_accept
-        correct += good
-        print(f"trial {trial}: {'accept' if accept else 'reject'}"
-              f" ({'ok' if good else 'WRONG'})")
+    records, failures = _run(s, 1, None)
+    for rec in records:
+        print(f"trial {rec.trial}: "
+              f"{'accept' if rec.flags['accept'] else 'reject'}"
+              f" ({'ok' if rec.flags['correct'] else 'WRONG'})")
+    correct = sum(rec.flags["correct"] for rec in records)
     print(f"{args.kind} {args.arm} arm: {correct}/{s.trials} correct")
-    if args.kind == "classical":  # the quantum kind's bar is the target's
-        failures = correct / s.trials < 0.9
     return 1 if failures else 0
 
 

@@ -99,8 +99,10 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError(
             f"field 'family': {s.family!r} not in {tuple(FAMILIES)}")
     if TARGETS[s.target].bipartite != FAMILIES[s.family].bipartite:
-        raise ScenarioError("field 'family': target 'mi' pairs with the "
-                            "bipartite families and only with them")
+        raise ScenarioError(
+            "field 'family': targets "
+            f"{tuple(k for k, t in TARGETS.items() if t.bipartite)} pair "
+            "with the bipartite families and only with them")
     if s.d < 2:
         raise ScenarioError("field 'd': need dimension at least 2")
     if not 1 <= s.r <= s.d:
@@ -119,6 +121,9 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'master_seed': must fit in 64 bits")
     if not 0.0 <= s.lam <= 1.0:
         raise ScenarioError("field 'lam': must lie in [0, 1]")
+    if s.family == "bipartite:correlated" and s.lam == 0.0:
+        raise ScenarioError("field 'lam': bipartite:correlated at lam 0 is "
+                            "the product Id/d^2; name bipartite:product")
     try:
         fb.parse_estimator(s.estimator, s.r)
     except ValueError as exc:
@@ -191,6 +196,15 @@ def _random_product_eig(d, r, lam, rng) -> tuple:
     return np.kron(a, b), linalg.kron_decomposition(a_dec, b_dec)
 
 
+def _dirichlet_product_eig(d, r, lam, rng) -> tuple:
+    """diag(a (x) b) for two Dirichlet(1) draws: a classical product
+    table, whose eigensystem is the identity basis."""
+    p = np.kron(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))
+    dec = linalg.SpectralDecomposition.ascending(
+        p, np.eye(d * d, dtype=complex))
+    return np.diag(p.astype(complex)), dec
+
+
 FAMILIES = {
     "pure": Family(lambda d, r, lam, rng: linalg.random_pure_eig(d, rng)),
     "rank_r_random": Family(
@@ -206,6 +220,8 @@ FAMILIES = {
         bipartite=True, product=True),
     "bipartite:random_product": Family(
         _random_product_eig, bipartite=True, product=True),
+    "bipartite:dirichlet_product": Family(
+        _dirichlet_product_eig, bipartite=True, product=True),
     "bipartite:correlated": Family(
         lambda d, r, lam, rng: linalg.correlated_pair_eig(d, lam),
         bipartite=True),
@@ -355,6 +371,18 @@ def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
     return int(v.stats["joint_copies"]), losses, flags
 
 
+def _classical_mi_trial(s: Scenario, rho, rho_dec, point, rng):
+    """Run the classical tester on the table of the state's outcomes in
+    the computational basis, and score that table's MI: its KL to the
+    product of its marginals."""
+    joint = np.diag(rho).real.reshape(s.d, s.d)
+    v = mt.classical_mi_test(joint, float(point), rng)
+    product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    mi = dv.classical_chain(joint.ravel(), product.ravel())["kl"]
+    return v.stats["n_total"], {"mi": mi}, {
+        "accept": v.accept, "correct": v.accept == FAMILIES[s.family].product}
+
+
 def _product_chi2(marginals, learned) -> float:
     """Bures chi-square of a (x) b, for the pair ``marginals`` = (a, b)
     of d x d matrices, from ``learned`` (W, q); (a (x) b) W is taken
@@ -384,7 +412,7 @@ class Target(typing.NamedTuple):
     verdict: typing.Callable  # (s, summarize row) -> passed, measured, bar
 
 
-#: the ladder of losses, from Frobenius error up to the MI test
+#: the ladder of losses, from Frobenius error up to the MI tests
 TARGETS = {
     "frobenius": Target("n_grid", "frob_sq", False,
                         _frobenius_trial, _frobenius_verdict),
@@ -395,6 +423,8 @@ TARGETS = {
     "kl": Target("eps_grid", "kl", False, _staged(_kl_score), _kl_verdict),
     "mi": Target("eps_grid", "hellinger_sq", True,
                  _mi_trial, _pass_rate("correct")),
+    "classical_mi": Target("eps_grid", "mi", True,
+                           _classical_mi_trial, _pass_rate("correct")),
 }
 
 

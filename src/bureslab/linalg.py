@@ -21,6 +21,7 @@ values past a state's rank are exact zeros.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,17 @@ def psd_values(dec: SpectralDecomposition) -> np.ndarray:
     """The values of a PSD eigensystem, cut by :func:`spectral_cutoff`.
 
     Values in ``(-PSD_TOL, 0)`` are float noise and become zeros; a
-    member of a stack whose least value is below -PSD_TOL, or NaN,
-    raises.  The values ascend, so each member's least is its first.
+    member of a stack whose least value is below -PSD_TOL raises.  The
+    values ascend, so each member's least is its first.  A NaN passes
+    the ascending check wherever it sits, so the sum of all the values,
+    which is not finite if any value is not, refuses it and an infinite
+    value alike.
     """
     low = dec.values[..., 0].min()
     if not low >= -config.PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {low}")
+    if not math.isfinite(dec.values.sum()):
+        raise ValueError("matrix is not PSD: a non-finite eigenvalue")
     return spectral_cutoff(dec.values)
 
 

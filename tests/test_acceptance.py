@@ -12,6 +12,7 @@ import json
 import pytest
 
 from bureslab import accept
+from bureslab import mitest as mt
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +104,18 @@ def test_shared_chi2_run_is_seed_pure_and_built_once(monkeypatch):
     assert both[1].measured == alone.measured
     assert sorted(runs) == sorted(set(runs))
     assert len(runs) == 3
+
+
+@pytest.mark.parametrize("verdict", [True, False],
+                         ids=["always-accept", "always-reject"])
+def test_classical_tester_criterion_has_power(verdict, monkeypatch):
+    """Criterion 12 fails on a classical tester that ignores its samples,
+    whichever verdict it gives."""
+    def fixed(joint, eps, rng):
+        return mt.TesterVerdict(accept=verdict, stats={"n_total": 0})
+
+    monkeypatch.setattr(mt, "classical_mi_test", fixed)
+    (res,) = accept.acceptance_suite(only=[12])
+    assert not res.passed
+    missed = "reject_rate" if verdict else "accept_rate"
+    assert res.measured[missed] == 0.0

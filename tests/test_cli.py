@@ -203,6 +203,11 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["tomography", "run", "--workers", "0"],
      "--workers 0 must be at least 1"),
     (["bench", "--workers", "-3"], "--workers -3 must be at least 1"),
+    # at lam 0 the correlated family is the product Id/d^2
+    (["mi-test", "--kind", "classical", "--arm", "correlated", "--lam", "0",
+      "--trials", "3"], "field 'lam': bipartite:correlated at lam 0"),
+    (["mi-test", "--kind", "quantum", "--arm", "correlated", "--lam", "0",
+      "--d", "2"], "field 'lam': bipartite:correlated at lam 0"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-classical-d0",
         "mi-quantum-d0", "mi-classical-d-negative", "mi-quantum-d-negative",
         "mi-eps", "accept-99",
@@ -213,7 +218,8 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
         "divergence-lam-above-one", "accept-empty", "tomography-n-fraction",
         "accept-out-missing-directory", "divergence-seed-negative",
         "mi-seed-negative", "tomography-seed-negative", "bench-seed-negative",
-        "tomography-workers-0", "bench-workers-negative"])
+        "tomography-workers-0", "bench-workers-negative",
+        "mi-classical-correlated-lam0", "mi-quantum-correlated-lam0"])
 def test_rejected_parameters_exit_two(argv, message, capsys):
     """Parameters outside the guaranteed regime end in one error line."""
     code = cli.main(argv)
@@ -305,23 +311,30 @@ def test_mi_test_quantum_both_arms(capsys):
     assert "correlated arm: 2/2 correct" in out
 
 
-@pytest.mark.parametrize("arm, lam, code", [
-    ("product", 0.6, 0), ("correlated", 0.6, 0),
-    # MI far below the gap: the correlated arm accepts, wrongly
-    ("correlated", 0.05, 1)])
-def test_quantum_mi_test_is_the_mi_scenario(arm, lam, code, tmp_path,
+_MI_ARMS = [("product", 0.6, 0), ("correlated", 0.6, 0),
+            # MI far below the gap: the correlated arm accepts, wrongly
+            ("correlated", 0.05, 1)]
+
+
+# the quantum cases keep the ids they had before --kind was a parameter
+@pytest.mark.parametrize("kind, arm, lam, code", [
+    pytest.param(kind, *arm, id="-".join(
+        map(str, arm if kind == "quantum" else (kind, *arm))))
+    for kind in ("quantum", "classical") for arm in _MI_ARMS])
+def test_quantum_mi_test_is_the_mi_scenario(kind, arm, lam, code, tmp_path,
                                             capsys):
-    """The quantum mi-test runs the mi scenario its flags name: the same
-    per-trial verdicts and exit code as ``tomography run`` on it."""
-    assert cli.main(["mi-test", "--kind", "quantum", "--arm", arm,
+    """mi-test runs the scenario its flags name, on the target its --kind
+    names (``mi`` or ``classical_mi``): the same per-trial verdicts and
+    exit code as ``tomography run`` on it."""
+    target = "mi" if kind == "quantum" else "classical_mi"
+    assert cli.main(["mi-test", "--kind", kind, "--arm", arm,
                      "--d", "3", "--eps", "0.5", "--lam", str(lam),
                      "--trials", "3", "--seed", "8"]) == code
-    lines = capsys.readouterr().out.splitlines()
-    accepts = [line.split()[2] == "accept" for line in lines
-               if line.startswith("trial ")]
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("trial ")]
     cfg = tmp_path / "mi.json"
     cfg.write_text(json.dumps({
-        "id": "mi", "target": "mi", "d": 3, "r": 3,
+        "id": "mi", "target": target, "d": 3, "r": 3,
         "family": f"bipartite:{arm}", "eps_grid": [0.5], "lam": lam,
         "trials": 3, "master_seed": 8}))
     out = tmp_path / "mi.csv"
@@ -330,8 +343,11 @@ def test_quantum_mi_test_is_the_mi_scenario(arm, lam, code, tmp_path,
     capsys.readouterr()
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert accepts == [row["flag:accept"] == "1" for row in rows]
-    assert len(accepts) == 3
+    assert [(words[2], words[3]) for words in lines] == [
+        ("accept" if row["flag:accept"] == "1" else "reject",
+         "(ok)" if row["flag:correct"] == "1" else "(WRONG)")
+        for row in rows]
+    assert len(lines) == 3
 
 
 def test_bench_csv_is_the_frobenius_scenario_csv(tmp_path, capsys):

@@ -84,6 +84,8 @@ class TestScenarioConfig:
             hz.validate_scenario(small(target="mi"))
         with pytest.raises(hz.ScenarioError, match="family"):
             hz.validate_scenario(small(family="bipartite:product"))
+        with pytest.raises(hz.ScenarioError, match="family"):
+            hz.validate_scenario(small(target="classical_mi"))
 
     def test_bounds(self):
         with pytest.raises(hz.ScenarioError,
@@ -99,6 +101,14 @@ class TestScenarioConfig:
             hz.validate_scenario(small(estimator="oracle:f=bogus"))
         with pytest.raises(hz.ScenarioError, match="'r'"):
             hz.validate_scenario(small(r=9))
+        # at lam 0 the correlated family is Id/d^2, a product state its
+        # product flag says it is not; bipartite:product names it
+        with pytest.raises(hz.ScenarioError, match="field 'lam'"):
+            hz.validate_scenario(small(
+                target="classical_mi", family="bipartite:correlated",
+                lam=0.0))
+        hz.validate_scenario(small(target="classical_mi",
+                                   family="bipartite:product", lam=0.0))
 
     def test_family_states(self):
         rng = np.random.default_rng(0)
@@ -140,6 +150,12 @@ FAMILY_REFERENCES = {
         lambda d, r: 0),
     "bipartite:correlated": (
         lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
+        lambda d, r: 0),
+    # the product tables criterion 12 drew before it ran on the harness
+    "bipartite:dirichlet_product": (
+        lambda d, r, lam, rng: np.diag(np.outer(
+            rng.dirichlet(np.ones(d)),
+            rng.dirichlet(np.ones(d))).ravel().astype(complex)),
         lambda d, r: 0),
 }
 
@@ -226,6 +242,38 @@ class TestRunScenario:
                   eps_grid=(0.5,), trials=2)
         for rec in hz.run_scenario(s):
             assert not rec.flags["accept"] and rec.flags["correct"]
+
+    def test_classical_mi_records_both_arms(self):
+        s = small(target="classical_mi", d=4, family="bipartite:product",
+                  eps_grid=(0.5,), trials=2)
+        plan = hz.mt.classical_mi_plan(4, 0.5)
+        for rec in hz.run_scenario(s):
+            assert rec.flags == {"accept": True, "correct": True}
+            assert rec.n_used == plan["n_learn"] + plan["n_test"]
+            assert rec.losses == {"mi": 0.0}
+        s = small(target="classical_mi", d=4, family="bipartite:correlated",
+                  lam=1.0, eps_grid=(0.5,), trials=2)
+        for rec in hz.run_scenario(s):
+            assert rec.flags == {"accept": False, "correct": True}
+            assert rec.losses["mi"] == pytest.approx(np.log(4), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_classical_mi_reads_the_classical_tables(d):
+    """The classical_mi target's joint, the diagonal of a family's state,
+    is the table the family stands for: the uniform one for
+    bipartite:product, exactly, and correlated_joint(d, lam) for
+    bipartite:correlated, to two ulps."""
+    def joint(family, lam):
+        rho, _ = hz.FAMILIES[family].make(d, d, lam, None)
+        return np.diag(rho).real.reshape(d, d)
+
+    assert np.array_equal(joint("bipartite:product", 0.5),
+                          hz.mt.correlated_joint(d, 0.0))
+    for lam in (0.05, 0.4, 0.5, 1.0):
+        np.testing.assert_array_max_ulp(
+            joint("bipartite:correlated", lam),
+            hz.mt.correlated_joint(d, lam), maxulp=2)
 
 
 class TestBudgetDrain:
@@ -557,6 +605,10 @@ GOLDEN = [
     (dict(sid="g-chi2-simple16", target="chi2", d=16, r=2,
           estimator="simple", trials=2, master_seed=21),
      "2dd214ccd0bb693b7dde425939466df4496590d634b00b0405168672c20d96a8"),
+    (dict(sid="g-classical-mi", target="classical_mi", d=3,
+          family="bipartite:dirichlet_product", eps_grid=(0.5, 0.3),
+          trials=2, master_seed=22),
+     "091085c54428868d2371e3341373b1b0834d72e6f01e47d1930892cbf29dd69f"),
 ]
 
 

@@ -98,6 +98,9 @@ def test_trace_norm_matches_svd():
 
 
 _NAN = np.full((2, 2), np.nan)
+#: NaN past the first value, where no ascending comparison looks
+_NAN_SECOND = linalg.SpectralDecomposition(values=np.array([0.5, np.nan]),
+                                           vectors=np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("check, message", [
@@ -111,13 +114,20 @@ _NAN = np.full((2, 2), np.nan)
     (lambda: linalg.psd_values(linalg.SpectralDecomposition(
         values=np.array([np.nan, 1.0]), vectors=np.eye(2, dtype=complex))),
      "not PSD"),
+    (lambda: linalg.psd_values(_NAN_SECOND), "not PSD"),
+    (lambda: dv.relative_entropy(linalg.maximally_mixed(2), _NAN_SECOND),
+     "not PSD"),
+    (lambda: dv.fidelity(linalg.maximally_mixed(2), _NAN_SECOND),
+     "not PSD"),
     (lambda: ms.Povm.from_basis(_NAN), "not unitary"),
     (lambda: ms._sampling_probs(np.array([0.5, np.nan])), "not a state"),
     (lambda: mt.classical_mi_test(np.array([[np.nan, 0.5], [0.25, 0.25]]),
                                   0.5, np.random.default_rng(0)),
      "probability table"),
 ], ids=["divergences-weights", "require-hermitian", "require-density",
-        "psd-values", "povm", "sampling-probs", "classical-mi-table"])
+        "psd-values", "psd-values-nan-second",
+        "relative-entropy-nan-second", "fidelity-nan-second", "povm",
+        "sampling-probs", "classical-mi-table"])
 def test_checks_refuse_nan(check, message):
     """Each check is written so that a NaN fails its comparison."""
     with pytest.raises(ValueError, match=message):

@@ -225,9 +225,11 @@ class TestPearson:
 
     def test_matches_monte_carlo_on_criterion_12_inputs(self):
         """The moment-matched quantile and the exact variance against a
-        20,000-draw Monte Carlo null, on the learned products that
-        criterion 12's product arm tests against.  Some of their bins
-        expect well under one count, where plain chi2(k - 1) is too low."""
+        20,000-draw Monte Carlo null, on the learned products of
+        Dirichlet(1) tables at criterion 12's d and eps
+        (:func:`_criterion_12_product_input`).  Some of their bins
+        expect well under one count, where plain chi2(k - 1) is too
+        low."""
         stats = pytest.importorskip("scipy.stats")
         plain_ratio = []
         for t in range(20):
@@ -278,9 +280,12 @@ class TestPearson:
 
 
 def _criterion_12_product_input(t):
-    """Trial t of criterion 12's product arm, up to the identity test:
-    the learned product q, the test size n, the gap eps_t and the true
-    joint, drawn exactly as classical_mi_test draws them."""
+    """A Dirichlet(1) product table at criterion 12's d and eps, up to the
+    identity test: the learned product q, the test size n, the gap eps_t
+    and the true joint, drawn exactly as classical_mi_test draws them.
+    The stream is ``[_SEED, 12, 0, t]``, trial t of criterion 12's
+    product arm before that arm ran as a harness scenario; the inputs
+    are kept, so trial 166 stays the sparsest."""
     d, eps = 8, 0.5
     rng = np.random.default_rng([accept._SEED, 12, 0, t])
     joint = np.outer(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))

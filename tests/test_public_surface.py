@@ -34,10 +34,10 @@ And ``pipeline`` keeps its own relative-entropy certificate: it imports
 nothing from ``divergences``, at module level or inside a function.
 
 And there is one trial path: no top-level definition in ``cli`` or
-``accept`` names ``quantum_mi_test``, ``staged_learn`` or an estimator's
-``.run``, so trials of the learner, the estimators and the quantum
-tester reach them only through ``harness.run_scenario``.  The classical
-tester stays callable from both.
+``accept`` names ``quantum_mi_test``, ``classical_mi_test``,
+``staged_learn`` or an estimator's ``.run``, and neither module imports
+``mitest``, so trials of the learner, the estimators and both testers
+reach them only through ``harness.run_scenario``.
 """
 
 import ast
@@ -273,7 +273,7 @@ def imported_by(stem: str) -> set:
 
 def trial_bodies(stem: str) -> list:
     """(top-level definition, name) of each reference in a module to a
-    trial body the harness runs: the learner, the quantum tester, or an
+    trial body the harness runs: the learner, either tester, or an
     attribute ``run``, as on an estimator spec."""
     found = []
     for top in _parse(PACKAGE)[stem].body:
@@ -284,7 +284,8 @@ def trial_bodies(stem: str) -> list:
                 name = node.id  # a bare "run" is a local, not a spec's
             else:
                 continue
-            if name in ("quantum_mi_test", "staged_learn", "run"):
+            if name in ("quantum_mi_test", "classical_mi_test",
+                        "staged_learn", "run"):
                 found.append((getattr(top, "name", None), name))
     return found
 
@@ -319,4 +320,7 @@ def test_the_pipeline_imports_no_divergences():
 
 def test_cli_and_accept_run_trials_through_the_harness():
     assert trial_bodies("cli") == [] and trial_bodies("accept") == []
-    assert trial_bodies("harness")  # the guard sees the harness's calls
+    assert "mitest" not in imported_by("cli") | imported_by("accept")
+    # the guard sees the harness's calls, both testers' included
+    assert {name for _, name in trial_bodies("harness")} >= {
+        "quantum_mi_test", "classical_mi_test"}
