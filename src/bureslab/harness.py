@@ -2,11 +2,14 @@
 
 A Scenario names a state family, an estimator, a target quantity, and a
 grid; the FAMILIES and TARGETS tables hold what differs per family and
-per target.  Each (grid point, trial) pair gets its own counter-derived RNG
-stream, so reruns under the same master seed reproduce every draw and
-the emitted CSV byte for byte, regardless of worker count.  Wall time
-is kept on the in-memory records but never written to CSV for exactly
-that reason.
+per target.  A target is a trial, which spends the copies, and a score,
+which reads the truth and draws nothing; targets that share a trial
+(the staged ones) can score one run together through
+:func:`run_targets`, with the records each would give alone.  Each
+(grid point, trial) pair gets its own counter-derived RNG stream, so
+reruns under the same master seed reproduce every draw and the emitted
+CSV byte for byte, regardless of worker count.  Wall time is kept on the
+in-memory records but never written to CSV for exactly that reason.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "scenario_from_dict",
     "make_state",
     "grid_for",
+    "run_targets",
     "run_scenario",
     "fit_scaling",
     "evaluate_guarantees",
@@ -86,7 +90,7 @@ class TrialRecord:
     n_used: int
     losses: dict
     flags: dict
-    wall_time: float
+    wall_time: float      # the whole trial, each target's score included
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -237,11 +241,14 @@ def make_state(s: Scenario, rng: np.random.Generator) -> tuple:
 
 def _frobenius_trial(s: Scenario, rho, rho_dec, point, rng):
     n = int(point)
-    spec = fb.parse_estimator(s.estimator, s.r)
-    est = spec.run(rho, n, rng)
+    return n, fb.parse_estimator(s.estimator, s.r).run(rho, n, rng)
+
+
+def _frobenius_score(s: Scenario, rho, rho_dec, est, point):
     loss = linalg.frob_sq(est - rho)
-    promise = spec.rate(s.d, s.r) / n
-    return n, {"frob_sq": float(loss)}, \
+    promise = fb.parse_estimator(s.estimator, s.r).rate(s.d, s.r) \
+        / int(point)
+    return {"frob_sq": float(loss)}, \
         {"within_rate": bool(loss <= FLAG_SLACK * promise)}
 
 
@@ -252,30 +259,25 @@ def _frobenius_verdict(s: Scenario, row: dict):
     return row["mean"] <= promise + slack, row["mean"], promise
 
 
-def _staged(score):
-    """Trial body of a staged target: plan, learn, check the drain, then
-    ``score(rho, rho_dec, out, point, eps)`` with eps the planned
-    accuracy."""
-    def trial(s: Scenario, rho, rho_dec, point, rng):
-        spec = fb.parse_estimator(s.estimator, s.r)
-        params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), float(point))
-        out = pl.staged_learn(rho, spec, params, rng)
-        if out.consumed != params.total:  # the relearn pass drains it
-            raise RuntimeError(f"staged run consumed {out.consumed} of "
-                               f"{params.total} planned copies")
-        losses, flags = score(rho, rho_dec, out, float(point), params.eps)
-        return out.consumed, losses, {**flags,
-                                      "converged": not out.forced_stop}
-    return trial
+def _staged_trial(s: Scenario, rho, rho_dec, point, rng):
+    """The trial the staged targets share: plan, learn, check the drain.
+    Each staged score reads the planned accuracy off ``out.params.eps``."""
+    spec = fb.parse_estimator(s.estimator, s.r)
+    params = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r), float(point))
+    out = pl.staged_learn(rho, spec, params, rng)
+    if out.consumed != params.total:  # the relearn pass drains it
+        raise RuntimeError(f"staged run consumed {out.consumed} of "
+                           f"{params.total} planned copies")
+    return out.consumed, out
 
 
-def _chi2_score(rho, rho_dec, out, point, eps):
+def _chi2_score(s: Scenario, rho, rho_dec, out, point):
     est = pl.to_chi2(out)
     chi2 = float(dv.bures_chi2(rho, est))
     return ({"bures_chi2": chi2,
              "hellinger_sq": float(dv.hellinger_sq_q(rho_dec, est)),
              "eps_prime": float(out.eps_prime)},
-            {"within_eps": chi2 <= point,
+            {"within_eps": chi2 <= point, "converged": not out.forced_stop,
              **_structure_flags(rho_dec, out)})
 
 
@@ -329,19 +331,21 @@ def _indexed_tail(num: np.ndarray, q: np.ndarray, ell: int) -> float:
     return float(2.0 * np.sum(ls / qk))
 
 
-def _infidelity_score(rho, rho_dec, out, point, eps):
+def _infidelity_score(s: Scenario, rho, rho_dec, out, point):
     infid = float(dv.infidelity(rho_dec, pl.to_infidelity(out)))
     return ({"infidelity": infid, "eps_prime": float(out.eps_prime)},
-            {"within_eps": infid <= eps})
+            {"within_eps": infid <= out.params.eps,
+             "converged": not out.forced_stop})
 
 
-def _kl_score(rho, rho_dec, out, point, eps):
-    est = pl.to_infidelity(out)
+def _kl_score(s: Scenario, rho, rho_dec, out, point):
+    est, eps = pl.to_infidelity(out), out.params.eps
     smoothed, bound = pl.to_kl(est, eps)
     infid, kl = dv.infidelity_and_relative_entropy(rho_dec, est, smoothed)
     bound = float(bound)
     return ({"infidelity": infid, "kl": kl, "kl_bound": bound},
-            {"within_eps": infid <= eps, "kl_within_bound": kl <= bound})
+            {"within_eps": infid <= eps, "kl_within_bound": kl <= bound,
+             "converged": not out.forced_stop})
 
 
 def _kl_verdict(s: Scenario, row: dict):
@@ -350,13 +354,17 @@ def _kl_verdict(s: Scenario, row: dict):
 
 
 def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
-    """Run the quantum tester, then score its learned product against the
-    truth: the joint's Bures chi-square from it, the MI (the joint's
-    relative entropy to the product of its true marginals, whose
-    eigensystem takes two marginal solves) and the product flag.  The
-    true marginals are traced once, for both."""
     v = mt.quantum_mi_test(rho, rho_dec, s.d, float(point), rng,
                            r=s.r, spec=fb.parse_estimator(s.estimator, s.r))
+    return int(v.stats["joint_copies"]), v
+
+
+def _mi_score(s: Scenario, rho, rho_dec, v, point):
+    """Score the quantum tester's learned product against the truth: the
+    joint's Bures chi-square from it, the MI (the joint's relative
+    entropy to the product of its true marginals, whose eigensystem takes
+    two marginal solves) and the product flag.  The true marginals are
+    traced once, for both."""
     learned = v.stats["product"]
     marginals = linalg.marginals(rho, s.d)
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
@@ -368,18 +376,24 @@ def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
              "correct": v.accept == FAMILIES[s.family].product,
              "floor_ok": bool(v.stats["learning"]["floor_ok"]),
              "product_within_eps_prime": chi2 <= v.stats["eps_prime"]}
-    return int(v.stats["joint_copies"]), losses, flags
+    return losses, flags
 
 
 def _classical_mi_trial(s: Scenario, rho, rho_dec, point, rng):
     """Run the classical tester on the table of the state's outcomes in
-    the computational basis, and score that table's MI: its KL to the
-    product of its marginals."""
+    the computational basis."""
     joint = np.diag(rho).real.reshape(s.d, s.d)
     v = mt.classical_mi_test(joint, float(point), rng)
+    return v.stats["n_total"], v
+
+
+def _classical_mi_score(s: Scenario, rho, rho_dec, v, point):
+    """The tester's verdict, and the MI of the table it tested: the KL
+    to the product of the table's marginals."""
+    joint = np.diag(rho).real.reshape(s.d, s.d)
     product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
     mi = dv.classical_chain(joint.ravel(), product.ravel())["kl"]
-    return v.stats["n_total"], {"mi": mi}, {
+    return {"mi": mi}, {
         "accept": v.accept, "correct": v.accept == FAMILIES[s.family].product}
 
 
@@ -407,24 +421,28 @@ class Target(typing.NamedTuple):
     grid: str                 # the Scenario field holding its grid
     loss: str                 # what summaries average and verdicts judge
     bipartite: bool           # runs on the bipartite families, only there
-    trial: typing.Callable    # (s, rho, rho_dec, point, rng) ->
-    #                           n_used, losses, flags
+    trial: typing.Callable    # (s, rho, rho_dec, point, rng) -> n_used,
+    #                           result: spends the copies; targets with
+    #                           the same trial can share one run of it
+    score: typing.Callable    # (s, rho, rho_dec, result, point) -> losses,
+    #                           flags: reads the truth, draws nothing
     verdict: typing.Callable  # (s, summarize row) -> passed, measured, bar
 
 
 #: the ladder of losses, from Frobenius error up to the MI tests
 TARGETS = {
-    "frobenius": Target("n_grid", "frob_sq", False,
-                        _frobenius_trial, _frobenius_verdict),
-    "infidelity": Target("eps_grid", "infidelity", False,
-                         _staged(_infidelity_score), _pass_rate("within_eps")),
-    "chi2": Target("eps_grid", "bures_chi2", False,
-                   _staged(_chi2_score), _pass_rate("within_eps")),
-    "kl": Target("eps_grid", "kl", False, _staged(_kl_score), _kl_verdict),
-    "mi": Target("eps_grid", "hellinger_sq", True,
-                 _mi_trial, _pass_rate("correct")),
-    "classical_mi": Target("eps_grid", "mi", True,
-                           _classical_mi_trial, _pass_rate("correct")),
+    "frobenius": Target("n_grid", "frob_sq", False, _frobenius_trial,
+                        _frobenius_score, _frobenius_verdict),
+    "infidelity": Target("eps_grid", "infidelity", False, _staged_trial,
+                         _infidelity_score, _pass_rate("within_eps")),
+    "chi2": Target("eps_grid", "bures_chi2", False, _staged_trial,
+                   _chi2_score, _pass_rate("within_eps")),
+    "kl": Target("eps_grid", "kl", False, _staged_trial, _kl_score,
+                 _kl_verdict),
+    "mi": Target("eps_grid", "hellinger_sq", True, _mi_trial, _mi_score,
+                 _pass_rate("correct")),
+    "classical_mi": Target("eps_grid", "mi", True, _classical_mi_trial,
+                           _classical_mi_score, _pass_rate("correct")),
 }
 
 
@@ -436,33 +454,55 @@ def grid_for(s: Scenario) -> tuple:
 # trial execution
 # ---------------------------------------------------------------------------
 
-def _run_trial(s: Scenario, point_index: int, trial: int) -> TrialRecord:
+def _run_trial(s: Scenario, targets: tuple, point_index: int,
+               trial: int) -> tuple:
+    """Run ``s.target``'s trial once, then score it for each of
+    ``targets``; returns their records in that order."""
     point = grid_for(s)[point_index]
     rng = np.random.default_rng([s.master_seed, point_index, trial])
     started = time.perf_counter()
-    n_used, losses, flags = TARGETS[s.target].trial(
-        s, *make_state(s, rng), point, rng)
-    return TrialRecord(scenario=s.sid, trial=trial, point=float(point),
-                       n_used=n_used, losses=losses, flags=flags,
-                       wall_time=time.perf_counter() - started)
+    rho, rho_dec = make_state(s, rng)
+    n_used, result = TARGETS[s.target].trial(s, rho, rho_dec, point, rng)
+    scores = [TARGETS[t].score(s, rho, rho_dec, result, point)
+              for t in targets]
+    wall_time = time.perf_counter() - started
+    return tuple(TrialRecord(scenario=s.sid, trial=trial, point=float(point),
+                             n_used=n_used, losses=losses, flags=flags,
+                             wall_time=wall_time) for losses, flags in scores)
 
 
-def run_scenario(s: Scenario, workers: int = 1) -> list:
-    """Run every (grid point, trial) pair; deterministic under the seed.
+def run_targets(s: Scenario, targets: tuple, workers: int = 1) -> dict:
+    """Run every (grid point, trial) pair once and score it for each of
+    ``targets``: ``{target: records}``, each list the records
+    ``run_scenario`` gives on ``s`` with that target.  Every target must
+    share ``s.target``'s trial.  Deterministic under the seed.
 
     Parallel runs return records in the same order as serial ones
     because each trial's stream depends only on its own indices.
     """
     validate_scenario(s)
-    tasks = [(s, pi, t) for pi in range(len(grid_for(s)))
+    trial = TARGETS[s.target].trial
+    for t in targets:
+        if t not in TARGETS or TARGETS[t].trial is not trial:
+            raise ScenarioError(
+                f"targets: {t!r} does not share the trial of {s.target!r}")
+    tasks = [(s, targets, pi, t) for pi in range(len(grid_for(s)))
              for t in range(s.trials)]
     if workers <= 1 or len(tasks) <= 1:
-        return [_run_trial(*task) for task in tasks]
-    # imported here: the pool machinery costs ~2 MB that serial runs skip
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_trial, *zip(*tasks), chunksize=chunk))
+        runs = [_run_trial(*task) for task in tasks]
+    else:
+        # imported here: the pool machinery costs ~2 MB that serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_run_trial, *zip(*tasks), chunksize=chunk))
+    return {t: list(records) for t, records in zip(targets, zip(*runs))}
+
+
+def run_scenario(s: Scenario, workers: int = 1) -> list:
+    """Run every (grid point, trial) pair of ``s.target``: the one-target
+    case of :func:`run_targets`."""
+    return run_targets(s, (s.target,), workers)[s.target]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from . import config
 __all__ = [
     "SpectralDecomposition",
     "require_hermitian",
-    "require_density",
     "eig_hermitian",
     "decompose",
     "kron_decomposition",
@@ -75,17 +74,6 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     if not skew <= config.HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
-
-
-def require_density(rho: np.ndarray) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD, unit trace."""
-    rho = require_hermitian(rho)
-    if not abs(np.trace(rho).real - 1.0) <= config.TRACE_TOL:
-        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    if not w[0] >= -config.PSD_TOL:
-        raise ValueError(f"negative eigenvalue {w[0]}")
-    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ by the staged pipeline with a spectrum floor, compared against the
 joint in squared Hellinger).  A tester spends its copies and returns
 its verdict with what the verdict read; it computes no divergence of
 the true state beyond that.  Scoring against the truth, which only a
-lab knows, is the harness's (its ``mi`` and ``classical_mi`` targets).
+lab knows, is the harness's (the scores of its ``mi`` and
+``classical_mi`` targets).
 
 Everywhere below d means the marginal dimension: classical joints are
 d x d tables, quantum joints live on a d^2-dimensional space.  All

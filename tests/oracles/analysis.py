@@ -24,7 +24,9 @@ tests use them as references for what the library computes:
 * the depolarizing channel itself, on a density matrix (the library's
   KL upgrade depolarizes a decomposition's values instead);
 * the square-root divergences through matrix square roots, the route
-  the library took before it read them off one eigenbasis overlap.
+  the library took before it read them off one eigenbasis overlap;
+* a full density-matrix check (Hermitian, unit trace, PSD by one
+  eigvalsh), which the tests apply to states the library builds.
 
 Import from a test as ``from oracles import analysis``.
 """
@@ -330,3 +332,14 @@ def hellinger_sq_q_by_roots(rho, sigma) -> float:
 
 def bures_sq_by_roots(rho, sigma) -> float:
     return 2.0 * (1.0 - fidelity_by_roots(rho, sigma))
+
+
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD, unit trace."""
+    rho = linalg.require_hermitian(rho)
+    if not abs(np.trace(rho).real - 1.0) <= config.TRACE_TOL:
+        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
+    w = np.linalg.eigvalsh(rho)
+    if not w[0] >= -config.PSD_TOL:
+        raise ValueError(f"negative eigenvalue {w[0]}")
+    return rho

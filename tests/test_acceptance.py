@@ -1,7 +1,7 @@
 """One test per acceptance criterion.
 
-The suite runs once per pytest process (criteria 7 and 8 share one chi2
-run inside it anyway) and each test prints the criterion's pass/fail
+The suite runs once per pytest process (criteria 7-9 share one staged
+run per rank inside it anyway) and each test prints the criterion's pass/fail
 line before asserting it.  Key tolerances are re-asserted
 from the measured values so a bookkeeping bug in the suite's own
 ``passed`` flag cannot slip through.
@@ -84,26 +84,29 @@ def test_only_filter_and_unknown_number():
         accept.acceptance_suite(only=[3, 99])
 
 
-def test_shared_chi2_run_is_seed_pure_and_built_once(monkeypatch):
-    """Criteria 7 and 8 read one chi2 run: criterion 8 measures the same
-    alone as after 7, and running both runs each scenario once."""
+def test_staged_criteria_learn_each_state_once(monkeypatch):
+    """Criteria 7-9 read one harness run per rank, which learns each
+    state once and scores it as chi2 and as kl: the three together make
+    three runs, and criterion 9 measures the same alone as after 7 and
+    8.  Every harness run, run_scenario's included, is a run_targets
+    call."""
     runs = []
-    real = accept.hz.run_scenario
+    real = accept.hz.run_targets
 
-    def counted(s, *args, **kwargs):
-        runs.append(s.sid)
-        return real(s, *args, **kwargs)
+    def counted(s, targets, *args, **kwargs):
+        runs.append((s.sid, tuple(targets)))
+        return real(s, targets, *args, **kwargs)
 
-    monkeypatch.setattr(accept.hz, "run_scenario", counted)
+    monkeypatch.setattr(accept.hz, "run_targets", counted)
     accept._staged.cache_clear()
-    (alone,) = accept.acceptance_suite(only=[8])
+    (alone,) = accept.acceptance_suite(only=[9])
     accept._staged.cache_clear()
     runs.clear()
-    both = accept.acceptance_suite(only=[7, 8])
-    assert [r.number for r in both] == [7, 8]
-    assert both[1].measured == alone.measured
-    assert sorted(runs) == sorted(set(runs))
-    assert len(runs) == 3
+    every = accept.acceptance_suite(only=[7, 8, 9])
+    assert [r.number for r in every] == [7, 8, 9]
+    assert every[2].measured == alone.measured
+    assert len(runs) == 3 and len(set(runs)) == 3
+    assert {targets for _, targets in runs} == {("chi2", "kl")}
 
 
 @pytest.mark.parametrize("verdict", [True, False],

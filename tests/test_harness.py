@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import itertools
 from pathlib import Path
@@ -327,7 +328,7 @@ class TestLossKernels:
         monkeypatch.setattr(hz.pl, last_step, stepped)
         s = small(target=target, d=4, r=2, family="rank_r_random",
                   trials=1)
-        rec = hz._run_trial(s, 0, 0)
+        (rec,) = hz._run_trial(s, (s.target,), 0, 0)
         monkeypatch.undo()
         return rec, seen["rho"], seen["est"], len(calls)
 
@@ -401,7 +402,8 @@ class TestStructureFlags:
     def test_product_flag_has_power(self, monkeypatch):
         s = small(target="mi", d=3, family="bipartite:random_product",
                   eps_grid=(0.5,), trials=1)
-        assert hz._run_trial(s, 0, 0).flags["product_within_eps_prime"]
+        (rec,) = hz._run_trial(s, (s.target,), 0, 0)
+        assert rec.flags["product_within_eps_prime"]
         real = hz.mt.quantum_mi_test
 
         def far(*args, **kwargs):
@@ -411,7 +413,8 @@ class TestStructureFlags:
             return v
 
         monkeypatch.setattr(hz.mt, "quantum_mi_test", far)
-        assert not hz._run_trial(s, 0, 0).flags["product_within_eps_prime"]
+        (rec,) = hz._run_trial(s, (s.target,), 0, 0)
+        assert not rec.flags["product_within_eps_prime"]
 
 
 def test_mi_trial_scores_against_the_truth(monkeypatch):
@@ -451,7 +454,7 @@ def test_mi_trial_scores_against_the_truth(monkeypatch):
     monkeypatch.setattr(hz, "make_state", made)
     monkeypatch.setattr(hz.mt, "learn_product_quantum", learned)
     monkeypatch.setattr(hz.mt, "quantum_mi_test", tested)
-    rec = hz._run_trial(s, 0, 0)
+    (rec,) = hz._run_trial(s, (s.target,), 0, 0)
     monkeypatch.undo()
     assert len(traces) == 1
     assert solves == [(3, 3), (3, 3)]
@@ -615,14 +618,21 @@ GOLDEN = [
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
-def golden_csv(fields) -> str:
-    """The CSV text of one ``GOLDEN`` scenario, run on one worker."""
+def golden_scenario(fields) -> hz.Scenario:
     base = dict(family="rank_r_random", estimator="oracle:f=d",
                 eps_grid=(0.25,))
-    s = hz.Scenario(**{**base, **fields})
+    return hz.Scenario(**{**base, **fields})
+
+
+def csv_text(records) -> str:
     buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(hz.csv_rows(hz.run_scenario(s, workers=1)))
+    csv.writer(buf).writerows(hz.csv_rows(records))
     return buf.getvalue()
+
+
+def golden_csv(fields) -> str:
+    """The CSV text of one ``GOLDEN`` scenario, run on one worker."""
+    return csv_text(hz.run_scenario(golden_scenario(fields), workers=1))
 
 
 def _sha256(text: str) -> str:
@@ -655,3 +665,50 @@ def test_golden_csv_digest(fields, digest):
     assert _sha256(stored) == digest, "stored CSV disagrees with its digest"
     got = golden_csv(fields)
     assert _sha256(got) == digest, _moved_cells(stored, got)
+
+
+STAGED = ("infidelity", "chi2", "kl")
+
+
+@pytest.mark.parametrize(
+    "fields", [f for f, _ in GOLDEN if f["target"] in STAGED],
+    ids=[f["sid"] for f, _ in GOLDEN if f["target"] in STAGED])
+def test_one_learn_scores_every_staged_target(fields):
+    """One run of the shared staged trial, scored for every staged
+    target, gives each target the CSV bytes of its own run."""
+    s = golden_scenario(fields)
+    shared = hz.run_targets(s, STAGED)
+    assert list(shared) == list(STAGED)
+    for target in STAGED:
+        alone = hz.run_scenario(dataclasses.replace(s, target=target))
+        assert csv_text(shared[target]) == csv_text(alone), target
+
+
+def test_shared_run_is_worker_independent():
+    s = small(target="kl", d=4, r=2, eps_grid=(0.25, 0.2), trials=2)
+    serial = hz.run_targets(s, STAGED)
+    parallel = hz.run_targets(s, STAGED, workers=2)
+    assert {t: csv_text(r) for t, r in serial.items()} == {
+        t: csv_text(r) for t, r in parallel.items()}
+
+
+@pytest.mark.parametrize("targets", [("chi2", "mi"), ("chi2", "frobenius"),
+                                     ("chi2", "banana")])
+def test_shared_run_refuses_a_target_with_another_trial(targets):
+    s = small(target="chi2", d=4, r=2)
+    with pytest.raises(hz.ScenarioError, match="does not share the trial"):
+        hz.run_targets(s, targets)
+
+
+def test_target_contract():
+    """A trial takes the stream; a score takes the truth and the trial's
+    result, named for what it holds, and no stream.  The staged targets
+    share one trial object, so one run serves them all."""
+    for name, target in hz.TARGETS.items():
+        assert tuple(inspect.signature(target.trial).parameters) == (
+            "s", "rho", "rho_dec", "point", "rng"), name
+        s, rho, rho_dec, result, point = inspect.signature(
+            target.score).parameters
+        assert (s, rho, rho_dec, point) == ("s", "rho", "rho_dec", "point")
+        assert result != "rng", name
+    assert {hz.TARGETS[t].trial for t in STAGED} == {hz._staged_trial}

@@ -6,7 +6,7 @@ import pytest
 
 from bureslab import config, divergences as dv, frobenius as fb, linalg
 from bureslab import measurement as ms, pipeline as pl
-from oracles import dense_stages
+from oracles import analysis, dense_stages
 
 
 ORACLE = fb.parse_estimator("oracle:f=d2")
@@ -275,7 +275,7 @@ class TestStagedLearn:
         for _ in range(10):
             rho, out = run_staged(4, 1, rng)
             est = pl.to_chi2(out)
-            linalg.require_density(est.matrix())
+            analysis.require_density(est.matrix())
             worst = max(worst, dv.bures_chi2(rho, est))
         assert worst <= 0.2
 
@@ -283,7 +283,7 @@ class TestStagedLearn:
         rng = np.random.default_rng(239)
         rho, out = run_staged(4, 4, rng, family="geo")
         est = pl.to_chi2(out)
-        linalg.require_density(est.matrix())
+        analysis.require_density(est.matrix())
         assert dv.bures_chi2(rho, est) <= 0.2
 
 
@@ -291,7 +291,7 @@ def test_to_infidelity_zeroes_prefix():
     rng = np.random.default_rng(241)
     rho, out = run_staged(4, 2, rng)
     est = pl.to_infidelity(out)
-    linalg.require_density(est.matrix())
+    analysis.require_density(est.matrix())
     if out.prefix:
         ell = out.prefix
         blk = (out.frame.conj().T @ est.matrix() @ out.frame)[:ell, :ell]
@@ -304,7 +304,7 @@ def test_to_kl_depolarizes():
     rho, out = run_staged(4, 2, rng)
     base = pl.to_infidelity(out)
     est, bound = pl.to_kl(base, 0.05)
-    linalg.require_density(est.matrix())
+    analysis.require_density(est.matrix())
     assert np.min(np.linalg.eigvalsh(est.matrix())) >= 0.1 / 4 - 1e-12
     assert bound == pytest.approx(16 * 0.05 * (2 + np.log(4 / 0.1)))
     assert dv.relative_entropy(rho, est) <= bound

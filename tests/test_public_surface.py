@@ -37,21 +37,23 @@ And there is one trial path: no top-level definition in ``cli`` or
 ``accept`` names ``quantum_mi_test``, ``classical_mi_test``,
 ``staged_learn`` or an estimator's ``.run``, and neither module imports
 ``mitest``, so trials of the learner, the estimators and both testers
-reach them only through ``harness.run_scenario``.
+reach them only through ``harness.run_targets`` (``run_scenario`` is its
+one-target case).  In the harness those names sit only in the targets'
+trials, which ``_run_trial`` alone calls, and ``run_targets`` alone
+calls it.
 """
 
 import ast
 from pathlib import Path
 
 import bureslab
+from bureslab import harness
 
 PACKAGE = Path(bureslab.__file__).parent
 BENCHMARK = PACKAGE.parents[1] / "perfbench"
 
 #: kept without a caller, each for the change that wires it in
 ALLOWED = {
-    # public entry points are to reject non-states with it
-    ("linalg", "require_density"),
     # per-trial traces are to log the predicted error terms
     ("pipeline", "chi2_error_terms"),
     # the divergence chain is to gain D_2 = renyi_divergence_q(rho,
@@ -321,6 +323,21 @@ def test_the_pipeline_imports_no_divergences():
 def test_cli_and_accept_run_trials_through_the_harness():
     assert trial_bodies("cli") == [] and trial_bodies("accept") == []
     assert "mitest" not in imported_by("cli") | imported_by("accept")
-    # the guard sees the harness's calls, both testers' included
-    assert {name for _, name in trial_bodies("harness")} >= {
-        "quantum_mi_test", "classical_mi_test"}
+    # the guard sees the harness's calls, both testers' included, and
+    # each sits in a target's trial
+    found = trial_bodies("harness")
+    assert {name for _, name in found} >= {
+        "quantum_mi_test", "classical_mi_test", "staged_learn"}
+    assert {owner for owner, _ in found} == {
+        target.trial.__name__ for target in harness.TARGETS.values()}
+    # the trials run in _run_trial alone, and it in run_targets alone;
+    # the top-level definitions that name each, None for module level
+    refs = _references(_parse(PACKAGE)["harness"], strings=False)
+
+    def referrers(name):
+        return {owner for owner, ref in refs if ref == name}
+
+    for target in harness.TARGETS.values():
+        assert referrers(target.trial.__name__) == {None}
+    assert referrers("_run_trial") == {"run_targets"}
+    assert referrers("run_targets") == {"run_scenario"}
