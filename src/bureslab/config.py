@@ -21,9 +21,8 @@ PASS_MASS_FLOOR = 1e-6
 #: max allowed |A - A^dagger| entry for inputs declared Hermitian
 HERMITIAN_TOL = 1e-12
 
-#: slack for PSD / trace-one / completeness checks on states and POVMs
+#: slack for PSD / completeness checks on states and POVMs
 PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,12 @@ _ORACLE_RATES = {
 }
 
 
-def parse_estimator(text: str, r: int = None) -> EstimatorSpec:
+def parse_estimator(text: str, r: int) -> EstimatorSpec:
     """Build an EstimatorSpec from its command-line name.
 
     Accepted: "simple", "oracle:f=d", "oracle:f=rd", "oracle:f=d2".
-    The rank argument only matters for rank-sensitive oracle rates and is
-    looked up at run time from the rate callable's second argument.
+    The rank cap r only matters for rank-sensitive oracle rates: the
+    runner hands it to the rate callable as its second argument.
     """
     if text == "simple":
         return EstimatorSpec(
@@ -149,8 +149,7 @@ def parse_estimator(text: str, r: int = None) -> EstimatorSpec:
         rate = _ORACLE_RATES[key]
 
         def runner(rho, n, rng, _rate=rate, _r=r):
-            rr = _r if _r is not None else rho.shape[0]
-            return oracle_estimate(rho, _rate(rho.shape[0], rr), n, rng)
+            return oracle_estimate(rho, _rate(rho.shape[0], _r), n, rng)
 
         return EstimatorSpec(name=text, rate=rate, run=runner)
     raise ValueError(f"unknown estimator {text!r}")

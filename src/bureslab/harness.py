@@ -169,6 +169,12 @@ def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
             kwargs[name] = tuple(map(cast, value)) if grid else cast(value)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{source}: field {key!r}: {exc}") from exc
+    if kwargs.get("target") in TARGETS:  # a grid the target never reads
+        read = TARGETS[kwargs["target"]].grid
+        for name in ("n_grid", "eps_grid"):
+            if name in kwargs and name != read:
+                raise ScenarioError(f"{source}: field {name!r}: target "
+                                    f"{kwargs['target']!r} reads {read}")
     for f in fields(Scenario):
         if f.default is MISSING and f.name not in kwargs:
             key = "id" if f.name == "sid" else f.name

@@ -5,15 +5,15 @@ within squared Hellinger eta^2 of some product state obeys an explicit
 MI ceiling, so a tester that certifies closeness-to-product doubles as
 a correlation detector.  No run evaluates that ceiling, so its closed
 forms live with the tests' analysis references
-(``tests/oracles/analysis.py``).  This module carries the classical
-tester (add-one marginal learning plus a chi-square identity test
-against the learned product) and the quantum tester (marginals learned
-by the staged pipeline with a spectrum floor, compared against the
-joint in squared Hellinger).  A tester spends its copies and returns
-its verdict with what the verdict read; it computes no divergence of
-the true state beyond that.  Scoring against the truth, which only a
-lab knows, is the harness's (the scores of its ``mi`` and
-``classical_mi`` targets).
+(``tests/oracles/analysis.py``).  Both testers turn the MI gap into
+one working accuracy and testing gap, learn the marginals and test the
+joint against their product: the classical tester by add-one learning
+and a chi-square identity test, the quantum tester by two staged runs
+with a spectrum floor and a squared-Hellinger gap.  A tester spends its
+copies and returns its verdict with what the verdict read, its staged
+runs included; it computes no divergence of the true state beyond that.
+Scoring against the truth, which only a lab knows, is the harness's
+(the scores of its ``mi`` and ``classical_mi`` targets).
 
 Everywhere below d means the marginal dimension: classical joints are
 d x d tables, quantum joints live on a d^2-dimensional space.  All
@@ -38,17 +38,12 @@ from . import pipeline as pl
 __all__ = [
     "TesterVerdict",
     "correlated_joint",
-    "learn_marginals",
     "pearson_null_variance",
     "pearson_null_quantile",
     "pearson_identity_test",
     "classical_mi_plan",
     "classical_mi_test",
-    "quantum_mi_plan",
-    "marginal_scale",
-    "learn_marginal_floored",
     "learn_product_quantum",
-    "hellinger_gap_verdict",
     "quantum_mi_test",
 ]
 
@@ -61,12 +56,16 @@ class TesterVerdict:
     stats: dict
 
 
-def _check_gap(d: int, eps: float) -> None:
-    # the conversion chain needs ln(d/eps) > 0 and a subconstant gap
+def _working_gap(d: int, eps: float) -> tuple:
+    """(eps', eps_t) = (C_INEQ eps / ln(d/eps), 2 eps') for an MI gap eps:
+    the smoothing bound on the way to a testing gap eats a ln(d/eps)
+    factor, so the chain needs ln(d/eps) > 0 and a subconstant gap."""
     if d < 2:
         raise pl.ParameterError("marginal dimension must be at least 2")
     if not 0.0 < eps <= 0.5:
         raise pl.ParameterError("MI gap eps must lie in (0, 1/2]")
+    eps_prime = config.C_INEQ * eps / math.log(d / eps)
+    return eps_prime, 2.0 * eps_prime
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +92,9 @@ def correlated_joint(d: int, lam: float) -> np.ndarray:
 def classical_mi_plan(d: int, eps: float) -> dict:
     """Working accuracies and sample sizes for one classical MI test.
 
-    The route from an MI gap eps to a chi-square testing gap passes
-    through the smoothing bound, which eats a ln(d/eps) factor; the
-    learner gets enough samples that each marginal lands within a third
+    eps_dd and eps_t are the working accuracy and testing gap of the
+    MI gap eps (the quantum tester's eps_prime and eps_t); the learner
+    gets enough samples that each marginal lands within a third
     of the working accuracy except with small constant probability, and
     the identity test runs at the usual sqrt(#outcomes) rate.  The plan
     is solved once per (d, eps) and each call hands out a fresh dict, so
@@ -107,20 +106,11 @@ def classical_mi_plan(d: int, eps: float) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _solve_classical_plan(d: int, eps: float) -> tuple:
-    _check_gap(d, eps)
-    eps_dd = config.C_INEQ * eps / math.log(d / eps)
-    eps_t = 2.0 * eps_dd
+    eps_dd, eps_t = _working_gap(d, eps)
     n_learn = math.ceil(config.C_LEARN_CLASSICAL * d / eps_dd)
     n_test = math.ceil(config.C_TEST_BUDGET * d / eps_t)
     return (("eps_dd", eps_dd), ("eps_t", eps_t),
             ("n_learn", int(n_learn)), ("n_test", int(n_test)))
-
-
-def learn_marginals(counts: np.ndarray, n: int):
-    """Add-one smoothed marginal estimates from a joint count table."""
-    counts = np.asarray(counts)
-    return (classical.add_one_hybrid(counts.sum(axis=1), n, 0),
-            classical.add_one_hybrid(counts.sum(axis=0), n, 0))
 
 
 def pearson_null_variance(q, n: int) -> float:
@@ -241,7 +231,8 @@ def classical_mi_test(joint, eps: float,
     plan = classical_mi_plan(d, eps)
     flat = p.ravel()
     counts_learn = rng.multinomial(plan["n_learn"], flat).reshape(p.shape)
-    qa, qb = learn_marginals(counts_learn, plan["n_learn"])
+    qa = classical.add_one_hybrid(counts_learn.sum(axis=1), plan["n_learn"], 0)
+    qb = classical.add_one_hybrid(counts_learn.sum(axis=0), plan["n_learn"], 0)
     counts_test = rng.multinomial(plan["n_test"], flat)
     inner = pearson_identity_test(np.outer(qa, qb).ravel(), counts_test,
                                   plan["n_test"], plan["eps_t"], rng)
@@ -252,88 +243,40 @@ def classical_mi_test(joint, eps: float,
 
 
 # ---------------------------------------------------------------------------
-# quantum marginal learning
+# quantum tester
 # ---------------------------------------------------------------------------
-
-def quantum_mi_plan(d: int, eps: float) -> dict:
-    """Working accuracies for one quantum MI test at marginal dimension d."""
-    _check_gap(d, eps)
-    eps_prime = config.C_INEQ * eps / math.log(d / eps)
-    eps_t = 2.0 * eps_prime
-    return {"eps_prime": eps_prime, "eps_t": eps_t,
-            "eps_learn": 0.49 * eps_t}
-
-
-def marginal_scale(d: int, r: int, eps_learn: float) -> float:
-    """Per-stage accuracy that lands a floored estimate within eps_learn.
-
-    The cookie blend's chi-square error carries a sqrt(d/r) amplification
-    on the blended block and a d^(3/4)/sqrt(r) one through the floor, so
-    the stage scale shrinks by the worse of the two.
-    """
-    return eps_learn * min(d ** -0.5, math.sqrt(r) / d ** 0.75)
-
-
-def learn_marginal_floored(rho: np.ndarray, eps_learn: float,
-                           rng: np.random.Generator, r: int,
-                           spec: fb.EstimatorSpec):
-    """Learn one marginal with the staged pipeline and blend in a floor.
-
-    Returns (estimate, record).  The estimate, a
-    ``linalg.SpectralDecomposition`` (see ``pipeline.to_chi2``), carries
-    eps_learn of uniform mass on any unresolved block, giving the
-    spectrum floor the product decomposition needs; the record holds
-    budgets and floor diagnostics.  floor_ok reports whether every
-    eigenvalue (read off the estimate, with no new solve) cleared
-    eps_learn / d, which a fully resolved rank-deficient state will not.
-    """
-    d = rho.shape[0]
-    if not 0.0 < eps_learn < 0.5:
-        raise pl.ParameterError("eps_learn must lie in (0, 1/2)")
-    target = marginal_scale(d, r, eps_learn)
-    params = pl.budget_for_scale(d, r, spec.rate(d, r), target)
-    out = pl.staged_learn(rho, spec, params, rng)
-    est = pl.to_chi2(out, eta=eps_learn)
-    floor = float(est.values[0])
-    record = {
-        "dim": d, "rank_cap": int(r), "eps_learn": float(eps_learn),
-        "eps_tilde": params.eps_tilde, "stage_budget": params.m,
-        "consumed": out.consumed, "prefix": out.prefix,
-        "eps_residual": out.eps_prime, "stop_reason": out.stop_reason,
-        "min_eigenvalue": floor,
-        "floor_ok": bool(floor >= eps_learn / d - config.PSD_TOL),
-    }
-    return est, record
-
 
 def learn_product_quantum(rho_joint: np.ndarray, d: int, eps_learn: float,
                           rng: np.random.Generator, r: int,
                           spec: fb.EstimatorSpec):
     """Learn both marginals of a d x d bipartite state as floored estimates.
 
-    Local algorithms on disjoint subsystems can share copies, so every
-    joint copy yields one copy of each marginal and the joint cost is
-    the larger of the two marginal budgets, not their sum.  Returns
-    (estimates, record): the two marginals' estimates as decompositions,
-    in ``linalg.marginals``'s order, and the budgets.
+    Each marginal gets one staged run, and ``pipeline.to_chi2`` blends
+    eps_learn of uniform mass into its unresolved block, the spectrum
+    floor the product decomposition needs.  The blend's chi-square error
+    carries a sqrt(d/r) amplification on the blended block and a
+    d^(3/4)/sqrt(r) one through the floor, so the stage scale shrinks by
+    the worse of the two; both marginals share d, r and ``spec``, so
+    they share one budget.  Local algorithms on disjoint subsystems can
+    share copies, so the joint cost is the larger run's, not the sum.
+
+    Returns (estimates, learning): the two estimates as decompositions,
+    in ``linalg.marginals``'s order, and a dict of the two staged runs
+    (``runs``), ``joint_copies`` and ``floor_ok``, whether every
+    eigenvalue of both estimates cleared eps_learn / d, which a fully
+    resolved rank-deficient marginal will not.
     """
-    rho_a, rho_b = linalg.marginals(rho_joint, d)
-    sigma_hat, rec_a = learn_marginal_floored(rho_a, eps_learn, rng, r, spec)
-    tau_hat, rec_b = learn_marginal_floored(rho_b, eps_learn, rng, r, spec)
-    record = {"a": rec_a, "b": rec_b,
-              "joint_copies": max(rec_a["consumed"], rec_b["consumed"]),
-              "floor_ok": rec_a["floor_ok"] and rec_b["floor_ok"]}
-    return (sigma_hat, tau_hat), record
-
-
-# ---------------------------------------------------------------------------
-# quantum tester
-# ---------------------------------------------------------------------------
-
-def hellinger_gap_verdict(hellinger_sq: float, eps_t: float) -> bool:
-    """Accept when the exact squared Hellinger distance between the joint
-    and the learned product, which the lab knows, sits below 2 eps_t."""
-    return bool(hellinger_sq < 2.0 * eps_t)
+    if not 0.0 < eps_learn < 0.5:
+        raise pl.ParameterError("eps_learn must lie in (0, 1/2)")
+    scale = eps_learn * min(d ** -0.5, math.sqrt(r) / d ** 0.75)
+    params = pl.budget_for_scale(d, r, spec.rate(d, r), scale)
+    runs = tuple(pl.staged_learn(rho, spec, params, rng)
+                 for rho in linalg.marginals(rho_joint, d))
+    estimates = tuple(pl.to_chi2(out, eta=eps_learn) for out in runs)
+    floor = eps_learn / d - config.PSD_TOL
+    return estimates, {
+        "runs": runs, "joint_copies": max(out.consumed for out in runs),
+        "floor_ok": all(est.values[0] >= floor for est in estimates)}
 
 
 def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
@@ -342,25 +285,26 @@ def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
     """One round of the quantum MI test on a known d x d bipartite state,
     given with its eigensystem ``joint``.
 
-    Learns floored marginal estimates at 0.49 eps_t in Bures chi-square,
-    each with rank cap ``r`` and base estimator ``spec`` (a scenario's
-    ``r`` and ``estimator``), and accepts when the joint sits within
-    2 eps_t of their product in squared Hellinger
-    (:func:`hellinger_gap_verdict`).  Accepting certifies MI below eps
-    with high probability; states with MI at least eps reject with high
-    probability.  The stats carry the plan, the learning record, the
-    verdict's input ``hellinger_sq`` and the learned product as a
-    decomposition under ``product``, built from its factors'
-    eigensystems; the joint's is given, so no call solves one.  Scoring
-    the learned product against the true marginals is the caller's.
+    Learns floored marginal estimates at eps_learn = 0.49 eps_t in Bures
+    chi-square (:func:`learn_product_quantum`), each with rank cap ``r``
+    and base estimator ``spec`` (a scenario's ``r`` and ``estimator``),
+    and accepts when the exact squared Hellinger distance between the
+    joint and their product, which the lab knows, sits below 2 eps_t.
+    Accepting certifies MI below eps with high probability; states with
+    MI at least eps reject with high probability.  The stats carry
+    eps_prime, eps_t and eps_learn, the learning record, the verdict's
+    input ``hellinger_sq`` and the learned product as a decomposition
+    under ``product``, built from its factors' eigensystems; the joint's
+    is given, so no call solves one.  Scoring the learned product
+    against the true marginals is the caller's.
     """
-    plan = quantum_mi_plan(d, eps)
-    (sigma_hat, tau_hat), record = learn_product_quantum(
-        rho_joint, d, plan["eps_learn"], rng, r, spec)
+    eps_prime, eps_t = _working_gap(d, eps)
+    eps_learn = 0.49 * eps_t
+    (sigma_hat, tau_hat), learning = learn_product_quantum(
+        rho_joint, d, eps_learn, rng, r, spec)
     learned = linalg.kron_decomposition(sigma_hat, tau_hat)
-    stats = {**plan, "learning": record,
-             "joint_copies": record["joint_copies"], "product": learned,
-             "hellinger_sq": dv.hellinger_sq_q(joint, learned)}
-    return TesterVerdict(
-        accept=hellinger_gap_verdict(stats["hellinger_sq"], plan["eps_t"]),
-        stats=stats)
+    hellinger_sq = dv.hellinger_sq_q(joint, learned)
+    return TesterVerdict(accept=bool(hellinger_sq < 2.0 * eps_t), stats={
+        "eps_prime": eps_prime, "eps_t": eps_t, "eps_learn": eps_learn,
+        "learning": learning, "joint_copies": learning["joint_copies"],
+        "product": learned, "hellinger_sq": hellinger_sq})

@@ -334,10 +334,15 @@ def bures_sq_by_roots(rho, sigma) -> float:
     return 2.0 * (1.0 - fidelity_by_roots(rho, sigma))
 
 
+#: slack on the unit trace of a density matrix; the library checks no
+#: trace, so the tolerance is this oracle's
+TRACE_TOL = 1e-10
+
+
 def require_density(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
     rho = linalg.require_hermitian(rho)
-    if not abs(np.trace(rho).real - 1.0) <= config.TRACE_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
         raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
     w = np.linalg.eigvalsh(rho)
     if not w[0] >= -config.PSD_TOL:

@@ -193,6 +193,12 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["accept", "--only", ""], "unknown criterion numbers: ['']"),
     (["tomography", "run", "--target", "frobenius", "--n", "1000.9,2000"],
      "field 'n_grid': expected an integer, got 1000.9"),
+    # a grid the target does not read is refused, not ignored
+    (["tomography", "run", "--target", "chi2", "--d", "2", "--r", "1",
+      "--n", "5", "--trials", "2", "--seed", "1"],
+     "field 'n_grid': target 'chi2' reads eps_grid"),
+    (["tomography", "run", "--target", "frobenius", "--eps", "0.01",
+      "--n", "1000"], "field 'eps_grid': target 'frobenius' reads n_grid"),
     (["accept", "--only", "13", "--out", "no-such-directory/x.json"],
      "--out no-such-directory/x.json: directory no-such-directory "
      "does not exist"),
@@ -216,6 +222,7 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
         "tomography-no-trials", "mi-no-trials", "accept-retired-6",
         "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d",
         "divergence-lam-above-one", "accept-empty", "tomography-n-fraction",
+        "tomography-chi2-unread-n", "tomography-frobenius-unread-eps",
         "accept-out-missing-directory", "divergence-seed-negative",
         "mi-seed-negative", "tomography-seed-negative", "bench-seed-negative",
         "tomography-workers-0", "bench-workers-negative",

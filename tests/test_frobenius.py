@@ -108,14 +108,14 @@ def test_oracle_estimate_equals_the_per_call_reference(d):
 
 
 def test_parse_estimator_rates():
-    assert fb.parse_estimator("simple").rate(4, 2) == config.K_ACC * 16
-    assert fb.parse_estimator("oracle:f=d").rate(6, 2) == 6.0
-    assert fb.parse_estimator("oracle:f=rd").rate(6, 2) == 12.0
-    assert fb.parse_estimator("oracle:f=d2").rate(6, 2) == 36.0
+    assert fb.parse_estimator("simple", 2).rate(4, 2) == config.K_ACC * 16
+    assert fb.parse_estimator("oracle:f=d", 2).rate(6, 2) == 6.0
+    assert fb.parse_estimator("oracle:f=rd", 2).rate(6, 2) == 12.0
+    assert fb.parse_estimator("oracle:f=d2", 2).rate(6, 2) == 36.0
     with pytest.raises(ValueError):
-        fb.parse_estimator("oracle:f=bogus")
+        fb.parse_estimator("oracle:f=bogus", 2)
     with pytest.raises(ValueError):
-        fb.parse_estimator("fancy")
+        fb.parse_estimator("fancy", 2)
 
 
 def test_runners_consume_whole_budget():
@@ -136,7 +136,7 @@ def test_runners_consume_whole_budget():
 def test_simple_runner_needs_minimum_budget():
     rng = np.random.default_rng(97)
     rho = linalg.random_density(4, 2, rng)
-    spec = fb.parse_estimator("simple")
+    spec = fb.parse_estimator("simple", 2)
     with pytest.raises(ms.BudgetExhausted,
                        match="need at least 7 copies at dimension 4"):
         spec.run(rho, 6, rng)
@@ -149,7 +149,7 @@ def test_simple_runner_needs_minimum_budget():
 
 def test_min_copies_is_the_runners_floor():
     rng = np.random.default_rng(101)
-    simple = fb.parse_estimator("simple")
+    simple = fb.parse_estimator("simple", 1)
     assert simple.min_copies(1) == 0
     for d in (2, 3, 4, 5):
         need = simple.min_copies(d)
@@ -158,5 +158,5 @@ def test_min_copies_is_the_runners_floor():
         assert simple.run(rho, need, rng).shape == (d, d)
         with pytest.raises(ms.BudgetExhausted):
             simple.run(rho, need - 1, rng)
-    oracle = fb.parse_estimator("oracle:f=d")
+    oracle = fb.parse_estimator("oracle:f=d", 1)
     assert oracle.min_copies(64) == 1

@@ -73,6 +73,20 @@ class TestScenarioConfig:
             hz.scenario_from_dict({"id": "x", "target": "chi2", "d": 4,
                                    key: value})
 
+    @pytest.mark.parametrize("target, family, unread", [
+        ("chi2", "pure", "n_grid"), ("mi", "bipartite:product", "n_grid"),
+        ("frobenius", "pure", "eps_grid")])
+    def test_unread_grid_is_refused(self, target, family, unread):
+        """A grid the target does not read is refused, not ignored; the
+        one it reads passes."""
+        read = hz.TARGETS[target].grid
+        data = {"id": "x", "target": target, "d": 4, "family": family}
+        grids = {"n_grid": [1000], "eps_grid": [0.5]}
+        hz.scenario_from_dict({**data, read: grids[read]})
+        with pytest.raises(hz.ScenarioError, match=f"field '{unread}': "
+                           f"target '{target}' reads {read}"):
+            hz.scenario_from_dict({**data, unread: grids[unread]})
+
     def test_whole_floats_are_integers(self):
         s = hz.scenario_from_dict({"id": "x", "target": "frobenius",
                                    "d": 8.0, "n_grid": [1e5, 2000],

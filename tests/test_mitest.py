@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bureslab import accept, config
+from bureslab import accept, classical, config
 from bureslab import divergences as dv
 from bureslab import frobenius as fb
 from bureslab import linalg
@@ -290,8 +290,9 @@ def _criterion_12_product_input(t):
     rng = np.random.default_rng([accept._SEED, 12, 0, t])
     joint = np.outer(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))
     plan = mt.classical_mi_plan(d, eps)
-    counts = rng.multinomial(plan["n_learn"], joint.ravel())
-    qa, qb = mt.learn_marginals(counts.reshape(d, d), plan["n_learn"])
+    counts = rng.multinomial(plan["n_learn"], joint.ravel()).reshape(d, d)
+    qa = classical.add_one_hybrid(counts.sum(axis=1), plan["n_learn"], 0)
+    qb = classical.add_one_hybrid(counts.sum(axis=0), plan["n_learn"], 0)
     return (np.outer(qa, qb).ravel(), plan["n_test"], plan["eps_t"],
             joint.ravel())
 
@@ -477,63 +478,99 @@ class TestProductDecomposition:
 # quantum marginal learning and tester
 # ---------------------------------------------------------------------------
 
-#: the base estimator a Scenario names by default
-ORACLE = fb.parse_estimator("oracle:f=d")
+#: the base estimator a Scenario names by default; f = d reads no rank
+#: cap, so one spec serves every r
+ORACLE = fb.parse_estimator("oracle:f=d", 1)
 
 
 class TestQuantumLearning:
     def test_mixed_marginal_floored(self):
         rng = np.random.default_rng(51)
-        rho = linalg.maximally_mixed(4)
-        est, rec = mt.learn_marginal_floored(rho, 0.004, rng, 4, ORACLE)
-        assert rec["floor_ok"]
-        assert rec["min_eigenvalue"] >= 0.004 / 4 - 1e-10
-        assert dv.bures_chi2(rho, est) <= 0.004
-        assert rec["consumed"] > 0
+        third = linalg.maximally_mixed(4)
+        ests, learning = mt.learn_product_quantum(
+            linalg.maximally_mixed(16), 4, 0.004, rng, 4, ORACLE)
+        assert learning["floor_ok"]
+        for est, out in zip(ests, learning["runs"]):
+            assert est.values[0] >= 0.004 / 4 - 1e-10
+            assert dv.bures_chi2(third, est) <= 0.004
+            assert out.consumed > 0
 
     def test_rank_one_marginal_close(self):
         rng = np.random.default_rng(52)
-        rho = linalg.random_density(4, 1, rng)
-        est, rec = mt.learn_marginal_floored(rho, 0.01, rng, 4, ORACLE)
-        assert np.trace(est.matrix()).real == pytest.approx(1.0, abs=1e-9)
-        assert dv.bures_chi2(rho, est) <= 5 * 0.01
+        joint = np.kron(linalg.random_density(4, 1, rng),
+                        linalg.random_density(4, 1, rng))
+        ests, _ = mt.learn_product_quantum(joint, 4, 0.01, rng, 4, ORACLE)
+        for rho, est in zip(linalg.marginals(joint, 4), ests):
+            assert np.trace(est.matrix()).real == pytest.approx(1.0,
+                                                                abs=1e-9)
+            assert dv.bures_chi2(rho, est) <= 5 * 0.01
 
     def test_resolved_small_eigenvalue_flags_floor(self):
-        # fully resolved spectrum with an entry under eps/d: flag, not fail
+        # a fully resolved spectrum with an entry under eps/d: flag, not
+        # fail; the other marginal, Id/4, clears the floor
         rng = np.random.default_rng(53)
-        rho = np.diag([1e-4, 0.0099, 0.02, 0.9700 + 1e-4]).astype(complex)
-        rho /= np.trace(rho).real
-        est, rec = mt.learn_marginal_floored(rho, 0.01, rng, 4, ORACLE)
-        if rec["prefix"] == 0:
-            assert not rec["floor_ok"]
+        rho = np.diag([0.004, 0.1, 0.3, 0.596]).astype(complex)
+        (est, _), learning = mt.learn_product_quantum(
+            np.kron(rho, linalg.maximally_mixed(4)), 4, 0.02, rng, 4,
+            ORACLE)
+        assert [out.prefix for out in learning["runs"]] == [0, 0]
+        assert est.values[0] < 0.02 / 4
+        assert not learning["floor_ok"]
 
     def test_product_learning_shares_copies(self):
         rng = np.random.default_rng(54)
         joint = linalg.correlated_pair_state(3, 0.5)
-        (sg, tu), rec = mt.learn_product_quantum(
+        (sg, tu), learning = mt.learn_product_quantum(
             joint, 3, 0.005, rng, 3, ORACLE)
-        assert rec["joint_copies"] == max(rec["a"]["consumed"],
-                                          rec["b"]["consumed"])
-        assert rec["floor_ok"]
+        runs = learning["runs"]
+        assert learning["joint_copies"] == max(out.consumed for out in runs)
+        assert learning["floor_ok"]
         third = linalg.maximally_mixed(3)
         assert dv.bures_chi2(third, sg) <= 0.005
         assert dv.bures_chi2(third, tu) <= 0.005
 
+    def test_learning_keeps_both_staged_runs(self):
+        """The record is the two staged runs themselves, one per marginal
+        on one shared plan, each drained by its relearn pass."""
+        rng = np.random.default_rng(56)
+        _, learning = mt.learn_product_quantum(
+            linalg.correlated_pair_state(3, 0.5), 3, 0.005, rng, 2, ORACLE)
+        runs = learning["runs"]
+        assert len(runs) == 2
+        assert all(isinstance(out, pl.CentralOutput) for out in runs)
+        assert runs[0].params is runs[1].params
+        assert [out.consumed for out in runs] == [runs[0].params.total] * 2
+        assert learning["joint_copies"] == max(out.consumed for out in runs)
+        assert set(learning) == {"runs", "joint_copies", "floor_ok"}
+
     def test_eps_learn_domain(self):
         rng = np.random.default_rng(55)
-        with pytest.raises(pl.ParameterError):
-            mt.learn_marginal_floored(linalg.maximally_mixed(2), 0.7, rng,
-                                      2, ORACLE)
+        for eps_learn in (0.7, 0.5, 0.0):
+            with pytest.raises(pl.ParameterError, match="eps_learn"):
+                mt.learn_product_quantum(linalg.maximally_mixed(4), 2,
+                                         eps_learn, rng, 2, ORACLE)
 
 
 class TestQuantumMITest:
     def test_plan_frozen(self):
-        plan = mt.quantum_mi_plan(4, 0.5)
-        assert plan["eps_prime"] == pytest.approx(0.0037570183356483424,
-                                                  abs=1e-16)
-        assert plan["eps_t"] == pytest.approx(0.007514036671296685, abs=1e-16)
-        assert plan["eps_learn"] == pytest.approx(0.49 * plan["eps_t"],
-                                                  abs=1e-16)
+        v = mt.quantum_mi_test(*linalg.maximally_mixed_eig(16), 4, 0.5,
+                               np.random.default_rng(60), r=4, spec=ORACLE)
+        assert v.stats["eps_prime"] == pytest.approx(0.0037570183356483424,
+                                                     abs=1e-16)
+        assert v.stats["eps_t"] == pytest.approx(0.007514036671296685,
+                                                 abs=1e-16)
+        assert v.stats["eps_learn"] == pytest.approx(
+            0.49 * v.stats["eps_t"], abs=1e-16)
+
+    @pytest.mark.parametrize("d, eps", [(2, 0.3), (3, 0.5), (4, 0.1)])
+    def test_one_gap_law(self, d, eps):
+        """Both testers turn an MI gap into the same working accuracy
+        and testing gap."""
+        plan = mt.classical_mi_plan(d, eps)
+        v = mt.quantum_mi_test(*linalg.maximally_mixed_eig(d * d), d, eps,
+                               np.random.default_rng(66), r=d, spec=ORACLE)
+        assert (plan["eps_dd"], plan["eps_t"]) == (v.stats["eps_prime"],
+                                                   v.stats["eps_t"])
 
     def test_product_arm_accepts(self):
         rng = np.random.default_rng(61)
@@ -571,8 +608,8 @@ class TestQuantumMITest:
                                rng, r=3, spec=ORACLE)
         monkeypatch.undo()
         assert len(calls) == 1
-        assert v.accept == mt.hellinger_gap_verdict(v.stats["hellinger_sq"],
-                                                    v.stats["eps_t"])
+        assert v.accept == (v.stats["hellinger_sq"]
+                            < 2.0 * v.stats["eps_t"])
 
     def test_traces_each_marginal_once(self, monkeypatch):
         """One call traces out both marginals, for the learner alone, and

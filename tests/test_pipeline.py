@@ -9,7 +9,8 @@ from bureslab import measurement as ms, pipeline as pl
 from oracles import analysis, dense_stages
 
 
-ORACLE = fb.parse_estimator("oracle:f=d2")
+#: f = d^2 reads no rank cap, so one spec serves every r
+ORACLE = fb.parse_estimator("oracle:f=d2", 1)
 
 
 def test_hermitianize_and_diagonalize_identity():
@@ -94,7 +95,7 @@ def test_final_upgrade_starved_base_estimator():
     of the estimator refusing its budget."""
     rng = np.random.default_rng(221)
     rho = linalg.random_density(6, 6, rng)
-    simple = fb.parse_estimator("simple")
+    simple = fb.parse_estimator("simple", 2)
     res = pl.final_upgrade(simple, 4, np.trace(rho[:4, :4]).real,
                            rho[:4, :4], r=2, delta=0.1 / 6, m_phase=12,
                            rng=rng)
@@ -123,7 +124,7 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
     with pytest.raises(ValueError, match="not a state"):
         ms.sample_povm(design, cond, design.n_rows * 10, rng)
     assert linalg.restrict(blk) is None
-    simple = fb.parse_estimator("simple")
+    simple = fb.parse_estimator("simple", 1)
     m_phase = 10 ** 13
     res = pl.final_upgrade(simple, d - 1, np.trace(blk).real, blk, r=1,
                            delta=0.1 / d, m_phase=m_phase, rng=rng)
@@ -239,7 +240,7 @@ def run_staged(d, r, rng, eps_final=0.2, family="rank"):
         rho = linalg.random_density(d, r, rng)
     else:
         rho, _ = linalg.geometric_spectrum_eig(d, rng)
-    spec = fb.parse_estimator("oracle:f=d2")
+    spec = fb.parse_estimator("oracle:f=d2", r)
     params = pl.plan_budget(d, r, spec.rate(d, r), eps_final)
     out = pl.staged_learn(rho, spec, params, rng)
     return rho, out

@@ -41,6 +41,11 @@ reach them only through ``harness.run_targets`` (``run_scenario`` is its
 one-target case).  In the harness those names sit only in the targets'
 trials, which ``_run_trial`` alone calls, and ``run_targets`` alone
 calls it.
+
+And two definitions run the staged learner: ``harness._staged_trial``,
+the staged targets' trial, and ``mitest.learn_product_quantum``, which
+learns both marginals of the quantum tester.  No per-marginal learner
+or other caller of ``staged_learn`` grows beside them.
 """
 
 import ast
@@ -292,6 +297,14 @@ def trial_bodies(stem: str) -> list:
     return found
 
 
+def staged_learners() -> set:
+    """(module, top-level definition) of each reference in the package
+    to ``staged_learn``, None for module level."""
+    return {(stem, owner) for stem, tree in _parse(PACKAGE).items()
+            for owner, name in _references(tree, strings=False)
+            if name == "staged_learn"}
+
+
 def test_every_export_has_a_caller():
     assert len(list(PACKAGE.glob("*.py"))) > 10 and BENCHMARK.is_dir()
     missing = set(unreferenced())
@@ -341,3 +354,8 @@ def test_cli_and_accept_run_trials_through_the_harness():
         assert referrers(target.trial.__name__) == {None}
     assert referrers("_run_trial") == {"run_targets"}
     assert referrers("run_targets") == {"run_scenario"}
+
+
+def test_two_definitions_run_the_staged_learner():
+    assert staged_learners() == {("harness", "_staged_trial"),
+                                 ("mitest", "learn_product_quantum")}
