@@ -42,7 +42,6 @@ __all__ = [
     "TARGETS",
     "scenario_from_dict",
     "make_state",
-    "grid_for",
     "run_targets",
     "run_scenario",
     "fit_scaling",
@@ -452,7 +451,7 @@ TARGETS = {
 }
 
 
-def grid_for(s: Scenario) -> tuple:
+def _grid_for(s: Scenario) -> tuple:
     return getattr(s, TARGETS[s.target].grid)
 
 
@@ -464,7 +463,7 @@ def _run_trial(s: Scenario, targets: tuple, point_index: int,
                trial: int) -> tuple:
     """Run ``s.target``'s trial once, then score it for each of
     ``targets``; returns their records in that order."""
-    point = grid_for(s)[point_index]
+    point = _grid_for(s)[point_index]
     rng = np.random.default_rng([s.master_seed, point_index, trial])
     started = time.perf_counter()
     rho, rho_dec = make_state(s, rng)
@@ -492,7 +491,7 @@ def run_targets(s: Scenario, targets: tuple, workers: int = 1) -> dict:
         if t not in TARGETS or TARGETS[t].trial is not trial:
             raise ScenarioError(
                 f"targets: {t!r} does not share the trial of {s.target!r}")
-    tasks = [(s, targets, pi, t) for pi in range(len(grid_for(s)))
+    tasks = [(s, targets, pi, t) for pi in range(len(_grid_for(s)))
              for t in range(s.trials)]
     if workers <= 1 or len(tasks) <= 1:
         runs = [_run_trial(*task) for task in tasks]

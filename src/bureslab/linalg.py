@@ -87,7 +87,7 @@ class SpectralDecomposition:
     ``vectors[:, k]`` is the unit eigenvector for ``values[k]``.  Values
     are raw: they may dip below zero when produced from a noisy matrix
     estimate, which is exactly what keeps the diagonalization error
-    identity of ``pipeline.diagonalize_estimate`` exact.
+    identity of ``pipeline.make_state_diagonal`` exact.
 
     A stack of n eigensystems has values (n, d) and vectors (n, d, d),
     each row ascending.

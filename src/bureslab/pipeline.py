@@ -2,20 +2,16 @@
 
 The ladder, bottom to top:
 
-1. diagonalize_estimate: symmetrize a raw estimate with
-   ``linalg.hermitian_part`` (never increases Frobenius error against
-   Hermitian targets) and trade it for an estimated eigenbasis plus raw
-   eigenvalues, with an exact error identity;
-2. make_state_diagonal: spend half the copies on the basis, half on an
+1. make_state_diagonal: spend half the copies on a basis, the
+   eigenbasis of the base estimate made Hermitian, and half on an
    empirical diagonal in that basis, ending with a genuine distribution;
-3. final_upgrade: the same machinery run behind a filter onto the
-   prefix block, so only the interesting block pays for copies;
-4. staged_learn: iterate final_upgrade, peeling off large eigenvalues
+2. final_upgrade: the same machinery run behind a filter onto the
+   prefix block, so only the interesting block pays for copies; it
+   returns the stage's :class:`StageRecord`;
+3. staged_learn: iterate final_upgrade, peeling off large eigenvalues
    into a retained suffix and re-estimating the shrinking prefix, then
-   relearn the diagonal with the second half of the budget.
-
-Estimated bases with their values are ``linalg.SpectralDecomposition``
-objects, the same type the divergences read.
+   relearn the diagonal with the second half of the budget, and build
+   the run's one :class:`CentralOutput`.
 
 Post-processors convert the staged output into estimates with
 infidelity, Bures chi-square, or relative-entropy guarantees.
@@ -45,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +50,12 @@ from .frobenius import EstimatorSpec
 
 __all__ = [
     "ParameterError",
-    "diagonalize_estimate",
     "make_state_diagonal",
-    "FinalUpgradeResult",
+    "StageRecord",
     "final_upgrade",
     "CentralParams",
     "central_params",
     "plan_budget",
-    "StageRecord",
     "CentralOutput",
     "staged_learn",
     "to_infidelity",
@@ -79,27 +73,18 @@ class ParameterError(ValueError):
 # upgrade ladder
 # ---------------------------------------------------------------------------
 
-def diagonalize_estimate(est: np.ndarray) -> linalg.SpectralDecomposition:
-    """Hermitianize and diagonalize a raw matrix estimate.
-
-    The exchange is free: with U the estimated basis and q the raw
-    eigenvalues, || U^dagger rho U - diag(q) ||_F equals the Frobenius
-    error of the hermitianized estimate, for every rho.
-    """
-    return linalg.eig_hermitian(linalg.hermitian_part(est))
-
-
 def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
                         rng: np.random.Generator) -> tuple:
     """Basis from half the copies, empirical diagonal from the rest.
 
-    Returns ``(estimate, povm)``: a ``linalg.SpectralDecomposition``
-    whose values are a genuine probability vector (nonnegative, summing
-    to one exactly) sorted ascending along with the matching basis, and
-    the :class:`measurement.Povm` the diagonal was measured in, relabeled
-    to the order of those values, so ``povm.basis`` is the estimate's
-    vectors.  Ties keep their measured order, as in
-    ``SpectralDecomposition.ascending``.  Expected squared error of
+    Returns ``(values, povm)``: a genuine probability vector
+    (nonnegative, summing to one exactly) sorted ascending, and the
+    :class:`measurement.Povm` it was measured in, relabeled to that
+    order (ties keep their measured order).  The basis ``povm.basis``
+    diagonalizes ``linalg.hermitian_part`` of the base estimate, and the
+    exchange is free: with U that basis and q the raw eigenvalues,
+    || U^dagger rho U - diag(q) ||_F equals the Frobenius error of the
+    Hermitian estimate, for every rho.  Expected squared error of
     (basis, values) against rho is at most 2 f/m + 2/m for an f-rate
     base estimator.
     """
@@ -107,33 +92,36 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
         raise ParameterError("need at least 2 copies to split phases")
     m1 = m // 2
     base = spec.run(rho, m1, rng)
-    dig = diagonalize_estimate(base)
+    povm = ms.Povm.from_basis(
+        linalg.eig_hermitian(linalg.hermitian_part(base)).vectors)
     m2 = m - m1
-    povm = ms.Povm.from_basis(dig.vectors)
     values = ms.sample_povm(povm, rho, m2, rng) / m2
     order = np.argsort(values, kind="stable")
-    povm = povm.permuted(order)
-    return linalg.SpectralDecomposition(values=values[order],
-                                        vectors=povm.basis), povm
+    return values[order], povm.permuted(order)
 
 
 @dataclass(frozen=True)
-class FinalUpgradeResult:
-    """One filtered estimation round: pass rate plus a scaled diagonal.
+class StageRecord:
+    """One filtered stage of a staged run, numbered by its position in
+    ``CentralOutput.stages``.
 
-    ``values`` sum exactly to kept_second / m_phase (the observed pass
-    rate of the second phase) and estimate the spectrum of the block;
-    ``povm`` is the measurement in the estimated basis, d_t x d_t in the
-    block's coordinates, with its outcomes in the order of ``values``,
-    or None after a uniform spread, which estimates none: the block
-    keeps its frame.  ``theta_hat`` is the reporting threshold
-    max(tau_hat/(100 r), mass floor).
+    ``values`` estimate the spectrum of the ``prefix`` block and sum
+    exactly to the second filter phase's pass rate, kept_second / m_phase;
+    of its ``kept_second`` survivors, kept_second // 2 go to the base
+    estimate and the rest to the diagonal.  ``povm`` is the measurement
+    in the estimated basis, in the block's coordinates and the order of
+    ``values``, or None after a uniform spread, which estimates none:
+    the block keeps its frame.  ``theta_hat`` is the reporting threshold
+    max(tau_hat/(100 r), mass floor); ``retained`` counts the suffix
+    entries the tail rule peels off.
     """
 
+    prefix: int
     tau_hat: float
     theta_hat: float
-    povm: ms.Povm | None
+    retained: int
     values: np.ndarray
+    povm: ms.Povm | None
     kept_second: int
 
     @property
@@ -142,10 +130,20 @@ class FinalUpgradeResult:
         return None if self.povm is None else self.povm.basis
 
 
+def _tail_rule_floor(values: np.ndarray, r: int) -> int:
+    """Retain the maximal suffix above the mass floor.
+
+    Returns the number of suffix entries whose value exceeds
+    (1.1)^2 * (sum of values) / (100 r); entries are ascending.
+    """
+    above = values > 1.1 ** 2 * float(np.sum(values)) / (100.0 * r)
+    return above.size if above.all() else int(np.argmin(above[::-1]))
+
+
 def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
                   blk: np.ndarray | None, r: int, delta: float,
                   m_phase: int,
-                  rng: np.random.Generator) -> FinalUpgradeResult:
+                  rng: np.random.Generator) -> StageRecord:
     """Filtered two-phase estimate of a prefix block from 2 m_phase copies.
 
     The prefix has d_t coordinates, and a copy passes the filter onto it
@@ -166,8 +164,9 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
     conditional state), the observed mass is spread uniformly instead
     and ``povm`` is None: the block keeps its frame.  The same code path
     serves both the high-mass and low-mass regimes; only the analysis
-    distinguishes them.  The caller charges the 2 m_phase copies to its
-    ledger.
+    distinguishes them.  Returns the stage's record, with the tail
+    rule's ``retained`` count.  The caller charges the 2 m_phase copies
+    to its ledger.
     """
     if blk is None and mass > config.PASS_MASS_FLOOR:
         raise ValueError(f"a prefix of mass {mass:.3g} above the pass-mass "
@@ -184,11 +183,12 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
         povm = None
         values = np.full(d_t, scale / d_t)
     else:
-        dig, povm = make_state_diagonal(spec, cond, kept2, rng)
-        values = dig.values * scale
+        values, povm = make_state_diagonal(spec, cond, kept2, rng)
+        values = values * scale
     theta = max(tau_hat / (100.0 * r), classical.mass_floor(m_phase, delta))
-    return FinalUpgradeResult(
-        tau_hat=tau_hat, theta_hat=theta, povm=povm, values=values,
+    return StageRecord(
+        prefix=d_t, tau_hat=tau_hat, theta_hat=theta,
+        retained=_tail_rule_floor(values, r), values=values, povm=povm,
         kept_second=kept2)
 
 
@@ -316,16 +316,6 @@ def plan_budget(d: int, r: int, f: float, eps_final: float) -> CentralParams:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StageRecord:
-    stage: int
-    prefix: int          # d_t, size of the measured prefix
-    tau_hat: float
-    theta_hat: float
-    retained: int        # suffix indices peeled off this stage
-    values: np.ndarray   # scaled diagonal estimate on the prefix
-
-
-@dataclass
 class CentralOutput:
     """Result of one staged run, in the accumulated frame.
 
@@ -346,28 +336,19 @@ class CentralOutput:
     frame: np.ndarray            # V, d x d unitary
     prefix: int                  # |L| at stop
     q: np.ndarray                # relearned diagonal, sums to 1
-    eps_prime: float             # estimated mass left on L
-    stages: list = field(default_factory=list)
-    consumed: int = 0
-    stop_reason: str = ""
-    forced_stop: bool = False
+    stages: tuple                # one StageRecord per stage, in order
+    consumed: int
+    stop_reason: str
 
+    @property
+    def forced_stop(self) -> bool:
+        """Whether the budget reserve, not the learner, ended the stages."""
+        return self.stop_reason == "budget reserve"
 
-def _tail_rule_floor(values: np.ndarray, r: int) -> int:
-    """Retain the maximal suffix above the mass floor.
-
-    Returns the number of suffix entries whose value exceeds
-    (1.1)^2 * (sum of values) / (100 r); entries are ascending.
-    """
-    beta = 1.1 ** 2 * float(np.sum(values)) / (100.0 * r)
-    above = values > beta
-    # maximal suffix: scan from the top until the floor is hit
-    k = 0
-    for v in above[::-1]:
-        if not v:
-            break
-        k += 1
-    return k
+    @property
+    def eps_prime(self) -> float:
+        """The estimated mass left on L."""
+        return float(np.sum(self.q[:self.prefix]))
 
 
 def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
@@ -406,45 +387,38 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     # current block is then (b^dagger blk b)[:d_t, :d_t]
     pending = None
     relearn = None  # the first stage's Povm, while it is the frame
-    out = CentralOutput(params=params, frame=v_acc, prefix=d,
-                        q=np.zeros(d), eps_prime=0.0)
+    stages = []
 
     d_t = d
-    stage = 0
     while True:
         if d_t == 0:
-            out.stop_reason = "prefix exhausted"
+            stop = "prefix exhausted"
             break
         if budget.remaining - m < params.total // 2:
-            out.forced_stop = True
-            out.stop_reason = "budget reserve"
+            stop = "budget reserve"
             break
-        stage += 1
         budget.take(m)
         if pending is not None and mass > config.PASS_MASS_FLOOR:
             blk, pending = _rotate(blk, pending, d_t), None
             mass = float(blk.trace().real)
-        res = final_upgrade(spec, d_t, mass, None if pending is not None
+        rec = final_upgrade(spec, d_t, mass, None if pending is not None
                             else blk, r, params.delta / d, m // 2, rng)
+        stages.append(rec)
         # revise the frame's prefix columns by the estimated block basis
         # (the frame starts at I); a uniform spread leaves them as they are
-        b = res.basis
+        b = rec.basis
         if b is not None:
-            v_acc[:, :d_t] = b if stage == 1 else v_acc[:, :d_t] @ b
-            relearn = res.povm if stage == 1 else None
+            first = len(stages) == 1
+            v_acc[:, :d_t] = b if first else v_acc[:, :d_t] @ b
+            relearn = rec.povm if first else None
 
-        retained = _tail_rule_floor(res.values, r)
-        out.stages.append(StageRecord(
-            stage=stage, prefix=d_t, tau_hat=res.tau_hat,
-            theta_hat=res.theta_hat, retained=retained, values=res.values))
-
-        if res.tau_hat <= 1.1 * params.eps_tilde:
-            out.stop_reason = "mass converged"
+        if rec.tau_hat <= 1.1 * params.eps_tilde:
+            stop = "mass converged"
             break
-        if stage > d:
-            out.stop_reason = "stage cap"
+        if len(stages) > d:
+            stop = "stage cap"
             break
-        d_next = max(d_t - r, d_t - retained, 0)
+        d_next = max(d_t - r, d_t - rec.retained, 0)
         if b is not None:
             # the rotated block's mass on the next prefix: all of it but
             # what the retained columns carry
@@ -458,18 +432,14 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             mass = float(blk.trace().real)
         d_t = d_next
 
-    out.prefix = d_t
-    out.frame = v_acc
-
     # relearning pass: everything left in the budget, one basis
     m_rest = budget.take(budget.remaining)
     povm = ms.Povm.from_basis(v_acc) if relearn is None else relearn
     counts = ms.sample_povm(povm, rho, m_rest, rng)
     q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
-    out.q = q
-    out.eps_prime = float(np.sum(q[:d_t]))
-    out.consumed = budget.consumed
-    return out
+    return CentralOutput(params=params, frame=v_acc, prefix=d_t, q=q,
+                         stages=tuple(stages), consumed=budget.consumed,
+                         stop_reason=stop)
 
 
 def _rotate(blk: np.ndarray, b: np.ndarray, d_t: int) -> np.ndarray:

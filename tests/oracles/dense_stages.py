@@ -22,7 +22,7 @@ from bureslab import classical, linalg, measurement as ms, pipeline as pl
 def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
     """Filtered two-phase estimate of rho[S] from 2 m_phase copies,
     with delta the run's failure parameter over d = rho's dimension;
-    returns the result and the pass mass tr rho[S]."""
+    returns the stage's record and the pass mass tr rho[S]."""
     idx = np.asarray(subset, dtype=int)
     d = rho.shape[0]
     blk = rho[np.ix_(idx, idx)]
@@ -36,12 +36,13 @@ def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
         povm = None
         values = np.full(idx.size, scale / idx.size)
     else:
-        dig, povm = pl.make_state_diagonal(spec, cond, kept2, rng)
-        values = dig.values * scale
+        values, povm = pl.make_state_diagonal(spec, cond, kept2, rng)
+        values = values * scale
     theta = max(tau_hat / (100.0 * r),
                 classical.mass_floor(m_phase, delta / d))
-    return pl.FinalUpgradeResult(
-        tau_hat=tau_hat, theta_hat=theta, povm=povm, values=values,
+    return pl.StageRecord(
+        prefix=idx.size, tau_hat=tau_hat, theta_hat=theta,
+        retained=pl._tail_rule_floor(values, r), values=values, povm=povm,
         kept_second=kept2), mass
 
 
@@ -54,45 +55,35 @@ def staged_learn(rho, spec, params, rng):
     budget = ms.CopyBudget(total=params.total)
     v_acc = np.eye(d, dtype=complex)
     rho_cur = np.asarray(rho, dtype=complex)
-    out = pl.CentralOutput(params=params, frame=v_acc, prefix=d,
-                           q=np.zeros(d), eps_prime=0.0)
-    masses = []
+    stages, masses = [], []
     d_t = d
-    stage = 0
     while True:
         if d_t == 0:
-            out.stop_reason = "prefix exhausted"
+            stop = "prefix exhausted"
             break
         if budget.remaining - m < params.total // 2:
-            out.forced_stop = True
-            out.stop_reason = "budget reserve"
+            stop = "budget reserve"
             break
-        stage += 1
         budget.take(m)
-        res, mass = final_upgrade(spec, rho_cur, np.arange(d_t), r,
+        rec, mass = final_upgrade(spec, rho_cur, np.arange(d_t), r,
                                   params.delta, m // 2, rng)
+        stages.append(rec)
         masses.append(mass)
         w = np.eye(d, dtype=complex)
-        if res.basis is not None:  # no basis: the identity
-            w[:d_t, :d_t] = res.basis
+        if rec.basis is not None:  # no basis: the identity
+            w[:d_t, :d_t] = rec.basis
         rho_cur = w.conj().T @ rho_cur @ w
         v_acc = v_acc @ w
-        retained = pl._tail_rule_floor(res.values, r)
-        out.stages.append(pl.StageRecord(
-            stage=stage, prefix=d_t, tau_hat=res.tau_hat,
-            theta_hat=res.theta_hat, retained=retained, values=res.values))
-        if res.tau_hat <= 1.1 * params.eps_tilde:
-            out.stop_reason = "mass converged"
+        if rec.tau_hat <= 1.1 * params.eps_tilde:
+            stop = "mass converged"
             break
-        if stage > d:
-            out.stop_reason = "stage cap"
+        if len(stages) > d:
+            stop = "stage cap"
             break
-        d_t = max(d_t - r, d_t - retained, 0)
-    out.prefix = d_t
-    out.frame = v_acc
+        d_t = max(d_t - r, d_t - rec.retained, 0)
     m_rest = budget.take(budget.remaining)
     counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
-    out.q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
-    out.eps_prime = float(np.sum(out.q[:d_t]))
-    out.consumed = budget.consumed
-    return out, masses
+    q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
+    return pl.CentralOutput(params=params, frame=v_acc, prefix=d_t, q=q,
+                            stages=tuple(stages), consumed=budget.consumed,
+                            stop_reason=stop), masses

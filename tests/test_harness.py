@@ -304,8 +304,7 @@ class TestBudgetDrain:
 
         def short(*args, **kwargs):
             out = real(*args, **kwargs)
-            out.consumed -= 1
-            return out
+            return dataclasses.replace(out, consumed=out.consumed - 1)
         monkeypatch.setattr(hz.pl, "staged_learn", short)
         with pytest.raises(RuntimeError,
                            match=f"consumed {total - 1} of {total} planned"):
@@ -395,17 +394,21 @@ class TestStructureFlags:
 
     @pytest.mark.parametrize("flag", ["cardinality", "masses", "block",
                                       "tail"])
-    def test_each_flag_has_power(self, run, flag):
+    def test_each_flag_has_power(self, run, flag, monkeypatch):
         rho_dec, out = run
         p, ell, q = out.params, out.prefix, out.q.copy()
         if flag == "cardinality":
             out = dataclasses.replace(
                 out, params=dataclasses.replace(p, l_max=0))
         elif flag == "masses":
-            out = dataclasses.replace(
-                out, eps_prime=2.0 * config.K_ACC * p.eps_tilde)
+            # eps_prime is read off q, whose prefix entries the block
+            # flag also reads, so the estimate alone is raised
+            monkeypatch.setattr(pl.CentralOutput, "eps_prime",
+                                2.0 * config.K_ACC * p.eps_tilde)
         elif flag == "block":
-            q[:ell] += 0.1
+            # a zero-sum error, so the prefix's estimated mass stays put
+            assert ell >= 2
+            q[:2] += (0.1, -0.1)
             out = dataclasses.replace(out, q=q)
         else:
             q[ell:] *= 1e-6

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import math
 
@@ -19,7 +21,7 @@ def test_hermitianize_and_diagonalize_identity():
     raw = rho + 0.1 * (rng.standard_normal((5, 5))
                        + 1j * rng.standard_normal((5, 5)))
     herm = linalg.hermitian_part(raw)
-    dig = pl.diagonalize_estimate(raw)
+    dig = linalg.eig_hermitian(herm)
     lhs = linalg.frob_sq(dig.vectors.conj().T @ rho @ dig.vectors
                          - np.diag(dig.values))
     rhs = linalg.frob_sq(rho - herm)
@@ -36,12 +38,11 @@ def test_diagonal_estimate_invariants():
 def test_make_state_diagonal_output_shape():
     rng = np.random.default_rng(203)
     rho = linalg.random_density(4, 2, rng)
-    dig, povm = pl.make_state_diagonal(ORACLE, rho, 10_000, rng)
-    assert povm.basis is dig.vectors  # the Povm in the order of the values
-    assert dig.values.sum() == pytest.approx(1.0)
-    assert np.all(dig.values >= 0)
-    assert np.all(np.diff(dig.values) >= 0)
-    u = dig.vectors
+    values, povm = pl.make_state_diagonal(ORACLE, rho, 10_000, rng)
+    assert values.sum() == pytest.approx(1.0)
+    assert np.all(values >= 0)
+    assert np.all(np.diff(values) >= 0)
+    u = povm.basis  # the Povm in the order of the values
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
     with pytest.raises(pl.ParameterError):
         pl.make_state_diagonal(ORACLE, rho, 1, rng)
@@ -54,9 +55,9 @@ def test_make_state_diagonal_error_rate():
     f = ORACLE.rate(d, d)
     errs = np.empty(trials)
     for t in range(trials):
-        dig, _ = pl.make_state_diagonal(ORACLE, rho, m, rng)
-        errs[t] = linalg.frob_sq(dig.vectors.conj().T @ rho @ dig.vectors
-                                 - np.diag(dig.values))
+        values, povm = pl.make_state_diagonal(ORACLE, rho, m, rng)
+        u = povm.basis
+        errs[t] = linalg.frob_sq(u.conj().T @ rho @ u - np.diag(values))
     bound = 2 * f / m + 2 / m
     se = errs.std() / np.sqrt(trials)
     assert errs.mean() <= bound + 4 * se
@@ -229,10 +230,31 @@ def test_plan_budget_is_the_smallest():
             (d, r, f, eps)
 
 
+def _tail_rule_loop(values, r):
+    """The rule as a scan from the top until the floor is hit."""
+    beta = 1.1 ** 2 * float(np.sum(values)) / (100.0 * r)
+    k = 0
+    for v in values[::-1]:
+        if not v > beta:
+            break
+        k += 1
+    return k
+
+
 def test_tail_rules():
     vals = np.array([0.001, 0.002, 0.05, 0.3, 0.5])
     # floor rule: beta = 1.21 * 0.853 / 100 ~ 0.0103: suffix above it has 3
     assert pl._tail_rule_floor(vals, r=1) == 3
+    # the vectorized rule counts what the scan counts, down to an empty
+    # and a whole suffix
+    rng = np.random.default_rng(233)
+    cases = [np.full(5, 0.2), np.array([0.0, 0.0, 1.0]), np.zeros(4)]
+    cases += [np.sort(rng.dirichlet(np.full(d, a)))
+              for d in (2, 7, 64) for a in (0.05, 1.0, 20.0)]
+    for values in cases:
+        for r in (1, 2, 8):
+            assert pl._tail_rule_floor(values, r) \
+                == _tail_rule_loop(values, r), (values, r)
 
 
 def run_staged(d, r, rng, eps_final=0.2, family="rank"):
@@ -286,6 +308,51 @@ class TestStagedLearn:
         est = pl.to_chi2(out)
         analysis.require_density(est.matrix())
         assert dv.bures_chi2(rho, est) <= 0.2
+
+
+def _ledger(out) -> list:
+    """(call, copies) of each draw, in order, rebuilt from the records:
+    two filter phases of m/2 per stage; of the second phase's
+    kept_second survivors, half to the base estimate and the rest to the
+    diagonal when the stage has a povm; what is left to the relearn."""
+    m, rows = out.params.m, []
+    for rec in out.stages:
+        rows += [("filter_subset", m // 2)] * 2
+        if rec.povm is not None:
+            base = rec.kept_second // 2
+            rows += [("run", base), ("sample_povm", rec.kept_second - base)]
+    return rows + [("sample_povm", out.params.total - len(out.stages) * m)]
+
+
+@pytest.mark.parametrize("rank", [2, 16])
+def test_stage_records_account_for_every_copy(monkeypatch, rank):
+    """Every copy a run draws is charged to a phase its stage records
+    name.  At rank 2 the second stage is a uniform spread, with no
+    povm; at full rank every stage estimates a basis."""
+    d, r = 16, 2
+    rho = linalg.random_density(d, rank, np.random.default_rng([293, rank]))
+    log = []
+
+    def logged(name, real, copies):
+        def call(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            log.append((name, bound.arguments[copies]))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("filter_subset", "sample_povm"):
+        monkeypatch.setattr(ms, name, logged(name, getattr(ms, name), "k"))
+    spec = fb.parse_estimator("oracle:f=d", r)
+    spec = dataclasses.replace(spec, run=logged("run", spec.run, "n"))
+    params = pl.plan_budget(d, r, spec.rate(d, r), 0.2)
+    out = pl.staged_learn(rho, spec, params, np.random.default_rng(297))
+    assert log == _ledger(out)
+    assert (rank == 2) == any(rec.povm is None for rec in out.stages)
+    # the filter phases and the relearn draw fresh copies; the base
+    # estimate and the diagonal share the second phase's survivors
+    fresh = sum(k for call, k in log if call == "filter_subset") + log[-1][1]
+    assert fresh == out.consumed == params.total
+    assert all(rec.kept_second <= params.m // 2 for rec in out.stages)
 
 
 def test_to_infidelity_zeroes_prefix():
@@ -420,9 +487,8 @@ def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
             assert (out.prefix, out.stop_reason, out.forced_stop,
                     out.consumed) == (ref.prefix, ref.stop_reason,
                                       ref.forced_stop, ref.consumed), where
-            assert [(s.stage, s.prefix, s.retained) for s in out.stages] \
-                == [(s.stage, s.prefix, s.retained) for s in ref.stages], \
-                where
+            assert [(s.prefix, s.retained) for s in out.stages] \
+                == [(s.prefix, s.retained) for s in ref.stages], where
             stages.append(len(out.stages))
             sub_floor += (len(masses) > 1
                           and masses[1] <= config.PASS_MASS_FLOOR)

@@ -46,9 +46,16 @@ And two definitions run the staged learner: ``harness._staged_trial``,
 the staged targets' trial, and ``mitest.learn_product_quantum``, which
 learns both marginals of the quantum tester.  No per-marginal learner
 or other caller of ``staged_learn`` grows beside them.
+
+And every record is built once: each dataclass the package defines is
+frozen, but for the one copy ledger, ``measurement.CopyBudget``, which
+``take`` charges in place.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import bureslab
@@ -359,3 +366,23 @@ def test_cli_and_accept_run_trials_through_the_harness():
 def test_two_definitions_run_the_staged_learner():
     assert staged_learners() == {("harness", "_staged_trial"),
                                  ("mitest", "learn_product_quantum")}
+
+
+def mutable_dataclasses() -> list:
+    """(module, class) of each dataclass the package defines that is not
+    frozen."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"bureslab.{path.stem}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)
+                    and not obj.__dataclass_params__.frozen):
+                found.append((path.stem, name))
+    return found
+
+
+def test_every_record_but_the_copy_ledger_is_frozen():
+    assert mutable_dataclasses() == [("measurement", "CopyBudget")]
