@@ -158,17 +158,22 @@ def _load_config(path: str) -> dict:
     return data
 
 
+#: `tomography run`'s scenario flags, by the config field each sets
+_INLINE = {"id": "id", "target": "target", "d": "d", "r": "r",
+           "family": "family", "estimator": "estimator", "eps": "eps_grid",
+           "n": "n_grid", "trials": "trials"}
+
+
 def cmd_tomography(args) -> int:
+    given = [flag for flag in _INLINE if getattr(args, flag) is not None]
     if args.config:
+        if given:  # the file holds the whole scenario
+            raise hz.ScenarioError(", ".join(f"--{flag}" for flag in given)
+                                   + " cannot be given with --config")
         s = _scenario(args, _load_config(args.config), source=args.config)
-    else:
-        data = {"id": args.id, "target": args.target, "d": args.d,
-                "r": args.r, "family": args.family,
-                "estimator": args.estimator, "trials": args.trials}
-        if args.eps:
-            data["eps_grid"] = args.eps
-        if args.n:
-            data["n_grid"] = args.n
+    else:  # flags not given are left to the Scenario defaults
+        data = {"id": "tomography", "target": "chi2", "d": 4}
+        data.update({_INLINE[flag]: getattr(args, flag) for flag in given})
         s = _scenario(args, data)
     _, failures = _run(s, args.workers, args.out)
     return 1 if failures else 0
@@ -262,17 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="action", required=True)
     t = tsub.add_parser("run")
     t.add_argument("--config", help="scenario JSON file")
-    t.add_argument("--id", default="tomography")
-    t.add_argument("--target", default="chi2", choices=[
+    t.add_argument("--id")
+    t.add_argument("--target", choices=[
         name for name, target in hz.TARGETS.items() if not target.bipartite])
-    t.add_argument("--d", type=int, default=4)
-    t.add_argument("--r", type=int, default=1)
-    t.add_argument("--family", default="rank_r_random",
-                   choices=_SINGLE_FAMILIES)
-    t.add_argument("--estimator", default="oracle:f=d")
+    t.add_argument("--d", type=int)
+    t.add_argument("--r", type=int)
+    t.add_argument("--family", choices=_SINGLE_FAMILIES)
+    t.add_argument("--estimator")
     t.add_argument("--eps", type=_numbers, help="comma list of accuracies")
     t.add_argument("--n", type=_numbers, help="comma list of copy budgets")
-    t.add_argument("--trials", type=int, default=20)
+    t.add_argument("--trials", type=int)
     t.add_argument("--seed", type=int)
     t.add_argument("--out", help="CSV path, or a directory for <id>.csv")
     t.add_argument("--workers", type=int, default=1)

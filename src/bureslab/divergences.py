@@ -47,8 +47,6 @@ that evaluate several divergences of one pair, like
 :func:`quantum_chain`, diagonalize each state once and pass the
 decompositions on; a caller that built a state from a known eigensystem,
 like the harness's state families, passes that and diagonalizes nothing.
-Two references on one eigenbasis share M and W, so
-:func:`infidelity_and_relative_entropy` forms them once for both.
 """
 
 from __future__ import annotations
@@ -66,7 +64,6 @@ __all__ = [
     "trace_distance",
     "fidelity",
     "infidelity",
-    "infidelity_and_relative_entropy",
     "hellinger_sq_q",
     "relative_entropy",
     "renyi_divergence_q",
@@ -224,15 +221,10 @@ def _overlap(rho, sigma) -> _Overlap:
     """
     dp, dq = linalg.decompose(rho), linalg.decompose(sigma)
     p, q = linalg.psd_values(dp), linalg.psd_values(dq)
-    i = _support(p)
+    i, j = _support(p), _support(q)
+    p = p[..., i:]
     m = dp.vectors[..., i:].conj().swapaxes(-1, -2) @ dq.vectors
-    return _with_values(p[..., i:], m, np.abs(m) ** 2, q)
-
-
-def _with_values(p, m, w, q) -> _Overlap:
-    """The overlap of rho's values p on its support, M and W with the
-    cut values q of a sigma on M's columns."""
-    j = _support(q)
+    w = np.abs(m) ** 2
     return _Overlap(p=p, q=q, m=m, w=w, sp=np.sqrt(p), sq=np.sqrt(q[..., j:]),
                     m_s=m[..., j:], w_s=w[..., j:])
 
@@ -293,24 +285,6 @@ def fidelity(rho, sigma) -> float:
 
 def infidelity(rho, sigma) -> float:
     return 1.0 - fidelity(rho, sigma)
-
-
-def infidelity_and_relative_entropy(rho, est, smoothed) -> tuple:
-    """``(infidelity(rho, est), relative_entropy(rho, smoothed))`` off
-    one overlap.
-
-    ``est`` and ``smoothed`` are decompositions on one eigenbasis, the
-    same ``vectors`` array, as ``pipeline.to_kl`` hands back with the
-    ``pipeline.to_infidelity`` estimate it smooths; anything else is
-    refused.  So M and W are formed once and read with each one's
-    values, and each entry equals that of the matching function.
-    """
-    if smoothed.vectors is not est.vectors:
-        raise ValueError("est and smoothed must share one vectors array")
-    o = _overlap(rho, est)
-    smooth = _with_values(o.p, o.m, o.w, linalg.psd_values(smoothed))
-    return (_result(1.0 - _fidelity(o)),
-            _result(_log_ratios_q(smooth)[0]))
 
 
 def hellinger_sq_q(rho, sigma) -> float:

@@ -41,7 +41,6 @@ class EstimatorSpec:
     dimension d.
     """
 
-    name: str
     rate: Callable[[int, int], float]
     run: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     min_copies: Callable[[int], int] = lambda d: 1
@@ -137,10 +136,8 @@ def parse_estimator(text: str, r: int) -> EstimatorSpec:
     runner hands it to the rate callable as its second argument.
     """
     if text == "simple":
-        return EstimatorSpec(
-            name="simple",
-            rate=lambda d, r: config.K_ACC * d * d,
-            run=_simple_runner, min_copies=_simple_min_copies)
+        return EstimatorSpec(rate=lambda d, r: config.K_ACC * d * d,
+                             run=_simple_runner, min_copies=_simple_min_copies)
     if text.startswith("oracle:f="):
         key = text[len("oracle:f="):]
         if key not in _ORACLE_RATES:
@@ -151,5 +148,5 @@ def parse_estimator(text: str, r: int) -> EstimatorSpec:
         def runner(rho, n, rng, _rate=rate, _r=r):
             return oracle_estimate(rho, _rate(rho.shape[0], _r), n, rng)
 
-        return EstimatorSpec(name=text, rate=rate, run=runner)
+        return EstimatorSpec(rate=rate, run=runner)
     raise ValueError(f"unknown estimator {text!r}")

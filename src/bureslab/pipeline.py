@@ -211,14 +211,16 @@ class CentralParams:
     total: int          # full budget M = 2 m l_max
 
 
-def _confidence(r: int, f: float, m: int) -> float:
-    """Per-event failure parameter delta for a stage budget of m copies."""
-    return config.DELTA_FLOOR / max(math.log2(max(m / (r * f), 1.0)), 1.0)
-
-
 def _stage_scale(r: int, f: float, m: int) -> tuple:
-    """(delta, eps_tilde) for an even stage budget of m copies."""
-    delta = _confidence(r, f, m)
+    """(delta, eps_tilde) for an even stage budget of m copies.
+
+    delta, the per-event failure parameter, is DELTA_FLOOR divided by
+    the stage-count log log2(m / (r f)) once that passes 1.  eps_tilde
+    never rises as m grows, since ln(1/delta) grows far slower than m;
+    past m = 2^53, float(m) rounds the step of 2 away, and eps_tilde is
+    flat there up to an ulp of rounding.
+    """
+    delta = config.DELTA_FLOOR / max(math.log2(max(m / (r * f), 1.0)), 1.0)
     return delta, config.C_STAGE * r * f / classical.effective_samples(
         m, delta)
 
@@ -261,37 +263,33 @@ def central_params(d: int, r: int, f: float, m: int) -> CentralParams:
 @functools.lru_cache(maxsize=None)
 def budget_for_scale(d: int, r: int, f: float,
                      eps_tilde_target: float) -> CentralParams:
-    """Smallest stage budget whose per-stage scale meets the target.
+    """Smallest even stage budget m with eps_tilde(m) <= eps_tilde_target.
 
-    Solves the fixed point between m and delta(m) for
-    eps_tilde <= eps_tilde_target, then steps m by 2 to the smallest even
-    budget that meets the target, which rounding in the fixed point can
-    miss by a step either way.  A pure function with a frozen result,
-    so it is solved once per argument tuple and repeated calls share one
-    :class:`CentralParams`; a refused target is not cached and raises
-    on every call.
+    Doubles m until it meets the target, then bisects, which is exact
+    because eps_tilde never rises as m grows (:func:`_stage_scale`); on
+    its flat stretch past 2^53, the m found meets the target and m - 2
+    misses it.  A pure function with a frozen result, so it is solved
+    once per argument tuple and repeated calls share one
+    :class:`CentralParams`; a refused target is not cached and raises on
+    every call.
     """
     if not 0.0 < eps_tilde_target < 1.0:
         raise ParameterError("eps_tilde target must lie in (0, 1)")
 
-    def copies(delta: float) -> float:
-        # the m at which eps_tilde meets the target, were delta fixed
-        return (config.C_STAGE * r * f * config.CONF_SCALE
-                * math.log(1.0 / delta) / eps_tilde_target)
+    def meets(half: int) -> bool:
+        return _stage_scale(r, f, 2 * half)[1] <= eps_tilde_target
 
-    m = max(int(copies(config.DELTA_FLOOR)), 2 * int(r))
-    for _ in range(60):
-        m_new = int(math.ceil(copies(_confidence(r, f, m))))
-        if m_new == m:
-            break
-        m = m_new
-    m += m % 2
-    # rounding can leave the fixed point a step to either side
-    while _stage_scale(r, f, m)[1] > eps_tilde_target:
-        m += 2
-    while m > 2 and _stage_scale(r, f, m - 2)[1] <= eps_tilde_target:
-        m -= 2
-    return central_params(d, r, f, m)
+    # search m = 2 half: lo misses the target (0 stands for none), hi meets it
+    lo, hi = 0, 1
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return central_params(d, r, f, 2 * hi)
 
 
 def plan_budget(d: int, r: int, f: float, eps_final: float) -> CentralParams:

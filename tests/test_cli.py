@@ -95,8 +95,9 @@ def test_tomography_config_file_and_emission(tmp_path, capsys):
         "estimator": "oracle:f=d", "n_grid": [2000, 20000], "trials": 5,
         "master_seed": 9}))
     out_csv = tmp_path / "frob.csv"
+    # --seed, --out and --workers go with a config file
     code = cli.main(["tomography", "run", "--config", str(cfg),
-                     "--out", str(out_csv)])
+                     "--seed", "9", "--workers", "1", "--out", str(out_csv)])
     capsys.readouterr()
     assert code == 0
     assert out_csv.exists()
@@ -127,11 +128,20 @@ def test_tomography_out_directory_names_files_by_id(tmp_path, capsys):
     assert (tmp_path / "fresh" / "dirform.csv").exists()
 
 
+def _config(**fields) -> str:
+    return json.dumps({"id": "x", "target": "chi2", "d": 4, **fields})
+
+
 def test_tomography_bad_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     for text, message in [
-            (json.dumps({"id": "x", "target": "chi2", "d": 4, "wobble": 3}),
-             "wobble"),
+            (_config(wobble=3), "wobble"),
+            (_config(id=""), "field 'id': must be a nonempty string"),
+            (_config(target="chi3"), "field 'target': 'chi3' not in"),
+            (_config(family="cubic"), "field 'family': 'cubic' not in"),
+            (_config(eps_grid=[]), "grids are nonempty"),
+            (_config(target="frobenius", n_grid=[0]),
+             "field 'n_grid': entries must be positive"),
             ("{bad", "Expecting property name"),
             ("[1, 2]", "expected an object of fields, got list"),
             (None, "No such file")]:
@@ -145,6 +155,27 @@ def test_tomography_bad_config_exits_two(tmp_path, capsys):
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--id", "y"), ("--target", "kl"), ("--d", "8"), ("--r", "1"),
+    ("--family", "pure"), ("--estimator", "simple"), ("--eps", "0.1"),
+    ("--n", "100"), ("--trials", "1")])
+def test_scenario_flags_beside_config_exit_two(flag, value, tmp_path,
+                                                monkeypatch, capsys):
+    """The config file holds the whole scenario: a scenario flag beside
+    it is refused by name, before any trial, not ignored."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(cli.hz, "run_scenario", no_trials)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"id": "cfg", "target": "chi2", "d": 4,
+                               "r": 2, "trials": 2, "eps_grid": [0.25]}))
+    code = cli.main(["tomography", "run", "--config", str(cfg),
+                     flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {flag} cannot be given with --config\n"
 
 
 def test_bench_bad_inline_scenario_exits_two(capsys):

@@ -241,6 +241,15 @@ class TestRunScenario:
             assert rec.n_used > 0
             assert rec.flags["converged"]
 
+    def test_chi2_record_of_a_budget_reserve_stop(self):
+        """A run the budget reserve stopped has not converged, and its
+        CSV row says so."""
+        s = small(target="chi2", d=16, r=1, family="maximally_mixed",
+                  eps_grid=(0.2,), trials=1)
+        rows = list(csv.DictReader(io.StringIO(
+            csv_text(hz.run_scenario(s)))))
+        assert [row["flag:converged"] for row in rows] == ["0"]
+
     def test_kl_records_respect_bound(self):
         s = small(target="kl", d=3, r=3, family="geometric_spectrum",
                   eps_grid=(0.25,), trials=2)

@@ -200,6 +200,25 @@ class TestPearson:
         assert v.stats["escaped"] == 10
         assert math.isinf(v.stats["statistic"])
 
+    @pytest.mark.parametrize("sims", [0, 200])
+    def test_zero_cell_is_gathered_out(self, sims):
+        """A reference cell at zero with no count there is dropped: the
+        test reads as on the reduced support, with nothing escaped; only
+        ``bins`` counts the cell."""
+        q = np.array([0.3, 0.0, 0.2, 0.1, 0.0, 0.4])
+        counts = np.array([290, 0, 215, 95, 0, 400])
+        keep = q > 0.0
+        full = mt.pearson_identity_test(q, counts, 1000, 0.1,
+                                        np.random.default_rng(26), sims)
+        reduced = mt.pearson_identity_test(q[keep], counts[keep], 1000, 0.1,
+                                           np.random.default_rng(26), sims)
+        assert full.accept == reduced.accept
+        assert full.stats["escaped"] == 0
+        assert (full.stats["bins"], reduced.stats["bins"]) == (6, 4)
+        for key in ("statistic", "threshold", "null_quantile",
+                    "null_variance"):
+            assert full.stats[key] == reduced.stats[key], key
+
     def test_closed_form_draws_nothing(self):
         rng = np.random.default_rng(25)
         q = np.full(16, 1 / 16)
