@@ -189,10 +189,9 @@ def _frobenius_scaling():
                     family="rank_r_random", estimator="simple",
                     n_grid=(1_000, 10_000, 100_000), trials=200,
                     master_seed=_master_seed(5))
-    records = hz.run_scenario(s)
-    slope = hz.fit_scaling(records)[0]
+    rows = hz.summarize(hz.run_scenario(s), "frob_sq")
+    slope = hz.fit_scaling(rows)[0]
     rate = fb.parse_estimator(s.estimator, s.r).rate(s.d, s.r)
-    rows = hz.summarize(records, "frob_sq")
     # the mean itself, with no standard-error slack, sits below f/n
     level_ok = all(row["mean"] <= rate / row["point"] for row in rows)
     ok = level_ok and abs(slope + 1.0) <= hz.SLOPE_TOL

@@ -111,7 +111,8 @@ def _out_path(out: str | None, name: str) -> str | None:
 
 def _run(s: hz.Scenario, workers: int, out: str | None) -> tuple:
     """Run ``s``, print each point's summary and each guarantee verdict,
-    and write the ``--out`` files; returns ``(records, failures)``.
+    and write the ``--out`` files; returns ``(records, rows, failures)``,
+    ``rows`` the printed :func:`harness.summarize` rows.
 
     ``workers`` and ``out`` are refused before any trial runs.
     """
@@ -120,7 +121,8 @@ def _run(s: hz.Scenario, workers: int, out: str | None) -> tuple:
     out = _out_path(out, f"{s.sid}.csv")
     records = hz.run_scenario(s, workers=workers)
     loss = hz.TARGETS[s.target].loss
-    for row in hz.summarize(records, loss):
+    rows = hz.summarize(records, loss)
+    for row in rows:
         rates = " ".join(f"{k}={v:.2f}" for k, v in row["flag_rates"].items())
         print(f"point {row['point']:g}: n_mean {row['n_mean']:.3g}  "
               f"{loss} {row['mean']:.4g} +- {row['ci95']:.2g}  {rates}")
@@ -135,7 +137,7 @@ def _run(s: hz.Scenario, workers: int, out: str | None) -> tuple:
         hz.write_summary_csv(records, loss, base + ".summary.csv")
         hz.write_plot_stub(base + ".plot.py")
         print(f"wrote {out}, {base}.summary.csv, {base}.plot.py")
-    return records, failures
+    return records, rows, failures
 
 
 def _scenario(args, data: dict, source: str = "command line"):
@@ -175,7 +177,7 @@ def cmd_tomography(args) -> int:
         data = {"id": "tomography", "target": "chi2", "d": 4}
         data.update({_INLINE[flag]: getattr(args, flag) for flag in given})
         s = _scenario(args, data)
-    _, failures = _run(s, args.workers, args.out)
+    _, _, failures = _run(s, args.workers, args.out)
     return 1 if failures else 0
 
 
@@ -183,10 +185,10 @@ def cmd_mi_test(args) -> int:
     s = _scenario(args, {
         "id": "mi-test", "d": args.d,
         "target": "mi" if args.kind == "quantum" else "classical_mi",
-        "r": args.d if args.r is None else args.r,
+        "r": args.d,
         "family": f"bipartite:{args.arm}", "eps_grid": (args.eps,),
         "lam": args.lam, "trials": args.trials})
-    records, failures = _run(s, 1, None)
+    records, _, failures = _run(s, 1, None)
     for rec in records:
         print(f"trial {rec.trial}: "
               f"{'accept' if rec.flags['accept'] else 'reject'}"
@@ -203,8 +205,8 @@ def cmd_bench(args) -> int:
                          "n_grid": args.n})
     if len(set(s.n_grid)) < 2:
         raise hz.ScenarioError("a fit needs two distinct --n")
-    records, failures = _run(s, args.workers, args.out)
-    slope, intercept, r2 = hz.fit_scaling(records)
+    _, rows, failures = _run(s, args.workers, args.out)
+    slope, intercept, r2 = hz.fit_scaling(rows)
     print(f"slope {slope:.4f}  level {math.exp(intercept):.4g}  r2 {r2:.4f}")
     slope_ok = abs(slope + 1.0) <= hz.SLOPE_TOL
     print(f"{'PASS' if slope_ok else 'FAIL'}  slope -1 +- {hz.SLOPE_TOL:g}")
@@ -288,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm", default="product",
                    choices=("product", "correlated"))
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--r", type=int)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=5)

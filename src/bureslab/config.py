@@ -53,6 +53,12 @@ DELTA_FLOOR = 1e-4
 #: eps_tilde = eps_final * sqrt(r/d) / K_PLAN.  Checked by criterion 7.
 K_PLAN = 24.0
 
+#: slack of the chi2 target's structure flags: the cardinality bar
+#: d - |L| <= K_STRUCT r l_max, the masses and block bars on
+#: K_STRUCT eps_tilde and the tail bar K_STRUCT eps.  Checked by
+#: criterion 8 and test_harness::TestStructureFlags.
+K_STRUCT = 4.5
+
 # ---------------------------------------------------------------------------
 # component estimators
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ grid; the FAMILIES and TARGETS tables hold what differs per family and
 per target.  A target is a trial, which spends the copies, and a score,
 which reads the truth and draws nothing; targets that share a trial
 (the staged ones) can score one run together through
-:func:`run_targets`, with the records each would give alone.  Each
+:func:`run_targets`, with the records each would give alone.  A score
+computes each divergence by its one definition in ``divergences``, and
+the scaling fit reads the per-point means :func:`summarize` gives.  Each
 (grid point, trial) pair gets its own counter-derived RNG stream, so
 reruns under the same master seed reproduce every draw and the emitted
 CSV byte for byte, regardless of worker count.  Wall time is kept on the
@@ -291,7 +293,7 @@ def _structure_flags(rho_dec, out) -> dict:
     unresolved directions, little mass on them (true and estimated), an
     accurate prefix block and a small weighted error off it."""
     p, ell = out.params, out.prefix
-    bar = config.K_ACC * p.eps_tilde
+    bar = config.K_STRUCT * p.eps_tilde
     # rotated from the truth's support alone: cheap at low rank
     keep = rho_dec.values > 0.0
     w = out.frame.conj().T @ rho_dec.vectors[:, keep]
@@ -299,11 +301,11 @@ def _structure_flags(rho_dec, out) -> dict:
     # |tau|^2, tau = rho_t - diag(q): the block is its prefix corner
     num = np.abs(rho_t - np.diag(out.q)) ** 2
     return {
-        "cardinality": p.d - ell <= config.K_ACC * p.r * p.l_max,
+        "cardinality": p.d - ell <= config.K_STRUCT * p.r * p.l_max,
         "masses": float(np.trace(rho_t[:ell, :ell]).real) <= bar
         and float(out.eps_prime) <= bar,
         "block": float(num[:ell, :ell].sum()) <= bar * p.eps_tilde / p.r,
-        "tail": _indexed_tail(num, out.q, ell) <= config.K_ACC * p.eps,
+        "tail": _indexed_tail(num, out.q, ell) <= config.K_STRUCT * p.eps,
     }
 
 
@@ -311,29 +313,23 @@ def _indexed_tail(num: np.ndarray, q: np.ndarray, ell: int) -> float:
     """Tail error over pairs whose larger coordinate leaves the prefix.
 
     ``num`` holds |tau_ij|^2, tau = rho_t - diag(q) with rho_t the truth
-    in the output frame.  Each pair is weighted by 2/q at that
-    coordinate.  q is taken as-is, not required to ascend: the
-    relearning pass can leave small ordering inversions between the
-    prefix and the retained block, which the index-based weights do not
-    care about.  The pairs whose larger coordinate is k fill an L: row k
-    up to the diagonal and column k above it.  Each L is summed by a
-    running sum along rows and one along columns, read at the diagonal,
-    so the weights divide d - ell sums, not the d x d pairs.
+    in the output frame.  The sum runs over the pairs whose larger index
+    k = max(i, j) is at least ``ell``, each weighted by 2/q_k.  q is
+    taken as-is, not required to ascend: the relearning pass can leave
+    small ordering inversions between the prefix and the retained block,
+    which the index-based weights do not care about.  A pair with
+    q_k <= 0 adds nothing while 2 |tau_ij|^2 <= PSD_TOL^2 and makes the
+    tail +inf otherwise.
     """
-    rows, cols, qk = num[ell:], num[:, ell:], q[ell:]
-    # both running sums count num_kk, so it is taken off once
-    ls = (np.cumsum(rows, axis=1).diagonal(ell)
-          + np.cumsum(cols, axis=0).diagonal(-ell) - num.diagonal()[ell:])
-    dead = qk <= 0.0
-    if dead.any():
-        peak = np.maximum(np.maximum.accumulate(rows, axis=1).diagonal(ell),
-                          np.maximum.accumulate(cols, axis=0).diagonal(-ell))
-        # 2 |tau|^2 > PSD_TOL^2, with the exact factor 2 moved across
-        if np.any(peak[dead] > 0.5 * config.PSD_TOL ** 2):
-            return float("inf")
-        ls, qk = ls[~dead], qk[~dead]
+    idx = np.arange(q.size)
+    kmax = np.maximum.outer(idx, idx)
+    sel, qk = kmax >= ell, q[kmax]
+    # 2 |tau|^2 > PSD_TOL^2, with the exact factor 2 moved across
+    if np.any(sel & (qk <= 0.0) & (num > 0.5 * config.PSD_TOL ** 2)):
+        return float("inf")
+    ok = sel & (qk > 0.0)
     # the factor 2 is exact, so it may wait for the sum
-    return float(2.0 * np.sum(ls / qk))
+    return float(2.0 * np.sum(num[ok] / qk[ok]))
 
 
 def _infidelity_score(s: Scenario, rho, rho_dec, out, point):
@@ -369,15 +365,16 @@ def _mi_score(s: Scenario, rho, rho_dec, v, point):
     """Score the quantum tester's learned product against the truth: the
     joint's Bures chi-square from it, the MI (the joint's relative
     entropy to the product of its true marginals, whose eigensystem takes
-    two marginal solves) and the product flag.  The true marginals are
-    traced once, for both."""
+    two marginal solves) and the product flag, which reads the Bures
+    chi-square of the true marginals' product from it.  The true marginals
+    are traced once, for both."""
     learned = v.stats["product"]
     marginals = linalg.marginals(rho, s.d)
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
               "bures_chi2": float(dv.bures_chi2(rho, learned)),
               "mi": float(dv.relative_entropy(
                   rho_dec, linalg.product_of_marginals(marginals)))}
-    chi2 = _product_chi2(marginals, learned)
+    chi2 = dv.bures_chi2(np.kron(*marginals), learned)
     flags = {"accept": v.accept,
              "correct": v.accept == FAMILIES[s.family].product,
              "floor_ok": bool(v.stats["learning"]["floor_ok"]),
@@ -401,16 +398,6 @@ def _classical_mi_score(s: Scenario, rho, rho_dec, v, point):
     mi = dv.classical_chain(joint.ravel(), product.ravel())["kl"]
     return {"mi": mi}, {
         "accept": v.accept, "correct": v.accept == FAMILIES[s.family].product}
-
-
-def _product_chi2(marginals, learned) -> float:
-    """Bures chi-square of a (x) b, for the pair ``marginals`` = (a, b)
-    of d x d matrices, from ``learned`` (W, q); (a (x) b) W is taken
-    factor by factor."""
-    a, b = marginals
-    d, w = a.shape[0], learned.vectors
-    abw = (a @ (b @ w.reshape(d, d, d * d)).reshape(d, -1)).reshape(w.shape)
-    return float(dv.bures_chi2_in_basis(w.conj().T @ abw, learned.values))
 
 
 def _pass_rate(flag: str):
@@ -519,21 +506,17 @@ def run_scenario(s: Scenario, workers: int = 1) -> list:
 SLOPE_TOL = 0.15
 
 
-def fit_scaling(records):
+def fit_scaling(rows):
     """Least squares on log-log means: returns (slope, intercept, r2).
 
-    Records are grouped by copies used, the Frobenius loss ``frob_sq``
-    is averaged within each group, and the fit runs on the log of both.
+    ``rows`` are :func:`summarize` rows; the fit runs on the log of each
+    row's mean copies used, ``n_mean``, and of its mean loss, ``mean``.
     Constant data fits slope 0 with r2 = 1.
     """
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault(float(rec.n_used), []).append(
-            rec.losses["frob_sq"])
-    if len(groups) < 2:
+    xs = np.array([row["n_mean"] for row in rows])
+    means = np.array([row["mean"] for row in rows])
+    if np.unique(xs).size < 2:
         raise ValueError("need at least two distinct x values to fit")
-    xs = np.array(sorted(groups))
-    means = np.array([np.mean(groups[v]) for v in xs])
     if np.any(means <= 0.0):
         raise ValueError("log-log fit needs positive means")
     lx, ly = np.log(xs), np.log(means)

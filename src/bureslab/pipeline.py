@@ -366,8 +366,10 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     must be sliced from it; a stage below the floor measures the mass
     alone.
     Stages stop once the prefix mass estimate falls to 1.1 eps_tilde, the
-    stage count passes d, or the budget reserve (half the total, kept for
-    the relearning pass) would be broken.  The reserve then buys a single
+    prefix is exhausted, or the budget reserve (half the total, kept for
+    the relearning pass) would be broken.  A stage shrinks the prefix by
+    min(r, retained) coordinates, and the reserve admits at most l_max
+    stages.  The reserve then buys a single
     computational-basis pass in the final frame (in the first stage's
     Povm while the frame is that stage's basis), add-one smoothed on the
     retained suffix [d_t, d), or on every coordinate if that is empty.
@@ -412,9 +414,6 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
 
         if rec.tau_hat <= 1.1 * params.eps_tilde:
             stop = "mass converged"
-            break
-        if len(stages) > d:
-            stop = "stage cap"
             break
         d_next = max(d_t - r, d_t - rec.retained, 0)
         if b is not None:

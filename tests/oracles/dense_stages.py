@@ -77,9 +77,6 @@ def staged_learn(rho, spec, params, rng):
         if rec.tau_hat <= 1.1 * params.eps_tilde:
             stop = "mass converged"
             break
-        if len(stages) > d:
-            stop = "stage cap"
-            break
         d_t = max(d_t - r, d_t - rec.retained, 0)
     m_rest = budget.take(budget.remaining)
     counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)

@@ -216,8 +216,6 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
      "field 'lam': must lie in [0, 1]"),
     (["mi-test", "--kind", "classical", "--lam", "-0.5"],
      "field 'lam': must lie in [0, 1]"),
-    (["mi-test", "--r", "0"], "field 'r': must lie in [1, 4]"),
-    (["mi-test", "--r", "9", "--d", "4"], "field 'r': must lie in [1, 4]"),
     (["divergence", "--family", "bipartite:correlated", "--family2",
       "bipartite:product", "--d", "2", "--r", "1", "--lam", "2"],
      "--lam 2.0 must lie in [0, 1]"),
@@ -251,7 +249,7 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
         "accept-abc", "divergence-dims", "divergence-r-above-d",
         "divergence-d1", "bench-one-budget", "bench-no-trials",
         "tomography-no-trials", "mi-no-trials", "accept-retired-6",
-        "mi-lam-above-one", "mi-lam-product-arm", "mi-r0", "mi-r-above-d",
+        "mi-lam-above-one", "mi-lam-product-arm",
         "divergence-lam-above-one", "accept-empty", "tomography-n-fraction",
         "tomography-chi2-unread-n", "tomography-frobenius-unread-eps",
         "accept-out-missing-directory", "divergence-seed-negative",

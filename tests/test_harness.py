@@ -413,7 +413,7 @@ class TestStructureFlags:
             # eps_prime is read off q, whose prefix entries the block
             # flag also reads, so the estimate alone is raised
             monkeypatch.setattr(pl.CentralOutput, "eps_prime",
-                                2.0 * config.K_ACC * p.eps_tilde)
+                                2.0 * config.K_STRUCT * p.eps_tilde)
         elif flag == "block":
             # a zero-sum error, so the prefix's estimated mass stays put
             assert ell >= 2
@@ -491,20 +491,8 @@ def test_mi_trial_scores_against_the_truth(monkeypatch):
         rho_dec, linalg.product_of_marginals(marginals))
     assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho_dec, product)
     assert rec.flags["product_within_eps_prime"] == (
-        hz._product_chi2(marginals, product)
+        dv.bures_chi2(np.kron(*marginals), product)
         <= seen["verdict"].stats["eps_prime"])
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_product_chi2_matches_the_dense_route(d):
-    # any joint and any full-rank reference: (a (x) b) W taken factor by
-    # factor equals the rotation of the formed Kronecker product
-    rng = np.random.default_rng([d, 17])
-    rho = linalg.random_density(d * d, d * d, rng)
-    _, ref = linalg.random_density_eig(d * d, d * d, rng)
-    marginals = linalg.marginals(rho, d)
-    dense = dv.bures_chi2(np.kron(*marginals), ref)
-    assert hz._product_chi2(marginals, ref) == pytest.approx(dense, rel=1e-12)
 
 
 def test_indexed_tail_matches_sorted_route():
@@ -521,29 +509,31 @@ def test_indexed_tail_matches_sorted_route():
 
 
 class TestFit:
-    def _records(self, pairs, key="frob_sq"):
-        return [hz.TrialRecord(scenario="s", trial=i, point=float(n),
-                               n_used=int(n), losses={key: y}, flags={},
-                               wall_time=0.0)
+    def _rows(self, pairs):
+        """The summary rows of one trial record per (n, loss) pair."""
+        recs = [hz.TrialRecord(scenario="s", trial=i, point=float(n),
+                               n_used=int(n), losses={"frob_sq": y},
+                               flags={}, wall_time=0.0)
                 for i, (n, y) in enumerate(pairs)]
+        return hz.summarize(recs, "frob_sq")
 
     def test_exact_inverse_law(self):
-        recs = self._records([(n, 5.0 / n) for n in (10, 100, 1000, 10000)])
-        slope, intercept, r2 = hz.fit_scaling(recs)
+        rows = self._rows([(n, 5.0 / n) for n in (10, 100, 1000, 10000)])
+        slope, intercept, r2 = hz.fit_scaling(rows)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert np.exp(intercept) == pytest.approx(5.0, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_data(self):
-        recs = self._records([(n, 2.0) for n in (10, 100, 1000)])
-        slope, _, r2 = hz.fit_scaling(recs)
+        rows = self._rows([(n, 2.0) for n in (10, 100, 1000)])
+        slope, _, r2 = hz.fit_scaling(rows)
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0
 
     def test_needs_two_points(self):
-        recs = self._records([(10, 1.0), (10, 2.0)])
+        rows = self._rows([(10, 1.0), (10, 2.0)])
         with pytest.raises(ValueError):
-            hz.fit_scaling(recs)
+            hz.fit_scaling(rows)
 
 
 class TestEmission:

@@ -351,6 +351,29 @@ class TestStagedLearn:
         assert out.prefix == 7
         assert out.consumed == params.total
 
+    def test_stages_shrink_the_prefix_until_a_stop(self):
+        """Every stage but the last retains a coordinate, so the prefix
+        shrinks each stage (by min(r, retained)) and a run stops by
+        convergence, an exhausted prefix or the budget reserve within
+        min(d, l_max) stages.  The grid reaches all three stops."""
+        reasons = set()
+        for d in (2, 5, 16):
+            for r in sorted({1, 2, d}):
+                rng = np.random.default_rng([307, d, r])
+                spec = fb.parse_estimator("oracle:f=d", r)
+                params = pl.plan_budget(d, r, spec.rate(d, r), 0.2)
+                for rho in (linalg.random_pure(d, rng),
+                            linalg.maximally_mixed_eig(d)[0],
+                            linalg.geometric_spectrum_eig(d, rng)[0]):
+                    out = pl.staged_learn(rho, spec, params, rng)
+                    prefixes = [s.prefix for s in out.stages]
+                    assert all(s.retained >= 1 for s in out.stages[:-1])
+                    assert prefixes == sorted(set(prefixes), reverse=True)
+                    assert len(out.stages) <= min(d, out.params.l_max)
+                    reasons.add(out.stop_reason)
+        assert reasons == {"mass converged", "prefix exhausted",
+                           "budget reserve"}
+
 
 def _ledger(out) -> list:
     """(call, copies) of each draw, in order, rebuilt from the records:

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two trees in alternating pairs; write BENCH files.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent PARENT_DIR --parent-tag TAG \\
+        --change CHANGE_DIR --change-tag TAG [--pairs 5] [--seed 1] \\
+        [--workload NAME ...] [--out DIR]
+
+Each pair runs, once for each tree and in that tree's directory,
+
+    python3 <tree>/perfbench/run.py --workload W --seed S --seconds N --trace 0
+
+with the same workload W and seed S on both sides; N is ``run_seconds``
+of this checkout's BENCHMARK.json.  Pair i of every workload uses seed
+``--seed`` + i, and the side that runs first alternates from pair to
+pair.  From each run the script keeps its ``provenance`` line and its
+final JSON line.  It writes ``BENCH_<tag>.json`` for each tree into
+``--out`` (default: this checkout's root), holding the seeds, the
+distinct provenance records and, per workload, each run's ``failed``
+count and, per metric, the values with their median, q1 and q3.  It
+then prints, for each workload and metric, the parent median, the
+change median and the number of pairs the change won.  A pair is won
+when the change reads better, in the direction BENCHMARK.json gives;
+ties count for neither side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_run(stdout: str) -> dict:
+    """The provenance record and the final JSON object of one run."""
+    provenance, final = None, None
+    for line in stdout.splitlines():
+        if line.startswith("provenance "):
+            provenance = json.loads(line[len("provenance "):])
+        elif line.startswith("{"):
+            final = json.loads(line)
+    if provenance is None or final is None:
+        raise ValueError("run output lacks its provenance or JSON line")
+    return {"provenance": provenance, "result": final}
+
+
+def spread(values: list) -> dict:
+    """The values with their median and quartiles (inclusive method, so
+    q1 and q3 lie within the values)."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": statistics.median(values),
+            "q1": q1, "q3": q3}
+
+
+def bench_record(tag: str, seeds: list, runs: dict) -> dict:
+    """The BENCH file of one tree; ``runs`` maps each workload to its
+    parsed runs, one per seed, in seed order."""
+    provenance = []
+    workloads = {}
+    for name, parsed in runs.items():
+        for run in parsed:
+            prov = {k: v for k, v in run["provenance"].items()
+                    if k != "seed"}
+            if prov not in provenance:
+                provenance.append(prov)
+        results = [run["result"] for run in parsed]
+        metrics = {}
+        for key, entry in results[0]["metrics"].items():
+            metrics[key] = {"unit": entry["unit"], **spread(
+                [r["metrics"][key]["value"] for r in results])}
+        workloads[name] = {"failed": [r["failed"] for r in results],
+                           "attempted": [r["attempted"] for r in results],
+                           "metrics": metrics}
+    return {"tag": tag, "seeds": seeds, "provenance": provenance,
+            "workloads": workloads}
+
+
+def pairs_won(parent: list, change: list, better: str) -> int:
+    """Pairs in which the change reads strictly better than the parent."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+
+
+def comparison(parent: dict, change: dict, directions: dict) -> list:
+    """(workload, metric, parent median, change median, pairs won or
+    None where the metric has no direction, pairs)."""
+    rows = []
+    for name, before in parent["workloads"].items():
+        after = change["workloads"][name]
+        for key, p in before["metrics"].items():
+            c = after["metrics"][key]
+            won = (pairs_won(p["values"], c["values"], directions[key])
+                   if key in directions else None)
+            rows.append((name, key, p["median"], c["median"], won,
+                         len(p["values"])))
+    return rows
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = ["python3", str(tree / "perfbench" / "run.py"), "--workload",
+           workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=10 * seconds + 300)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n"
+                           f"{done.stderr}")
+    return parse_run(done.stdout)
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--parent-tag", required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--change-tag", required=True)
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", action="append", choices=names)
+    ap.add_argument("--out", type=Path, default=ROOT)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    seconds = bench["run_seconds"]
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    workloads = args.workload or names
+    seeds = [args.seed + i for i in range(args.pairs)]
+    runs = {side: {w: [] for w in workloads} for side in trees}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for w in workloads:
+            for side in order:
+                runs[side][w].append(_run(trees[side], w, seed, seconds))
+                print(f"pair {i + 1}/{args.pairs} {w} {side} done",
+                      file=sys.stderr, flush=True)
+    records = {side: bench_record(tag, seeds, runs[side]) for side, tag in
+               (("parent", args.parent_tag), ("change", args.change_tag))}
+    for record in records.values():
+        path = args.out / f"BENCH_{record['tag']}.json"
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    wp, wc = (max(14, len(tag) + 2)
+              for tag in (args.parent_tag, args.change_tag))
+    print(f"{'workload':<18}{'metric':<16}{args.parent_tag:>{wp}}"
+          f"{args.change_tag:>{wc}}  won")
+    for name, key, p, c, won, n in comparison(
+            records["parent"], records["change"], directions):
+        shown = "-" if won is None else f"{won}/{n}"
+        print(f"{name:<18}{key:<16}{p:>{wp}.6g}{c:>{wc}.6g}  {shown}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
