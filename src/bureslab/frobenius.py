@@ -94,31 +94,42 @@ def oracle_estimate(rho: np.ndarray, f: float, m: int,
     """rho plus Hermitian Gaussian noise with E ||noise||_F^2 = f/m exactly.
 
     Per-entry variance is s^2 = (f/m)/d^2: real N(0, s^2) on the diagonal
-    and (x + iy) s/sqrt(2) above it.
+    and (x + iy) s/sqrt(2) above it.  One call draws every normal, in the
+    order real parts, imaginary parts, diagonal, and writes them through
+    the cached slots of :func:`_noise_slots`.
     """
     if m <= 0:
         raise ValueError("m must be positive")
     d = rho.shape[0]
     s = np.sqrt((f / m) / d ** 2)
-    g = np.zeros((d, d), dtype=complex)
-    iu = _upper_triangle(d)
-    n_off = iu[0].size
-    g.real[iu] = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
-    g.imag[iu] = rng.standard_normal(n_off) * (s / np.sqrt(2.0))
-    g += g.conj().T
-    np.fill_diagonal(g, rng.standard_normal(d) * s)
+    upper, mirror, diag = _noise_slots(d)
+    n_off = upper.size // 2
+    z = rng.standard_normal(2 * n_off + d)
+    off = z[:2 * n_off] * (s / np.sqrt(2.0))
+    noise = np.zeros(2 * d * d)  # the d x d complex noise, as real numbers
+    noise[upper] = off
+    off[n_off:] *= -1.0  # the mirror holds the conjugates
+    noise[mirror] = off
+    noise[diag] = z[2 * n_off:] * s
+    g = noise.view(complex).reshape(d, d)
     g += rho
     return g
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_triangle(d: int) -> tuple:
-    """``np.triu_indices(d, k=1)``, built once per dimension; read-only,
-    because cached arrays are shared."""
-    iu = np.triu_indices(d, k=1)
-    for a in iu:
+def _noise_slots(d: int) -> tuple:
+    """Flat positions, in a d x d complex matrix viewed as 2 d^2 real
+    numbers, of the upper triangle's real parts then its imaginary
+    parts, of the same parts of its conjugate mirror below the
+    diagonal, and of the diagonal's real parts.  Built once per
+    dimension; read-only, because cached arrays are shared."""
+    i, j = np.triu_indices(d, k=1)
+    up, low = 2 * (i * d + j), 2 * (j * d + i)
+    slots = (np.concatenate([up, up + 1]), np.concatenate([low, low + 1]),
+             2 * (d + 1) * np.arange(d))
+    for a in slots:
         a.setflags(write=False)
-    return iu
+    return slots
 
 
 _ORACLE_RATES = {

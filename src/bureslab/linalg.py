@@ -271,8 +271,10 @@ def _ginibre(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _gram_state(g: np.ndarray) -> np.ndarray:
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    """G G^dagger / tr for a d x r factor G, or for each member of an
+    (n, d, r) stack of them."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -367,7 +369,7 @@ def restrict(blk: np.ndarray) -> np.ndarray | None:
     unresolved: its normalized form would be round-off of the state
     amplified by 1 / tau.
     """
-    tau = np.trace(blk).real
+    tau = blk.trace().real
     if tau <= config.PASS_MASS_FLOOR:
         return None
     return blk / tau

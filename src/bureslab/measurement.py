@@ -106,7 +106,7 @@ class Povm:
                              "resolve the identity: it must be square")
         gram = u.conj().T @ u
         gram.reshape(-1)[::u.shape[0] + 1] -= 1.0  # U^dagger U - Id
-        if not np.max(np.abs(gram)) <= config.UNITARY_TOL:
+        if not np.abs(gram).max() <= config.UNITARY_TOL:
             raise ValueError("basis matrix is not unitary")
         object.__setattr__(self, "basis", u)
 
@@ -189,13 +189,18 @@ def filter_subset(mass: float, k: int,
     """Project k copies onto the span of a block's basis vectors.
 
     ``mass`` is the pass mass, tr blk for the principal block blk of the
-    state on those vectors; it is clipped to [0, 1] against round-off.
-    Simulates the two-outcome measurement {P, Id - P} and returns the
-    number of copies that pass, binomial with mean k times the mass.
-    The conditional state on success is ``linalg.restrict(blk)``; a
-    caller that estimates from the survivors builds it once itself.
+    state on those vectors.  Round-off within PSD_TOL past either end of
+    [0, 1] is clipped; a mass further out, or a NaN, is not a
+    probability and raises.  Simulates the two-outcome measurement
+    {P, Id - P} and returns the number of copies that pass, binomial
+    with mean k times the mass.  The conditional state on success is
+    ``linalg.restrict(blk)``; a caller that estimates from the survivors
+    builds it once itself.
     """
-    tau = min(max(float(mass), 0.0), 1.0)
+    tau = float(mass)
+    if not -config.PSD_TOL <= tau <= 1.0 + config.PSD_TOL:
+        raise ValueError(f"pass mass {tau:.3g} is not a probability")
+    tau = min(max(tau, 0.0), 1.0)
     return int(rng.binomial(k, tau)) if k > 0 else 0
 
 

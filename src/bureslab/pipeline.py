@@ -81,8 +81,11 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
     (nonnegative, summing to one exactly) sorted ascending, and the
     :class:`measurement.Povm` it was measured in, relabeled to that
     order (ties keep their measured order).  The basis ``povm.basis``
-    diagonalizes ``linalg.hermitian_part`` of the base estimate, and the
-    exchange is free: with U that basis and q the raw eigenvalues,
+    holds the eigenvectors of ``linalg.hermitian_part`` of the base
+    estimate, which ``linalg.require_hermitian`` checks (it refuses a
+    NaN); the eigenvalues are never read, so no
+    ``linalg.SpectralDecomposition`` is built.  The exchange is free:
+    with U that basis and q the raw eigenvalues,
     || U^dagger rho U - diag(q) ||_F equals the Frobenius error of the
     Hermitian estimate, for every rho.  Expected squared error of
     (basis, values) against rho is at most 2 f/m + 2/m for an f-rate
@@ -91,12 +94,12 @@ def make_state_diagonal(spec: EstimatorSpec, rho: np.ndarray, m: int,
     if m < 2:
         raise ParameterError("need at least 2 copies to split phases")
     m1 = m // 2
-    base = spec.run(rho, m1, rng)
-    povm = ms.Povm.from_basis(
-        linalg.eig_hermitian(linalg.hermitian_part(base)).vectors)
+    base = linalg.require_hermitian(
+        linalg.hermitian_part(spec.run(rho, m1, rng)))
+    povm = ms.Povm.from_basis(np.linalg.eigh(base)[1])
     m2 = m - m1
     values = ms.sample_povm(povm, rho, m2, rng) / m2
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
     return values[order], povm.permuted(order)
 
 
@@ -136,8 +139,8 @@ def _tail_rule_floor(values: np.ndarray, r: int) -> int:
     Returns the number of suffix entries whose value exceeds
     (1.1)^2 * (sum of values) / (100 r); entries are ascending.
     """
-    above = values > 1.1 ** 2 * float(np.sum(values)) / (100.0 * r)
-    return above.size if above.all() else int(np.argmin(above[::-1]))
+    above = values > 1.1 ** 2 * float(values.sum()) / (100.0 * r)
+    return above.size if above.all() else int(above[::-1].argmin())
 
 
 def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
@@ -157,14 +160,14 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
     measures the pass rate tau_hat alone, so it forms no conditional
     state; phase two filters again and hands the survivors to
     :func:`make_state_diagonal` on the conditional state
-    (``linalg.restrict(blk)``, built once per call), rescaling its
-    values by the observed pass rate.  When too few copies survive for
-    the base estimator (its ``min_copies`` on the block), or the block's
-    true mass is at or below the floor (``restrict`` then returns no
-    conditional state), the observed mass is spread uniformly instead
-    and ``povm`` is None: the block keeps its frame.  The same code path
-    serves both the high-mass and low-mass regimes; only the analysis
-    distinguishes them.  Returns the stage's record, with the tail
+    (``linalg.restrict(blk)``, built only when the survivors suffice),
+    rescaling its values by the observed pass rate.  When too few copies
+    survive for the base estimator (its ``min_copies`` on the block), or
+    the block's true mass is at or below the floor (``restrict`` then
+    returns no conditional state), the observed mass is spread uniformly
+    instead and ``povm`` is None: the block keeps its frame.  The same
+    code path serves both the high-mass and low-mass regimes; only the
+    analysis distinguishes them.  Returns the stage's record, with the tail
     rule's ``retained`` count.  The caller charges the 2 m_phase copies
     to its ledger.
     """
@@ -173,18 +176,19 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
                          "floor needs its block")
     tau_hat = ms.filter_subset(mass, k=m_phase, rng=rng) / m_phase
     kept2 = ms.filter_subset(mass, k=m_phase, rng=rng)
-    cond = None if blk is None else linalg.restrict(blk)
     scale = kept2 / m_phase
-    if (kept2 < 2 or cond is None
-            or kept2 // 2 < spec.min_copies(d_t)):
-        # too few survivors to estimate structure (the base estimator
-        # gets kept2 // 2 of them); spread the observed mass uniformly
-        # so the trace identity stays exact
+    # the base estimator gets kept2 // 2 of the survivors
+    enough = kept2 >= 2 and kept2 // 2 >= spec.min_copies(d_t)
+    cond = linalg.restrict(blk) if enough and blk is not None else None
+    if cond is None:
+        # too few survivors, or too little mass, to estimate structure;
+        # spread the observed mass uniformly so the trace identity
+        # stays exact
         povm = None
         values = np.full(d_t, scale / d_t)
     else:
         values, povm = make_state_diagonal(spec, cond, kept2, rng)
-        values = values * scale
+        values *= scale
     theta = max(tau_hat / (100.0 * r), classical.mass_floor(m_phase, delta))
     return StageRecord(
         prefix=d_t, tau_hat=tau_hat, theta_hat=theta,

@@ -9,9 +9,10 @@ from the measured values so a bookkeeping bug in the suite's own
 
 import json
 
+import numpy as np
 import pytest
 
-from bureslab import accept
+from bureslab import accept, linalg
 from bureslab import mitest as mt
 
 
@@ -67,6 +68,21 @@ def test_report_is_json_serializable(suite):
               for res in suite.values()]
     parsed = json.loads(json.dumps(report))
     assert len(parsed) == len(NUMBERS)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_density_stack_is_the_loop_bit_for_bit(d):
+    """Criterion 1's batched draw builds the states a loop of
+    ``random_density(d, d)`` builds, bit for bit, and leaves the
+    generator at the loop's next draw."""
+    rng, ref_rng = np.random.default_rng([31, d]), \
+        np.random.default_rng([31, d])
+    stack = accept._density_stack(7, d, rng)
+    loop = np.array([linalg.random_density(d, d, ref_rng)
+                     for _ in range(7)])
+    assert stack.shape == (7, d, d)
+    assert np.array_equal(stack.view(float), loop.view(float))
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_line_format():

@@ -1,6 +1,6 @@
 """The BENCH pair script's aggregation, on canned run output: parsing a
-run, the per-metric spread, the BENCH record and the pairs won.  No
-benchmark run is started."""
+run, the per-metric spread, the BENCH record, the pairs won and the
+claim rule.  No benchmark run is started."""
 
 import importlib.util
 import json
@@ -14,15 +14,18 @@ bp = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bp)
 
 
-def _stdout(seed, ops, p90, failed=0, commit="abc"):
-    """What ``perfbench/run.py --trace 0`` prints, trimmed."""
+def _stdout(seed, ops, p90, failed=0, commit="abc", raw=(1.0, 100.0)):
+    """What ``perfbench/run.py --trace 0`` prints, trimmed; ``raw`` is
+    the unpaced ``op_ms_p50`` and ``ops_per_s``."""
     prov = {"seed": seed, "git_commit": commit, "nproc": 2}
     final = {"correct": failed == 0, "attempted": 100, "failed": failed,
              "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
                          "op_ms_p90": {"value": p90, "unit": "ms"}}}
+    unpaced = {"op_ms_p50": raw[0], "ops_per_s": raw[1],
+               "pace_kernel_ms": 2.0}
     return "\n".join([
         "provenance " + json.dumps(prov),
-        'unpaced {"op_ms_p50": 1.0}',
+        "unpaced " + json.dumps(unpaced),
         "csv_digest_first_cycle None",
         "known defect: 1 op(s) refused: budget",
         json.dumps(final), ""])
@@ -33,8 +36,15 @@ def test_parse_run_keeps_provenance_and_final_line():
     assert run["provenance"] == {"seed": 3, "git_commit": "abc", "nproc": 2}
     assert run["result"]["failed"] == 1
     assert run["result"]["metrics"]["ops_per_s"]["value"] == 10.0
+    assert run["unpaced"] == {"op_ms_p50": 1.0, "ops_per_s": 100.0,
+                              "pace_kernel_ms": 2.0}
     with pytest.raises(ValueError):
         bp.parse_run("csv_digest_first_cycle None\n")
+    # a run whose unpaced line is missing is refused too
+    with pytest.raises(ValueError):
+        bp.parse_run("\n".join(line for line in
+                               _stdout(3, 10.0, 2.0).splitlines()
+                               if not line.startswith("unpaced ")))
 
 
 def test_spread_is_median_and_inclusive_quartiles():
@@ -51,12 +61,20 @@ def test_bench_record_and_comparison():
         [10.5, 11.0, 11.5, 13.5, 15.0]
     parent_p90, change_p90 = [2.0, 2.0, 2.0, 2.0, 2.0], \
         [1.0, 3.0, 1.0, 1.0, 2.0]
+    # unpaced (op_ms_p50, ops_per_s): the change wins every pair of
+    # both, but only its p50 moves by more than the parent's q3 - q1
+    parent_raw = [(1.0, 100.0), (1.1, 110.0), (1.2, 120.0), (1.3, 130.0),
+                  (1.4, 140.0)]
+    change_raw = [(0.8, 101.0), (0.9, 111.0), (0.85, 121.0),
+                  (0.95, 131.0), (1.0, 141.0)]
     parent = bp.bench_record("before", seeds, {"w": [
-        bp.parse_run(_stdout(s, o, p)) for s, o, p in
-        zip(seeds, parent_ops, parent_p90)]})
+        bp.parse_run(_stdout(s, o, p, raw=raw)) for s, o, p, raw in
+        zip(seeds, parent_ops, parent_p90, parent_raw)]})
     change = bp.bench_record("after", seeds, {"w": [
-        bp.parse_run(_stdout(s, o, p, failed=int(s == 2), commit="def"))
-        for s, o, p in zip(seeds, change_ops, change_p90)]})
+        bp.parse_run(_stdout(s, o, p, failed=int(s == 2), commit="def",
+                             raw=raw))
+        for s, o, p, raw in zip(seeds, change_ops, change_p90,
+                                change_raw)]})
     assert parent["tag"] == "before" and parent["seeds"] == seeds
     # the seed is listed once, not kept per provenance record
     assert parent["provenance"] == [{"git_commit": "abc", "nproc": 2}]
@@ -66,12 +84,37 @@ def test_bench_record_and_comparison():
     assert w["metrics"]["ops_per_s"] == {
         "unit": "1/s", "values": change_ops, "median": 11.5,
         "q1": 11.0, "q3": 13.5}
+    assert w["unpaced"]["op_ms_p50"] == {
+        "unit": "ms", "values": [0.8, 0.9, 0.85, 0.95, 1.0],
+        "median": 0.9, "q1": 0.85, "q3": 0.95}
+    assert w["unpaced"]["pace_kernel_ms"]["values"] == [2.0] * 5
     json.dumps(change)  # the record is what the BENCH file holds
     rows = bp.comparison(parent, change, {"ops_per_s": "higher",
-                                          "op_ms_p90": "lower"})
+                                          "op_ms_p90": "lower",
+                                          "op_ms_p50": "lower"})
     # higher is better: pairs 1, 4 and 5 won, the tie counts for neither
-    # side; lower is better: pairs 1, 3 and 4 won, the last one tied
-    assert rows == [("w", "ops_per_s", 12.0, 11.5, 3, 5),
-                    ("w", "op_ms_p90", 2.0, 1.0, 3, 5)]
+    # side; lower is better: pairs 1, 3 and 4 won, the last one tied;
+    # 3 of 5 meets no claim.  The unpaced p50 wins 5/5 and its median
+    # moves by 0.3 past the parent's q3 - q1 of 0.2; the unpaced rate
+    # wins 5/5 but moves by 1 inside the parent's 20; the pace kernel
+    # has no direction
+    assert rows == [
+        ("w", "ops_per_s", 12.0, 11.5, 3, 5, False),
+        ("w", "op_ms_p90", 2.0, 1.0, 3, 5, False),
+        ("w", "unpaced.op_ms_p50", 1.2, 0.9, 5, 5, True),
+        ("w", "unpaced.ops_per_s", 120.0, 121.0, 5, 5, False),
+        ("w", "unpaced.pace_kernel_ms", 2.0, 2.0, None, 5, None)]
     rows = bp.comparison(parent, change, {})
-    assert [won for *_, won, _ in rows] == [None, None]
+    assert [row[4:] for row in rows] == [(None, 5, None)] * 5
+
+
+def test_claim_rule_needs_nine_in_ten_and_the_spread():
+    """9 of 10 pairs won and a median past the parent's q3 - q1 meets
+    the rule; 8 of 10, or a move inside the spread, does not."""
+    parent = bp.spread([10.0] * 5 + [12.0] * 5)   # q3 - q1 = 2
+    better = bp.spread([7.0] * 10)
+    assert bp.claim_holds(parent, better, "lower", 9)
+    assert not bp.claim_holds(parent, better, "lower", 8)
+    assert not bp.claim_holds(parent, bp.spread([9.5] * 10), "lower", 10)
+    # the median must move in the better direction
+    assert not bp.claim_holds(parent, better, "higher", 10)

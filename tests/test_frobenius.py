@@ -91,9 +91,9 @@ def _oracle_estimate_per_call(rho, f, m, rng):
 
 @pytest.mark.parametrize("d", [1, 2, 7, 64])
 def test_oracle_estimate_equals_the_per_call_reference(d):
-    """Cached index tables draw the same normals in the same order
-    (real parts, imaginary parts, diagonal): the same estimate bit for
-    bit, and the generator left at the same next draw."""
+    """One draw through cached slots takes the same normals in the same
+    order (real parts, imaginary parts, diagonal): the same estimate bit
+    for bit, and the generator left at the same next draw."""
     rho = linalg.random_density(d, d, np.random.default_rng([89, d]))
     rng, ref_rng = np.random.default_rng(97), np.random.default_rng(97)
     for m in (3, 1000):  # the second call reads the cached tables
@@ -101,7 +101,7 @@ def test_oracle_estimate_equals_the_per_call_reference(d):
         ref = _oracle_estimate_per_call(rho, float(d), m, ref_rng)
         assert np.array_equal(est, ref)
     assert rng.standard_normal() == ref_rng.standard_normal()
-    for table in fb._upper_triangle(d):
+    for table in fb._noise_slots(d):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0

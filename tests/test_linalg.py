@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bureslab import config, divergences as dv, linalg
-from bureslab import measurement as ms, mitest as mt
+from bureslab import config, divergences as dv, frobenius as fb, linalg
+from bureslab import measurement as ms, mitest as mt, pipeline as pl
 from oracles import analysis
 
 
@@ -123,10 +123,18 @@ _NAN_SECOND = linalg.SpectralDecomposition(values=np.array([0.5, np.nan]),
     (lambda: mt.classical_mi_test(np.array([[np.nan, 0.5], [0.25, 0.25]]),
                                   0.5, np.random.default_rng(0)),
      "probability table"),
+    (lambda: ms.filter_subset(np.nan, 50, np.random.default_rng(0)),
+     "not a probability"),
+    (lambda: pl.make_state_diagonal(
+        fb.EstimatorSpec(rate=lambda d, r: 1.0,
+                         run=lambda rho, n, rng: np.where(
+                             [[False, True], [False, False]], np.nan, rho)),
+        linalg.maximally_mixed(2), 10, np.random.default_rng(0)),
+     "not Hermitian"),
 ], ids=["divergences-weights", "require-hermitian", "psd-values",
         "psd-values-nan-second", "relative-entropy-nan-second",
         "fidelity-nan-second", "povm", "sampling-probs",
-        "classical-mi-table"])
+        "classical-mi-table", "filter-mass", "stage-estimate"])
 def test_checks_refuse_nan(check, message):
     """Each check is written so that a NaN fails its comparison."""
     with pytest.raises(ValueError, match=message):

@@ -122,6 +122,9 @@ def test_filter_subset():
     # round-off past either end of [0, 1] is clipped
     assert ms.filter_subset(-1e-17, 50, rng) == 0
     assert ms.filter_subset(1.0 + 1e-15, 50, rng) == 50
+    # a mass past that round-off is not a probability
+    with pytest.raises(ValueError, match="not a probability"):
+        ms.filter_subset(1.5, 50, rng)
 
 
 @pytest.mark.parametrize("d", [2, 4, 5, 7, 8])

@@ -14,15 +14,21 @@ Each pair runs, once for each tree and in that tree's directory,
 with the same workload W and seed S on both sides; N is ``run_seconds``
 of this checkout's BENCHMARK.json.  Pair i of every workload uses seed
 ``--seed`` + i, and the side that runs first alternates from pair to
-pair.  From each run the script keeps its ``provenance`` line and its
-final JSON line.  It writes ``BENCH_<tag>.json`` for each tree into
-``--out`` (default: this checkout's root), holding the seeds, the
-distinct provenance records and, per workload, each run's ``failed``
-count and, per metric, the values with their median, q1 and q3.  It
-then prints, for each workload and metric, the parent median, the
-change median and the number of pairs the change won.  A pair is won
-when the change reads better, in the direction BENCHMARK.json gives;
-ties count for neither side.
+pair.  From each run the script keeps its ``provenance`` line, its
+``unpaced`` line (the raw ``op_ms_p50`` and ``ops_per_s``, before the
+pace kernel's scaling, and ``pace_kernel_ms``) and its final JSON line.
+It writes ``BENCH_<tag>.json`` for each tree into ``--out`` (default:
+this checkout's root), holding the seeds, the distinct provenance
+records and, per workload, each run's ``failed`` and ``attempted``
+counts and, per metric, paced and unpaced, the values with their
+median, q1 and q3.  It then prints, for each workload and metric, the
+parent median, the change median, the number of pairs the change won
+and whether the change meets the claim rule.  A pair is won when the
+change reads better, in the direction BENCHMARK.json gives (an unpaced
+metric takes its paced namesake's); ties count for neither side.  The
+claim rule holds when the change wins at least 9 in 10 of the pairs
+and its median is better than the parent's by more than the parent's
+q3 - q1.
 """
 
 from __future__ import annotations
@@ -35,19 +41,25 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the units of the ``unpaced`` line's entries
+UNPACED_UNITS = {"op_ms_p50": "ms", "ops_per_s": "1/s",
+                 "pace_kernel_ms": "ms"}
 
 
 def parse_run(stdout: str) -> dict:
-    """The provenance record and the final JSON object of one run."""
-    provenance, final = None, None
+    """The provenance record, the unpaced record and the final JSON
+    object of one run."""
+    found = {}
     for line in stdout.splitlines():
-        if line.startswith("provenance "):
-            provenance = json.loads(line[len("provenance "):])
-        elif line.startswith("{"):
-            final = json.loads(line)
-    if provenance is None or final is None:
-        raise ValueError("run output lacks its provenance or JSON line")
-    return {"provenance": provenance, "result": final}
+        for key in ("provenance", "unpaced"):
+            if line.startswith(key + " "):
+                found[key] = json.loads(line[len(key) + 1:])
+        if line.startswith("{"):
+            found["result"] = json.loads(line)
+    if len(found) < 3:
+        raise ValueError("run output lacks its provenance, unpaced or "
+                         "JSON line")
+    return found
 
 
 def spread(values: list) -> dict:
@@ -77,9 +89,12 @@ def bench_record(tag: str, seeds: list, runs: dict) -> dict:
         for key, entry in results[0]["metrics"].items():
             metrics[key] = {"unit": entry["unit"], **spread(
                 [r["metrics"][key]["value"] for r in results])}
+        unpaced = {key: {"unit": UNPACED_UNITS.get(key), **spread(
+            [run["unpaced"][key] for run in parsed])}
+            for key in parsed[0]["unpaced"]}
         workloads[name] = {"failed": [r["failed"] for r in results],
                            "attempted": [r["attempted"] for r in results],
-                           "metrics": metrics}
+                           "metrics": metrics, "unpaced": unpaced}
     return {"tag": tag, "seeds": seeds, "provenance": provenance,
             "workloads": workloads}
 
@@ -90,18 +105,32 @@ def pairs_won(parent: list, change: list, better: str) -> int:
     return sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
 
 
+def claim_holds(p: dict, c: dict, better: str, won: int) -> bool:
+    """Whether the change wins at least 9 in 10 of the pairs and its
+    median beats the parent's by more than the parent's q3 - q1."""
+    sign = 1.0 if better == "higher" else -1.0
+    return (10 * won >= 9 * len(p["values"])
+            and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
+
+
 def comparison(parent: dict, change: dict, directions: dict) -> list:
-    """(workload, metric, parent median, change median, pairs won or
-    None where the metric has no direction, pairs)."""
+    """(workload, metric, parent median, change median, pairs won, pairs,
+    claim rule met), with None for the pairs won and the claim where the
+    metric has no direction.  The unpaced metrics follow the paced ones
+    as ``unpaced.<name>``."""
     rows = []
     for name, before in parent["workloads"].items():
         after = change["workloads"][name]
-        for key, p in before["metrics"].items():
-            c = after["metrics"][key]
-            won = (pairs_won(p["values"], c["values"], directions[key])
-                   if key in directions else None)
-            rows.append((name, key, p["median"], c["median"], won,
-                         len(p["values"])))
+        for group, prefix in (("metrics", ""), ("unpaced", "unpaced.")):
+            for key, p in before[group].items():
+                c = after[group][key]
+                better = directions.get(key)
+                won = (None if better is None
+                       else pairs_won(p["values"], c["values"], better))
+                claim = (None if better is None
+                         else claim_holds(p, c, better, won))
+                rows.append((name, prefix + key, p["median"], c["median"],
+                             won, len(p["values"]), claim))
     return rows
 
 
@@ -153,12 +182,14 @@ def main(argv=None) -> int:
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     wp, wc = (max(14, len(tag) + 2)
               for tag in (args.parent_tag, args.change_tag))
-    print(f"{'workload':<18}{'metric':<16}{args.parent_tag:>{wp}}"
-          f"{args.change_tag:>{wc}}  won")
-    for name, key, p, c, won, n in comparison(
+    print(f"{'workload':<18}{'metric':<26}{args.parent_tag:>{wp}}"
+          f"{args.change_tag:>{wc}}  won    claim")
+    for name, key, p, c, won, n, claim in comparison(
             records["parent"], records["change"], directions):
         shown = "-" if won is None else f"{won}/{n}"
-        print(f"{name:<18}{key:<16}{p:>{wp}.6g}{c:>{wc}.6g}  {shown}")
+        rule = "-" if claim is None else ("yes" if claim else "no")
+        print(f"{name:<18}{key:<26}{p:>{wp}.6g}{c:>{wc}.6g}  {shown:<7}"
+              f"{rule}")
     return 0
 
 
