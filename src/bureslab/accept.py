@@ -288,11 +288,11 @@ def _restriction_fidelity():
         subset = rng.choice(d, size=int(rng.integers(1, d + 1)),
                             replace=False)
         blk = rho[np.ix_(subset, subset)]
-        cond = linalg.restrict(blk)
+        mass = np.trace(blk).real
+        cond = linalg.restrict(blk, mass)
         if cond is None:
             skipped += 1
             continue
-        mass = np.trace(blk).real
         back = np.zeros((d, d), dtype=complex)
         back[np.ix_(subset, subset)] = cond
         fid = dv.fidelity(rho, back)

@@ -359,20 +359,19 @@ def correlated_pair_eig(d: int, lam: float) -> tuple:
 # blocks and marginals
 # ---------------------------------------------------------------------------
 
-def restrict(blk: np.ndarray) -> np.ndarray | None:
-    """Conditional state blk / tr blk, or None at or below the floor.
+def restrict(blk: np.ndarray, mass: float) -> np.ndarray | None:
+    """Conditional state blk / mass, or None at or below the floor.
 
-    ``blk`` is a principal block of a state, unnormalized: its trace is
-    the probability that a copy passes a filter onto the block's basis
-    vectors.  This is the one place the package forms a conditional
-    state.  At a pass mass tau <= PASS_MASS_FLOOR the block is left
-    unresolved: its normalized form would be round-off of the state
-    amplified by 1 / tau.
+    ``blk`` is a principal block of a state, unnormalized, and ``mass``
+    is its trace, which the caller has already read: the probability
+    that a copy passes a filter onto the block's basis vectors.  This is
+    the one place the package forms a conditional state.  At a pass mass
+    tau <= PASS_MASS_FLOOR the block is left unresolved: its normalized
+    form would be round-off of the state amplified by 1 / tau.
     """
-    tau = blk.trace().real
-    if tau <= config.PASS_MASS_FLOOR:
+    if mass <= config.PASS_MASS_FLOOR:
         return None
-    return blk / tau
+    return blk / mass
 
 
 def marginals(rho: np.ndarray, d: int) -> tuple:

@@ -194,9 +194,12 @@ def filter_subset(mass: float, k: int,
     probability and raises.  Simulates the two-outcome measurement
     {P, Id - P} and returns the number of copies that pass, binomial
     with mean k times the mass.  The conditional state on success is
-    ``linalg.restrict(blk)``; a caller that estimates from the survivors
-    builds it once itself.
+    ``linalg.restrict(blk, mass)``; a caller that estimates from the
+    survivors builds it once itself.  A negative k is not a copy count
+    and raises before anything is drawn.
     """
+    if k < 0:
+        raise ValueError(f"cannot filter a negative number of copies ({k})")
     tau = float(mass)
     if not -config.PSD_TOL <= tau <= 1.0 + config.PSD_TOL:
         raise ValueError(f"pass mass {tau:.3g} is not a probability")

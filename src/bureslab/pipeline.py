@@ -160,12 +160,13 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
     measures the pass rate tau_hat alone, so it forms no conditional
     state; phase two filters again and hands the survivors to
     :func:`make_state_diagonal` on the conditional state
-    (``linalg.restrict(blk)``, built only when the survivors suffice),
-    rescaling its values by the observed pass rate.  When too few copies
-    survive for the base estimator (its ``min_copies`` on the block), or
-    the block's true mass is at or below the floor (``restrict`` then
-    returns no conditional state), the observed mass is spread uniformly
-    instead and ``povm`` is None: the block keeps its frame.  The same
+    (``linalg.restrict(blk, mass)``, built only when the survivors
+    suffice), rescaling its values by the observed pass rate.  When too
+    few copies survive for the base estimator (its ``min_copies`` on the
+    block), or the block's true mass is at or below the floor
+    (``restrict`` then returns no conditional state), the observed mass
+    is spread uniformly instead and ``povm`` is None: the block keeps its
+    frame.  The same
     code path serves both the high-mass and low-mass regimes; only the
     analysis distinguishes them.  Returns the stage's record, with the tail
     rule's ``retained`` count.  The caller charges the 2 m_phase copies
@@ -179,7 +180,7 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
     scale = kept2 / m_phase
     # the base estimator gets kept2 // 2 of the survivors
     enough = kept2 >= 2 and kept2 // 2 >= spec.min_copies(d_t)
-    cond = linalg.restrict(blk) if enough and blk is not None else None
+    cond = linalg.restrict(blk, mass) if enough and blk is not None else None
     if cond is None:
         # too few survivors, or too little mass, to estimate structure;
         # spread the observed mass uniformly so the trace identity

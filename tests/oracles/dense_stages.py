@@ -29,7 +29,7 @@ def final_upgrade(spec, rho, subset, r, delta, m_phase, rng):
     mass = np.trace(blk).real
     tau_hat = ms.filter_subset(mass, k=m_phase, rng=rng) / m_phase
     kept2 = ms.filter_subset(mass, k=m_phase, rng=rng)
-    cond = linalg.restrict(blk)
+    cond = linalg.restrict(blk, mass)
     scale = kept2 / m_phase
     if (kept2 < 2 or cond is None
             or kept2 // 2 < spec.min_copies(idx.size)):

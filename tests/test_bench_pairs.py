@@ -1,6 +1,7 @@
 """The BENCH pair script's aggregation, on canned run output: parsing a
-run, the per-metric spread, the BENCH record, the pairs won and the
-claim rule.  No benchmark run is started."""
+run, the per-metric spread, the BENCH record, the pairs won, the claim
+rule, the bound check and the printed summary.  No benchmark run is
+started."""
 
 import importlib.util
 import json
@@ -14,11 +15,12 @@ bp = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bp)
 
 
-def _stdout(seed, ops, p90, failed=0, commit="abc", raw=(1.0, 100.0)):
+def _stdout(seed, ops, p90, failed=0, commit="abc", raw=(1.0, 100.0),
+            attempted=100):
     """What ``perfbench/run.py --trace 0`` prints, trimmed; ``raw`` is
     the unpaced ``op_ms_p50`` and ``ops_per_s``."""
     prov = {"seed": seed, "git_commit": commit, "nproc": 2}
-    final = {"correct": failed == 0, "attempted": 100, "failed": failed,
+    final = {"correct": failed == 0, "attempted": attempted, "failed": failed,
              "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
                          "op_ms_p90": {"value": p90, "unit": "ms"}}}
     unpaced = {"op_ms_p50": raw[0], "ops_per_s": raw[1],
@@ -118,3 +120,41 @@ def test_claim_rule_needs_nine_in_ten_and_the_spread():
     assert not bp.claim_holds(parent, bp.spread([9.5] * 10), "lower", 10)
     # the median must move in the better direction
     assert not bp.claim_holds(parent, better, "higher", 10)
+
+
+def test_past_bound_is_a_fraction_of_the_parent_median():
+    """Worse by more than the bound is past it; worse by exactly the
+    bound, or better, is not."""
+    assert bp.past_bound(10.0, 7.9, "higher", 0.2)
+    assert not bp.past_bound(10.0, 8.0, "higher", 0.2)
+    assert not bp.past_bound(10.0, 12.0, "higher", 0.2)
+    assert bp.past_bound(2.0, 2.5, "lower", 0.2)
+    assert not bp.past_bound(2.0, 2.4, "lower", 0.2)
+    assert not bp.past_bound(2.0, 1.0, "lower", 0.2)
+
+
+def test_summary_shows_attempted_ops_and_the_bound():
+    """Each workload's first row is the median ops per run on each side;
+    a bounded metric reads ``worse`` past its bound and ``ok`` inside
+    it, and an unpaced metric has no bound (here the unpaced p50 has no
+    direction either)."""
+    seeds = [1, 2, 3]
+    bench = {"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.2},
+        {"name": "op_ms_p90", "better": "lower", "bound": 0.2}]}
+    parent = bp.bench_record("before", seeds, {"w": [
+        bp.parse_run(_stdout(s, 10.0, 2.0, attempted=a))
+        for s, a in zip(seeds, [100, 120, 110])]})
+    change = bp.bench_record("after", seeds, {"w": [
+        bp.parse_run(_stdout(s, 7.0, 2.1, attempted=a))
+        for s, a in zip(seeds, [130, 150, 140])]})
+    header, *rows = bp.summary(parent, change, bench)
+    assert header.split() == ["workload", "metric", "before", "after",
+                              "won", "claim", "bound"]
+    assert [row.split() for row in rows] == [
+        ["w", "attempted", "110", "140", "-", "-", "-"],
+        ["w", "ops_per_s", "10", "7", "0/3", "no", "worse"],
+        ["w", "op_ms_p90", "2", "2.1", "0/3", "no", "ok"],
+        ["w", "unpaced.op_ms_p50", "1", "1", "-", "-", "-"],
+        ["w", "unpaced.ops_per_s", "100", "100", "0/3", "no", "-"],
+        ["w", "unpaced.pace_kernel_ms", "2", "2", "-", "-", "-"]]

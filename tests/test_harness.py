@@ -444,55 +444,152 @@ class TestStructureFlags:
 
 
 def test_mi_trial_scores_against_the_truth(monkeypatch):
-    """After the tester learns, the trial traces the true marginals once
-    and solves two d x d eigensystems, those of the true product; the
-    joint's is the draw's.  Its losses are the same calls on the same
-    inputs as scoring the learned product by hand."""
+    """The truth of a shared state is derived once per state: after the
+    tester learns, the first trial traces the true marginals once and
+    solves two d x d eigensystems, those of the true product (the
+    joint's is the draw's), and a second trial on the same state does
+    neither.  Each trial's losses are the same calls on the same inputs
+    as scoring its learned product by hand."""
     s = small(target="mi", d=3, family="bipartite:correlated", lam=0.6,
-              eps_grid=(0.5,), trials=1)
-    seen, traces, solves = {}, [], []
+              eps_grid=(0.5,), trials=2)
+    monkeypatch.setattr(hz, "_MI_TRUTH", {})
+    seen, counts = [], []
     make, test, trace, eigh = hz.make_state, hz.mt.quantum_mi_test, \
         linalg.marginals, np.linalg.eigh
     learn = hz.mt.learn_product_quantum
+    scoring = [False]  # counts start once the tester has learned
 
     def made(s, rng):
-        seen["truth"] = make(s, rng)
-        return seen["truth"]
+        scoring[0] = False
+        counts.append({"traces": 0, "solves": []})
+        seen.append({"truth": make(s, rng)})
+        return seen[-1]["truth"]
 
     def traced(*args, **kwargs):
-        traces.append(1)
+        if scoring[0]:
+            counts[-1]["traces"] += 1
         return trace(*args, **kwargs)
 
     def solved(a, *args, **kwargs):
-        solves.append(np.shape(a))
+        if scoring[0]:
+            counts[-1]["solves"].append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     def learned(*args, **kwargs):
         out = learn(*args, **kwargs)
-        monkeypatch.setattr(linalg, "marginals", traced)
-        monkeypatch.setattr(np.linalg, "eigh", solved)
+        scoring[0] = True
         return out
 
     def tested(*args, **kwargs):
-        seen["verdict"] = test(*args, **kwargs)
-        return seen["verdict"]
+        seen[-1]["verdict"] = test(*args, **kwargs)
+        return seen[-1]["verdict"]
 
     monkeypatch.setattr(hz, "make_state", made)
+    monkeypatch.setattr(linalg, "marginals", traced)
+    monkeypatch.setattr(np.linalg, "eigh", solved)
     monkeypatch.setattr(hz.mt, "learn_product_quantum", learned)
     monkeypatch.setattr(hz.mt, "quantum_mi_test", tested)
-    (rec,) = hz._run_trial(s, (s.target,), 0, 0)
+    recs = [hz._run_trial(s, (s.target,), 0, t)[0] for t in range(2)]
     monkeypatch.undo()
-    assert len(traces) == 1
-    assert solves == [(3, 3), (3, 3)]
-    (rho, rho_dec), product = seen["truth"], seen["verdict"].stats["product"]
-    marginals = linalg.marginals(rho, 3)
-    assert rec.losses["bures_chi2"] == dv.bures_chi2(rho, product)
-    assert rec.losses["mi"] == dv.relative_entropy(
-        rho_dec, linalg.product_of_marginals(marginals))
-    assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho_dec, product)
-    assert rec.flags["product_within_eps_prime"] == (
-        dv.bures_chi2(np.kron(*marginals), product)
-        <= seen["verdict"].stats["eps_prime"])
+    assert counts == [{"traces": 1, "solves": [(3, 3), (3, 3)]},
+                      {"traces": 0, "solves": []}]
+    assert seen[0]["truth"] is seen[1]["truth"]
+    for rec, trial in zip(recs, seen):
+        (rho, rho_dec), verdict = trial["truth"], trial["verdict"]
+        product = verdict.stats["product"]
+        marginals = linalg.marginals(rho, 3)
+        assert rec.losses["bures_chi2"] == dv.bures_chi2(rho, product)
+        assert rec.losses["mi"] == dv.relative_entropy(
+            rho_dec, linalg.product_of_marginals(marginals))
+        assert rec.losses["hellinger_sq"] == dv.hellinger_sq_q(rho_dec,
+                                                               product)
+        assert rec.flags["product_within_eps_prime"] == (
+            dv.bures_chi2(np.kron(*marginals), product)
+            <= verdict.stats["eps_prime"])
+
+
+class TestMiTruthMemo:
+    """``_mi_truth`` keeps the truth of a read-only state for the life of
+    the process and derives any other state's on every call.  The tester
+    is replaced by one canned verdict, so every trace of the marginals
+    counted here is the score's."""
+
+    def _run(self, monkeypatch, family, trials=2):
+        s = small(target="mi", d=3, family=family, lam=0.6,
+                  eps_grid=(0.5,), trials=trials)
+        rho, rho_dec = hz.make_state(s, np.random.default_rng(4))
+        verdict = hz.mt.quantum_mi_test(
+            rho, rho_dec, 3, 0.5, np.random.default_rng(5), r=s.r,
+            spec=hz.fb.parse_estimator(s.estimator, s.r))
+        states, traces = [], []
+        make, trace = hz.make_state, linalg.marginals
+
+        def made(s, rng):
+            states.append(make(s, rng))
+            return states[-1]
+
+        def traced(*args, **kwargs):
+            traces.append(1)
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(hz, "_MI_TRUTH", {})
+        monkeypatch.setattr(hz, "make_state", made)
+        monkeypatch.setattr(hz.mt, "quantum_mi_test",
+                            lambda *args, **kwargs: verdict)
+        monkeypatch.setattr(linalg, "marginals", traced)
+        recs = hz.run_scenario(s)
+        monkeypatch.setattr(linalg, "marginals", trace)
+        for rec, (rho, rho_dec) in zip(recs, states):
+            marginals = linalg.marginals(rho, 3)
+            assert rec.losses["mi"] == dv.relative_entropy(
+                rho_dec, linalg.product_of_marginals(marginals))
+            assert rec.flags["product_within_eps_prime"] == (
+                dv.bures_chi2(np.kron(*marginals), verdict.stats["product"])
+                <= verdict.stats["eps_prime"])
+        return states, len(traces)
+
+    def test_read_only_state_is_traced_once(self, monkeypatch):
+        states, traces = self._run(monkeypatch, "bipartite:correlated")
+        assert traces == 1
+        (rho, _), _ = states
+        assert not rho.flags.writeable
+        assert list(hz._MI_TRUTH) == [id(rho)]
+        assert hz._MI_TRUTH[id(rho)][0] is rho
+
+    def test_writable_draw_is_traced_every_trial(self, monkeypatch):
+        states, traces = self._run(monkeypatch, "bipartite:random_product",
+                                   trials=3)
+        assert traces == 3
+        assert all(rho.flags.writeable for rho, _ in states)
+        assert hz._MI_TRUTH == {}
+
+    def test_entry_is_the_same_object_or_a_miss(self, monkeypatch):
+        """A byte-equal read-only copy of a kept state misses, and so
+        does an entry under the copy's id that holds another object."""
+        monkeypatch.setattr(hz, "_MI_TRUTH", {})
+        rho, rho_dec = linalg.correlated_pair_eig(3, 0.6)
+        traces, trace = [], linalg.marginals
+
+        def traced(*args, **kwargs):
+            traces.append(1)
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "marginals", traced)
+        mi, product = hz._mi_truth(rho, rho_dec, 3)
+        assert hz._mi_truth(rho, rho_dec, 3)[1] is product
+        assert len(traces) == 1 and not product.flags.writeable
+        copy = rho.copy()
+        copy.setflags(write=False)
+        hz._MI_TRUTH[id(copy)] = (rho, ("stale", None))
+        again = hz._mi_truth(copy, rho_dec, 3)
+        assert len(traces) == 2
+        assert again[0] == mi and np.array_equal(again[1], product)
+        assert hz._MI_TRUTH[id(copy)][0] is copy
+        # a read-only view of writable memory is not kept
+        view = np.array(rho).view()
+        view.setflags(write=False)
+        hz._mi_truth(view, rho_dec, 3)
+        assert len(traces) == 3 and id(view) not in hz._MI_TRUTH
 
 
 def test_indexed_tail_matches_sorted_route():

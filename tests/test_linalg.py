@@ -188,14 +188,16 @@ def test_hermitian_part_is_closest():
 
 def test_mass_and_restrict():
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    cond = linalg.restrict(rho[np.ix_([0, 2], [0, 2])])
+    blk = rho[np.ix_([0, 2], [0, 2])]
+    cond = linalg.restrict(blk, blk.trace().real)
     assert abs(np.trace(cond).real - 1.0) < 1e-14
     assert abs(cond[0, 0].real - 5 / 7) < 1e-12
-    assert linalg.restrict(np.diag([0.0, 0.0]).astype(complex)) is None
+    assert linalg.restrict(np.diag([0.0, 0.0]).astype(complex), 0.0) is None
     # at or below the pass-mass floor the block is left unresolved
     floor = config.PASS_MASS_FLOOR
     for tau in (floor * (1 - 1e-6), floor, floor * (1 + 1e-6)):
-        cond = linalg.restrict(np.diag([1.0 - tau, tau]).astype(complex)[1:, 1:])
+        blk = np.diag([1.0 - tau, tau]).astype(complex)[1:, 1:]
+        cond = linalg.restrict(blk, blk.trace().real)
         if tau > floor:
             assert cond.shape == (1, 1) and abs(cond[0, 0] - 1.0) < 1e-9
         else:

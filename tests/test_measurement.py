@@ -112,12 +112,12 @@ def test_filter_subset():
     kept = ms.filter_subset(mass, 100_000, rng)
     assert isinstance(kept, int)
     assert abs(kept / 100_000 - 0.8) < 0.01
-    cond = linalg.restrict(blk)
+    cond = linalg.restrict(blk, mass)
     assert abs(np.trace(cond).real - 1.0) < 1e-12
     assert cond[0, 0].real == pytest.approx(0.5 / 0.8)
     empty = np.diag([1.0, 0, 0]).astype(complex)[1:, 1:]
     assert ms.filter_subset(np.trace(empty).real, 50, rng) == 0
-    assert linalg.restrict(empty) is None
+    assert linalg.restrict(empty, np.trace(empty).real) is None
     assert ms.filter_subset(mass, 0, rng) == 0
     # round-off past either end of [0, 1] is clipped
     assert ms.filter_subset(-1e-17, 50, rng) == 0
@@ -125,6 +125,16 @@ def test_filter_subset():
     # a mass past that round-off is not a probability
     with pytest.raises(ValueError, match="not a probability"):
         ms.filter_subset(1.5, 50, rng)
+
+
+def test_filter_subset_refuses_a_negative_count():
+    """A negative k is not a copy count: it raises, as ``CopyBudget.take``
+    does, and draws nothing from the generator."""
+    rng = np.random.default_rng(23)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="negative number of copies"):
+        ms.filter_subset(0.5, k=-5, rng=rng)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("d", [2, 4, 5, 7, 8])

@@ -124,7 +124,7 @@ def test_final_upgrade_spreads_sub_floor_mass_uniformly():
     design = ms.matching_povms(d - 1)
     with pytest.raises(ValueError, match="not a state"):
         ms.sample_povm(design, cond, design.n_rows * 10, rng)
-    assert linalg.restrict(blk) is None
+    assert linalg.restrict(blk, np.trace(blk).real) is None
     simple = fb.parse_estimator("simple", 1)
     m_phase = 10 ** 13
     res = pl.final_upgrade(simple, d - 1, np.trace(blk).real, blk, r=1,

@@ -21,14 +21,20 @@ It writes ``BENCH_<tag>.json`` for each tree into ``--out`` (default:
 this checkout's root), holding the seeds, the distinct provenance
 records and, per workload, each run's ``failed`` and ``attempted``
 counts and, per metric, paced and unpaced, the values with their
-median, q1 and q3.  It then prints, for each workload and metric, the
-parent median, the change median, the number of pairs the change won
-and whether the change meets the claim rule.  A pair is won when the
-change reads better, in the direction BENCHMARK.json gives (an unpaced
-metric takes its paced namesake's); ties count for neither side.  The
-claim rule holds when the change wins at least 9 in 10 of the pairs
-and its median is better than the parent's by more than the parent's
-q3 - q1.
+median, q1 and q3.  It then prints, for each workload, an ``attempted``
+row (the median number of ops per run on each side, which a
+``peak_rss_mb`` move should be read against, since the benchmark keeps
+one outcome per op) and, for each metric, the parent median, the change
+median, the number of pairs the change won, whether the change meets
+the claim rule and whether it stays inside the metric's bound.  A pair
+is won when the change reads better, in the direction BENCHMARK.json
+gives (an unpaced metric takes its paced namesake's); ties count for
+neither side.  The claim rule holds when the change wins at least 9 in
+10 of the pairs and its median is better than the parent's by more
+than the parent's q3 - q1.  The bound column reads ``worse`` when the
+change's median is worse than the parent's by more than the metric's
+BENCHMARK.json ``bound``, a fraction of the parent median, and ``ok``
+otherwise; the unpaced metrics have no bound.
 """
 
 from __future__ import annotations
@@ -113,6 +119,13 @@ def claim_holds(p: dict, c: dict, better: str, won: int) -> bool:
             and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
 
 
+def past_bound(p: float, c: float, better: str, bound: float) -> bool:
+    """Whether the change's median ``c`` is worse than the parent's ``p``
+    by more than ``bound``, a fraction of ``p``."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sign * (c - p) < -bound * abs(p)
+
+
 def comparison(parent: dict, change: dict, directions: dict) -> list:
     """(workload, metric, parent median, change median, pairs won, pairs,
     claim rule met), with None for the pairs won and the claim where the
@@ -132,6 +145,39 @@ def comparison(parent: dict, change: dict, directions: dict) -> list:
                 rows.append((name, prefix + key, p["median"], c["median"],
                              won, len(p["values"]), claim))
     return rows
+
+
+def summary(parent: dict, change: dict, bench: dict) -> list:
+    """The printed table, one line per row: per workload, its
+    ``attempted`` row, then its :func:`comparison` rows, each with its
+    bound verdict."""
+    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    wp, wc = (max(14, len(r["tag"]) + 2) for r in (parent, change))
+
+    def line(name, key, p, c, won, claim, verdict):
+        return (f"{name:<18}{key:<26}{p:>{wp}.6g}{c:>{wc}.6g}  {won:<7}"
+                f"{claim:<7}{verdict}")
+
+    lines = [f"{'workload':<18}{'metric':<26}{parent['tag']:>{wp}}"
+             f"{change['tag']:>{wc}}  won    claim  bound"]
+    rows = comparison(parent, change, directions)
+    for name, before in parent["workloads"].items():
+        lines.append(line(
+            name, "attempted", statistics.median(before["attempted"]),
+            statistics.median(change["workloads"][name]["attempted"]),
+            "-", "-", "-"))
+        for _, key, p, c, won, n, claim in (r for r in rows
+                                            if r[0] == name):
+            bound = bounds.get(key)
+            verdict = "-" if bound is None else (
+                "worse" if past_bound(p, c, directions[key], bound)
+                else "ok")
+            lines.append(line(
+                name, key, p, c, "-" if won is None else f"{won}/{n}",
+                "-" if claim is None else ("yes" if claim else "no"),
+                verdict))
+    return lines
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -179,17 +225,7 @@ def main(argv=None) -> int:
         path = args.out / f"BENCH_{record['tag']}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
-    directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    wp, wc = (max(14, len(tag) + 2)
-              for tag in (args.parent_tag, args.change_tag))
-    print(f"{'workload':<18}{'metric':<26}{args.parent_tag:>{wp}}"
-          f"{args.change_tag:>{wc}}  won    claim")
-    for name, key, p, c, won, n, claim in comparison(
-            records["parent"], records["change"], directions):
-        shown = "-" if won is None else f"{won}/{n}"
-        rule = "-" if claim is None else ("yes" if claim else "no")
-        print(f"{name:<18}{key:<26}{p:>{wp}.6g}{c:>{wc}.6g}  {shown:<7}"
-              f"{rule}")
+    print("\n".join(summary(records["parent"], records["change"], bench)))
     return 0
 
 
