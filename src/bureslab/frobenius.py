@@ -13,8 +13,9 @@ squared Frobenius error at most f/m from m copies.  Two families ship:
   paying the d^2 of a real single-copy scheme.
 
 Estimators take a plain copy count n and are charged all n of them;
-copies left over from shot granularity are burned, not returned.  The
-only copy ledger is the staged learner's (``pipeline.staged_learn``).
+copies left over from shot granularity are burned, not returned.  No
+layer counts copies as it goes: a staged run's plan and its stage
+records (``pipeline.CentralOutput``) state every copy it draws.
 """
 
 from __future__ import annotations

@@ -2,10 +2,9 @@
 
 Copies are an accounting fiction here: sampling k outcomes of a POVM is
 one multinomial draw (O(d) work however large k is), so astronomically
-large budgets cost nothing.  The samplers take plain copy counts; the
-one ledger is the :class:`CopyBudget` that ``pipeline.staged_learn``
-keeps, so a staged run's copy consumption is explicit and auditable in
-one place.
+large budgets cost nothing.  The samplers take plain copy counts; a
+staged run's copies are stated by its plan and its stage records
+(``pipeline.CentralOutput``), not counted here.
 
 Two measurement types exist, and each reads its outcome probabilities
 from rho without building or eigen-checking a matrix per outcome:
@@ -44,7 +43,6 @@ from . import config
 
 __all__ = [
     "BudgetExhausted",
-    "CopyBudget",
     "Povm",
     "MatchingDesign",
     "sample_povm",
@@ -57,31 +55,6 @@ __all__ = [
 
 class BudgetExhausted(RuntimeError):
     """Raised when an algorithm asks for more copies than it was given."""
-
-
-@dataclass
-class CopyBudget:
-    """Mutable counter of measurement copies: a staged run's ledger.
-
-    ``take`` spends copies, raising once the total would be exceeded.
-    Totals are int64-safe.
-    """
-
-    total: int
-    consumed: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.consumed
-
-    def take(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("cannot take a negative number of copies")
-        if k > self.remaining:
-            raise BudgetExhausted(
-                f"requested {k} copies with only {self.remaining} remaining")
-        self.consumed += k
-        return k
 
 
 @dataclass(frozen=True)
@@ -166,8 +139,8 @@ def sample_povm(povm, rho: np.ndarray, k: int,
     ``povm`` is a :class:`Povm`, which measures all k copies, or a
     :class:`MatchingDesign`, whose rows share the k copies evenly: each
     row measures k / n_rows of them, and the counts come back as one row
-    per measurement.  Either way the counts sum to k.  The caller keeps
-    the copy ledger; a refused call draws nothing.
+    per measurement.  Either way the counts sum to k.  A refused call
+    draws nothing.
     """
     p = _sampling_probs(povm.probabilities(rho))
     shots, extra = divmod(k, len(p)) if p.ndim == 2 else (k, 0)

@@ -258,13 +258,14 @@ def learn_product_quantum(rho_joint: np.ndarray, d: int, eps_learn: float,
     d^(3/4)/sqrt(r) one through the floor, so the stage scale shrinks by
     the worse of the two; both marginals share d, r and ``spec``, so
     they share one budget.  Local algorithms on disjoint subsystems can
-    share copies, so the joint cost is the larger run's, not the sum.
+    share copies, so the joint cost is one run's plan, not the sum.
 
     Returns (estimates, learning): the two estimates as decompositions,
     in ``linalg.marginals``'s order, and a dict of the two staged runs
-    (``runs``), ``joint_copies`` and ``floor_ok``, whether every
-    eigenvalue of both estimates cleared eps_learn / d, which a fully
-    resolved rank-deficient marginal will not.
+    (``runs``) and ``floor_ok``, whether every eigenvalue of both
+    estimates cleared eps_learn / d, which a fully resolved
+    rank-deficient marginal will not.  Both runs spend their shared
+    plan's ``total``, the joint copy count.
     """
     if not 0.0 < eps_learn < 0.5:
         raise pl.ParameterError("eps_learn must lie in (0, 1/2)")
@@ -275,7 +276,7 @@ def learn_product_quantum(rho_joint: np.ndarray, d: int, eps_learn: float,
     estimates = tuple(pl.to_chi2(out, eta=eps_learn) for out in runs)
     floor = eps_learn / d - config.PSD_TOL
     return estimates, {
-        "runs": runs, "joint_copies": max(out.consumed for out in runs),
+        "runs": runs,
         "floor_ok": all(est.values[0] >= floor for est in estimates)}
 
 
@@ -292,7 +293,8 @@ def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
     joint and their product, which the lab knows, sits below 2 eps_t.
     Accepting certifies MI below eps with high probability; states with
     MI at least eps reject with high probability.  The stats carry
-    eps_prime, eps_t and eps_learn, the learning record, the verdict's
+    eps_prime, eps_t and eps_learn, the learning record,
+    ``joint_copies`` (the runs' shared plan total), the verdict's
     input ``hellinger_sq`` and the learned product as a decomposition
     under ``product``, built from its factors' eigensystems; the joint's
     is given, so no call solves one.  Scoring the learned product
@@ -306,5 +308,6 @@ def quantum_mi_test(rho_joint, joint: linalg.SpectralDecomposition, d: int,
     hellinger_sq = dv.hellinger_sq_q(joint, learned)
     return TesterVerdict(accept=bool(hellinger_sq < 2.0 * eps_t), stats={
         "eps_prime": eps_prime, "eps_t": eps_t, "eps_learn": eps_learn,
-        "learning": learning, "joint_copies": learning["joint_copies"],
+        "learning": learning,
+        "joint_copies": learning["runs"][0].params.total,
         "product": learned, "hellinger_sq": hellinger_sq})

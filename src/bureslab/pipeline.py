@@ -169,8 +169,7 @@ def final_upgrade(spec: EstimatorSpec, d_t: int, mass: float,
     frame.  The same
     code path serves both the high-mass and low-mass regimes; only the
     analysis distinguishes them.  Returns the stage's record, with the tail
-    rule's ``retained`` count.  The caller charges the 2 m_phase copies
-    to its ledger.
+    rule's ``retained`` count; the stage spends 2 m_phase copies.
     """
     if blk is None and mass > config.PASS_MASS_FLOOR:
         raise ValueError(f"a prefix of mass {mass:.3g} above the pass-mass "
@@ -333,6 +332,10 @@ class CentralOutput:
     hand out (V, q'), for their adjusted values q', as a
     ``linalg.SpectralDecomposition`` in the input frame, sorted
     ascending with V's columns in the same order.
+
+    A run spends exactly ``params.total`` copies: ``params.m`` for each
+    record in ``stages`` and the rest on the relearn pass, so the plan
+    and the records are the run's copy ledger.
     """
 
     params: CentralParams
@@ -340,12 +343,12 @@ class CentralOutput:
     prefix: int                  # |L| at stop
     q: np.ndarray                # relearned diagonal, sums to 1
     stages: tuple                # one StageRecord per stage, in order
-    consumed: int
     stop_reason: str
 
     @property
     def forced_stop(self) -> bool:
-        """Whether the budget reserve, not the learner, ended the stages."""
+        """Whether the budget reserve (all l_max stages run), not the
+        learner, ended the stages."""
         return self.stop_reason == "budget reserve"
 
     @property
@@ -371,23 +374,29 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
     must be sliced from it; a stage below the floor measures the mass
     alone.
     Stages stop once the prefix mass estimate falls to 1.1 eps_tilde, the
-    prefix is exhausted, or the budget reserve (half the total, kept for
-    the relearning pass) would be broken.  A stage shrinks the prefix by
-    min(r, retained) coordinates, and the reserve admits at most l_max
-    stages.  The reserve then buys a single
-    computational-basis pass in the final frame (in the first stage's
-    Povm while the frame is that stage's basis), add-one smoothed on the
-    retained suffix [d_t, d), or on every coordinate if that is empty.
+    prefix is exhausted, or l_max stages have run (the budget reserve:
+    the plan's total is 2 m l_max, and the stages may spend at most its
+    first half).  A stage shrinks the prefix by min(r, retained)
+    coordinates.  Every copy the stages left, params.total minus m per
+    stage, then buys a single computational-basis pass in the final
+    frame (in the first stage's Povm while the frame is that stage's
+    basis), add-one smoothed on the retained suffix [d_t, d), or on
+    every coordinate if that is empty.  So a run spends exactly its
+    plan, and the plan with the stage records states every copy.
 
-    The run's :class:`measurement.CopyBudget` is the lab's one copy
-    ledger: each stage charges its m copies before it measures, and the
-    relearning pass charges all that remain.
+    ``rho`` must be a d x d state: a matrix that is not Hermitian within
+    ``config.HERMITIAN_TOL`` (or holds a NaN), has another shape, or
+    whose trace is further than ``config.PSD_TOL`` from 1 raises
+    ValueError before any copy is drawn.
     """
     d, r, m = params.d, params.r, params.m
-    budget = ms.CopyBudget(total=params.total)
-    v_acc = np.eye(d, dtype=complex)
-    blk = np.asarray(rho, dtype=complex)
+    blk = linalg.require_hermitian(rho)
+    if blk.shape != (d, d):
+        raise ValueError(f"expected a {d} x {d} state, got shape {blk.shape}")
     mass = float(blk.trace().real)
+    if not abs(mass - 1.0) <= config.PSD_TOL:
+        raise ValueError(f"trace {mass:.6g} is not 1: not a state")
+    v_acc = np.eye(d, dtype=complex)
     # a stage's basis whose rotation of blk is not formed yet: the
     # current block is then (b^dagger blk b)[:d_t, :d_t]
     pending = None
@@ -399,10 +408,9 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
         if d_t == 0:
             stop = "prefix exhausted"
             break
-        if budget.remaining - m < params.total // 2:
+        if len(stages) == params.l_max:
             stop = "budget reserve"
             break
-        budget.take(m)
         if pending is not None and mass > config.PASS_MASS_FLOOR:
             blk, pending = _rotate(blk, pending, d_t), None
             mass = float(blk.trace().real)
@@ -434,14 +442,13 @@ def staged_learn(rho: np.ndarray, spec: EstimatorSpec, params: CentralParams,
             mass = float(blk.trace().real)
         d_t = d_next
 
-    # relearning pass: everything left in the budget, one basis
-    m_rest = budget.take(budget.remaining)
+    # relearning pass: every copy the stages left, in one basis
+    m_rest = params.total - len(stages) * m
     povm = ms.Povm.from_basis(v_acc) if relearn is None else relearn
     counts = ms.sample_povm(povm, rho, m_rest, rng)
     q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
     return CentralOutput(params=params, frame=v_acc, prefix=d_t, q=q,
-                         stages=tuple(stages), consumed=budget.consumed,
-                         stop_reason=stop)
+                         stages=tuple(stages), stop_reason=stop)
 
 
 def _rotate(blk: np.ndarray, b: np.ndarray, d_t: int) -> np.ndarray:

@@ -6,10 +6,14 @@ rho w and the whole frame as V w, where w is the estimated prefix basis
 padded with the identity, and the filtered estimate gathers the prefix
 out of the full state by index, reading its pass mass as the trace of
 that gathered block.  It measures the relearning pass in a newly
-checked ``Povm.from_basis`` of the final frame.  The library's
-``pipeline.staged_learn`` must take the same random draws and reach the
-same frame, prefix, diagonal and stage records, within round-off of the
-block-sized products and of its route to a stage's mass.
+checked ``Povm.from_basis`` of the final frame.  It stops for the
+budget reserve by its own copy count, not by the library's count of
+stages: a stage runs only while the copies left after it are at least
+half the plan's total, and the relearn spends what is left.  The
+library's ``pipeline.staged_learn`` must take the same random draws and
+reach the same frame, prefix, diagonal and stage records, within
+round-off of the block-sized products and of its route to a stage's
+mass.
 
 Import from a test as ``from oracles import dense_stages``.
 """
@@ -52,7 +56,7 @@ def staged_learn(rho, spec, params, rng):
     Returns ``(out, masses)``: the run's output and each stage's true
     pass mass, the trace of its prefix block."""
     d, r, m = params.d, params.r, params.m
-    budget = ms.CopyBudget(total=params.total)
+    remaining = params.total
     v_acc = np.eye(d, dtype=complex)
     rho_cur = np.asarray(rho, dtype=complex)
     stages, masses = [], []
@@ -61,10 +65,10 @@ def staged_learn(rho, spec, params, rng):
         if d_t == 0:
             stop = "prefix exhausted"
             break
-        if budget.remaining - m < params.total // 2:
+        if remaining - m < params.total // 2:
             stop = "budget reserve"
             break
-        budget.take(m)
+        remaining -= m
         rec, mass = final_upgrade(spec, rho_cur, np.arange(d_t), r,
                                   params.delta, m // 2, rng)
         stages.append(rec)
@@ -78,9 +82,7 @@ def staged_learn(rho, spec, params, rng):
             stop = "mass converged"
             break
         d_t = max(d_t - r, d_t - rec.retained, 0)
-    m_rest = budget.take(budget.remaining)
-    counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, m_rest, rng)
-    q = classical.add_one_hybrid(counts, m_rest, d_t if d_t < d else 0)
+    counts = ms.sample_povm(ms.Povm.from_basis(v_acc), rho, remaining, rng)
+    q = classical.add_one_hybrid(counts, remaining, d_t if d_t < d else 0)
     return pl.CentralOutput(params=params, frame=v_acc, prefix=d_t, q=q,
-                            stages=tuple(stages), consumed=budget.consumed,
-                            stop_reason=stop), masses
+                            stages=tuple(stages), stop_reason=stop), masses

@@ -97,13 +97,13 @@ def test_bench_record_and_comparison():
     # higher is better: pairs 1, 4 and 5 won, the tie counts for neither
     # side; lower is better: pairs 1, 3 and 4 won, the last one tied;
     # 3 of 5 meets no claim.  The unpaced p50 wins 5/5 and its median
-    # moves by 0.3 past the parent's q3 - q1 of 0.2; the unpaced rate
-    # wins 5/5 but moves by 1 inside the parent's 20; the pace kernel
-    # has no direction
+    # moves by 0.3 past the parent's q3 - q1 of 0.2, but 5 pairs are
+    # too few for any claim; the unpaced rate wins 5/5 but moves by 1
+    # inside the parent's 20; the pace kernel has no direction
     assert rows == [
         ("w", "ops_per_s", 12.0, 11.5, 3, 5, False),
         ("w", "op_ms_p90", 2.0, 1.0, 3, 5, False),
-        ("w", "unpaced.op_ms_p50", 1.2, 0.9, 5, 5, True),
+        ("w", "unpaced.op_ms_p50", 1.2, 0.9, 5, 5, False),
         ("w", "unpaced.ops_per_s", 120.0, 121.0, 5, 5, False),
         ("w", "unpaced.pace_kernel_ms", 2.0, 2.0, None, 5, None)]
     rows = bp.comparison(parent, change, {})
@@ -112,11 +112,14 @@ def test_bench_record_and_comparison():
 
 def test_claim_rule_needs_nine_in_ten_and_the_spread():
     """9 of 10 pairs won and a median past the parent's q3 - q1 meets
-    the rule; 8 of 10, or a move inside the spread, does not."""
+    the rule; 8 of 10, a move inside the spread, or fewer than 10
+    pairs, all won, does not."""
     parent = bp.spread([10.0] * 5 + [12.0] * 5)   # q3 - q1 = 2
     better = bp.spread([7.0] * 10)
     assert bp.claim_holds(parent, better, "lower", 9)
     assert not bp.claim_holds(parent, better, "lower", 8)
+    assert not bp.claim_holds(bp.spread([10.0] * 4 + [12.0] * 5),
+                              bp.spread([7.0] * 9), "lower", 9)
     assert not bp.claim_holds(parent, bp.spread([9.5] * 10), "lower", 10)
     # the median must move in the better direction
     assert not bp.claim_holds(parent, better, "higher", 10)
@@ -131,6 +134,29 @@ def test_past_bound_is_a_fraction_of_the_parent_median():
     assert bp.past_bound(2.0, 2.5, "lower", 0.2)
     assert not bp.past_bound(2.0, 2.4, "lower", 0.2)
     assert not bp.past_bound(2.0, 1.0, "lower", 0.2)
+
+
+def test_bound_verdict_is_unresolved_inside_a_wide_parent_spread():
+    """A parent whose q3 - q1 is wider than the bound reads
+    ``unresolved``, unless every change run beats every parent run; a
+    median past the bound reads ``worse`` whatever the spread."""
+    wide = bp.spread([8.0, 9.0, 10.0, 11.0, 12.0])   # q3 - q1 = 2 > 1
+    narrow = bp.spread([9.8, 9.9, 10.0, 10.1, 10.2])
+    assert bp.bound_verdict(wide, bp.spread([9.5] * 5), "higher", 0.1) \
+        == "unresolved"
+    assert bp.bound_verdict(narrow, bp.spread([9.5] * 5), "higher",
+                            0.1) == "ok"
+    assert bp.bound_verdict(wide, bp.spread([12.5] * 5), "higher",
+                            0.1) == "ok"
+    assert bp.bound_verdict(wide, bp.spread([7.5] * 5), "lower", 0.1) \
+        == "ok"
+    # one change run ties the best parent run: not every run beats it
+    assert bp.bound_verdict(wide, bp.spread([12.5] * 4 + [12.0]),
+                            "higher", 0.1) == "unresolved"
+    assert bp.bound_verdict(wide, bp.spread([8.5] * 5), "higher", 0.1) \
+        == "worse"
+    assert bp.bound_verdict(narrow, bp.spread([11.5] * 5), "lower",
+                            0.1) == "worse"
 
 
 def test_summary_shows_attempted_ops_and_the_bound():

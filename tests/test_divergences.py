@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_sylvester
 
-from bureslab import config
+from bureslab import cli, config
 from bureslab import divergences as dv
 from bureslab import linalg
 from oracles import analysis
@@ -224,14 +224,20 @@ class TestQuantum:
             assert dh2 <= 2 * db2 + 1e-9
 
     def test_quantum_chain(self):
+        """Every link ``bureslab divergence`` checks holds at its slack, on
+        full-rank d = 4 pairs and, in both orders, on the pure,
+        rank-deficient, degenerate, near-cutoff and orthogonal pairs at
+        d in {2, 3, 7}."""
         rng = np.random.default_rng(45)
-        for _ in range(25):
-            rho, sigma = random_pair(4, rng)
-            c = dv.quantum_chain(rho, sigma)
-            assert 0.5 * c["hellinger_sq"] <= c["trace_distance"] + 1e-9
-            assert c["trace_distance"] <= np.sqrt(c["bures_sq"]) + 1e-9
-            assert c["bures_sq"] <= c["kl"] + 1e-9
-            assert c["kl"] <= c["reverse_bound"] + 1e-9
+        pairs = [("full-rank", *random_pair(4, rng)) for _ in range(25)]
+        for name, rho, sigma in root_route_pairs(np.random.default_rng(83)):
+            pairs += [(name, rho, sigma), (name + " reversed", sigma, rho)]
+        for name, rho, sigma in pairs:
+            links = cli._chain_verdicts(dv.quantum_chain(rho, sigma),
+                                        quantum=True)
+            assert len(links) == 6
+            for link, lhs, rhs in links:
+                assert lhs <= rhs + cli.SLACK, (name, link)
 
     def test_kl_can_exceed_bures_chi2(self):
         """The pure state (sqrt p, sqrt(1-p)) against its dephasing: KL is

@@ -300,26 +300,6 @@ def test_classical_mi_reads_the_classical_tables(d):
             hz.mt.correlated_joint(d, lam), maxulp=2)
 
 
-class TestBudgetDrain:
-    """A staged trial that leaves planned copies unspent raises, also
-    under -O."""
-
-    def test_staged_run_leaving_copies(self, monkeypatch):
-        s = small(target="chi2", d=3, r=1, family="pure", trials=1)
-        spec = fb.parse_estimator(s.estimator, s.r)
-        total = pl.plan_budget(s.d, s.r, spec.rate(s.d, s.r),
-                               s.eps_grid[0]).total
-        real = pl.staged_learn
-
-        def short(*args, **kwargs):
-            out = real(*args, **kwargs)
-            return dataclasses.replace(out, consumed=out.consumed - 1)
-        monkeypatch.setattr(hz.pl, "staged_learn", short)
-        with pytest.raises(RuntimeError,
-                           match=f"consumed {total - 1} of {total} planned"):
-            hz.run_scenario(s, workers=1)
-
-
 class TestLossKernels:
     """A trial scores its losses from the eigensystems it already holds:
     the truth's from its draw, the estimate's from the learner."""

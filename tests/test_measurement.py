@@ -8,16 +8,6 @@ from bureslab import config, frobenius as fb, linalg, measurement as ms
 from oracles import dense_povm as dense
 
 
-def test_copy_budget_accounting():
-    b = ms.CopyBudget(total=100)
-    b.take(30)
-    assert b.remaining == 70
-    with pytest.raises(ms.BudgetExhausted):
-        b.take(71)
-    with pytest.raises(ValueError):
-        b.take(-1)
-
-
 def test_povm_validation():
     ms.Povm.from_basis(np.eye(3))
     with pytest.raises(ValueError, match="not unitary"):
@@ -128,8 +118,9 @@ def test_filter_subset():
 
 
 def test_filter_subset_refuses_a_negative_count():
-    """A negative k is not a copy count: it raises, as ``CopyBudget.take``
-    does, and draws nothing from the generator."""
+    """A negative k is not a copy count: it raises, as numpy's
+    multinomial does in the other samplers, and draws nothing from the
+    generator."""
     rng = np.random.default_rng(23)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="negative number of copies"):

@@ -304,7 +304,6 @@ class TestStagedLearn:
         assert np.all(out.q >= 0)
         v = out.frame
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-9
-        assert out.consumed == out.params.total
         assert 1 <= len(out.stages) <= out.params.l_max
         assert out.stop_reason
         assert 0.0 <= out.eps_prime <= 1.0
@@ -340,7 +339,9 @@ class TestStagedLearn:
     def test_budget_reserve_stops_a_full_rank_state_under_rank_cap_one(self):
         """Id/16 under r = 1 peels one coordinate a stage and never
         converges: the reserve ends the stages after all l_max of them,
-        with the prefix at 16 - 9, and the relearn spends the rest."""
+        with the prefix at 16 - 9, and the relearn spends the rest.  The
+        dense loop, which finds the reserve by counting copies, stops at
+        the same stage."""
         spec = fb.parse_estimator("oracle:f=d", 1)
         params = pl.plan_budget(16, 1, spec.rate(16, 1), 0.2)
         assert params.l_max == 9
@@ -349,7 +350,10 @@ class TestStagedLearn:
         assert out.stop_reason == "budget reserve" and out.forced_stop
         assert len(out.stages) == params.l_max
         assert out.prefix == 7
-        assert out.consumed == params.total
+        ref, _ = dense_stages.staged_learn(rho, spec, params,
+                                           np.random.default_rng(241))
+        assert (ref.stop_reason, len(ref.stages), ref.prefix) \
+            == (out.stop_reason, params.l_max, 7)
 
     def test_stages_shrink_the_prefix_until_a_stop(self):
         """Every stage but the last retains a coordinate, so the prefix
@@ -373,6 +377,28 @@ class TestStagedLearn:
                     reasons.add(out.stop_reason)
         assert reasons == {"mass converged", "prefix exhausted",
                            "budget reserve"}
+
+    def test_refuses_a_non_state_before_any_draw(self):
+        """A matrix that is not Hermitian, holds a NaN, has the wrong
+        shape or a trace other than 1 raises and draws nothing.  The
+        first would run four stages to an exhausted prefix, and the
+        half-scaled pure state would converge to a q summing to 1,
+        since the sampler renormalizes each row."""
+        spec = fb.parse_estimator("oracle:f=d", 1)
+        params = pl.plan_budget(4, 1, spec.rate(4, 1), 0.2)
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 0.2
+        nan = linalg.maximally_mixed(4)
+        nan[2, 2] = np.nan
+        half = 0.5 * linalg.random_density(4, 1, np.random.default_rng(311))
+        for rho, match in ((skew, "not Hermitian"), (nan, "not Hermitian"),
+                           (linalg.maximally_mixed(5), "4 x 4 state"),
+                           (half, "not a state")):
+            rng = np.random.default_rng(313)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match=match):
+                pl.staged_learn(rho, spec, params, rng)
+            assert rng.bit_generator.state == before
 
 
 def _ledger(out) -> list:
@@ -416,7 +442,7 @@ def test_stage_records_account_for_every_copy(monkeypatch, rank):
     # the filter phases and the relearn draw fresh copies; the base
     # estimate and the diagonal share the second phase's survivors
     fresh = sum(k for call, k in log if call == "filter_subset") + log[-1][1]
-    assert fresh == out.consumed == params.total
+    assert fresh == params.total
     assert all(rec.kept_second <= params.m // 2 for rec in out.stages)
 
 
@@ -520,7 +546,7 @@ def test_post_processors_match_the_matrix_route(estimator):
 @pytest.mark.parametrize("d", [2, 5, 8])
 def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
     """The prefix-block learner takes the dense loop's draws and reaches
-    its stop, copies and stage prefixes everywhere, and its frame,
+    its stop and stage prefixes everywhere, and its frame,
     diagonal and stage values within 1e-12 where they are well posed.
 
     Each family runs at its own rank, and at rank 1, which peels one
@@ -549,9 +575,8 @@ def test_staged_learn_matches_the_dense_stage_loop(estimator, d):
             ref, masses = dense_stages.staged_learn(
                 rho, spec, params, np.random.default_rng(seed))
             where = (family, r)
-            assert (out.prefix, out.stop_reason, out.forced_stop,
-                    out.consumed) == (ref.prefix, ref.stop_reason,
-                                      ref.forced_stop, ref.consumed), where
+            assert (out.prefix, out.stop_reason, out.forced_stop) \
+                == (ref.prefix, ref.stop_reason, ref.forced_stop), where
             assert [(s.prefix, s.retained) for s in out.stages] \
                 == [(s.prefix, s.retained) for s in ref.stages], where
             stages.append(len(out.stages))

@@ -26,10 +26,6 @@ And every module of the package but ``__init__`` must be imported by
 another package module or named in ``perfbench/*.py``, its string
 constants included; a module nothing imports is code no run executes.
 
-And the staged learner keeps the one copy ledger: ``pipeline.staged_learn``
-is the only place in the package that builds a ``CopyBudget``, and every
-layer below it takes plain copy counts.
-
 And ``pipeline`` keeps its own relative-entropy certificate: it imports
 nothing from ``divergences``, at module level or inside a function.
 
@@ -48,8 +44,8 @@ learns both marginals of the quantum tester.  No per-marginal learner
 or other caller of ``staged_learn`` grows beside them.
 
 And every record is built once: each dataclass the package defines is
-frozen, but for the one copy ledger, ``measurement.CopyBudget``, which
-``take`` charges in place.
+frozen.  No mutable copy counter sits beside them; a staged run's plan
+and stage records state its copies.
 """
 
 import ast
@@ -265,20 +261,6 @@ def unset_options() -> list:
                              (name, k)}]
 
 
-def budget_builders() -> list:
-    """(module, top-level definition) of each call that builds a
-    CopyBudget."""
-    found = []
-    for stem, tree in _parse(PACKAGE).items():
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "CopyBudget" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    found.append((stem, getattr(top, "name", None)))
-    return found
-
-
 def imported_by(stem: str) -> set:
     """Stems of the package modules a module imports anywhere in its
     body, function bodies included."""
@@ -331,10 +313,6 @@ def test_every_module_is_imported():
     assert unimported() == []
 
 
-def test_only_the_staged_learner_keeps_a_copy_ledger():
-    assert budget_builders() == [("pipeline", "staged_learn")]
-
-
 def test_the_pipeline_imports_no_divergences():
     assert "linalg" in imported_by("pipeline")
     assert "divergences" not in imported_by("pipeline")
@@ -385,4 +363,4 @@ def mutable_dataclasses() -> list:
 
 
 def test_every_record_but_the_copy_ledger_is_frozen():
-    assert mutable_dataclasses() == [("measurement", "CopyBudget")]
+    assert mutable_dataclasses() == []

@@ -4,7 +4,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --parent-tag TAG \\
-        --change CHANGE_DIR --change-tag TAG [--pairs 5] [--seed 1] \\
+        --change CHANGE_DIR --change-tag TAG [--pairs 10] [--seed 1] \\
         [--workload NAME ...] [--out DIR]
 
 Each pair runs, once for each tree and in that tree's directory,
@@ -29,12 +29,15 @@ median, the number of pairs the change won, whether the change meets
 the claim rule and whether it stays inside the metric's bound.  A pair
 is won when the change reads better, in the direction BENCHMARK.json
 gives (an unpaced metric takes its paced namesake's); ties count for
-neither side.  The claim rule holds when the change wins at least 9 in
-10 of the pairs and its median is better than the parent's by more
-than the parent's q3 - q1.  The bound column reads ``worse`` when the
-change's median is worse than the parent's by more than the metric's
-BENCHMARK.json ``bound``, a fraction of the parent median, and ``ok``
-otherwise; the unpaced metrics have no bound.
+neither side.  The claim rule holds when at least 10 pairs ran, the
+change wins at least 9 in 10 of them and its median is better than the
+parent's by more than the parent's q3 - q1.  The bound column reads
+``worse`` when the change's median is worse than the parent's by more
+than the metric's BENCHMARK.json ``bound``, a fraction of the parent
+median; otherwise ``unresolved`` when the parent's own q3 - q1 is
+wider than that bound, unless every change run reads better than every
+parent run, since such a spread cannot show a move of the bound's size;
+and ``ok`` otherwise.  The unpaced metrics have no bound.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: the fewest pairs on which the claim rule can hold
+MIN_PAIRS = 10
 #: the units of the ``unpaced`` line's entries
 UNPACED_UNITS = {"op_ms_p50": "ms", "ops_per_s": "1/s",
                  "pace_kernel_ms": "ms"}
@@ -112,10 +117,12 @@ def pairs_won(parent: list, change: list, better: str) -> int:
 
 
 def claim_holds(p: dict, c: dict, better: str, won: int) -> bool:
-    """Whether the change wins at least 9 in 10 of the pairs and its
-    median beats the parent's by more than the parent's q3 - q1."""
+    """Whether at least MIN_PAIRS pairs ran, the change wins at least 9
+    in 10 of them and its median beats the parent's by more than the
+    parent's q3 - q1."""
     sign = 1.0 if better == "higher" else -1.0
-    return (10 * won >= 9 * len(p["values"])
+    n = len(p["values"])
+    return (n >= MIN_PAIRS and 10 * won >= 9 * n
             and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
 
 
@@ -124,6 +131,20 @@ def past_bound(p: float, c: float, better: str, bound: float) -> bool:
     by more than ``bound``, a fraction of ``p``."""
     sign = 1.0 if better == "higher" else -1.0
     return sign * (c - p) < -bound * abs(p)
+
+
+def bound_verdict(p: dict, c: dict, better: str, bound: float) -> str:
+    """``worse`` past the bound; inside it, ``unresolved`` when the
+    parent's q3 - q1 is wider than ``bound`` times its median and some
+    change run does not read better than every parent run; else ``ok``.
+    """
+    if past_bound(p["median"], c["median"], better, bound):
+        return "worse"
+    sign = 1.0 if better == "higher" else -1.0
+    beats_all = (min(sign * v for v in c["values"])
+                 > max(sign * v for v in p["values"]))
+    wide = p["q3"] - p["q1"] > bound * abs(p["median"])
+    return "unresolved" if wide and not beats_all else "ok"
 
 
 def comparison(parent: dict, change: dict, directions: dict) -> list:
@@ -170,9 +191,10 @@ def summary(parent: dict, change: dict, bench: dict) -> list:
         for _, key, p, c, won, n, claim in (r for r in rows
                                             if r[0] == name):
             bound = bounds.get(key)
-            verdict = "-" if bound is None else (
-                "worse" if past_bound(p, c, directions[key], bound)
-                else "ok")
+            verdict = "-" if bound is None else bound_verdict(
+                before["metrics"][key],
+                change["workloads"][name]["metrics"][key], directions[key],
+                bound)
             lines.append(line(
                 name, key, p, c, "-" if won is None else f"{won}/{n}",
                 "-" if claim is None else ("yes" if claim else "no"),
@@ -200,7 +222,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent-tag", required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--change-tag", required=True)
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append", choices=names)
     ap.add_argument("--out", type=Path, default=ROOT)
