@@ -319,10 +319,10 @@ def _tester_arms(number: int, target: str, families: tuple, **fields):
 
 @_criterion(12, "classical-tester")
 def _classical_tester():
-    # Dirichlet(1) tables: random_product's diagonals are far flatter
+    # random Dirichlet(1) product tables, and correlated_joint(8, 0.5)
     ok, rates, runs = _tester_arms(
-        12, "classical_mi", ("bipartite:dirichlet_product",
-                             "bipartite:correlated"),
+        12, "classical_mi", ("classical:dirichlet_product",
+                             "classical:correlated"),
         d=8, eps_grid=(0.5,), lam=0.5, trials=200)
     mi_corr = min(rec.losses["mi"] for rec in runs[1])
     return ok and mi_corr >= 0.5, {"accept_rate": rates[0],

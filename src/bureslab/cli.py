@@ -29,9 +29,10 @@ from . import pipeline as pl
 
 SLACK = 1e-9
 
-#: families the inline --family flags offer; bipartite ones need a config
-_SINGLE_FAMILIES = [name for name, family in hz.FAMILIES.items()
-                   if not family.bipartite]
+
+def _of(table: dict, *spaces: str) -> list:
+    """The names of a FAMILIES or TARGETS table's rows in ``spaces``."""
+    return [name for name, row in table.items() if row.space in spaces]
 
 
 def _chain_verdicts(chain: dict, quantum: bool) -> list:
@@ -182,12 +183,12 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_mi_test(args) -> int:
+    quantum = args.kind == "quantum"
     s = _scenario(args, {
         "id": "mi-test", "d": args.d,
-        "target": "mi" if args.kind == "quantum" else "classical_mi",
-        "r": args.d,
-        "family": f"bipartite:{args.arm}", "eps_grid": (args.eps,),
-        "lam": args.lam, "trials": args.trials})
+        "target": "mi" if quantum else "classical_mi", "r": args.d,
+        "family": f"{'bipartite' if quantum else 'classical'}:{args.arm}",
+        "eps_grid": (args.eps,), "lam": args.lam, "trials": args.trials})
     records, _, failures = _run(s, 1, None)
     for rec in records:
         print(f"trial {rec.trial}: "
@@ -255,12 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale tomography and product-testing lab.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
+    # the inline --family flags offer states on C^d; the divergence chain
+    # takes pair states too, but no table: it is not a density matrix
+    single = _of(hz.FAMILIES, "state")
+    states = _of(hz.FAMILIES, "state", "pair")
     p = sub.add_parser("divergence", help="divergence chain between two states")
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--family", default="rank_r_random", choices=hz.FAMILIES)
-    p.add_argument("--family2", default="maximally_mixed",
-                   choices=hz.FAMILIES)
+    p.add_argument("--family", default="rank_r_random", choices=states)
+    p.add_argument("--family2", default="maximally_mixed", choices=states)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_divergence)
@@ -270,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     t = tsub.add_parser("run")
     t.add_argument("--config", help="scenario JSON file")
     t.add_argument("--id")
-    t.add_argument("--target", choices=[
-        name for name, target in hz.TARGETS.items() if not target.bipartite])
+    t.add_argument("--target", choices=_of(hz.TARGETS, "state"))
     t.add_argument("--d", type=int)
     t.add_argument("--r", type=int)
-    t.add_argument("--family", choices=_SINGLE_FAMILIES)
+    t.add_argument("--family", choices=single)
     t.add_argument("--estimator")
     t.add_argument("--eps", type=_numbers, help="comma list of accuracies")
     t.add_argument("--n", type=_numbers, help="comma list of copy budgets")
@@ -300,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", default="bench")
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--r", type=int, default=4)
-    p.add_argument("--family", default="rank_r_random",
-                   choices=_SINGLE_FAMILIES)
+    p.add_argument("--family", default="rank_r_random", choices=single)
     p.add_argument("--estimator", default="simple")
     p.add_argument("--n", type=_numbers, default="1000,10000,100000")
     p.add_argument("--trials", type=int, default=50)

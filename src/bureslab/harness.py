@@ -1,17 +1,18 @@
 """Scenario orchestration: seeded trials, CSV emission, scaling fits.
 
-A Scenario names a state family, an estimator, a target quantity, and a
-grid; the FAMILIES and TARGETS tables hold what differs per family and
-per target.  A target is a trial, which spends the copies, and a score,
-which reads the truth and draws nothing; targets that share a trial
-(the staged ones) can score one run together through
-:func:`run_targets`, with the records each would give alone.  A score
-computes each divergence by its one definition in ``divergences``, and
-the scaling fit reads the per-point means :func:`summarize` gives.  Each
-(grid point, trial) pair gets its own counter-derived RNG stream, so
-reruns under the same master seed reproduce every draw and the emitted
-CSV byte for byte, regardless of worker count.  Wall time is kept on the
-in-memory records but never written to CSV for exactly that reason.
+A Scenario names a family, an estimator, a target quantity, and a grid;
+the FAMILIES and TARGETS tables hold what differs per family and per
+target, and a target reads the families of one space (:class:`Family`).
+A target is a trial, which spends the copies, and a score, which reads
+the truth and draws nothing; targets that share a trial (the staged
+ones) can score one run together through :func:`run_targets`, with the
+records each would give alone.  A score computes each divergence by its
+one definition in ``divergences``, and the scaling fit reads the
+per-point means :func:`summarize` gives.  Each (grid point, trial) pair
+gets its own counter-derived RNG stream, so reruns under the same master
+seed reproduce every draw and the emitted CSV byte for byte, regardless
+of worker count.  Wall time is kept on the in-memory records but never
+written to CSV for exactly that reason.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class Scenario:
     n_grid: tuple[int, ...] = (10_000,)
     trials: int = 20
     master_seed: int = 20260816
-    lam: float = 0.5      # correlation weight for bipartite:correlated
+    lam: float = 0.5      # correlation weight of the correlated families
 
 
 @dataclass(frozen=True)
@@ -103,11 +104,11 @@ def validate_scenario(s: Scenario) -> None:
     if s.family not in FAMILIES:
         raise ScenarioError(
             f"field 'family': {s.family!r} not in {tuple(FAMILIES)}")
-    if TARGETS[s.target].bipartite != FAMILIES[s.family].bipartite:
+    space = TARGETS[s.target].space
+    if FAMILIES[s.family].space != space:
         raise ScenarioError(
-            "field 'family': targets "
-            f"{tuple(k for k, t in TARGETS.items() if t.bipartite)} pair "
-            "with the bipartite families and only with them")
+            f"field 'family': target {s.target!r} pairs with "
+            f"{tuple(k for k, f in FAMILIES.items() if f.space == space)}")
     if s.d < 2:
         raise ScenarioError("field 'd': need dimension at least 2")
     if not 1 <= s.r <= s.d:
@@ -126,9 +127,9 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("field 'master_seed': must fit in 64 bits")
     if not 0.0 <= s.lam <= 1.0:
         raise ScenarioError("field 'lam': must lie in [0, 1]")
-    if s.family == "bipartite:correlated" and s.lam == 0.0:
-        raise ScenarioError("field 'lam': bipartite:correlated at lam 0 is "
-                            "the product Id/d^2; name bipartite:product")
+    if s.lam == 0.0 and s.family.endswith(":correlated"):
+        raise ScenarioError(f"field 'lam': {s.family} at lam 0 is a "
+                            f"product; name {s.family.split(':')[0]}:product")
     try:
         fb.parse_estimator(s.estimator, s.r)
     except ValueError as exc:
@@ -190,12 +191,14 @@ def scenario_from_dict(data: dict, source: str = "config") -> Scenario:
 # ---------------------------------------------------------------------------
 
 class Family(typing.NamedTuple):
-    """A state family; ``make(d, r, lam, rng)`` returns ``(rho, rho_dec)``,
-    its state and that state's exact eigensystem, read off the draw by
-    the matching ``linalg.*_eig`` constructor."""
+    """A family of the one thing it draws in its ``space``: a state on C^d
+    ("state"), a state on C^d (x) C^d ("pair") or a d x d joint table
+    ("table").  ``make(d, r, lam, rng)`` returns a state with its exact
+    eigensystem, read off the draw by the matching ``linalg.*_eig``
+    constructor, or a table with None (a table target's ``joint, _``)."""
 
     make: typing.Callable
-    bipartite: bool = False   # on two d-dimensional systems
+    space: str = "state"
     product: bool = False     # a product tester should accept it
 
 
@@ -205,15 +208,6 @@ def _random_product_eig(d, r, lam, rng) -> tuple:
     a, a_dec = linalg.random_density_eig(d, d, rng)
     b, b_dec = linalg.random_density_eig(d, d, rng)
     return np.kron(a, b), linalg.kron_decomposition(a_dec, b_dec)
-
-
-def _dirichlet_product_eig(d, r, lam, rng) -> tuple:
-    """diag(a (x) b) for two Dirichlet(1) draws: a classical product
-    table, whose eigensystem is the identity basis."""
-    p = np.kron(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))
-    dec = linalg.SpectralDecomposition.ascending(
-        p, np.eye(d * d, dtype=complex))
-    return np.diag(p.astype(complex)), dec
 
 
 FAMILIES = {
@@ -228,21 +222,28 @@ FAMILIES = {
     # is the identity
     "bipartite:product": Family(
         lambda d, r, lam, rng: linalg.maximally_mixed_eig(d * d),
-        bipartite=True, product=True),
+        space="pair", product=True),
     "bipartite:random_product": Family(
-        _random_product_eig, bipartite=True, product=True),
-    "bipartite:dirichlet_product": Family(
-        _dirichlet_product_eig, bipartite=True, product=True),
+        _random_product_eig, space="pair", product=True),
     "bipartite:correlated": Family(
         lambda d, r, lam, rng: linalg.correlated_pair_eig(d, lam),
-        bipartite=True),
+        space="pair"),
+    "classical:product": Family(
+        lambda d, r, lam, rng: (mt.correlated_joint(d, 0.0), None),
+        space="table", product=True),
+    "classical:dirichlet_product": Family(
+        lambda d, r, lam, rng: (np.outer(rng.dirichlet(np.ones(d)),
+                                         rng.dirichlet(np.ones(d))), None),
+        space="table", product=True),
+    "classical:correlated": Family(
+        lambda d, r, lam, rng: (mt.correlated_joint(d, lam), None),
+        space="table"),
 }
 
 
 def make_state(s: Scenario, rng: np.random.Generator) -> tuple:
-    """Draw (or construct) this trial's true state: ``(rho, rho_dec)``,
-    the matrix and its eigensystem from the draw (see :class:`Family`),
-    so no trial diagonalizes its truth."""
+    """Draw (or build) this trial's truth (see :class:`Family`): a state
+    and its eigensystem, so no trial diagonalizes it, or a table and None."""
     return FAMILIES[s.family].make(s.d, s.r, s.lam, rng)
 
 
@@ -403,18 +404,15 @@ def _mi_score(s: Scenario, rho, rho_dec, v, point):
     return losses, flags
 
 
-def _classical_mi_trial(s: Scenario, rho, rho_dec, point, rng):
-    """Run the classical tester on the table of the state's outcomes in
-    the computational basis."""
-    joint = np.diag(rho).real.reshape(s.d, s.d)
+def _classical_mi_trial(s: Scenario, joint, _, point, rng):
+    """Run the classical tester on the family's table."""
     v = mt.classical_mi_test(joint, float(point), rng)
     return v.stats["n_total"], v
 
 
-def _classical_mi_score(s: Scenario, rho, rho_dec, v, point):
+def _classical_mi_score(s: Scenario, joint, _, v, point):
     """The tester's verdict, and the MI of the table it tested: the KL
     to the product of the table's marginals."""
-    joint = np.diag(rho).real.reshape(s.d, s.d)
     product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
     mi = dv.classical_chain(joint.ravel(), product.ravel())["kl"]
     return {"mi": mi}, {
@@ -434,7 +432,7 @@ class Target(typing.NamedTuple):
 
     grid: str                 # the Scenario field holding its grid
     loss: str                 # what summaries average and verdicts judge
-    bipartite: bool           # runs on the bipartite families, only there
+    space: str                # runs on the families of this space only
     trial: typing.Callable    # (s, rho, rho_dec, point, rng) -> n_used,
     #                           result: spends the copies; targets with
     #                           the same trial can share one run of it
@@ -445,17 +443,17 @@ class Target(typing.NamedTuple):
 
 #: the ladder of losses, from Frobenius error up to the MI tests
 TARGETS = {
-    "frobenius": Target("n_grid", "frob_sq", False, _frobenius_trial,
+    "frobenius": Target("n_grid", "frob_sq", "state", _frobenius_trial,
                         _frobenius_score, _frobenius_verdict),
-    "infidelity": Target("eps_grid", "infidelity", False, _staged_trial,
+    "infidelity": Target("eps_grid", "infidelity", "state", _staged_trial,
                          _infidelity_score, _pass_rate("within_eps")),
-    "chi2": Target("eps_grid", "bures_chi2", False, _staged_trial,
+    "chi2": Target("eps_grid", "bures_chi2", "state", _staged_trial,
                    _chi2_score, _pass_rate("within_eps")),
-    "kl": Target("eps_grid", "kl", False, _staged_trial, _kl_score,
+    "kl": Target("eps_grid", "kl", "state", _staged_trial, _kl_score,
                  _kl_verdict),
-    "mi": Target("eps_grid", "hellinger_sq", True, _mi_trial, _mi_score,
+    "mi": Target("eps_grid", "hellinger_sq", "pair", _mi_trial, _mi_score,
                  _pass_rate("correct")),
-    "classical_mi": Target("eps_grid", "mi", True, _classical_mi_trial,
+    "classical_mi": Target("eps_grid", "mi", "table", _classical_mi_trial,
                            _classical_mi_score, _pass_rate("correct")),
 }
 

@@ -27,6 +27,15 @@ def test_parser_rejects_unknown_verb_and_family(capsys):
         parser.parse_args(["frobnicate"])
     with pytest.raises(SystemExit):
         parser.parse_args(["divergence", "--family", "no_such_family"])
+    # a joint table is not a density matrix: the divergence chain's
+    # family flags offer no table family
+    for flag in ("--family", "--family2"):
+        for family in ("classical:product", "classical:dirichlet_product",
+                       "classical:correlated"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["divergence", flag, family])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{family}'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["tomography", "run", "--variant", "2"])
     assert exc.value.code == 2
@@ -240,7 +249,7 @@ def test_bench_bad_inline_scenario_exits_two(capsys):
     (["bench", "--workers", "-3"], "--workers -3 must be at least 1"),
     # at lam 0 the correlated family is the product Id/d^2
     (["mi-test", "--kind", "classical", "--arm", "correlated", "--lam", "0",
-      "--trials", "3"], "field 'lam': bipartite:correlated at lam 0"),
+      "--trials", "3"], "field 'lam': classical:correlated at lam 0"),
     (["mi-test", "--kind", "quantum", "--arm", "correlated", "--lam", "0",
       "--d", "2"], "field 'lam': bipartite:correlated at lam 0"),
 ], ids=["tiny-eps", "starved-bench", "mi-d1", "mi-classical-d0",
@@ -362,7 +371,8 @@ def test_quantum_mi_test_is_the_mi_scenario(kind, arm, lam, code, tmp_path,
     """mi-test runs the scenario its flags name, on the target its --kind
     names (``mi`` or ``classical_mi``): the same per-trial verdicts and
     exit code as ``tomography run`` on it."""
-    target = "mi" if kind == "quantum" else "classical_mi"
+    target, space = ("mi", "bipartite") if kind == "quantum" \
+        else ("classical_mi", "classical")
     assert cli.main(["mi-test", "--kind", kind, "--arm", arm,
                      "--d", "3", "--eps", "0.5", "--lam", str(lam),
                      "--trials", "3", "--seed", "8"]) == code
@@ -371,7 +381,7 @@ def test_quantum_mi_test_is_the_mi_scenario(kind, arm, lam, code, tmp_path,
     cfg = tmp_path / "mi.json"
     cfg.write_text(json.dumps({
         "id": "mi", "target": target, "d": 3, "r": 3,
-        "family": f"bipartite:{arm}", "eps_grid": [0.5], "lam": lam,
+        "family": f"{space}:{arm}", "eps_grid": [0.5], "lam": lam,
         "trials": 3, "master_seed": 8}))
     out = tmp_path / "mi.csv"
     assert cli.main(["tomography", "run", "--config", str(cfg),

@@ -95,12 +95,25 @@ class TestScenarioConfig:
         assert type(s.d) is int and type(s.n_grid[0]) is int
 
     def test_mi_family_pairing(self):
-        with pytest.raises(hz.ScenarioError, match="family"):
-            hz.validate_scenario(small(target="mi"))
-        with pytest.raises(hz.ScenarioError, match="family"):
-            hz.validate_scenario(small(family="bipartite:product"))
-        with pytest.raises(hz.ScenarioError, match="family"):
-            hz.validate_scenario(small(target="classical_mi"))
+        """A family from another space is refused by one message that
+        names the families the target pairs with."""
+        pairs = {"frobenius": ("pure", "rank_r_random", "maximally_mixed",
+                               "geometric_spectrum"),
+                 "mi": ("bipartite:product", "bipartite:random_product",
+                        "bipartite:correlated"),
+                 "classical_mi": ("classical:product",
+                                  "classical:dirichlet_product",
+                                  "classical:correlated")}
+        for target, own in pairs.items():
+            for family in hz.FAMILIES:
+                s = small(target=target, family=family)
+                if family in own:
+                    hz.validate_scenario(s)
+                    continue
+                with pytest.raises(hz.ScenarioError) as info:
+                    hz.validate_scenario(s)
+                assert str(info.value) == (f"field 'family': target "
+                                           f"{target!r} pairs with {own}")
 
     def test_bounds(self):
         with pytest.raises(hz.ScenarioError,
@@ -116,25 +129,33 @@ class TestScenarioConfig:
             hz.validate_scenario(small(estimator="oracle:f=bogus"))
         with pytest.raises(hz.ScenarioError, match="'r'"):
             hz.validate_scenario(small(r=9))
-        # at lam 0 the correlated family is Id/d^2, a product state its
-        # product flag says it is not; bipartite:product names it
-        with pytest.raises(hz.ScenarioError, match="field 'lam'"):
-            hz.validate_scenario(small(
-                target="classical_mi", family="bipartite:correlated",
-                lam=0.0))
-        hz.validate_scenario(small(target="classical_mi",
-                                   family="bipartite:product", lam=0.0))
+        # at lam 0 a correlated family is Id/d^2 or the uniform table, a
+        # product its product flag says it is not; the product family of
+        # its space names it
+        for target, space in (("mi", "bipartite"),
+                              ("classical_mi", "classical")):
+            with pytest.raises(
+                    hz.ScenarioError,
+                    match=f"field 'lam': {space}:correlated at lam 0 is a "
+                    f"product; name {space}:product"):
+                hz.validate_scenario(small(
+                    target=target, family=f"{space}:correlated", lam=0.0))
+            hz.validate_scenario(small(target=target,
+                                       family=f"{space}:product", lam=0.0))
 
     def test_family_states(self):
         rng = np.random.default_rng(0)
-        for family in hz.FAMILIES:
-            target = "mi" if family.startswith("bipartite:") else "chi2"
-            s = small(target=target, family=family, d=3)
-            rho, rho_dec = hz.make_state(s, rng)
-            dim = 9 if family.startswith("bipartite:") else 3
-            assert rho.shape == (dim, dim)
-            assert rho_dec.vectors.shape == (dim, dim)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
+        target = {"state": "chi2", "pair": "mi", "table": "classical_mi"}
+        for family, row in hz.FAMILIES.items():
+            s = small(target=target[row.space], family=family, d=3)
+            truth, dec = hz.make_state(s, rng)
+            dim = 9 if row.space == "pair" else 3
+            assert truth.shape == (dim, dim)
+            if row.space == "table":
+                assert dec is None and truth.sum() == pytest.approx(1.0)
+                continue
+            assert dec.vectors.shape == (dim, dim)
+            assert np.trace(truth).real == pytest.approx(1.0, abs=1e-9)
 
 
 def _geometric_reference(d, rng):
@@ -166,21 +187,21 @@ FAMILY_REFERENCES = {
     "bipartite:correlated": (
         lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
         lambda d, r: 0),
-    # the product tables criterion 12 drew before it ran on the harness
-    "bipartite:dirichlet_product": (
-        lambda d, r, lam, rng: np.diag(np.outer(
-            rng.dirichlet(np.ones(d)),
-            rng.dirichlet(np.ones(d))).ravel().astype(complex)),
-        lambda d, r: 0),
 }
 
+STATE_FAMILIES = [name for name, row in hz.FAMILIES.items()
+                  if row.space != "table"]
+TABLE_FAMILIES = [name for name, row in hz.FAMILIES.items()
+                  if row.space == "table"]
 
-@pytest.mark.parametrize("family", list(hz.FAMILIES))
+
+@pytest.mark.parametrize("family", STATE_FAMILIES)
 def test_family_eigensystems(family):
-    """Each family's matrix is the old constructor's, bytes and stream
-    alike, and its eigensystem from the draw is exact: unitary vectors,
-    ascending values that sum to 1 and are exactly 0 past the rank."""
-    assert FAMILY_REFERENCES.keys() == hz.FAMILIES.keys()
+    """Each state family's matrix is the old constructor's, bytes and
+    stream alike, and its eigensystem from the draw is exact: unitary
+    vectors, ascending values that sum to 1 and are exactly 0 past the
+    rank."""
+    assert list(FAMILY_REFERENCES) == STATE_FAMILIES
     reference, zeros = FAMILY_REFERENCES[family]
     for d in (2, 3, 7, 16):
         for r in sorted({1, 2, d}):
@@ -201,6 +222,40 @@ def test_family_eigensystems(family):
             k = zeros(d, r)
             assert np.all(dec.values[:k] == 0.0)
             assert np.all(dec.values[k:] > 0.0)
+
+
+#: table family -> the table it must match byte for byte, drawing what
+#: the constructor it replaced drew
+TABLE_REFERENCES = {
+    "classical:product": lambda d, lam, rng: hz.mt.correlated_joint(d, 0.0),
+    # the diagonal of diag(a (x) b), the state this family once drew
+    "classical:dirichlet_product": lambda d, lam, rng: np.diag(np.diag(
+        np.kron(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)))
+        .astype(complex))).real.reshape(d, d),
+    "classical:correlated":
+        lambda d, lam, rng: hz.mt.correlated_joint(d, lam),
+}
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES)
+def test_table_families(family):
+    """Each table family returns a (d, d) nonnegative table that sums to
+    1, paired with None: the reference's bytes, leaving the stream where
+    the reference leaves it."""
+    assert list(TABLE_REFERENCES) == TABLE_FAMILIES
+    for d in (2, 3, 7, 16):
+        for lam in (0.05, 0.5, 1.0):
+            seed = [402, d, round(100 * lam)]
+            rng_new = np.random.default_rng(seed)
+            rng_old = np.random.default_rng(seed)
+            joint, dec = hz.FAMILIES[family].make(d, d, lam, rng_new)
+            assert dec is None
+            assert joint.shape == (d, d) and joint.dtype == np.float64
+            assert np.all(joint >= 0.0)
+            assert abs(joint.sum() - 1.0) <= 1e-12
+            old = TABLE_REFERENCES[family](d, lam, rng_old)
+            assert joint.tobytes() == old.tobytes(), (d, lam)
+            assert rng_new.random() == rng_old.random()
 
 
 class TestRunScenario:
@@ -268,14 +323,14 @@ class TestRunScenario:
             assert not rec.flags["accept"] and rec.flags["correct"]
 
     def test_classical_mi_records_both_arms(self):
-        s = small(target="classical_mi", d=4, family="bipartite:product",
+        s = small(target="classical_mi", d=4, family="classical:product",
                   eps_grid=(0.5,), trials=2)
         plan = hz.mt.classical_mi_plan(4, 0.5)
         for rec in hz.run_scenario(s):
             assert rec.flags == {"accept": True, "correct": True}
             assert rec.n_used == plan["n_learn"] + plan["n_test"]
             assert rec.losses == {"mi": 0.0}
-        s = small(target="classical_mi", d=4, family="bipartite:correlated",
+        s = small(target="classical_mi", d=4, family="classical:correlated",
                   lam=1.0, eps_grid=(0.5,), trials=2)
         for rec in hz.run_scenario(s):
             assert rec.flags == {"accept": False, "correct": True}
@@ -284,20 +339,42 @@ class TestRunScenario:
 
 @pytest.mark.parametrize("d", [2, 3, 8])
 def test_classical_mi_reads_the_classical_tables(d):
-    """The classical_mi target's joint, the diagonal of a family's state,
-    is the table the family stands for: the uniform one for
-    bipartite:product, exactly, and correlated_joint(d, lam) for
+    """Each classical family's table is the computational-basis diagonal
+    of its quantum namesake's state: classical:product that of
+    bipartite:product, exactly, and classical:correlated that of
     bipartite:correlated, to two ulps."""
-    def joint(family, lam):
-        rho, _ = hz.FAMILIES[family].make(d, d, lam, None)
-        return np.diag(rho).real.reshape(d, d)
+    def tables(name, lam):
+        joint, _ = hz.FAMILIES[f"classical:{name}"].make(d, d, lam, None)
+        rho, _ = hz.FAMILIES[f"bipartite:{name}"].make(d, d, lam, None)
+        return joint, np.diag(rho).real.reshape(d, d)
 
-    assert np.array_equal(joint("bipartite:product", 0.5),
-                          hz.mt.correlated_joint(d, 0.0))
+    assert np.array_equal(*tables("product", 0.5))
     for lam in (0.05, 0.4, 0.5, 1.0):
-        np.testing.assert_array_max_ulp(
-            joint("bipartite:correlated", lam),
-            hz.mt.correlated_joint(d, lam), maxulp=2)
+        np.testing.assert_array_max_ulp(*tables("correlated", lam),
+                                        maxulp=2)
+
+
+def test_classical_trial_holds_tables_only():
+    """A classical_mi trial allocates O(d^2): one trial on a d = 64
+    Dirichlet product table peaks below 16 MB (a d^2 x d^2 state and
+    eigensystem would take 512 MB), and a d = 200 run returns its
+    record."""
+    import tracemalloc
+    s = small(target="classical_mi", d=64, r=1,
+              family="classical:dirichlet_product", eps_grid=(0.5,),
+              trials=1)
+    tracemalloc.start()
+    try:
+        (rec,) = hz._run_trial(s, (s.target,), 0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.flags["correct"]
+    assert peak < 16 * 2 ** 20, peak
+    s = small(target="classical_mi", d=200, r=1,
+              family="classical:correlated", eps_grid=(0.5,), trials=1)
+    (rec,) = hz.run_scenario(s)
+    assert rec.losses["mi"] > 0.0 and "accept" in rec.flags
 
 
 class TestLossKernels:
@@ -702,7 +779,7 @@ GOLDEN = [
           estimator="simple", trials=2, master_seed=21),
      "2dd214ccd0bb693b7dde425939466df4496590d634b00b0405168672c20d96a8"),
     (dict(sid="g-classical-mi", target="classical_mi", d=3,
-          family="bipartite:dirichlet_product", eps_grid=(0.5, 0.3),
+          family="classical:dirichlet_product", eps_grid=(0.5, 0.3),
           trials=2, master_seed=22),
      "091085c54428868d2371e3341373b1b0834d72e6f01e47d1930892cbf29dd69f"),
 ]
@@ -798,10 +875,14 @@ def test_target_contract():
     result, named for what it holds, and no stream.  The staged targets
     share one trial object, so one run serves them all."""
     for name, target in hz.TARGETS.items():
+        # a table target's truth is a joint table, with None for its
+        # eigensystem
+        truth = ("joint", "_") if target.space == "table" \
+            else ("rho", "rho_dec")
         assert tuple(inspect.signature(target.trial).parameters) == (
-            "s", "rho", "rho_dec", "point", "rng"), name
+            "s", *truth, "point", "rng"), name
         s, rho, rho_dec, result, point = inspect.signature(
             target.score).parameters
-        assert (s, rho, rho_dec, point) == ("s", "rho", "rho_dec", "point")
+        assert (s, rho, rho_dec, point) == ("s", *truth, "point")
         assert result != "rng", name
     assert {hz.TARGETS[t].trial for t in STAGED} == {hz._staged_trial}
