@@ -63,10 +63,14 @@ def _fmt(v) -> str:
 
 @dataclass(frozen=True)
 class CriterionResult:
+    """One criterion's verdict, its measured values and ``elapsed_s``,
+    the wall time of its run in seconds, which ``line`` leaves out."""
+
     number: int
     name: str
     passed: bool
     measured: dict = field(default_factory=dict)
+    elapsed_s: float = 0.0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -373,8 +377,9 @@ def acceptance_suite(only=None) -> list:
     """Run the numbered criteria and return a CriterionResult for each.
 
     ``only`` restricts to the given criterion numbers (raising on
-    unknown ones).  The criteria are serial by design; the determinism
-    criterion exercises the worker pool itself.
+    unknown ones).  Each result carries its criterion's wall time.  The
+    criteria are serial by design; the determinism criterion exercises
+    the worker pool itself.
     """
     known = {number for number, _, _ in CRITERIA}
     if only is not None:
@@ -385,12 +390,15 @@ def acceptance_suite(only=None) -> list:
     for number, name, fn in sorted(CRITERIA, key=lambda c: c[0]):
         if only is not None and number not in only:
             continue
+        started = time.perf_counter()
         passed, measured = fn()
+        elapsed = time.perf_counter() - started
         # counters touched by numpy booleans promote to numpy ints,
         # which json refuses; normalize at the one exit point
         measured = {k: v.item() if isinstance(v, np.generic) else v
                     for k, v in measured.items()}
         results.append(CriterionResult(number=number, name=name,
                                        passed=bool(passed),
-                                       measured=measured))
+                                       measured=measured,
+                                       elapsed_s=round(elapsed, 3)))
     return results

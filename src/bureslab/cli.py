@@ -233,7 +233,8 @@ def cmd_accept(args) -> int:
         failures += not res.passed
         print(res.line())
         report.append({"criterion": res.number, "name": res.name,
-                       "passed": res.passed, "measured": res.measured})
+                       "passed": res.passed, "measured": res.measured,
+                       "elapsed_s": res.elapsed_s})
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -213,9 +213,15 @@ def trace_norm(a: np.ndarray):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^dagger)/2, the closest Hermitian matrix in Frobenius norm."""
+    """(a + a^dagger)/2, the closest Hermitian matrix in Frobenius norm.
+
+    The sum is scaled in place by 1/2, which equals the division by 2
+    exactly.
+    """
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().T) / 2.0
+    h = a + a.conj().T
+    h *= 0.5
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +318,15 @@ def maximally_mixed_eig(d: int) -> tuple:
 
 
 def geometric_spectrum_eig(d: int, rng: np.random.Generator) -> tuple:
-    """Full-rank state with spectrum proportional to 2^-k in a Haar basis
+    """State with spectrum proportional to 2^-k, k < d, in a Haar basis
     U, with its eigensystem: those values reversed, on U's reversed
-    columns."""
+    columns.
+
+    It is full rank only up to d = 39.  Its least value, 2^-(d-1) over
+    a sum near 2, clears SPECTRAL_CUTOFF there and falls below it from
+    d = 40 (9.1e-13), so from d = 40 only 39 values count and the state
+    has rank 39.
+    """
     w = 0.5 ** np.arange(d)
     w /= w.sum()
     u = haar_unitary(d, rng)

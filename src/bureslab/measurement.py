@@ -16,7 +16,8 @@ from rho without building or eigen-checking a matrix per outcome:
 * :class:`MatchingDesign`, every pair-interference measurement of one
   dimension stacked into one record: one row of Born probabilities per
   measurement, all read in closed form from rho's diagonal and its
-  off-diagonal entries in one gather (see :func:`matching_povms`).
+  off-diagonal entries through one cached four-term map (see
+  :func:`matching_povms`).
 
 Both hand ``sample_povm`` Born probabilities, a vector or one row per
 measurement, and each row is one multinomial distribution of the same
@@ -119,17 +120,23 @@ def _sampling_probs(raw: np.ndarray) -> np.ndarray:
     Round-off within PSD_TOL below zero is clipped and each row (a vector
     is one row) is renormalized; anything more negative, or a NaN, in any
     row means the measured matrix was not a state, and raises, as does a
-    row whose mass vanishes.
+    row whose mass vanishes.  A vector is divided by its one sum, the
+    value a one-row stack's row sum takes.
     """
     low = raw.min()
     if not low >= -config.PSD_TOL:
         raise ValueError(f"outcome probability {low:.3g} is negative: "
                          "the measured matrix is not a state")
     p = np.maximum(raw, 0.0)
-    s = p.sum(axis=-1, keepdims=True)
-    if s.min() <= 0.0:
+    if p.ndim == 1:
+        s = least = float(p.sum())
+    else:
+        s = p.sum(axis=1, keepdims=True)
+        least = s.min()
+    if least <= 0.0:
         raise ValueError("all outcome probabilities vanish")
-    return p / s
+    p /= s
+    return p
 
 
 def sample_povm(povm, rho: np.ndarray, k: int,
@@ -204,12 +211,6 @@ def matching_round_count(d: int) -> int:
     return d - 1 if d % 2 == 0 else d
 
 
-#: scales the six gathered parts of a pair, in ``MatchingDesign.gather``
-#: order; the imaginary row's element i|i><j| - i|j><i| reads rho_ji
-#: with the opposite sign
-_GATHER_SCALE = np.array([0.5, 0.5, 0.5, 0.5, 0.5, -0.5])[:, None, None]
-
-
 @dataclass(frozen=True, eq=False)
 class MatchingDesign:
     """All pair-interference measurements of dimension ``dim``, stacked.
@@ -225,11 +226,13 @@ class MatchingDesign:
     * ``plus``, ``minus``: (2, R, P) flat positions, in the raveled
       (2R, dim) outcome matrix, of each pair's + and - outcome in the
       real (``[0]``) and the imaginary (``[1]``) row of its round.
-    * ``gather``: (6, R, P) flat positions, in rho viewed as real
-      numbers, of Re rho_ii, Re rho_jj, Re rho_ij, Im rho_ij, Re rho_ji
-      and Im rho_ji: every entry the pairs read, in one gather.
     * ``byes``: (R,) the unmatched index of each round, empty at even d;
       ``bye_at``: (2, R) its flat outcome positions in the two rows.
+    * ``terms``, ``weights``: (4, 2R dim) the four-term map of
+      :meth:`probabilities`.  Outcome k reads the entries at positions
+      ``terms[:, k]`` of rho viewed as 2 dim^2 real numbers followed by
+      one zero, and scales them by ``weights[:, k]``: +-1/2 for a pair,
+      and 1 for a bye, whose last three terms read the zero.
 
     The arrays are read-only, because designs are cached and shared.
     """
@@ -239,9 +242,10 @@ class MatchingDesign:
     cols: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    gather: np.ndarray
     byes: np.ndarray
     bye_at: np.ndarray
+    terms: np.ndarray
+    weights: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -255,7 +259,9 @@ class MatchingDesign:
         times |i><j| + |j><i| (real row) or i|i><j| - i|j><i|
         (imaginary row); the bye's outcome is |i><i|.  Its Born sum
         tr(E rho) is taken row by row, row i then row j, with rho_ji
-        read where row i meets it.  That is the order in which numpy's
+        read where row i meets it: the four terms rho_ii/2, the rho_ji
+        term, the rho_ij term and rho_jj/2 are summed as
+        (t0 + t1) + (t2 + t3).  That is the order in which numpy's
         einsum sums a dense (d, d) element, so the values equal the
         dense Born rule bit for bit, also when rho is Hermitian only to
         round-off.
@@ -265,15 +271,11 @@ class MatchingDesign:
         if rho.shape != (d, d):
             raise ValueError(f"expected a {d} x {d} state, "
                              f"got shape {rho.shape}")
-        parts = np.ascontiguousarray(rho, dtype=complex).reshape(-1) \
-            .view(float)
-        half = parts[self.gather] * _GATHER_SCALE
-        half_ii, half_jj, x_ij, x_ji = half[0], half[1], half[2:4], half[4:]
-        p = np.empty(self.n_rows * d)
-        p[self.plus] = (half_ii + x_ji) + (x_ij + half_jj)
-        p[self.minus] = (half_ii - x_ji) + (-x_ij + half_jj)
-        p[self.bye_at] = parts[2 * (d + 1) * self.byes]
-        return p.reshape(-1, d)
+        parts = np.zeros(2 * d * d + 1)  # rho's real view, then the zero
+        parts[:-1].view(complex).reshape(d, d)[...] = rho
+        t = parts[self.terms]
+        t *= self.weights
+        return ((t[0] + t[1]) + (t[2] + t[3])).reshape(-1, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,11 +308,22 @@ def matching_povms(d: int) -> MatchingDesign:
     row_start = d * np.arange(2 * n_rounds).reshape(n_rounds, 2).T
     plus = row_start[:, :, None] + at
     bye_at = row_start[:, :len(byes)] + first[is_bye]
+    # the four terms of each outcome in rho's real view (a bye's last
+    # three read the zero after it) and their weights; row 2r + part
+    # reads Re (part 0) or Im (part 1) of rho_ji and rho_ij, and the
+    # imaginary element reads rho_ji with the opposite sign
+    terms = np.full((4, 2 * n_rounds * d), 2 * d * d)
+    weights = np.ones((4, 2 * n_rounds * d))
     ij, ji = 2 * (rows * d + cols), 2 * (cols * d + rows)
-    gather = np.stack([2 * (d + 1) * rows, 2 * (d + 1) * cols,
-                       ij, ij + 1, ji, ji + 1])
-    design = MatchingDesign(d, rows, cols, plus, plus + 1, gather, byes,
-                            bye_at)
-    for a in (rows, cols, plus, design.minus, gather, byes, bye_at):
+    for part, sign in ((0, 1.0), (1, -1.0)):
+        for pos, flip in ((plus[part], 1.0), (plus[part] + 1, -1.0)):
+            terms[:, pos] = [2 * (d + 1) * rows, ji + part, ij + part,
+                             2 * (d + 1) * cols]
+            weights[:, pos] = np.array(
+                [0.5, 0.5 * sign * flip, 0.5 * flip, 0.5])[:, None, None]
+    terms[0, bye_at] = 2 * (d + 1) * byes
+    design = MatchingDesign(d, rows, cols, plus, plus + 1, byes, bye_at,
+                            terms, weights)
+    for a in (rows, cols, plus, design.minus, byes, bye_at, terms, weights):
         a.setflags(write=False)
     return design

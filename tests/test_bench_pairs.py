@@ -184,3 +184,55 @@ def test_summary_shows_attempted_ops_and_the_bound():
         ["w", "unpaced.op_ms_p50", "1", "1", "-", "-", "-"],
         ["w", "unpaced.ops_per_s", "100", "100", "0/3", "no", "-"],
         ["w", "unpaced.pace_kernel_ms", "2", "2", "-", "-", "-"]]
+
+
+def test_aa_copy_is_byte_identical_in_a_second_directory(tmp_path):
+    """The copy holds every file of the tree, hidden ones and caches
+    included, with the same bytes and modification times; a link stays
+    a link; and an existing destination is refused."""
+    tree = tmp_path / "tree"
+    (tree / ".git" / "refs").mkdir(parents=True)
+    (tree / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+    (tree / "src" / "__pycache__").mkdir(parents=True)
+    (tree / "src" / "mod.py").write_text("x = 1\n")
+    (tree / "src" / "__pycache__" / "mod.pyc").write_bytes(b"\x00\x01\xff")
+    (tree / "link").symlink_to("src/mod.py")
+    copy = bp.aa_copy(tree, tmp_path / "aa" / "tree")
+    assert copy == tmp_path / "aa" / "tree" and copy != tree
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file() and not p.is_symlink())
+
+    assert files(copy) == files(tree) != []
+    for rel in files(tree):
+        assert (copy / rel).read_bytes() == (tree / rel).read_bytes()
+        assert (copy / rel).stat().st_mtime_ns == \
+            (tree / rel).stat().st_mtime_ns
+    assert (copy / "link").is_symlink()
+    with pytest.raises(FileExistsError):
+        bp.aa_copy(tree, copy)
+
+
+def test_aa_summary_counts_false_readings():
+    """With ``aa`` the table ends with the claims met and the ``worse``
+    bound verdicts among the metrics that have them; without it, the
+    table is unchanged."""
+    seeds = list(range(1, 11))
+    bench = {"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.2},
+        {"name": "op_ms_p90", "better": "lower", "bound": 0.2}]}
+    parent = bp.bench_record("p", seeds, {"w": [
+        bp.parse_run(_stdout(s, 10.0 + 0.01 * s, 2.0)) for s in seeds]})
+    # the copy reads faster on every pair (a false claim on ops_per_s)
+    # and its p90 is past the bound (a false ``worse``)
+    copy = bp.bench_record("p-aa", seeds, {"w": [
+        bp.parse_run(_stdout(s, 11.0 + 0.01 * s, 2.5)) for s in seeds]})
+    lines = bp.summary(parent, copy, bench, aa=True)
+    assert lines[:-1] == bp.summary(parent, copy, bench)
+    assert [row.split()[1:] for row in lines[2:4]] == [
+        ["ops_per_s", "10.055", "11.055", "10/10", "yes", "ok"],
+        ["op_ms_p90", "2", "2.5", "0/10", "no", "worse"]]
+    # the directed metrics: both paced ones and the unpaced rate
+    assert lines[-1] == ("A/A: claim met on 1 of 3 metrics, bound worse "
+                         "on 1 of 2; each is a false reading")

@@ -429,6 +429,9 @@ def test_accept_verb_writes_report(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert [row["criterion"] for row in data] == [3, 14]
     assert all(row["passed"] for row in data)
+    # every criterion is timed, in seconds, outside its measured values
+    assert all(isinstance(row["elapsed_s"], float) and row["elapsed_s"] >= 0
+               and "elapsed_s" not in row["measured"] for row in data)
 
 
 def test_accept_verb_propagates_failure(capsys):

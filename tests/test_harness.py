@@ -224,6 +224,36 @@ def test_family_eigensystems(family):
             assert np.all(dec.values[k:] > 0.0)
 
 
+def _rank_cases():
+    """(family, d) for every state and pair family: state families at
+    d in {2, 3, 5, 41, 64, 128}, pair families at marginal d in
+    {2, 3, 4, 8}.  ``geometric_spectrum`` is not full rank from d = 40,
+    so those cases are strict xfails."""
+    dims = {"state": (2, 3, 5, 41, 64, 128), "pair": (2, 3, 4, 8)}
+    for family in STATE_FAMILIES:
+        for d in dims[hz.FAMILIES[family].space]:
+            marks = ()
+            if family == "geometric_spectrum" and d >= 40:
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "ROADMAP item 17: from d = 40 its least values fall "
+                    "below SPECTRAL_CUTOFF, so it has rank 39"))
+            yield pytest.param(family, d, marks=marks, id=f"{family}-{d}")
+
+
+@pytest.mark.parametrize("family, d", list(_rank_cases()))
+def test_family_rank_clears_the_cutoff(family, d):
+    """Each state family has as many eigenvalues above SPECTRAL_CUTOFF
+    as the rank it claims (its dimension less the exact zeros of
+    FAMILY_REFERENCES), at every rank cap r in {1, ceil(d/2), d}."""
+    _, zeros = FAMILY_REFERENCES[family]
+    for r in sorted({1, (d + 1) // 2, d}):
+        rho, dec = hz.FAMILIES[family].make(
+            d, r, 0.5, np.random.default_rng([403, d, r]))
+        claimed = rho.shape[0] - zeros(d, r)
+        assert np.count_nonzero(linalg.spectral_cutoff(dec.values)) \
+            == claimed, (d, r)
+
+
 #: table family -> the table it must match byte for byte, drawing what
 #: the constructor it replaced drew
 TABLE_REFERENCES = {

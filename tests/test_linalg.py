@@ -186,6 +186,18 @@ def test_hermitian_part_is_closest():
     assert np.allclose(linalg.hermitian_part(h), h)
 
 
+def test_hermitian_part_scales_a_fresh_sum_exactly():
+    """The in-place scaling by 1/2 gives the division by 2 bit for bit
+    and never writes the input."""
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    a *= 10.0 ** rng.integers(-300, 300, size=(6, 6))
+    before = a.copy()
+    h = linalg.hermitian_part(a)
+    assert h.tobytes() == ((before + before.conj().T) / 2.0).tobytes()
+    assert a.tobytes() == before.tobytes()
+
+
 def test_mass_and_restrict():
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
     blk = rho[np.ix_([0, 2], [0, 2])]

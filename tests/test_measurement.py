@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -143,6 +144,42 @@ def test_matching_povms_cover_every_pair_once(d):
     owned = np.concatenate([design.plus.ravel(), design.minus.ravel(),
                             design.bye_at.ravel()])
     assert sorted(owned.tolist()) == list(range(design.n_rows * d))
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_cached_design_is_read_only(d):
+    """One design is shared by every call, so every array it holds,
+    the four-term map included, refuses a write."""
+    design = ms.matching_povms(d)
+    assert ms.matching_povms(d) is design
+    arrays = [getattr(design, f.name) for f in dataclasses.fields(design)
+              if isinstance(getattr(design, f.name), np.ndarray)]
+    assert len(arrays) == 8
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_sampling_probs_of_a_vector_equals_its_one_row_stack():
+    """A vector is normalized by its one sum, bit for bit the row of a
+    one-row stack, clipping round-off alike; a NaN or an entry below
+    -PSD_TOL is refused on either path."""
+    rng = np.random.default_rng(19)
+    for n in (2, 7, 16, 64, 129, 1000):
+        for scale in (1e-3, 1.0, 1e5):
+            raw = rng.random(n) * scale
+            raw[rng.integers(n)] = -0.5 * config.PSD_TOL
+            vec = ms._sampling_probs(raw)
+            assert vec.tobytes() == ms._sampling_probs(raw[None, :]).tobytes()
+            assert raw.min() < 0.0 <= vec.min()  # the input is not written
+    for bad in (np.array([0.5, np.nan, 0.5]),
+                np.array([0.5, -2 * config.PSD_TOL, 0.5])):
+        for raw in (bad, bad[None, :]):
+            with pytest.raises(ValueError, match="not a state"):
+                ms._sampling_probs(raw)
+    with pytest.raises(ValueError, match="vanish"):
+        ms._sampling_probs(np.zeros(3))
 
 
 def test_matching_povm_outcome_probabilities():

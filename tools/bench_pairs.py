@@ -7,6 +7,10 @@ Usage, from the root of a checkout:
         --change CHANGE_DIR --change-tag TAG [--pairs 10] [--seed 1] \\
         [--workload NAME ...] [--out DIR]
 
+    python3 tools/bench_pairs.py --parent PARENT_DIR --parent-tag TAG \\
+        --aa [--change-tag TAG] [--pairs 10] [--seed 1] \\
+        [--workload NAME ...] [--out DIR]
+
 Each pair runs, once for each tree and in that tree's directory,
 
     python3 <tree>/perfbench/run.py --workload W --seed S --seconds N --trace 0
@@ -38,15 +42,26 @@ median; otherwise ``unresolved`` when the parent's own q3 - q1 is
 wider than that bound, unless every change run reads better than every
 parent run, since such a spread cannot show a move of the bound's size;
 and ``ok`` otherwise.  The unpaced metrics have no bound.
+
+``--aa`` runs an A/A check instead: the change tree is a byte-identical
+copy of the parent (:func:`aa_copy`), made in a temporary sibling
+directory of the parent, so both trees sit on one file system, and
+removed after the runs; its tag defaults to ``<parent tag>-aa``.  Every
+claim the rule grants and every ``worse`` bound verdict is then a false
+reading, and the summary ends with their counts, so the rule's false
+claim rate is measured, not assumed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,10 +183,13 @@ def comparison(parent: dict, change: dict, directions: dict) -> list:
     return rows
 
 
-def summary(parent: dict, change: dict, bench: dict) -> list:
+def summary(parent: dict, change: dict, bench: dict,
+            aa: bool = False) -> list:
     """The printed table, one line per row: per workload, its
     ``attempted`` row, then its :func:`comparison` rows, each with its
-    bound verdict."""
+    bound verdict.  With ``aa`` (the change is a copy of the parent) a
+    last line counts the claims met and the ``worse`` verdicts, each a
+    false reading."""
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     wp, wc = (max(14, len(r["tag"]) + 2) for r in (parent, change))
@@ -183,6 +201,7 @@ def summary(parent: dict, change: dict, bench: dict) -> list:
     lines = [f"{'workload':<18}{'metric':<26}{parent['tag']:>{wp}}"
              f"{change['tag']:>{wc}}  won    claim  bound"]
     rows = comparison(parent, change, directions)
+    verdicts = []
     for name, before in parent["workloads"].items():
         lines.append(line(
             name, "attempted", statistics.median(before["attempted"]),
@@ -195,11 +214,27 @@ def summary(parent: dict, change: dict, bench: dict) -> list:
                 before["metrics"][key],
                 change["workloads"][name]["metrics"][key], directions[key],
                 bound)
+            verdicts.append(verdict)
             lines.append(line(
                 name, key, p, c, "-" if won is None else f"{won}/{n}",
                 "-" if claim is None else ("yes" if claim else "no"),
                 verdict))
+    if aa:
+        claims = [row[6] for row in rows if row[6] is not None]
+        bounded = [v for v in verdicts if v != "-"]
+        lines.append(f"A/A: claim met on {sum(claims)} of {len(claims)} "
+                     f"metrics, bound worse on {bounded.count('worse')} of "
+                     f"{len(bounded)}; each is a false reading")
     return lines
+
+
+def aa_copy(tree: Path, dest: Path) -> Path:
+    """A byte-identical copy of ``tree`` at ``dest``, which must not
+    exist: every file, ``.git`` and byte-code caches included, with its
+    modification time (so cached byte code stays valid), and symlinks
+    kept as links."""
+    shutil.copytree(tree, dest, symlinks=True)
+    return dest
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -220,8 +255,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--parent-tag", required=True)
-    ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--change-tag", required=True)
+    ap.add_argument("--change", type=Path)
+    ap.add_argument("--change-tag")
+    ap.add_argument("--aa", action="store_true",
+                    help="run the parent against a byte-identical copy of "
+                    "itself instead of --change")
     ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append", choices=names)
@@ -229,25 +267,40 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.aa == (args.change is not None):
+        ap.error("give exactly one of --change and --aa")
+    change_tag = args.change_tag or (f"{args.parent_tag}-aa" if args.aa
+                                     else None)
+    if change_tag is None:
+        ap.error("--change needs --change-tag")
     seconds = bench["run_seconds"]
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    parent = args.parent.resolve()
     workloads = args.workload or names
     seeds = [args.seed + i for i in range(args.pairs)]
-    runs = {side: {w: [] for w in workloads} for side in trees}
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for w in workloads:
-            for side in order:
-                runs[side][w].append(_run(trees[side], w, seed, seconds))
-                print(f"pair {i + 1}/{args.pairs} {w} {side} done",
-                      file=sys.stderr, flush=True)
+    runs = {side: {w: [] for w in workloads} for side in ("parent", "change")}
+    scratch = (tempfile.TemporaryDirectory(prefix=f"{parent.name}-aa-",
+                                           dir=parent.parent)
+               if args.aa else contextlib.nullcontext())
+    with scratch as tmp:
+        trees = {"parent": parent,
+                 "change": (aa_copy(parent, Path(tmp) / parent.name)
+                            if args.aa else args.change.resolve())}
+        for i, seed in enumerate(seeds):
+            order = (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))
+            for w in workloads:
+                for side in order:
+                    runs[side][w].append(_run(trees[side], w, seed, seconds))
+                    print(f"pair {i + 1}/{args.pairs} {w} {side} done",
+                          file=sys.stderr, flush=True)
     records = {side: bench_record(tag, seeds, runs[side]) for side, tag in
-               (("parent", args.parent_tag), ("change", args.change_tag))}
+               (("parent", args.parent_tag), ("change", change_tag))}
     for record in records.values():
         path = args.out / f"BENCH_{record['tag']}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
-    print("\n".join(summary(records["parent"], records["change"], bench)))
+    print("\n".join(summary(records["parent"], records["change"], bench,
+                            aa=args.aa)))
     return 0
 
 
