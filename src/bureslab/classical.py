@@ -11,7 +11,6 @@ are guaranteed with failure probability delta at accuracy 1/m_delta.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -34,14 +33,8 @@ def effective_samples(m: int, delta: float) -> float:
     return m / (config.CONF_SCALE * math.log(1.0 / delta))
 
 
-@functools.lru_cache(maxsize=None)
 def mass_floor(m: int, delta: float) -> float:
-    """1/m_delta: the mass scale below which a subset is unresolvable.
-
-    A staged run asks for the same (m, delta) at every stage, so the
-    floor is solved once per pair; a refused pair is not cached and
-    raises on every call.
-    """
+    """1/m_delta: the mass scale below which a subset is unresolvable."""
     return 1.0 / effective_samples(m, delta)
 
 

@@ -67,32 +67,14 @@ def simple_frobenius(rho: np.ndarray, shots: int,
                           rng).reshape(-1) / shots
     # (2, R, P): the real then the imaginary part of each pair's entry
     half = (freq[design.plus] - freq[design.minus]) / 2.0
-    upper, lower, diag = _estimate_slots(d)
+    upper, lower = design.entries
     est = np.zeros(2 * d * d)  # the d x d complex estimate, as real numbers
     est[upper] = half
     # the mirror holds the conjugates; 0 - im, not -im, keeps a zero +0
     half[1] = 0.0 - half[1]
     est[lower] = half
-    est[diag] = ms.sample_basis(rho, shots, rng) / shots
+    est[::2 * (d + 1)] = ms.sample_basis(rho, shots, rng) / shots
     return est.view(complex).reshape(d, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _estimate_slots(d: int) -> tuple:
-    """Flat positions, in a d x d complex matrix viewed as 2 d^2 real
-    numbers, of the real then the imaginary part of each entry (i, j)
-    of the matching design's pairs, shaped (2, R, P) like its ``plus``;
-    of the same parts of (j, i); and of the diagonal's real parts.
-    Built once per dimension; read-only, because cached arrays are
-    shared."""
-    design = ms.matching_povms(d)
-    up = 2 * (design.rows * d + design.cols)
-    low = 2 * (design.cols * d + design.rows)
-    slots = (np.stack([up, up + 1]), np.stack([low, low + 1]),
-             2 * (d + 1) * np.arange(d))
-    for a in slots:
-        a.setflags(write=False)
-    return slots
 
 
 def _simple_min_copies(d: int) -> int:

@@ -120,20 +120,15 @@ def _sampling_probs(raw: np.ndarray) -> np.ndarray:
     Round-off within PSD_TOL below zero is clipped and each row (a vector
     is one row) is renormalized; anything more negative, or a NaN, in any
     row means the measured matrix was not a state, and raises, as does a
-    row whose mass vanishes.  A vector is divided by its one sum, the
-    value a one-row stack's row sum takes.
+    row whose mass vanishes.
     """
     low = raw.min()
     if not low >= -config.PSD_TOL:
         raise ValueError(f"outcome probability {low:.3g} is negative: "
                          "the measured matrix is not a state")
     p = np.maximum(raw, 0.0)
-    if p.ndim == 1:
-        s = least = float(p.sum())
-    else:
-        s = p.sum(axis=1, keepdims=True)
-        least = s.min()
-    if least <= 0.0:
+    s = p.sum(axis=-1, keepdims=True)
+    if s.min() <= 0.0:
         raise ValueError("all outcome probabilities vanish")
     p /= s
     return p
@@ -226,13 +221,17 @@ class MatchingDesign:
     * ``plus``, ``minus``: (2, R, P) flat positions, in the raveled
       (2R, dim) outcome matrix, of each pair's + and - outcome in the
       real (``[0]``) and the imaginary (``[1]``) row of its round.
-    * ``byes``: (R,) the unmatched index of each round, empty at even d;
-      ``bye_at``: (2, R) its flat outcome positions in the two rows.
     * ``terms``, ``weights``: (4, 2R dim) the four-term map of
       :meth:`probabilities`.  Outcome k reads the entries at positions
       ``terms[:, k]`` of rho viewed as 2 dim^2 real numbers followed by
       one zero, and scales them by ``weights[:, k]``: +-1/2 for a pair,
-      and 1 for a bye, whose last three terms read the zero.
+      and 1 for a bye (at odd d, the one outcome of each row that
+      ``plus`` and ``minus`` leave out), whose last three terms read
+      the zero.
+    * ``entries``: (2, 2, R, P) flat positions, in rho viewed as 2 dim^2
+      real numbers, of the real and the imaginary part of each pair's
+      rho_ij (``[0]``) and rho_ji (``[1]``): where the map reads them,
+      and where an estimate of rho holds them.
 
     The arrays are read-only, because designs are cached and shared.
     """
@@ -242,10 +241,9 @@ class MatchingDesign:
     cols: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    byes: np.ndarray
-    bye_at: np.ndarray
     terms: np.ndarray
     weights: np.ndarray
+    entries: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -315,15 +313,16 @@ def matching_povms(d: int) -> MatchingDesign:
     terms = np.full((4, 2 * n_rounds * d), 2 * d * d)
     weights = np.ones((4, 2 * n_rounds * d))
     ij, ji = 2 * (rows * d + cols), 2 * (cols * d + rows)
+    entries = np.array([[ij, ij + 1], [ji, ji + 1]])
     for part, sign in ((0, 1.0), (1, -1.0)):
         for pos, flip in ((plus[part], 1.0), (plus[part] + 1, -1.0)):
-            terms[:, pos] = [2 * (d + 1) * rows, ji + part, ij + part,
-                             2 * (d + 1) * cols]
+            terms[:, pos] = [2 * (d + 1) * rows, entries[1, part],
+                             entries[0, part], 2 * (d + 1) * cols]
             weights[:, pos] = np.array(
                 [0.5, 0.5 * sign * flip, 0.5 * flip, 0.5])[:, None, None]
     terms[0, bye_at] = 2 * (d + 1) * byes
-    design = MatchingDesign(d, rows, cols, plus, plus + 1, byes, bye_at,
-                            terms, weights)
-    for a in (rows, cols, plus, design.minus, byes, bye_at, terms, weights):
+    design = MatchingDesign(d, rows, cols, plus, plus + 1, terms, weights,
+                            entries)
+    for a in (rows, cols, plus, design.minus, terms, weights, entries):
         a.setflags(write=False)
     return design

@@ -19,23 +19,6 @@ def test_effective_samples_formula():
         classical.effective_samples(10, 1.5)
 
 
-def test_mass_floor_is_solved_once_per_pair():
-    """A repeated (m, delta) reads the cached floor, equal to a fresh
-    solve."""
-    for m, delta in ((1000, 0.01), (10 ** 15, 0.05 / 64)):
-        floor = classical.mass_floor(m, delta)
-        assert classical.mass_floor(m, delta) == floor
-        assert classical.mass_floor.__wrapped__(m, delta) == floor
-
-
-@pytest.mark.parametrize("m, delta", [(0, 0.1), (10, 1.5), (10, 0.0)])
-def test_mass_floor_refuses_on_every_call(m, delta):
-    """A refused pair is not cached: the second call raises too."""
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            classical.mass_floor(m, delta)
-
-
 def test_conf_scale_covers_the_floor():
     """A mass exactly at mass_floor(m, delta) is estimated within a 1.01
     factor except with probability delta: the requirement CONF_SCALE is

@@ -49,22 +49,6 @@ def test_simple_frobenius_error_rate():
     _check_worst_case(4, 74)
 
 
-@pytest.mark.parametrize("d", [2, 7, 16])
-def test_simple_estimate_slots_are_cached_and_read_only(d):
-    """The flat positions the estimate is written through are built
-    once per dimension and refuse a write, because they are shared;
-    together they own every entry of a d x d complex matrix once."""
-    slots = fb._estimate_slots(d)
-    assert fb._estimate_slots(d) is slots
-    for table in slots:
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[...] = 0
-    upper, lower, diag = slots
-    owned = np.concatenate([upper.ravel(), lower.ravel(), diag, diag + 1])
-    assert sorted(owned.tolist()) == list(range(2 * d * d))
-
-
 def test_simple_frobenius_odd_dimension():
     rng = np.random.default_rng(79)
     d = 3

@@ -129,6 +129,15 @@ def test_filter_subset_refuses_a_negative_count():
     assert rng.bit_generator.state == before
 
 
+def _byes(design):
+    """Each round's unmatched index, (R,), and its outcome in the real
+    and the imaginary row, (2, R), read off the four-term map: a bye's
+    last three terms read the zero after rho's real view."""
+    d = design.dim
+    at = np.flatnonzero(design.terms[1] == 2 * d * d).reshape(-1, 2).T
+    return design.terms[0, at[0]] // (2 * (d + 1)), at
+
+
 @pytest.mark.parametrize("d", [2, 4, 5, 7, 8])
 def test_matching_povms_cover_every_pair_once(d):
     design = ms.matching_povms(d)
@@ -138,12 +147,19 @@ def test_matching_povms_cover_every_pair_once(d):
     seen = list(zip(design.rows.ravel().tolist(),
                     design.cols.ravel().tolist()))
     assert sorted(seen) == sorted(itertools.combinations(range(d), 2))
-    # at odd d every index sits out exactly one round
-    assert sorted(design.byes.tolist()) == (list(range(d)) if d % 2 else [])
+    # at odd d every index sits out exactly one round, in both its rows
+    byes, bye_at = _byes(design)
+    assert sorted(byes.tolist()) == (list(range(d)) if d % 2 else [])
+    assert (design.terms[0, bye_at[1]] == design.terms[0, bye_at[0]]).all()
+    assert (design.weights[:, bye_at] == 1.0).all()
     # every outcome of every row has exactly one owner
     owned = np.concatenate([design.plus.ravel(), design.minus.ravel(),
-                            design.bye_at.ravel()])
+                            bye_at.ravel()])
     assert sorted(owned.tolist()) == list(range(design.n_rows * d))
+    # the pairs' entries and the diagonal's parts fill rho's real view once
+    diag = 2 * (d + 1) * np.arange(d)
+    held = np.concatenate([design.entries.ravel(), diag, diag + 1])
+    assert sorted(held.tolist()) == list(range(2 * d * d))
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -154,7 +170,7 @@ def test_cached_design_is_read_only(d):
     assert ms.matching_povms(d) is design
     arrays = [getattr(design, f.name) for f in dataclasses.fields(design)
               if isinstance(getattr(design, f.name), np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 7
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -162,9 +178,9 @@ def test_cached_design_is_read_only(d):
 
 
 def test_sampling_probs_of_a_vector_equals_its_one_row_stack():
-    """A vector is normalized by its one sum, bit for bit the row of a
-    one-row stack, clipping round-off alike; a NaN or an entry below
-    -PSD_TOL is refused on either path."""
+    """A vector is normalized bit for bit as the row of a one-row
+    stack, clipping round-off alike; a NaN or an entry below -PSD_TOL
+    is refused in either shape."""
     rng = np.random.default_rng(19)
     for n in (2, 7, 16, 64, 129, 1000):
         for scale in (1e-3, 1.0, 1e5):
@@ -200,7 +216,8 @@ def test_matching_povm_outcome_probabilities():
                                                 abs=1e-12)
             assert flat[at[1]] == pytest.approx(avg + sign * rho[i, j].imag,
                                                 abs=1e-12)
-    for b, at in zip(design.byes, design.bye_at.T):
+    byes, bye_at = _byes(design)
+    for b, at in zip(byes, bye_at.T):
         assert np.allclose(flat[at], rho[b, b].real, rtol=0, atol=1e-12)
 
 
@@ -245,6 +262,7 @@ def _assert_design_layout(d):
     """The design's pairs, byes and outcome positions are the dense
     rounds' matchings and labels."""
     design = ms.matching_povms(d)
+    design_byes, bye_at = _byes(design)
     rounds = dense.dense_matching_povms(d)
     assert design.n_rows == 2 * len(rounds)
     for r, (pairs, real, imag) in enumerate(rounds):
@@ -253,7 +271,7 @@ def _assert_design_layout(d):
         assert list(zip(design.rows[r].tolist(),
                         design.cols[r].tolist())) == proper
         byes = [i for i, j in pairs if j is None]
-        assert design.byes[r:r + 1].tolist() == byes
+        assert design_byes[r:r + 1].tolist() == byes
         for s in (0, 1):  # real row 2r, imaginary row 2r + 1
             start = (2 * r + s) * d
             for p, (i, j) in enumerate(proper):
@@ -262,7 +280,7 @@ def _assert_design_layout(d):
                 assert design.minus[s, r, p] - start == \
                     real.labels.index((i, j, -1))
             if byes:
-                assert design.bye_at[s, r] - start == \
+                assert bye_at[s, r] - start == \
                     real.labels.index((byes[0], None, 0))
 
 
