@@ -195,11 +195,14 @@ class Family(typing.NamedTuple):
     ("state"), a state on C^d (x) C^d ("pair") or a d x d joint table
     ("table").  ``make(d, r, lam, rng)`` returns a state with its exact
     eigensystem, read off the draw by the matching ``linalg.*_eig``
-    constructor, or a table with None (a table target's ``joint, _``)."""
+    constructor, or a table with None (a table target's ``joint, _``).
+    A ``fixed`` family draws nothing and reads no rank: ``make_state``
+    builds it once per (d, lam) (:func:`_fixed_draw`)."""
 
     make: typing.Callable
     space: str = "state"
     product: bool = False     # a product tester should accept it
+    fixed: bool = False       # draws nothing
 
 
 def _random_product_eig(d, r, lam, rng) -> tuple:
@@ -215,36 +218,57 @@ FAMILIES = {
     "rank_r_random": Family(
         lambda d, r, lam, rng: linalg.random_density_eig(d, r, rng)),
     "maximally_mixed": Family(
-        lambda d, r, lam, rng: linalg.maximally_mixed_eig(d)),
+        lambda d, r, lam, rng: linalg.maximally_mixed_eig(d), fixed=True),
     "geometric_spectrum": Family(
         lambda d, r, lam, rng: linalg.geometric_spectrum_eig(d, rng)),
     # correlated_pair_state(d, 0.0) is exactly Id/d^2, so its eigensystem
     # is the identity
     "bipartite:product": Family(
         lambda d, r, lam, rng: linalg.maximally_mixed_eig(d * d),
-        space="pair", product=True),
+        space="pair", product=True, fixed=True),
     "bipartite:random_product": Family(
         _random_product_eig, space="pair", product=True),
     "bipartite:correlated": Family(
         lambda d, r, lam, rng: linalg.correlated_pair_eig(d, lam),
-        space="pair"),
+        space="pair", fixed=True),
     "classical:product": Family(
         lambda d, r, lam, rng: (mt.correlated_joint(d, 0.0), None),
-        space="table", product=True),
+        space="table", product=True, fixed=True),
     "classical:dirichlet_product": Family(
         lambda d, r, lam, rng: (np.outer(rng.dirichlet(np.ones(d)),
                                          rng.dirichlet(np.ones(d))), None),
         space="table", product=True),
     "classical:correlated": Family(
         lambda d, r, lam, rng: (mt.correlated_joint(d, lam), None),
-        space="table"),
+        space="table", fixed=True),
 }
 
 
 def make_state(s: Scenario, rng: np.random.Generator) -> tuple:
     """Draw (or build) this trial's truth (see :class:`Family`): a state
-    and its eigensystem, so no trial diagonalizes it, or a table and None."""
+    and its eigensystem, so no trial diagonalizes it, or a table and None.
+    A fixed family's is the one :func:`_fixed_draw` keeps."""
+    if FAMILIES[s.family].fixed:
+        return _fixed_draw(s.family, s.d, s.lam)[:2]
     return FAMILIES[s.family].make(s.d, s.r, s.lam, rng)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_draw(family: str, d: int, lam: float) -> tuple:
+    """``(state, dec, truth)`` of a fixed family, built once per
+    (family, d, lam) for the life of the process, since every trial of
+    every scenario that names it shares it, and so with every array
+    read-only.  ``truth`` is a pair state's :func:`_mi_truth`, which the
+    ``mi`` score reads, and None for any other space."""
+    state, dec = FAMILIES[family].make(d, None, lam, None)
+    arrays = [state] if dec is None else [state, dec.values, dec.vectors]
+    truth = None
+    if FAMILIES[family].space == "pair":
+        truth = _mi_truth(state, dec, d)
+        arrays.append(truth[1])
+    for a in arrays:
+        a.setflags(write=False)
+    return state, dec, truth
 
 
 def _frobenius_trial(s: Scenario, rho, rho_dec, point, rng):
@@ -359,40 +383,26 @@ def _mi_trial(s: Scenario, rho, rho_dec, point, rng):
     return int(v.stats["joint_copies"]), v
 
 
-#: ``id(rho) -> (rho, (mi, product))`` for each read-only state scored,
-#: kept for the life of the process like the state's cached constructor
-_MI_TRUTH: dict = {}
-
-
 def _mi_truth(rho, rho_dec, d) -> tuple:
     """``(mi, product)``: the state's relative entropy to the product of
     its true marginals (whose eigensystem takes two marginal solves) and
-    that product, from one trace of the marginals.  A read-only state
-    that owns its data is shared by every trial that draws it
-    (``linalg._read_only``), so its truth is derived once per process;
-    the entry holds the state, so a hit is never a recycled id.  Any
-    other state is derived on every call and never kept."""
-    entry = _MI_TRUTH.get(id(rho))
-    if entry is not None and entry[0] is rho:
-        return entry[1]
+    that product, from one trace of the marginals."""
     marginals = linalg.marginals(rho, d)
     mi = float(dv.relative_entropy(
         rho_dec, linalg.product_of_marginals(marginals)))
-    product = np.kron(*marginals)
-    # a read-only view of writable memory could still change under it
-    if not rho.flags.writeable and rho.flags.owndata:
-        product.setflags(write=False)
-        _MI_TRUTH[id(rho)] = (rho, (mi, product))
-    return mi, product
+    return mi, np.kron(*marginals)
 
 
 def _mi_score(s: Scenario, rho, rho_dec, v, point):
     """Score the quantum tester's learned product against the truth: the
     joint's Bures chi-square from it, the MI and the product flag, which
     reads the Bures chi-square of the true marginals' product from it
-    (both from :func:`_mi_truth`)."""
+    (both from :func:`_mi_truth`, which a fixed family's cached draw
+    holds and a drawn state derives on every trial)."""
     learned = v.stats["product"]
-    mi, product = _mi_truth(rho, rho_dec, s.d)
+    mi, product = (_fixed_draw(s.family, s.d, s.lam)[2]
+                   if FAMILIES[s.family].fixed
+                   else _mi_truth(rho, rho_dec, s.d))
     losses = {"hellinger_sq": float(v.stats["hellinger_sq"]),
               "bures_chi2": float(dv.bures_chi2(rho, learned)),
               "mi": mi}

@@ -20,7 +20,6 @@ values past a state's rank are exact zeros.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -300,21 +299,11 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-def _read_only(rho: np.ndarray, dec: SpectralDecomposition) -> tuple:
-    """``(rho, dec)`` with every array read-only, because a cached state
-    is shared by every caller."""
-    for a in (rho, dec.values, dec.vectors):
-        a.setflags(write=False)
-    return rho, dec
-
-
-@functools.lru_cache(maxsize=None)
 def maximally_mixed_eig(d: int) -> tuple:
     """:func:`maximally_mixed` and its eigensystem: every value 1/d on the
-    identity basis.  It draws nothing, so it is built once per d, with
-    read-only arrays."""
-    return _read_only(maximally_mixed(d), SpectralDecomposition(
-        values=np.full(d, 1.0 / d), vectors=np.eye(d, dtype=complex)))
+    identity basis."""
+    return maximally_mixed(d), SpectralDecomposition(
+        values=np.full(d, 1.0 / d), vectors=np.eye(d, dtype=complex))
 
 
 def geometric_spectrum_eig(d: int, rng: np.random.Generator) -> tuple:
@@ -354,17 +343,14 @@ def correlated_pair_state(d: int, lam: float) -> np.ndarray:
     return (1.0 - lam) * np.eye(d * d, dtype=complex) / (d * d) + lam * ent
 
 
-@functools.lru_cache(maxsize=None)
 def correlated_pair_eig(d: int, lam: float) -> tuple:
     """:func:`correlated_pair_state` and its eigensystem: (1-lam)/d^2 on a
-    completed basis of Phi's complement, then (1-lam)/d^2 + lam on Phi.
-    It draws nothing, so it is built once per (d, lam), with read-only
-    arrays."""
+    completed basis of Phi's complement, then (1-lam)/d^2 + lam on Phi."""
     rho = correlated_pair_state(d, lam)
     span = _span_eig(_entangled_pair(d)[:, None])
-    return _read_only(rho, SpectralDecomposition(
+    return rho, SpectralDecomposition(
         values=(1.0 - lam) / (d * d) + lam * span.values,
-        vectors=span.vectors))
+        vectors=span.vectors)
 
 
 # ---------------------------------------------------------------------------

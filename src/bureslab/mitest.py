@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,8 @@ def correlated_joint(d: int, lam: float) -> np.ndarray:
 # classical tester
 # ---------------------------------------------------------------------------
 
-def classical_mi_plan(d: int, eps: float) -> dict:
+@functools.lru_cache(maxsize=None)
+def classical_mi_plan(d: int, eps: float) -> types.MappingProxyType:
     """Working accuracies and sample sizes for one classical MI test.
 
     eps_dd and eps_t are the working accuracy and testing gap of the
@@ -97,20 +99,15 @@ def classical_mi_plan(d: int, eps: float) -> dict:
     gets enough samples that each marginal lands within a third
     of the working accuracy except with small constant probability, and
     the identity test runs at the usual sqrt(#outcomes) rate.  The plan
-    is solved once per (d, eps) and each call hands out a fresh dict, so
-    a caller may change its copy; a refused gap is not cached and raises
-    on every call.
+    is solved once per (d, eps) and every call gets the same read-only
+    mapping; a refused gap is not cached and raises on every call.
     """
-    return dict(_solve_classical_plan(d, eps))
-
-
-@functools.lru_cache(maxsize=None)
-def _solve_classical_plan(d: int, eps: float) -> tuple:
     eps_dd, eps_t = _working_gap(d, eps)
     n_learn = math.ceil(config.C_LEARN_CLASSICAL * d / eps_dd)
     n_test = math.ceil(config.C_TEST_BUDGET * d / eps_t)
-    return (("eps_dd", eps_dd), ("eps_t", eps_t),
-            ("n_learn", int(n_learn)), ("n_test", int(n_test)))
+    return types.MappingProxyType({"eps_dd": eps_dd, "eps_t": eps_t,
+                                   "n_learn": int(n_learn),
+                                   "n_test": int(n_test)})
 
 
 def pearson_null_variance(q, n: int) -> float:

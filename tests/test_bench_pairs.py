@@ -236,3 +236,51 @@ def test_aa_summary_counts_false_readings():
     # the directed metrics: both paced ones and the unpaced rate
     assert lines[-1] == ("A/A: claim met on 1 of 3 metrics, bound worse "
                          "on 1 of 2; each is a false reading")
+
+
+def test_trees_swap_directories_every_pair(tmp_path):
+    """Both trees are copied to directories of equal path length, the
+    parent's to ``a``; between pairs the directories trade trees, the
+    side that runs first alternates, and each run records its
+    directory.  So an offset that favours one directory wins 5 pairs in
+    10 on byte-identical trees, and meets no claim."""
+    sources = {}
+    for side in ("parent", "change"):
+        sources[side] = tmp_path / side
+        (sources[side] / "perfbench").mkdir(parents=True)
+        (sources[side] / "perfbench" / "run.py").write_text(f"# {side}\n")
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        side = (tree / "perfbench" / "run.py").read_text()[2:-1]
+        calls.append((tree.parent.name, side, workload, seed, len(str(tree))))
+        # directory a reads 10% faster, whatever tree sits in it
+        fast = tree.parent.name == "a"
+        return bp.parse_run(_stdout(seed, 11.0 if fast else 10.0, 2.0))
+
+    work = tmp_path / "work"
+    seeds = list(range(1, 11))
+    runs = bp.run_pairs(sources, ["w"], seeds, 1.0, work, run=run)
+    assert len(calls) == 20 and len({c[4] for c in calls}) == 1
+    for i, seed in enumerate(seeds):
+        first, second = calls[2 * i:2 * i + 2]
+        parent_dir = "ab"[i % 2]
+        assert [c[1] for c in (first, second)] == (
+            ["parent", "change"] if i % 2 == 0 else ["change", "parent"])
+        assert {c[1]: c[0] for c in (first, second)} == {
+            "parent": parent_dir, "change": "ba"[i % 2]}
+        assert first[2:4] == second[2:4] == ("w", seed)
+    # the tree each run read is the one that sat in its directory; after
+    # nine swaps the change tree sits in ``a``
+    assert (work / "a" / "tree" / "perfbench" / "run.py").read_text() \
+        == "# change\n"
+    records = {side: bp.bench_record(side, seeds, runs[side])
+               for side in runs}
+    assert records["parent"]["workloads"]["w"]["dirs"] == ["a", "b"] * 5
+    assert records["change"]["workloads"]["w"]["dirs"] == ["b", "a"] * 5
+    bench = {"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.2},
+        {"name": "op_ms_p90", "better": "lower", "bound": 0.2}]}
+    rows = bp.summary(records["parent"], records["change"], bench)
+    assert rows[2].split()[1:] == ["ops_per_s", "10.5", "10.5", "5/10",
+                                   "no", "ok"]

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import io
@@ -531,40 +532,44 @@ class TestStructureFlags:
 
 
 def test_mi_trial_scores_against_the_truth(monkeypatch):
-    """The truth of a shared state is derived once per state: after the
-    tester learns, the first trial traces the true marginals once and
-    solves two d x d eigensystems, those of the true product (the
-    joint's is the draw's), and a second trial on the same state does
-    neither.  Each trial's losses are the same calls on the same inputs
+    """The truth of a fixed state is derived once per (d, lam), when the
+    state is built: the first trial's ``make_state`` traces the true
+    marginals once and solves two d x d eigensystems, those of the true
+    product (the joint's is the build's), and no score traces or solves
+    anything after the tester learns, nor does the second trial build
+    anything.  Each trial's losses are the same calls on the same inputs
     as scoring its learned product by hand."""
     s = small(target="mi", d=3, family="bipartite:correlated", lam=0.6,
               eps_grid=(0.5,), trials=2)
-    monkeypatch.setattr(hz, "_MI_TRUTH", {})
+    monkeypatch.setattr(hz, "_fixed_draw",
+                        functools.lru_cache(hz._fixed_draw.__wrapped__))
     seen, counts = [], []
     make, test, trace, eigh = hz.make_state, hz.mt.quantum_mi_test, \
         linalg.marginals, np.linalg.eigh
     learn = hz.mt.learn_product_quantum
-    scoring = [False]  # counts start once the tester has learned
+    phase = [None]  # counted: while the truth is built, and once learned
 
     def made(s, rng):
-        scoring[0] = False
-        counts.append({"traces": 0, "solves": []})
+        counts.append({p: {"traces": 0, "solves": []}
+                       for p in ("make", "score")})
+        phase[0] = "make"
         seen.append({"truth": make(s, rng)})
+        phase[0] = None
         return seen[-1]["truth"]
 
     def traced(*args, **kwargs):
-        if scoring[0]:
-            counts[-1]["traces"] += 1
+        if phase[0]:
+            counts[-1][phase[0]]["traces"] += 1
         return trace(*args, **kwargs)
 
     def solved(a, *args, **kwargs):
-        if scoring[0]:
-            counts[-1]["solves"].append(np.shape(a))
+        if phase[0]:
+            counts[-1][phase[0]]["solves"].append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     def learned(*args, **kwargs):
         out = learn(*args, **kwargs)
-        scoring[0] = True
+        phase[0] = "score"
         return out
 
     def tested(*args, **kwargs):
@@ -578,9 +583,12 @@ def test_mi_trial_scores_against_the_truth(monkeypatch):
     monkeypatch.setattr(hz.mt, "quantum_mi_test", tested)
     recs = [hz._run_trial(s, (s.target,), 0, t)[0] for t in range(2)]
     monkeypatch.undo()
-    assert counts == [{"traces": 1, "solves": [(3, 3), (3, 3)]},
-                      {"traces": 0, "solves": []}]
-    assert seen[0]["truth"] is seen[1]["truth"]
+    nothing = {"traces": 0, "solves": []}
+    assert counts == [
+        {"make": {"traces": 1, "solves": [(3, 3), (3, 3)]},
+         "score": nothing},
+        {"make": nothing, "score": nothing}]
+    assert all(a is b for a, b in zip(seen[0]["truth"], seen[1]["truth"]))
     for rec, trial in zip(recs, seen):
         (rho, rho_dec), verdict = trial["truth"], trial["verdict"]
         product = verdict.stats["product"]
@@ -595,19 +603,73 @@ def test_mi_trial_scores_against_the_truth(monkeypatch):
             <= verdict.stats["eps_prime"])
 
 
+#: the families that draw nothing, in each space
+FIXED_FAMILIES = [name for name, row in hz.FAMILIES.items() if row.fixed]
+
+
+def test_a_family_is_fixed_exactly_when_it_draws_nothing():
+    """The ``fixed`` column names the families whose ``make`` leaves the
+    stream where it was, and there is one in every space."""
+    for family, row in hz.FAMILIES.items():
+        rng_new, rng_old = np.random.default_rng(7), \
+            np.random.default_rng(7)
+        row.make(3, 2, 0.5, rng_new)
+        assert (rng_new.random() == rng_old.random()) == row.fixed, family
+    assert {hz.FAMILIES[f].space for f in FIXED_FAMILIES} \
+        == {"state", "pair", "table"}
+
+
+@pytest.mark.parametrize("family", FIXED_FAMILIES)
+def test_fixed_family_is_one_read_only_build(family):
+    """``make_state`` hands a fixed family's one build, read-only, to
+    every trial of every scenario that names it at one (d, lam): other
+    ids, targets' seeds, ranks and estimators share it, it draws
+    nothing, and it equals a fresh build byte for byte.  Another lam
+    is another build."""
+    target = {"state": "chi2", "pair": "mi", "table": "classical_mi"}[
+        hz.FAMILIES[family].space]
+    scenarios = [small(target=target, family=family, d=3, r=r, lam=0.4,
+                       sid=sid, master_seed=seed, estimator=estimator)
+                 for sid, r, seed, estimator in (
+                     ("a", 1, 1, "oracle:f=d"), ("b", 3, 2, "simple"))]
+    draws = []
+    for s in scenarios:
+        hz.validate_scenario(s)
+        for trial in range(3):
+            rng = np.random.default_rng([s.master_seed, 0, trial])
+            draws.append(hz.make_state(s, rng))
+            assert rng.random() == np.random.default_rng(
+                [s.master_seed, 0, trial]).random()
+    state, dec = draws[0]
+    arrays = (state,) if dec is None else (state, dec.values, dec.vectors)
+    for other, other_dec in draws[1:]:
+        assert other is state and other_dec is dec
+    fresh, fresh_dec = hz.FAMILIES[family].make(3, 3, 0.4, None)
+    fresh_arrays = ((fresh,) if dec is None
+                    else (fresh, fresh_dec.values, fresh_dec.vectors))
+    for a, b in zip(arrays, fresh_arrays):
+        assert a.tobytes() == b.tobytes() and b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    other, _ = hz.make_state(dataclasses.replace(scenarios[0], lam=0.7),
+                             np.random.default_rng(0))
+    assert other is not state
+
+
 class TestMiTruthMemo:
-    """``_mi_truth`` keeps the truth of a read-only state for the life of
-    the process and derives any other state's on every call.  The tester
-    is replaced by one canned verdict, so every trace of the marginals
-    counted here is the score's."""
+    """A fixed pair state's truth is derived once per (d, lam) for the
+    life of the process, in every scenario that names it, and a drawn
+    state's on every trial.  The tester is replaced by one canned
+    verdict, so every trace of the marginals counted here is the
+    score's or the build's."""
 
     def _run(self, monkeypatch, family, trials=2):
-        s = small(target="mi", d=3, family=family, lam=0.6,
-                  eps_grid=(0.5,), trials=trials)
-        rho, rho_dec = hz.make_state(s, np.random.default_rng(4))
+        base = small(target="mi", d=3, family=family, lam=0.6,
+                     eps_grid=(0.5,), trials=trials)
+        rho, rho_dec = hz.make_state(base, np.random.default_rng(4))
         verdict = hz.mt.quantum_mi_test(
-            rho, rho_dec, 3, 0.5, np.random.default_rng(5), r=s.r,
-            spec=hz.fb.parse_estimator(s.estimator, s.r))
+            rho, rho_dec, 3, 0.5, np.random.default_rng(5), r=base.r,
+            spec=hz.fb.parse_estimator(base.estimator, base.r))
         states, traces = [], []
         make, trace = hz.make_state, linalg.marginals
 
@@ -619,13 +681,18 @@ class TestMiTruthMemo:
             traces.append(1)
             return trace(*args, **kwargs)
 
-        monkeypatch.setattr(hz, "_MI_TRUTH", {})
+        monkeypatch.setattr(
+            hz, "_fixed_draw",
+            functools.lru_cache(hz._fixed_draw.__wrapped__))
         monkeypatch.setattr(hz, "make_state", made)
         monkeypatch.setattr(hz.mt, "quantum_mi_test",
                             lambda *args, **kwargs: verdict)
         monkeypatch.setattr(linalg, "marginals", traced)
-        recs = hz.run_scenario(s)
+        # two scenarios: another id, seed, rank cap and estimator
+        recs = hz.run_scenario(base) + hz.run_scenario(dataclasses.replace(
+            base, sid="other", master_seed=7, r=2, estimator="simple"))
         monkeypatch.setattr(linalg, "marginals", trace)
+        assert len(recs) == len(states) == 2 * trials
         for rec, (rho, rho_dec) in zip(recs, states):
             marginals = linalg.marginals(rho, 3)
             assert rec.losses["mi"] == dv.relative_entropy(
@@ -638,45 +705,20 @@ class TestMiTruthMemo:
     def test_read_only_state_is_traced_once(self, monkeypatch):
         states, traces = self._run(monkeypatch, "bipartite:correlated")
         assert traces == 1
-        (rho, _), _ = states
-        assert not rho.flags.writeable
-        assert list(hz._MI_TRUTH) == [id(rho)]
-        assert hz._MI_TRUTH[id(rho)][0] is rho
+        rho, rho_dec = states[0]
+        assert all(a is rho and b is rho_dec for a, b in states)
+        mi, product = hz._fixed_draw("bipartite:correlated", 3, 0.6)[2]
+        assert not rho.flags.writeable and not product.flags.writeable
+        assert (mi, product.tobytes()) == (
+            hz._mi_truth(rho, rho_dec, 3)[0],
+            hz._mi_truth(rho, rho_dec, 3)[1].tobytes())
 
     def test_writable_draw_is_traced_every_trial(self, monkeypatch):
         states, traces = self._run(monkeypatch, "bipartite:random_product",
                                    trials=3)
-        assert traces == 3
+        assert traces == 6
         assert all(rho.flags.writeable for rho, _ in states)
-        assert hz._MI_TRUTH == {}
-
-    def test_entry_is_the_same_object_or_a_miss(self, monkeypatch):
-        """A byte-equal read-only copy of a kept state misses, and so
-        does an entry under the copy's id that holds another object."""
-        monkeypatch.setattr(hz, "_MI_TRUTH", {})
-        rho, rho_dec = linalg.correlated_pair_eig(3, 0.6)
-        traces, trace = [], linalg.marginals
-
-        def traced(*args, **kwargs):
-            traces.append(1)
-            return trace(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "marginals", traced)
-        mi, product = hz._mi_truth(rho, rho_dec, 3)
-        assert hz._mi_truth(rho, rho_dec, 3)[1] is product
-        assert len(traces) == 1 and not product.flags.writeable
-        copy = rho.copy()
-        copy.setflags(write=False)
-        hz._MI_TRUTH[id(copy)] = (rho, ("stale", None))
-        again = hz._mi_truth(copy, rho_dec, 3)
-        assert len(traces) == 2
-        assert again[0] == mi and np.array_equal(again[1], product)
-        assert hz._MI_TRUTH[id(copy)][0] is copy
-        # a read-only view of writable memory is not kept
-        view = np.array(rho).view()
-        view.setflags(write=False)
-        hz._mi_truth(view, rho_dec, 3)
-        assert len(traces) == 3 and id(view) not in hz._MI_TRUTH
+        assert hz._fixed_draw.cache_info().currsize == 0
 
 
 def test_indexed_tail_matches_sorted_route():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bureslab import config, divergences as dv, frobenius as fb, linalg
-from bureslab import measurement as ms, mitest as mt, pipeline as pl
+from bureslab import harness, measurement as ms, mitest as mt, pipeline as pl
 from oracles import analysis
 
 
@@ -269,19 +269,30 @@ def test_correlated_pair_state_marginals_stay_uniform():
             assert np.max(np.abs(marg - np.eye(3) / 3)) < 1e-12
 
 
-@pytest.mark.parametrize("build, args", [
-    (linalg.maximally_mixed_eig, (9,)),
-    (linalg.correlated_pair_eig, (3, 0.5)),
-    (linalg.correlated_pair_eig, (3, 0.0)),
+@pytest.mark.parametrize("family, d, lam, build", [
+    ("maximally_mixed", 9, 0.5, lambda: linalg.maximally_mixed_eig(9)),
+    ("bipartite:correlated", 3, 0.5,
+     lambda: linalg.correlated_pair_eig(3, 0.5)),
+    ("bipartite:product", 3, 0.0, lambda: linalg.maximally_mixed_eig(9)),
 ], ids=["maximally-mixed", "correlated", "correlated-product"])
-def test_cached_states_equal_a_fresh_build_and_are_read_only(build, args):
-    rho, dec = build(*args)
-    assert build(*args)[0] is rho
-    fresh_rho, fresh_dec = build.__wrapped__(*args)
-    assert np.array_equal(rho, fresh_rho)
-    assert np.array_equal(dec.values, fresh_dec.values)
-    assert np.array_equal(dec.vectors, fresh_dec.vectors)
-    for a in (rho, dec.values, dec.vectors):
+def test_cached_states_equal_a_fresh_build_and_are_read_only(family, d, lam,
+                                                             build):
+    """The constructors of the states that draw nothing build afresh on
+    every call; the harness's one cache of them (``_fixed_draw``) holds
+    a byte-equal build once, with every array read-only.  At lam 0 the
+    correlated pair state is exactly the product family's Id/d^2."""
+    rho, dec, truth = harness._fixed_draw(family, d, lam)
+    assert harness._fixed_draw(family, d, lam)[0] is rho
+    fresh_rho, fresh_dec = build()
+    assert build()[0] is not fresh_rho and fresh_rho.flags.writeable
+    assert rho.tobytes() == fresh_rho.tobytes()
+    arrays = (rho, dec.values, dec.vectors)
+    if family != "maximally_mixed":  # a pair state, with its MI truth
+        assert rho.tobytes() == linalg.correlated_pair_state(3, lam).tobytes()
+        arrays += (truth[1],)
+    assert dec.values.tobytes() == fresh_dec.values.tobytes()
+    assert dec.vectors.tobytes() == fresh_dec.vectors.tobytes()
+    for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 

@@ -335,14 +335,19 @@ class TestClassicalMITest:
             with pytest.raises(pl.ParameterError):
                 mt.classical_mi_plan(1, 0.2)
 
-    def test_plan_cached_and_handed_out_fresh(self):
-        solve = mt._solve_classical_plan.__wrapped__
+    def test_plan_cached_and_read_only(self):
+        """Every call gets the same mapping, equal to a fresh solve, and
+        a write to it raises."""
         for d, eps in ((2, 0.3), (8, 0.5), (5, 0.1)):
             plan = mt.classical_mi_plan(d, eps)
-            assert plan == dict(solve(d, eps))
-            plan["n_test"] = 1
-            del plan["eps_t"]
-            assert mt.classical_mi_plan(d, eps) == dict(solve(d, eps))
+            assert mt.classical_mi_plan(d, eps) is plan
+            fresh = mt.classical_mi_plan.__wrapped__(d, eps)
+            assert fresh is not plan and dict(fresh) == dict(plan)
+            with pytest.raises(TypeError):
+                plan["n_test"] = 1
+            with pytest.raises(TypeError):
+                del plan["eps_t"]
+            assert dict(mt.classical_mi_plan(d, eps)) == dict(fresh)
 
     def test_product_arm_accepts(self):
         rng = np.random.default_rng(31)

@@ -11,21 +11,29 @@ Usage, from the root of a checkout:
         --aa [--change-tag TAG] [--pairs 10] [--seed 1] \\
         [--workload NAME ...] [--out DIR]
 
-Each pair runs, once for each tree and in that tree's directory,
+Both trees are first copied (:func:`aa_copy`) to ``a/tree`` and
+``b/tree`` of one temporary directory beside the parent, so their paths
+have equal length and sit on one file system; the copies are removed
+after the runs.  Each pair runs, once for each tree and in the directory
+it then sits in,
 
     python3 <tree>/perfbench/run.py --workload W --seed S --seconds N --trace 0
 
 with the same workload W and seed S on both sides; N is ``run_seconds``
 of this checkout's BENCHMARK.json.  Pair i of every workload uses seed
-``--seed`` + i, and the side that runs first alternates from pair to
-pair.  From each run the script keeps its ``provenance`` line, its
+``--seed`` + i, and both the side that runs first and the directory
+each tree sits in alternate from pair to pair: the two directories
+swap their trees between pairs (:func:`run_pairs`), so an offset
+between the directories cannot win a metric on 9 pairs in 10.  From
+each run the script keeps its ``provenance`` line, its
 ``unpaced`` line (the raw ``op_ms_p50`` and ``ops_per_s``, before the
 pace kernel's scaling, and ``pace_kernel_ms``) and its final JSON line.
 It writes ``BENCH_<tag>.json`` for each tree into ``--out`` (default:
 this checkout's root), holding the seeds, the distinct provenance
 records and, per workload, each run's ``failed`` and ``attempted``
 counts and, per metric, paced and unpaced, the values with their
-median, q1 and q3.  It then prints, for each workload, an ``attempted``
+median, q1 and q3, and the directory (``a`` or ``b``) of each run.
+It then prints, for each workload, an ``attempted``
 row (the median number of ops per run on each side, which a
 ``peak_rss_mb`` move should be read against, since the benchmark keeps
 one outcome per op) and, for each metric, the parent median, the change
@@ -43,10 +51,9 @@ wider than that bound, unless every change run reads better than every
 parent run, since such a spread cannot show a move of the bound's size;
 and ``ok`` otherwise.  The unpaced metrics have no bound.
 
-``--aa`` runs an A/A check instead: the change tree is a byte-identical
-copy of the parent (:func:`aa_copy`), made in a temporary sibling
-directory of the parent, so both trees sit on one file system, and
-removed after the runs; its tag defaults to ``<parent tag>-aa``.  Every
+``--aa`` runs an A/A check instead: the parent is copied to both
+directories, so the change tree is a byte-identical copy of it; its tag
+defaults to ``<parent tag>-aa``.  Every
 claim the rule grants and every ``worse`` bound verdict is then a false
 reading, and the summary ends with their counts, so the rule's false
 claim rate is measured, not assumed.
@@ -55,7 +62,6 @@ claim rate is measured, not assumed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import shutil
 import statistics
@@ -101,7 +107,8 @@ def spread(values: list) -> dict:
 
 def bench_record(tag: str, seeds: list, runs: dict) -> dict:
     """The BENCH file of one tree; ``runs`` maps each workload to its
-    parsed runs, one per seed, in seed order."""
+    parsed runs, one per seed, in seed order, each with the ``dir`` it
+    ran in where :func:`run_pairs` recorded it."""
     provenance = []
     workloads = {}
     for name, parsed in runs.items():
@@ -118,7 +125,8 @@ def bench_record(tag: str, seeds: list, runs: dict) -> dict:
         unpaced = {key: {"unit": UNPACED_UNITS.get(key), **spread(
             [run["unpaced"][key] for run in parsed])}
             for key in parsed[0]["unpaced"]}
-        workloads[name] = {"failed": [r["failed"] for r in results],
+        workloads[name] = {"dirs": [run.get("dir") for run in parsed],
+                           "failed": [r["failed"] for r in results],
                            "attempted": [r["attempted"] for r in results],
                            "metrics": metrics, "unpaced": unpaced}
     return {"tag": tag, "seeds": seeds, "provenance": provenance,
@@ -249,6 +257,42 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(done.stdout)
 
 
+#: the two directories the trees take turns in, names of equal length
+SLOTS = ("a", "b")
+
+
+def run_pairs(sources: dict, workloads: list, seeds: list, seconds: float,
+              work: Path, run=_run) -> dict:
+    """Run each workload on both trees once per seed; ``{side: {workload:
+    parsed runs}}``, each run with the ``dir`` (a slot of SLOTS) it ran in.
+
+    ``sources`` maps "parent" and "change" to the trees to copy; the
+    copies go to ``work``/<slot>/tree, the parent's to slot ``a``.
+    Between pairs the two slots swap their trees (by renaming, so every
+    copy keeps its bytes and times), and the side that runs first
+    alternates: pair i runs the parent in slot ``SLOTS[i % 2]``.
+    ``run(tree, workload, seed, seconds)`` makes one parsed run.
+    """
+    for side, slot in zip(("parent", "change"), SLOTS):
+        aa_copy(sources[side], work / slot / "tree")
+    runs = {side: {w: [] for w in workloads} for side in sources}
+    for i, seed in enumerate(seeds):
+        if i > 0:  # the slots trade trees
+            a, b = (work / slot for slot in SLOTS)
+            a.rename(work / "swap")
+            b.rename(a)
+            (work / "swap").rename(b)
+        slot_of = {"parent": SLOTS[i % 2], "change": SLOTS[1 - i % 2]}
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for w in workloads:
+            for side in order:
+                parsed = run(work / slot_of[side] / "tree", w, seed, seconds)
+                runs[side][w].append({**parsed, "dir": slot_of[side]})
+                print(f"pair {i + 1}/{len(seeds)} {w} {side} done",
+                      file=sys.stderr, flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
@@ -277,22 +321,12 @@ def main(argv=None) -> int:
     parent = args.parent.resolve()
     workloads = args.workload or names
     seeds = [args.seed + i for i in range(args.pairs)]
-    runs = {side: {w: [] for w in workloads} for side in ("parent", "change")}
-    scratch = (tempfile.TemporaryDirectory(prefix=f"{parent.name}-aa-",
-                                           dir=parent.parent)
-               if args.aa else contextlib.nullcontext())
-    with scratch as tmp:
-        trees = {"parent": parent,
-                 "change": (aa_copy(parent, Path(tmp) / parent.name)
-                            if args.aa else args.change.resolve())}
-        for i, seed in enumerate(seeds):
-            order = (("parent", "change") if i % 2 == 0
-                     else ("change", "parent"))
-            for w in workloads:
-                for side in order:
-                    runs[side][w].append(_run(trees[side], w, seed, seconds))
-                    print(f"pair {i + 1}/{args.pairs} {w} {side} done",
-                          file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-",
+                                     dir=parent.parent) as tmp:
+        runs = run_pairs({"parent": parent,
+                          "change": parent if args.aa
+                          else args.change.resolve()},
+                         workloads, seeds, seconds, Path(tmp))
     records = {side: bench_record(tag, seeds, runs[side]) for side, tag in
                (("parent", args.parent_tag), ("change", change_tag))}
     for record in records.values():
