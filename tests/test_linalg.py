@@ -286,12 +286,12 @@ def test_cached_states_equal_a_fresh_build_and_are_read_only(family, d, lam,
     fresh_rho, fresh_dec = build()
     assert build()[0] is not fresh_rho and fresh_rho.flags.writeable
     assert rho.tobytes() == fresh_rho.tobytes()
+    assert dec.values.tobytes() == fresh_dec.values.tobytes()
+    assert dec.vectors.tobytes() == fresh_dec.vectors.tobytes()
     arrays = (rho, dec.values, dec.vectors)
     if family != "maximally_mixed":  # a pair state, with its MI truth
         assert rho.tobytes() == linalg.correlated_pair_state(3, lam).tobytes()
         arrays += (truth[1],)
-    assert dec.values.tobytes() == fresh_dec.values.tobytes()
-    assert dec.vectors.tobytes() == fresh_dec.vectors.tobytes()
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
