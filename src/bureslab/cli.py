@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -135,7 +134,7 @@ def _run(s: hz.Scenario, workers: int, out: str | None) -> tuple:
     if out:
         hz.write_csv(records, out)
         base = out[:-4] if out.endswith(".csv") else out
-        hz.write_summary_csv(records, loss, base + ".summary.csv")
+        hz.write_summary_csv(rows, base + ".summary.csv")
         hz.write_plot_stub(base + ".plot.py")
         print(f"wrote {out}, {base}.summary.csv, {base}.plot.py")
     return records, rows, failures
@@ -207,9 +206,8 @@ def cmd_bench(args) -> int:
     if len(set(s.n_grid)) < 2:
         raise hz.ScenarioError("a fit needs two distinct --n")
     _, rows, failures = _run(s, args.workers, args.out)
-    slope, intercept, r2 = hz.fit_scaling(rows)
-    print(f"slope {slope:.4f}  level {math.exp(intercept):.4g}  r2 {r2:.4f}")
-    slope_ok = abs(slope + 1.0) <= hz.SLOPE_TOL
+    slope_ok, slope, level, r2 = hz.scaling_verdict(rows)
+    print(f"slope {slope:.4f}  level {level:.4g}  r2 {r2:.4f}")
     print(f"{'PASS' if slope_ok else 'FAIL'}  slope -1 +- {hz.SLOPE_TOL:g}")
     return 1 if failures or not slope_ok else 0
 

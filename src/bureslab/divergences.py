@@ -139,14 +139,11 @@ def renyi_divergence(p, q, alpha: float) -> float:
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError("alpha must be positive and != 1")
     p, q = _weights(p), _weights(q)
-    if alpha > 1.0:
-        if np.any((q == 0.0) & (p > 0.0)):
-            return float("inf")
-        mask = p > 0.0
-        s = np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha))
-    else:
-        mask = (p > 0.0) & (q > 0.0)
-        s = np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha))
+    if alpha > 1.0 and np.any((q == 0.0) & (p > 0.0)):
+        return float("inf")
+    # one support mask: at alpha > 1 every p_i > 0 now has q_i > 0
+    mask = (p > 0.0) & (q > 0.0)
+    s = np.sum(p[mask] ** alpha * q[mask] ** (1.0 - alpha))
     if s == 0.0:
         return float("inf") if alpha < 1.0 else float("-inf")
     return float(np.log(s) / (alpha - 1.0))

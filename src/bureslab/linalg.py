@@ -45,10 +45,8 @@ __all__ = [
     "random_pure_eig",
     "random_density",
     "random_density_eig",
-    "maximally_mixed",
     "maximally_mixed_eig",
     "geometric_spectrum_eig",
-    "correlated_pair_state",
     "correlated_pair_eig",
     "restrict",
     "marginals",
@@ -295,14 +293,9 @@ def random_density_eig(d: int, r: int,
     return _gram_state(g), _span_eig(g)
 
 
-def maximally_mixed(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex) / d
-
-
 def maximally_mixed_eig(d: int) -> tuple:
-    """:func:`maximally_mixed` and its eigensystem: every value 1/d on the
-    identity basis."""
-    return maximally_mixed(d), SpectralDecomposition(
+    """Id/d and its eigensystem: every value 1/d on the identity basis."""
+    return np.eye(d, dtype=complex) / d, SpectralDecomposition(
         values=np.full(d, 1.0 / d), vectors=np.eye(d, dtype=complex))
 
 
@@ -323,31 +316,21 @@ def geometric_spectrum_eig(d: int, rng: np.random.Generator) -> tuple:
                                                        vectors=u[:, ::-1])
 
 
-def _entangled_pair(d: int) -> np.ndarray:
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / np.sqrt(d)
-    return phi
-
-
-def correlated_pair_state(d: int, lam: float) -> np.ndarray:
-    """(1-lam) * (Id/d x Id/d) + lam * |Phi><Phi| on dimension d*d.
+def correlated_pair_eig(d: int, lam: float) -> tuple:
+    """(1-lam) * (Id/d x Id/d) + lam * |Phi><Phi| on dimension d*d, with
+    its eigensystem: (1-lam)/d^2 on a completed basis of Phi's
+    complement, then (1-lam)/d^2 + lam on Phi.
 
     |Phi> is the maximally entangled pair state.  Both marginals are Id/d
     for every lam, so all the mutual information lives in the correlation.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    phi = _entangled_pair(d)
-    ent = np.outer(phi, phi.conj())
-    return (1.0 - lam) * np.eye(d * d, dtype=complex) / (d * d) + lam * ent
-
-
-def correlated_pair_eig(d: int, lam: float) -> tuple:
-    """:func:`correlated_pair_state` and its eigensystem: (1-lam)/d^2 on a
-    completed basis of Phi's complement, then (1-lam)/d^2 + lam on Phi."""
-    rho = correlated_pair_state(d, lam)
-    span = _span_eig(_entangled_pair(d)[:, None])
+    phi = np.zeros(d * d, dtype=complex)
+    phi[::d + 1] = 1.0 / np.sqrt(d)
+    rho = (1.0 - lam) * np.eye(d * d, dtype=complex) / (d * d) \
+        + lam * np.outer(phi, phi.conj())
+    span = _span_eig(phi[:, None])
     return rho, SpectralDecomposition(
         values=(1.0 - lam) / (d * d) + lam * span.values,
         vectors=span.vectors)

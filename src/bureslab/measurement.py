@@ -217,7 +217,6 @@ class MatchingDesign:
     Within a row, pair (i, j) owns two adjacent outcomes, + then -, in
     the matching's order, and the bye owns one.
 
-    * ``rows``, ``cols``: (R, P) indices i and j of the proper pairs.
     * ``plus``, ``minus``: (2, R, P) flat positions, in the raveled
       (2R, dim) outcome matrix, of each pair's + and - outcome in the
       real (``[0]``) and the imaginary (``[1]``) row of its round.
@@ -237,8 +236,6 @@ class MatchingDesign:
     """
 
     dim: int
-    rows: np.ndarray
-    cols: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     terms: np.ndarray
@@ -248,7 +245,7 @@ class MatchingDesign:
     @property
     def n_rows(self) -> int:
         """The number of measurements, 2R."""
-        return 2 * self.rows.shape[0]
+        return 2 * self.plus.shape[1]
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """Born probabilities, one row of ``dim`` outcomes per measurement.
@@ -321,8 +318,7 @@ def matching_povms(d: int) -> MatchingDesign:
             weights[:, pos] = np.array(
                 [0.5, 0.5 * sign * flip, 0.5 * flip, 0.5])[:, None, None]
     terms[0, bye_at] = 2 * (d + 1) * byes
-    design = MatchingDesign(d, rows, cols, plus, plus + 1, terms, weights,
-                            entries)
-    for a in (rows, cols, plus, design.minus, terms, weights, entries):
+    design = MatchingDesign(d, plus, plus + 1, terms, weights, entries)
+    for a in (plus, design.minus, terms, weights, entries):
         a.setflags(write=False)
     return design

@@ -22,7 +22,9 @@ tests use them as references for what the library computes:
   Hellinger, with its two ingredients: the root-Hellinger cost of
   depolarizing and MI continuity in trace distance;
 * the depolarizing channel itself, on a density matrix (the library's
-  KL upgrade depolarizes a decomposition's values instead);
+  KL upgrade depolarizes a decomposition's values instead), and the
+  correlated pair state (1-lam) Id/d^2 + lam |Phi><Phi| summed term by
+  term, the bytes the library's pair builder must give;
 * the square-root divergences through matrix square roots, the route
   the library took before it read them off one eigenbasis overlap;
 * a full density-matrix check (Hermitian, unit trace, PSD by one
@@ -304,6 +306,16 @@ def depolarize(rho: np.ndarray, eps: float) -> np.ndarray:
         raise ValueError("eps must lie in [0, 1]")
     d = rho.shape[0]
     return (1.0 - eps) * rho + eps * np.eye(d, dtype=complex) / d
+
+
+def correlated_pair_state(d: int, lam: float) -> np.ndarray:
+    """(1-lam) Id/d^2 + lam |Phi><Phi| on C^d (x) C^d, where Phi, the
+    maximally entangled pair state, holds 1/sqrt(d) at each (i, i)."""
+    phi = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        phi[i * d + i] = 1.0 / np.sqrt(d)
+    return (1.0 - lam) * np.eye(d * d, dtype=complex) / (d * d) \
+        + lam * np.outer(phi, phi.conj())
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,7 @@ class TestQuantum:
     def test_quantum_mi_correlated_family(self):
         # I = 2 ln d - S(rho_lam), from the known spectrum of the family
         d, lam = 3, 0.4
-        rho = linalg.correlated_pair_state(d, lam)
+        rho = linalg.correlated_pair_eig(d, lam)[0]
         base = (1 - lam) / d ** 2
         w = np.full(d * d, base)
         w[0] += lam
@@ -336,7 +336,7 @@ def root_route_pairs(rng):
         r = max(1, d // 2)
         yield "rank-deficient", linalg.random_density(d, r, rng), \
             linalg.random_density(d, d - r, rng)
-        yield "degenerate", linalg.maximally_mixed(d), \
+        yield "degenerate", linalg.maximally_mixed_eig(d)[0], \
             in_basis(u, np.r_[np.full(d - 1, 0.5 / (d - 1)), 0.5])
         near = np.ones(d)  # one value under the cutoff, the rest just over
         near[0], near[1:-1] = 0.5e-12, 2e-12

@@ -30,7 +30,8 @@ def _check_worst_case(d, seed):
     inside the K_ACC rate promise at odd d too."""
     rng = np.random.default_rng(seed)
     shots, trials = 2000, 1000
-    errs, se = _simple_errors(linalg.maximally_mixed(d), shots, trials, rng)
+    errs, se = _simple_errors(linalg.maximally_mixed_eig(d)[0], shots,
+                              trials, rng)
     assert abs(errs.mean() - (d - 1 / d) / shots) <= 4 * se
     m_total = (2 * ms.matching_round_count(d) + 1) * shots
     assert errs.mean() <= config.K_ACC * d ** 2 / m_total + 4 * se

@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import io
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from bureslab import frobenius as fb
 from bureslab import harness as hz
 from bureslab import linalg
 from bureslab import pipeline as pl
+from oracles import analysis
 
 
 def small(target="frobenius", **kw):
@@ -174,19 +176,19 @@ FAMILY_REFERENCES = {
              lambda d, r: d - 1),
     "rank_r_random": (lambda d, r, lam, rng: linalg.random_density(d, r, rng),
                       lambda d, r: d - r),
-    "maximally_mixed": (lambda d, r, lam, rng: linalg.maximally_mixed(d),
+    "maximally_mixed": (lambda d, r, lam, rng: np.eye(d, dtype=complex) / d,
                         lambda d, r: 0),
     "geometric_spectrum": (lambda d, r, lam, rng: _geometric_reference(d, rng),
                            lambda d, r: 0),
     "bipartite:product": (
-        lambda d, r, lam, rng: linalg.correlated_pair_state(d, 0.0),
+        lambda d, r, lam, rng: analysis.correlated_pair_state(d, 0.0),
         lambda d, r: 0),
     "bipartite:random_product": (
         lambda d, r, lam, rng: np.kron(linalg.random_density(d, d, rng),
                                        linalg.random_density(d, d, rng)),
         lambda d, r: 0),
     "bipartite:correlated": (
-        lambda d, r, lam, rng: linalg.correlated_pair_state(d, lam),
+        lambda d, r, lam, rng: analysis.correlated_pair_state(d, lam),
         lambda d, r: 0),
 }
 
@@ -245,7 +247,12 @@ def _rank_cases():
 def test_family_rank_clears_the_cutoff(family, d):
     """Each state family has as many eigenvalues above SPECTRAL_CUTOFF
     as the rank it claims (its dimension less the exact zeros of
-    FAMILY_REFERENCES), at every rank cap r in {1, ceil(d/2), d}."""
+    FAMILY_REFERENCES), at every rank cap r in {1, ceil(d/2), d}, and
+    its least claimed nonzero value is at least 10 SPECTRAL_CUTOFF, so
+    the rank does not rest on round-off near the cutoff.  The least
+    over these cases is bipartite:random_product's at d = 8, near
+    8.4e-7, and among the families on C^d rank_r_random's at d = 128,
+    near 1.4e-6."""
     _, zeros = FAMILY_REFERENCES[family]
     for r in sorted({1, (d + 1) // 2, d}):
         rho, dec = hz.FAMILIES[family].make(
@@ -253,6 +260,8 @@ def test_family_rank_clears_the_cutoff(family, d):
         claimed = rho.shape[0] - zeros(d, r)
         assert np.count_nonzero(linalg.spectral_cutoff(dec.values)) \
             == claimed, (d, r)
+        assert dec.values[zeros(d, r)] >= 10 * config.SPECTRAL_CUTOFF, \
+            (d, r)
 
 
 #: table family -> the table it must match byte for byte, drawing what
@@ -723,7 +732,6 @@ class TestMiTruthMemo:
 
 def test_indexed_tail_matches_sorted_route():
     # on an ascending q the index-based tail equals the sorted-route tail
-    from oracles import analysis
     rng = np.random.default_rng(7)
     q = np.sort(rng.dirichlet(np.ones(6)))
     h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -745,21 +753,34 @@ class TestFit:
 
     def test_exact_inverse_law(self):
         rows = self._rows([(n, 5.0 / n) for n in (10, 100, 1000, 10000)])
-        slope, intercept, r2 = hz.fit_scaling(rows)
+        passed, slope, level, r2 = hz.scaling_verdict(rows)
+        assert passed
         assert slope == pytest.approx(-1.0, abs=1e-12)
-        assert np.exp(intercept) == pytest.approx(5.0, rel=1e-12)
+        assert level == pytest.approx(5.0, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_data(self):
         rows = self._rows([(n, 2.0) for n in (10, 100, 1000)])
-        slope, _, r2 = hz.fit_scaling(rows)
+        passed, slope, _, r2 = hz.scaling_verdict(rows)
+        assert not passed
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0
 
     def test_needs_two_points(self):
         rows = self._rows([(10, 1.0), (10, 2.0)])
         with pytest.raises(ValueError):
-            hz.fit_scaling(rows)
+            hz.scaling_verdict(rows)
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_slope_bar_edges(self, side):
+        """A slope just inside SLOPE_TOL of -1 passes the bar and one
+        just outside fails it, on either side of -1."""
+        for scale, passes in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            slope = -1.0 + side * scale * hz.SLOPE_TOL
+            rows = self._rows([(n, 3.0 * n ** slope) for n in (100, 10000)])
+            passed, fitted, _, _ = hz.scaling_verdict(rows)
+            assert fitted == pytest.approx(slope, abs=1e-12)
+            assert passed == passes, (side, scale)
 
 
 class TestEmission:
@@ -789,7 +810,7 @@ class TestEmission:
         hz.write_csv(recs, str(out))
         assert out.read_text().startswith("scenario,trial,point,n_used")
         summ = tmp_path / "s.csv"
-        hz.write_summary_csv(recs, "frob_sq", str(summ))
+        hz.write_summary_csv(hz.summarize(recs, "frob_sq"), str(summ))
         assert summ.read_text().count("\n") == 3  # header + two points
         stub = tmp_path / "plot.py"
         hz.write_plot_stub(str(stub))
@@ -958,3 +979,56 @@ def test_target_contract():
         assert (s, rho, rho_dec, point) == ("s", *truth, "point")
         assert result != "rng", name
     assert {hz.TARGETS[t].trial for t in STAGED} == {hz._staged_trial}
+
+
+# ---------------------------------------------------------------------------
+# the stated levels of two verdict bars
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("trials, fails_at_95, passes_at_80", [
+    (20, "0.0755", "0.206"), (100, "0.0115", "0.0057"),
+    (200, "0.00116", "0.000106")])
+def test_pass_rate_levels(trials, fails_at_95, passes_at_80):
+    """The binomial levels ``_pass_rate``'s docstring states, to three
+    figures: how often a true hold rate of 0.95 fails the 0.9 bar, and
+    0.8 passes it, summed over the hold counts the bar itself passes."""
+    bar = hz._pass_rate("held")
+    passing = [k for k in range(trials + 1)
+               if bar(None, {"flag_rates": {"held": k / trials}})[0]]
+
+    def pass_probability(p):
+        return sum(math.comb(trials, k) * p ** k * (1 - p) ** (trials - k)
+                   for k in passing)
+
+    assert f"{1.0 - pass_probability(0.95):.3g}" == fails_at_95
+    assert f"{pass_probability(0.8):.3g}" == passes_at_80
+    assert fails_at_95 in hz._pass_rate.__doc__
+    assert passes_at_80 in hz._pass_rate.__doc__
+
+
+def test_frobenius_verdict_level_and_power(monkeypatch):
+    """The counts ``_frobenius_verdict``'s docstring states: over d = 2,
+    ``oracle:f=d``, n in {1e3, 1e5} and master seeds 0-199, the points
+    that fail the bar at 3 and at 10 trials, for a correct oracle and
+    for one drawn at twice its promised loss.  A trial's stream depends
+    only on its seed, point and index, so the first 3 trials of each
+    point of a 10-trial run are the 3-trial run's."""
+    oracle = fb.oracle_estimate
+    counts = []
+    for scale in (1.0, 2.0):
+        monkeypatch.setattr(fb, "oracle_estimate",
+                            lambda rho, f, m, rng, k=scale:
+                            oracle(rho, k * f, m, rng))
+        fails = {3: 0, 10: 0}
+        for seed in range(200):
+            s = small(d=2, r=2, n_grid=(1_000, 100_000), trials=10,
+                      master_seed=seed)
+            records = hz.run_scenario(s)
+            for trials in fails:
+                kept = [rec for rec in records if rec.trial < trials]
+                fails[trials] += sum(not passed for _, passed, _, _
+                                     in hz.evaluate_guarantees(s, kept))
+        counts.append((fails[3], fails[10]))
+    assert counts == [(16, 10), (94, 249)]
+    assert all(str(n) in hz._frobenius_verdict.__doc__
+               for pair in counts for n in pair)

@@ -104,7 +104,7 @@ _NAN_SECOND = linalg.SpectralDecomposition(values=np.array([0.5, np.nan]),
 
 
 @pytest.mark.parametrize("check, message", [
-    (lambda: dv.bures_chi2(linalg.maximally_mixed(2),
+    (lambda: dv.bures_chi2(linalg.maximally_mixed_eig(2)[0],
                            linalg.SpectralDecomposition(
                                values=np.full(2, np.nan),
                                vectors=np.eye(2, dtype=complex))),
@@ -114,9 +114,10 @@ _NAN_SECOND = linalg.SpectralDecomposition(values=np.array([0.5, np.nan]),
         values=np.array([np.nan, 1.0]), vectors=np.eye(2, dtype=complex))),
      "not PSD"),
     (lambda: linalg.psd_values(_NAN_SECOND), "not PSD"),
-    (lambda: dv.relative_entropy(linalg.maximally_mixed(2), _NAN_SECOND),
+    (lambda: dv.relative_entropy(linalg.maximally_mixed_eig(2)[0],
+                                 _NAN_SECOND),
      "not PSD"),
-    (lambda: dv.fidelity(linalg.maximally_mixed(2), _NAN_SECOND),
+    (lambda: dv.fidelity(linalg.maximally_mixed_eig(2)[0], _NAN_SECOND),
      "not PSD"),
     (lambda: ms.Povm.from_basis(_NAN), "not unitary"),
     (lambda: ms._sampling_probs(np.array([0.5, np.nan])), "not a state"),
@@ -129,7 +130,7 @@ _NAN_SECOND = linalg.SpectralDecomposition(values=np.array([0.5, np.nan]),
         fb.EstimatorSpec(rate=lambda d, r: 1.0,
                          run=lambda rho, n, rng: np.where(
                              [[False, True], [False, False]], np.nan, rho)),
-        linalg.maximally_mixed(2), 10, np.random.default_rng(0)),
+        linalg.maximally_mixed_eig(2)[0], 10, np.random.default_rng(0)),
      "not Hermitian"),
 ], ids=["divergences-weights", "require-hermitian", "psd-values",
         "psd-values-nan-second", "relative-entropy-nan-second",
@@ -263,34 +264,37 @@ def test_depolarize_floor_and_trace():
 
 def test_correlated_pair_state_marginals_stay_uniform():
     for lam in (0.0, 0.3, 1.0):
-        rho = linalg.correlated_pair_state(3, lam)
+        rho = linalg.correlated_pair_eig(3, lam)[0]
         analysis.require_density(rho)
         for marg in linalg.marginals(rho, 3):
             assert np.max(np.abs(marg - np.eye(3) / 3)) < 1e-12
 
 
-@pytest.mark.parametrize("family, d, lam, build", [
-    ("maximally_mixed", 9, 0.5, lambda: linalg.maximally_mixed_eig(9)),
+@pytest.mark.parametrize("family, d, lam, build, formula", [
+    ("maximally_mixed", 9, 0.5, lambda: linalg.maximally_mixed_eig(9),
+     lambda: np.eye(9, dtype=complex) / 9),
     ("bipartite:correlated", 3, 0.5,
-     lambda: linalg.correlated_pair_eig(3, 0.5)),
-    ("bipartite:product", 3, 0.0, lambda: linalg.maximally_mixed_eig(9)),
+     lambda: linalg.correlated_pair_eig(3, 0.5),
+     lambda: analysis.correlated_pair_state(3, 0.5)),
+    ("bipartite:product", 3, 0.0, lambda: linalg.maximally_mixed_eig(9),
+     lambda: analysis.correlated_pair_state(3, 0.0)),
 ], ids=["maximally-mixed", "correlated", "correlated-product"])
 def test_cached_states_equal_a_fresh_build_and_are_read_only(family, d, lam,
-                                                             build):
-    """The constructors of the states that draw nothing build afresh on
+                                                             build, formula):
+    """The builders of the states that draw nothing build afresh on
     every call; the harness's one cache of them (``_fixed_draw``) holds
-    a byte-equal build once, with every array read-only.  At lam 0 the
-    correlated pair state is exactly the product family's Id/d^2."""
+    a byte-equal build once, with every array read-only.  The state is
+    its formula's bytes, Id/d or (1-lam) Id/d^2 + lam |Phi><Phi|; at lam
+    0 the correlated pair state is exactly the product family's Id/d^2."""
     rho, dec, truth = harness._fixed_draw(family, d, lam)
     assert harness._fixed_draw(family, d, lam)[0] is rho
     fresh_rho, fresh_dec = build()
     assert build()[0] is not fresh_rho and fresh_rho.flags.writeable
-    assert rho.tobytes() == fresh_rho.tobytes()
+    assert rho.tobytes() == fresh_rho.tobytes() == formula().tobytes()
     assert dec.values.tobytes() == fresh_dec.values.tobytes()
     assert dec.vectors.tobytes() == fresh_dec.vectors.tobytes()
     arrays = (rho, dec.values, dec.vectors)
     if family != "maximally_mixed":  # a pair state, with its MI truth
-        assert rho.tobytes() == linalg.correlated_pair_state(3, lam).tobytes()
         arrays += (truth[1],)
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -493,7 +493,7 @@ class TestProductDecomposition:
         xi = linalg.random_density(3, 3, rng)
         rho = linalg.random_density(3, 3, rng)
         sg = linalg.random_density(3, 1, rng)  # zero eigenvalues
-        tu = linalg.maximally_mixed(3)
+        tu = linalg.maximally_mixed_eig(3)[0]
         with pytest.raises(pl.ParameterError):
             analysis.product_chi2_decomposition(xi, rho, sg, tu)
 
@@ -510,9 +510,9 @@ ORACLE = fb.parse_estimator("oracle:f=d", 1)
 class TestQuantumLearning:
     def test_mixed_marginal_floored(self):
         rng = np.random.default_rng(51)
-        third = linalg.maximally_mixed(4)
+        third = linalg.maximally_mixed_eig(4)[0]
         ests, learning = mt.learn_product_quantum(
-            linalg.maximally_mixed(16), 4, 0.004, rng, 4, ORACLE)
+            linalg.maximally_mixed_eig(16)[0], 4, 0.004, rng, 4, ORACLE)
         assert learning["floor_ok"]
         for est, out in zip(ests, learning["runs"]):
             assert est.values[0] >= 0.004 / 4 - 1e-10
@@ -534,7 +534,7 @@ class TestQuantumLearning:
         rng = np.random.default_rng(53)
         rho = np.diag([0.004, 0.1, 0.3, 0.596]).astype(complex)
         (est, _), learning = mt.learn_product_quantum(
-            np.kron(rho, linalg.maximally_mixed(4)), 4, 0.02, rng, 4,
+            np.kron(rho, linalg.maximally_mixed_eig(4)[0]), 4, 0.02, rng, 4,
             ORACLE)
         assert [out.prefix for out in learning["runs"]] == [0, 0]
         assert est.values[0] < 0.02 / 4
@@ -542,13 +542,13 @@ class TestQuantumLearning:
 
     def test_product_learning_shares_copies(self):
         rng = np.random.default_rng(54)
-        joint = linalg.correlated_pair_state(3, 0.5)
+        joint = linalg.correlated_pair_eig(3, 0.5)[0]
         (sg, tu), learning = mt.learn_product_quantum(
             joint, 3, 0.005, rng, 3, ORACLE)
         runs = learning["runs"]
         assert runs[0].params is runs[1].params
         assert learning["floor_ok"]
-        third = linalg.maximally_mixed(3)
+        third = linalg.maximally_mixed_eig(3)[0]
         assert dv.bures_chi2(third, sg) <= 0.005
         assert dv.bures_chi2(third, tu) <= 0.005
 
@@ -557,7 +557,7 @@ class TestQuantumLearning:
         on one shared plan, whose total is the joint copy count."""
         rng = np.random.default_rng(56)
         _, learning = mt.learn_product_quantum(
-            linalg.correlated_pair_state(3, 0.5), 3, 0.005, rng, 2, ORACLE)
+            linalg.correlated_pair_eig(3, 0.5)[0], 3, 0.005, rng, 2, ORACLE)
         runs = learning["runs"]
         assert len(runs) == 2
         assert all(isinstance(out, pl.CentralOutput) for out in runs)
@@ -568,7 +568,7 @@ class TestQuantumLearning:
         rng = np.random.default_rng(55)
         for eps_learn in (0.7, 0.5, 0.0):
             with pytest.raises(pl.ParameterError, match="eps_learn"):
-                mt.learn_product_quantum(linalg.maximally_mixed(4), 2,
+                mt.learn_product_quantum(linalg.maximally_mixed_eig(4)[0], 2,
                                          eps_learn, rng, 2, ORACLE)
 
 

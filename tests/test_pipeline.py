@@ -388,11 +388,11 @@ class TestStagedLearn:
         params = pl.plan_budget(4, 1, spec.rate(4, 1), 0.2)
         skew = np.eye(4, dtype=complex) / 4
         skew[0, 1] = 0.2
-        nan = linalg.maximally_mixed(4)
+        nan = linalg.maximally_mixed_eig(4)[0]
         nan[2, 2] = np.nan
         half = 0.5 * linalg.random_density(4, 1, np.random.default_rng(311))
         for rho, match in ((skew, "not Hermitian"), (nan, "not Hermitian"),
-                           (linalg.maximally_mixed(5), "4 x 4 state"),
+                           (linalg.maximally_mixed_eig(5)[0], "4 x 4 state"),
                            (half, "not a state")):
             rng = np.random.default_rng(313)
             before = rng.bit_generator.state
@@ -512,7 +512,7 @@ EQUIVALENCE_FAMILIES = {
     "rank_deficient": lambda d, rng: (
         linalg.random_density(d, max(1, d // 2), rng), max(1, d // 2)),
     "geometric": lambda d, rng: (linalg.geometric_spectrum_eig(d, rng)[0], d),
-    "maximally_mixed": lambda d, rng: (linalg.maximally_mixed(d), d),
+    "maximally_mixed": lambda d, rng: (linalg.maximally_mixed_eig(d)[0], d),
 }
 
 
