@@ -36,7 +36,6 @@ from . import classical
 from . import cli
 from . import config
 from . import divergences as dv
-from . import frobenius as fb
 from . import harness as hz
 from . import linalg
 
@@ -202,12 +201,12 @@ def _frobenius_scaling():
                     master_seed=_master_seed(5))
     rows = hz.summarize(hz.run_scenario(s), "frob_sq")
     slope_ok, slope, _, _ = hz.scaling_verdict(rows)
-    rate = fb.parse_estimator(s.estimator, s.r).rate(s.d, s.r)
     # the mean itself, with no standard-error slack, sits below f/n
-    level_ok = all(row["mean"] <= rate / row["point"] for row in rows)
+    level_ok = all(row["mean"] <= hz.promise(s, row["point"])
+                   for row in rows)
     return slope_ok and level_ok, {"slope": slope, "level_ok": level_ok,
                                    "mean_n1000": rows[0]["mean"],
-                                   "level_n1000": rate / s.n_grid[0]}
+                                   "level_n1000": hz.promise(s, s.n_grid[0])}
 
 
 # ---------------------------------------------------------------------------

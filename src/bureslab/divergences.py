@@ -202,7 +202,6 @@ class _Overlap(typing.NamedTuple):
 
     p: np.ndarray        # rho's values on its support, cut
     q: np.ndarray        # sigma's values, cut
-    m: np.ndarray        # M, every column
     w: np.ndarray        # raw |M|^2, every column
     sp: np.ndarray       # sqrt p
     sq: np.ndarray       # sqrt q on sigma's support
@@ -222,7 +221,7 @@ def _overlap(rho, sigma) -> _Overlap:
     p = p[..., i:]
     m = dp.vectors[..., i:].conj().swapaxes(-1, -2) @ dq.vectors
     w = np.abs(m) ** 2
-    return _Overlap(p=p, q=q, m=m, w=w, sp=np.sqrt(p), sq=np.sqrt(q[..., j:]),
+    return _Overlap(p=p, q=q, w=w, sp=np.sqrt(p), sq=np.sqrt(q[..., j:]),
                     m_s=m[..., j:], w_s=w[..., j:])
 
 

@@ -141,6 +141,13 @@ def pearson_null_quantile(k: int, variance: float) -> float:
     the mean, keeps the quantile close to the simulated one when some
     expected counts n q_i are far below one, where plain chi2(k - 1)
     sits too low.  O(1) work and no random draws.
+
+    The 0.99 level is the approximation's, not a bound.  Cantelli's
+    bound at level L, k - 1 + sqrt(V L / (1 - L)), lies above the
+    quantile; on a uniform reference at the plan's n_test with eps = 0.5
+    the gap vs the separation margin ``PEARSON_MARGIN`` n eps_t is 38.9
+    vs 48 at d = 4, 169.2 vs 192 at d = 16, 687.0 vs 768 at d = 64 and
+    2757.0 vs 3072 at d = 256.
     """
     mean = k - 1.0
     if mean < 1.0:  # one bin: the statistic is identically zero

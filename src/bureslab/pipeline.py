@@ -60,7 +60,6 @@ __all__ = [
     "staged_learn",
     "to_infidelity",
     "to_chi2",
-    "chi2_error_terms",
     "to_kl",
 ]
 
@@ -497,28 +496,6 @@ def to_chi2(out: CentralOutput,
     q = (1.0 - eta) * out.q
     q[:out.prefix] += eta / out.prefix
     return linalg.SpectralDecomposition.ascending(q, out.frame)
-
-
-def chi2_error_terms(out: CentralOutput, eta: float | None = None) -> dict:
-    """The four bound contributions for a cookie-blended estimate.
-
-    Descriptive scales, not certified constants: prefix-block off and on
-    diagonal, and retained-block off and on diagonal.  No caller yet: it
-    is allowlisted for per-trial traces, to show which term dominates.
-    """
-    p = out.params
-    if eta is None:
-        eta = math.sqrt(p.d / p.r) * p.eps_tilde
-    ell = out.prefix
-    log_term = p.eps_tilde * math.log(1.0 / p.eps_tilde)
-    return {
-        "eta": eta,
-        "block_off": log_term + (ell / p.r) * p.eps_tilde ** 2 / eta
-        if ell else 0.0,
-        "block_on": eta if ell else 0.0,
-        "tail_off": p.eps,
-        "tail_on": p.eps_tilde,
-    }
 
 
 def to_kl(est: linalg.SpectralDecomposition, eps: float):

@@ -285,6 +285,24 @@ class TestPearson:
         false_rejections = np.mean(statistic > closed.stats["threshold"])
         assert false_rejections <= 1.0 - config.PEARSON_NULL_LEVEL
 
+    @pytest.mark.parametrize("d, gap, margin", [
+        (4, 38.9, 48), (16, 169.2, 192), (64, 687.0, 768),
+        (256, 2757.0, 3072)])
+    def test_cantelli_gap_against_the_margin(self, d, gap, margin):
+        """What ``pearson_null_quantile``'s docstring states: on a uniform
+        reference at the plan's n_test with eps = 0.5, how far Cantelli's
+        bound at the null level sits above the quantile, against the
+        separation margin."""
+        plan = mt.classical_mi_plan(d, 0.5)
+        k, n, level = d * d, plan["n_test"], config.PEARSON_NULL_LEVEL
+        variance = mt.pearson_null_variance(np.full(k, 1.0 / k), n)
+        cantelli = k - 1 + math.sqrt(variance * level / (1.0 - level))
+        got = cantelli - mt.pearson_null_quantile(k, variance)
+        assert round(got, 1) == gap
+        assert round(config.PEARSON_MARGIN * n * plan["eps_t"]) == margin
+        doc = " ".join(mt.pearson_null_quantile.__doc__.split())
+        assert f"{gap:.1f} vs {margin}" in doc
+
     def test_domain(self):
         rng = np.random.default_rng(24)
         with pytest.raises(pl.ParameterError):

@@ -680,13 +680,6 @@ def test_rotated_relearn_frame_is_checked(monkeypatch):
     assert np.array_equal(grams[-1], out.frame)
 
 
-def test_chi2_error_terms_keys():
-    rng = np.random.default_rng(257)
-    _, out = run_staged(4, 2, rng)
-    terms = pl.chi2_error_terms(out)
-    assert set(terms) == {"eta", "block_off", "block_on", "tail_off", "tail_on"}
-
-
 def test_to_chi2_rejects_bad_eta():
     rng = np.random.default_rng(263)
     _, out = run_staged(4, 2, rng)

@@ -62,8 +62,6 @@ BENCHMARK = PACKAGE.parents[1] / "perfbench"
 
 #: kept without a caller, each for the change that wires it in
 ALLOWED = {
-    # per-trial traces are to log the predicted error terms
-    ("pipeline", "chi2_error_terms"),
     # the divergence chain is to gain D_2 = renyi_divergence_q(rho,
     # sigma, 2) between KL and the Petz chi-square; renyi_divergence is
     # its classical core
@@ -203,8 +201,6 @@ ALLOWED_OPTIONS = {
     # the Monte Carlo null is the tests' reference; the benchmark reads
     # the default
     ("mitest", "pearson_identity_test", "sims"),
-    # goes with its function, which is allowed above
-    ("pipeline", "chi2_error_terms", "eta"),
 }
 
 
